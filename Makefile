@@ -47,7 +47,7 @@ COVER_FLOOR ?= 77.0
 	bench-update bench-update-baseline bench-storm bench-storm-baseline \
 	bench-session bench-session-baseline fuzz-smoke \
 	swarm-bins bench-swarm bench-swarm-baseline bench-swarm-smoke \
-	bench-swarm-smoke-baseline docs-check profile clean
+	bench-swarm-smoke-baseline benchmark benchmark-test docs-check profile clean
 
 all: build test
 
@@ -325,6 +325,17 @@ bench-swarm-smoke: swarm-bins
 # SWARM_SMOKE_FLAGS and this baseline in lockstep.
 bench-swarm-smoke-baseline: swarm-bins
 	./bin/webwave-swarm $(SWARM_SMOKE_FLAGS) -json bench/BENCH_swarm_smoke_baseline.json
+
+# benchmark runs the repository's benchmark (benchmark/README.md): four
+# workloads against the live stack over TCP loopback, untraced then traced,
+# about five minutes; results land in benchmark/out/. The module sits
+# outside `./...`, so benchmark-test is what vets it and runs its own tests
+# (under ten seconds) — CI runs that per PR.
+benchmark:
+	$(GO) run -C benchmark webwave/benchmark
+
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # docs-check verifies every relative markdown link (and heading anchor) in
 # all top-level markdown and docs/ resolves; CI's docs job runs exactly this.

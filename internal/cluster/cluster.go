@@ -231,6 +231,7 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 			return nil, fmt.Errorf("cluster: node %d: %w", v, err)
 		}
 		if err := srv.Start(); err != nil {
+			srv.Stop() // not in c.servers yet: release its journal and disk tier
 			c.Stop()
 			return nil, fmt.Errorf("cluster: start node %d: %w", v, err)
 		}
@@ -591,6 +592,7 @@ func (c *Cluster) RestartNode(v int) error {
 		return fmt.Errorf("cluster: restart node %d: %w", v, err)
 	}
 	if err := srv.Start(); err != nil {
+		srv.Stop() // release the journal and the bodies warm recovery opened
 		return fmt.Errorf("cluster: restart node %d: %w", v, err)
 	}
 	conn, err := c.net.Dial(srv.Addr())

@@ -15,6 +15,12 @@
 // with its own lifecycle rules. Writes are atomic (temp file + rename):
 // a crash mid-spill leaves either the previous body or none, never a torn
 // one.
+//
+// Reads are the server's majority serve path once the working set
+// outgrows memory, so an entry keeps its file descriptor: Put retains the
+// one it wrote through, a body found by the Open scan opens on its first
+// read, and every later read is a single pread into an exact-size buffer.
+// At most maxOpenBodies descriptors are held per store.
 package diskstore
 
 import (
@@ -59,25 +65,40 @@ type Stats struct {
 	EvictedBytes int64
 }
 
-// entry is one resident body: its size and its position in the intrusive
-// LRU list (head = most recently used).
+// maxOpenBodies bounds the descriptors one store retains. Past it the
+// least recently read holder closes its descriptor and reopens on its next
+// read.
+const maxOpenBodies = 256
+
+// The store threads every entry onto two intrusive lists (head = most
+// recent).
+const (
+	byUse  = iota // every resident body, by last Put or Get: eviction order
+	byRead        // bodies holding a descriptor, by last read: who closes next
+	numLists
+)
+
+// entry is one resident body: its size, its retained descriptor (nil
+// until first read or after giving it up) and its list positions.
 type entry struct {
-	doc        core.DocID
-	size       int64
-	prev, next *entry
+	doc   core.DocID
+	size  int64
+	f     *os.File
+	links [numLists]struct{ prev, next *entry }
 }
 
-// Store is the disk tier. All methods are safe for concurrent use; file
-// I/O happens under the store mutex, which is acceptable at the disk
-// tier's call rates (spills and misses, not the serve fast path).
+// Store is the disk tier. All methods are safe for concurrent use. A read
+// holds the store mutex across one pread of a page-cached file.
 type Store struct {
 	dir    string
 	budget int64
 
 	mu         sync.Mutex
 	entries    map[core.DocID]*entry
-	head, tail *entry
+	head, tail [numLists]*entry
 	bytes      int64
+	open       int  // descriptors held, <= maxOpenBodies
+	closed     bool // Close ran: no read or Put may open a descriptor
 
 	hits, misses, puts     int64
 	rejected               int64
@@ -133,7 +154,7 @@ func Open(cfg Config) (*Store, error) {
 	for _, f := range scan {
 		e := &entry{doc: f.doc, size: f.size}
 		s.entries[f.doc] = e
-		s.pushFront(e)
+		s.pushFront(byUse, e)
 		s.bytes += f.size
 	}
 	s.evictOver(nil) // budget may have shrunk since the last run
@@ -168,8 +189,11 @@ func (s *Store) Put(doc core.DocID, body []byte) ([]Eviction, bool) {
 	size := int64(len(body))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false
+	}
 	if e := s.entries[doc]; e != nil {
-		s.touch(e)
+		s.touch(byUse, e)
 		return nil, true
 	}
 	if s.budget > 0 && size > s.budget {
@@ -182,24 +206,24 @@ func (s *Store) Put(doc core.DocID, body []byte) ([]Eviction, bool) {
 	}
 	// Atomic publish: write to a temp file in the same directory, then
 	// rename over the final name. A crash between the two leaves no file —
-	// the document is simply not resident on recovery.
+	// the document is simply not resident on recovery. The descriptor
+	// survives the rename and serves the entry's reads.
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
 		return evs, false
 	}
-	_, werr := tmp.Write(body)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return evs, false
+	if _, err = tmp.Write(body); err == nil {
+		err = os.Rename(tmp.Name(), s.fileOf(doc))
 	}
-	if err := os.Rename(tmp.Name(), s.fileOf(doc)); err != nil {
+	if err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name())
 		return evs, false
 	}
 	e := &entry{doc: doc, size: size}
 	s.entries[doc] = e
-	s.pushFront(e)
+	s.pushFront(byUse, e)
+	s.retain(e, tmp)
 	s.bytes += size
 	s.puts++
 	return evs, true
@@ -217,8 +241,8 @@ func (s *Store) evictOver(incoming *int64) []Eviction {
 		need += *incoming
 	}
 	var evs []Eviction
-	for need > s.budget && s.tail != nil {
-		victim := s.tail
+	for need > s.budget && s.tail[byUse] != nil {
+		victim := s.tail[byUse]
 		s.removeEntry(victim)
 		os.Remove(s.fileOf(victim.doc))
 		need -= victim.size
@@ -234,18 +258,12 @@ func (s *Store) evictOver(incoming *int64) []Eviction {
 func (s *Store) Get(doc core.DocID) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[doc]
+	body, e := s.read(doc)
 	if e == nil {
 		s.misses++
 		return nil, false
 	}
-	body, err := os.ReadFile(s.fileOf(doc))
-	if err != nil {
-		s.removeEntry(e)
-		s.misses++
-		return nil, false
-	}
-	s.touch(e)
+	s.touch(byUse, e)
 	s.hits++
 	return body, true
 }
@@ -255,16 +273,64 @@ func (s *Store) Get(doc core.DocID) ([]byte, bool) {
 func (s *Store) Peek(doc core.DocID) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	body, e := s.read(doc)
+	return body, e != nil
+}
+
+// read returns doc's body and entry, or a nil entry on a miss: one pread
+// on the retained descriptor, opened first if the entry holds none. An
+// entry whose file cannot be opened or read in full is dropped. Caller
+// holds the mutex.
+func (s *Store) read(doc core.DocID) ([]byte, *entry) {
 	e := s.entries[doc]
-	if e == nil {
-		return nil, false
+	if e == nil || s.closed {
+		return nil, nil
 	}
-	body, err := os.ReadFile(s.fileOf(doc))
-	if err != nil {
+	if e.f != nil {
+		s.touch(byRead, e)
+	} else if f, err := os.Open(s.fileOf(doc)); err == nil {
+		s.retain(e, f)
+	} else {
 		s.removeEntry(e)
-		return nil, false
+		return nil, nil
 	}
-	return body, true
+	body := make([]byte, e.size)
+	if _, err := e.f.ReadAt(body, 0); err != nil {
+		s.removeEntry(e)
+		return nil, nil
+	}
+	return body, e
+}
+
+// retain hands e the open descriptor f as the most recently read holder;
+// past the bound the least recently read holder gives its own up. Caller
+// holds the mutex.
+func (s *Store) retain(e *entry, f *os.File) {
+	e.f = f
+	s.pushFront(byRead, e)
+	s.open++
+	if s.open > maxOpenBodies {
+		s.release(s.tail[byRead])
+	}
+}
+
+// release closes e's descriptor. Caller holds the mutex.
+func (s *Store) release(e *entry) {
+	e.f.Close()
+	e.f = nil
+	s.unlink(byRead, e)
+	s.open--
+}
+
+// Close releases every retained descriptor. The bodies stay on disk for
+// the next Open; reads and Puts on a closed store miss and fail.
+func (s *Store) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for s.tail[byRead] != nil {
+		s.release(s.tail[byRead])
+	}
 }
 
 // Contains reports residency without touching recency.
@@ -289,7 +355,7 @@ func (s *Store) Docs() []core.DocID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]core.DocID, 0, len(s.entries))
-	for e := s.head; e != nil; e = e.next {
+	for e := s.head[byUse]; e != nil; e = e.links[byUse].next {
 		out = append(out, e.doc)
 	}
 	return out
@@ -324,43 +390,49 @@ func (s *Store) StatsSnapshot() Stats {
 	}
 }
 
-// Intrusive LRU list plumbing (caller holds the mutex).
+// Intrusive list plumbing (caller holds the mutex).
 
-func (s *Store) pushFront(e *entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
+func (s *Store) pushFront(l int, e *entry) {
+	e.links[l].prev, e.links[l].next = nil, s.head[l]
+	if s.head[l] != nil {
+		s.head[l].links[l].prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	s.head[l] = e
+	if s.tail[l] == nil {
+		s.tail[l] = e
 	}
 }
 
-func (s *Store) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (s *Store) unlink(l int, e *entry) {
+	prev, next := e.links[l].prev, e.links[l].next
+	if prev != nil {
+		prev.links[l].next = next
 	} else {
-		s.head = e.next
+		s.head[l] = next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if next != nil {
+		next.links[l].prev = prev
 	} else {
-		s.tail = e.prev
+		s.tail[l] = prev
 	}
-	e.prev, e.next = nil, nil
+	e.links[l].prev, e.links[l].next = nil, nil
 }
 
-func (s *Store) touch(e *entry) {
-	if s.head == e {
+func (s *Store) touch(l int, e *entry) {
+	if s.head[l] == e {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
+	s.unlink(l, e)
+	s.pushFront(l, e)
 }
 
+// removeEntry drops e from the index, closing its descriptor first so the
+// caller's os.Remove unlinks a file nothing holds open.
 func (s *Store) removeEntry(e *entry) {
-	s.unlink(e)
+	if e.f != nil {
+		s.release(e)
+	}
+	s.unlink(byUse, e)
 	delete(s.entries, e.doc)
 	s.bytes -= e.size
 }

@@ -1,10 +1,40 @@
 package diskstore
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"webwave/internal/core"
 )
+
+// heldFile returns the descriptor doc's entry retains, nil when it holds
+// none (or the document is not resident).
+func heldFile(s *Store, doc core.DocID) *os.File {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[doc]; e != nil {
+		return e.f
+	}
+	return nil
+}
+
+func openCount(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.open
+}
+
+// wantClosed fails the test unless f has been closed.
+func wantClosed(t *testing.T, what string, f *os.File) {
+	t.Helper()
+	if _, err := f.ReadAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("%s: descriptor still open (read error %v)", what, err)
+	}
+}
 
 func body(n int, fill byte) []byte {
 	b := make([]byte, n)
@@ -102,9 +132,25 @@ func TestReopenRecoversBodiesByScan(t *testing.T) {
 	if r.Len() != 2 || r.Bytes() != 96 {
 		t.Fatalf("recovered Len=%d Bytes=%d, want 2/96", r.Len(), r.Bytes())
 	}
+	// The scan indexes without opening; each body opens on its first read,
+	// by Get or by Peek, and keeps the descriptor for the next.
+	if n := openCount(r); n != 0 {
+		t.Fatalf("reopen scan holds %d descriptors, want 0", n)
+	}
 	got, ok := r.Get("odd/../id with spaces")
 	if !ok || string(got) != string(body(64, 'q')) {
 		t.Fatalf("recovered body mismatch: %q, %v", got, ok)
+	}
+	got, ok = r.Peek("plain")
+	if !ok || string(got) != string(body(32, 'p')) {
+		t.Fatalf("recovered body mismatch: %q, %v", got, ok)
+	}
+	if n := openCount(r); n != 2 {
+		t.Fatalf("%d descriptors after reading two scanned bodies, want 2", n)
+	}
+	f := heldFile(r, "plain")
+	if got, ok = r.Get("plain"); !ok || string(got) != string(body(32, 'p')) || heldFile(r, "plain") != f {
+		t.Fatalf("second read: %q, %v, same descriptor %v", got, ok, heldFile(r, "plain") == f)
 	}
 }
 
@@ -139,5 +185,221 @@ func TestDeleteAndRepeatPut(t *testing.T) {
 	s.Delete("a")
 	if s.Contains("a") || s.Len() != 0 || s.Bytes() != 0 {
 		t.Fatal("Delete left residue")
+	}
+}
+
+// TestEvictedAndDeletedBodiesMissAndClose: a body the budget displaced or
+// Delete removed reads as a miss from then on, its file is gone, and the
+// descriptor its entry retained is closed rather than left to a finalizer.
+func TestEvictedAndDeletedBodiesMissAndClose(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), BudgetBytes: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("a", body(100, 'a'))
+	s.Put("b", body(100, 'b'))
+	fa, fb := heldFile(s, "a"), heldFile(s, "b")
+	if fa == nil || fb == nil {
+		t.Fatal("Put did not retain its descriptor")
+	}
+	if evs, _ := s.Put("c", body(100, 'c')); len(evs) != 1 || evs[0].Doc != "a" {
+		t.Fatalf("evictions = %+v, want a", evs)
+	}
+	s.Delete("b")
+	wantClosed(t, "evicted a", fa)
+	wantClosed(t, "deleted b", fb)
+	for _, doc := range []core.DocID{"a", "b"} {
+		if _, ok := s.Get(doc); ok {
+			t.Fatalf("Get(%s) hit after removal", doc)
+		}
+		if _, ok := s.Peek(doc); ok {
+			t.Fatalf("Peek(%s) hit after removal", doc)
+		}
+		if _, err := os.Stat(s.fileOf(doc)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("body file of %s survived: %v", doc, err)
+		}
+	}
+	if n := openCount(s); n != 1 {
+		t.Fatalf("%d descriptors held, want 1 (c)", n)
+	}
+}
+
+// TestOpenBodiesBounded holds twice maxOpenBodies bodies resident: the
+// descriptor count never passes the bound, the holder that gives way is the
+// least recently read, and every body reads back intact however often its
+// descriptor was given up in between.
+func TestOpenBodiesBounded(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 2 * maxOpenBodies
+	id := func(i int) core.DocID { return core.DocID(fmt.Sprintf("doc-%d", i)) }
+	for i := 0; i < n; i++ {
+		if _, ok := s.Put(id(i), body(64, byte(i))); !ok {
+			t.Fatalf("Put %d rejected", i)
+		}
+		if c := openCount(s); c > maxOpenBodies {
+			t.Fatalf("%d descriptors after %d Puts, bound %d", c, i+1, maxOpenBodies)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			got, ok := s.Get(id(i))
+			if !ok || string(got) != string(body(64, byte(i))) {
+				t.Fatalf("pass %d: doc %d read back %d bytes, ok=%v", pass, i, len(got), ok)
+			}
+			if c := openCount(s); c > maxOpenBodies {
+				t.Fatalf("%d descriptors held, bound %d", c, maxOpenBodies)
+			}
+		}
+	}
+	// The last maxOpenBodies documents read hold the descriptors.
+	for i := 0; i < n; i++ {
+		if held := heldFile(s, id(i)) != nil; held != (i >= n-maxOpenBodies) {
+			t.Fatalf("doc %d holds a descriptor: %v", i, held)
+		}
+	}
+	// Reading the oldest holder makes it the newest: the next to give way
+	// is the one read after it.
+	s.Peek(id(n - maxOpenBodies))
+	s.Peek(id(0))
+	if heldFile(s, id(n-maxOpenBodies)) == nil || heldFile(s, id(n-maxOpenBodies+1)) != nil {
+		t.Fatal("descriptor taken from a holder other than the least recently read")
+	}
+}
+
+// TestDeleteThenPutNeverReadsOldBytes: a new body put under an id whose old
+// body was deleted must not be served from the old body's descriptor.
+func TestDeleteThenPutNeverReadsOldBytes(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for v := 0; v < 4; v++ {
+		want := body(50+v, byte('0'+v))
+		s.Delete("a")
+		if _, ok := s.Put("a", want); !ok {
+			t.Fatalf("Put v%d rejected", v)
+		}
+		for _, read := range []func(core.DocID) ([]byte, bool){s.Get, s.Peek} {
+			if got, ok := read("a"); !ok || string(got) != string(want) {
+				t.Fatalf("v%d read back %q, %v", v, got, ok)
+			}
+		}
+	}
+}
+
+// TestFailedPutLeavesNothingBehind: a Put whose rename fails (a non-empty
+// directory sits where the body file belongs) reports failure, indexes
+// nothing, charges no bytes, holds no descriptor and removes its temp file.
+func TestFailedPutLeavesNothingBehind(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := os.MkdirAll(filepath.Join(s.fileOf("a"), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Put("a", body(10, 'a')); ok {
+		t.Fatal("Put reported success though the rename failed")
+	}
+	if s.Contains("a") || s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("failed Put left an entry: Len=%d Bytes=%d", s.Len(), s.Bytes())
+	}
+	if n := openCount(s); n != 0 {
+		t.Fatalf("failed Put holds %d descriptors", n)
+	}
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("Get hit after a failed Put")
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || !des[0].IsDir() {
+		t.Fatalf("failed Put left files behind: %v", des)
+	}
+}
+
+// TestCloseReleasesEveryDescriptor: Close closes what Put and reads
+// retained; afterwards reads miss and Puts fail instead of reopening, and
+// the bodies are still there for the next Open.
+func TestCloseReleasesEveryDescriptor(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", body(10, 'a'))
+	s.Put("b", body(10, 'b'))
+	fa, fb := heldFile(s, "a"), heldFile(s, "b")
+	s.Close()
+	s.Close() // idempotent
+	wantClosed(t, "a", fa)
+	wantClosed(t, "b", fb)
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("Get hit on a closed store")
+	}
+	if _, ok := s.Put("c", body(10, 'c')); ok {
+		t.Fatal("Put accepted on a closed store")
+	}
+	if n := openCount(s); n != 0 {
+		t.Fatalf("%d descriptors held after Close", n)
+	}
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, ok := r.Get("b"); !ok || string(got) != string(body(10, 'b')) {
+		t.Fatalf("body lost across Close: %q, %v", got, ok)
+	}
+}
+
+// TestConcurrentAccess runs Get, Peek, Put and Delete over a small id space
+// and a tight budget from several goroutines: run under -race it pins the
+// locking around the retained descriptors, and a hit must always carry the
+// one body its id can have.
+func TestConcurrentAccess(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), BudgetBytes: 6 * 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const ids = 12
+	id := func(i int) core.DocID { return core.DocID(fmt.Sprintf("d%d", i)) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				d := (i*7 + g*3) % ids
+				switch (i + g) % 4 {
+				case 0:
+					s.Put(id(d), body(128, byte(d)))
+				case 1:
+					s.Delete(id(d))
+				case 2:
+					if got, ok := s.Get(id(d)); ok && string(got) != string(body(128, byte(d))) {
+						t.Errorf("Get(%d) returned a foreign or torn body", d)
+					}
+				case 3:
+					if got, ok := s.Peek(id(d)); ok && string(got) != string(body(128, byte(d))) {
+						t.Errorf("Peek(%d) returned a foreign or torn body", d)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.Bytes() > 6*128 {
+		t.Fatalf("budget exceeded: %d bytes", s.Bytes())
 	}
 }

@@ -81,6 +81,7 @@ type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
 	path      string
+	replayed  int64 // valid bytes found at open
 	unsynced  int64
 	appended  int64
 	lastSync  time.Time
@@ -113,7 +114,7 @@ func OpenJournal(path string) (*Journal, map[core.DocID]DocState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("diskstore: journal seek: %w", err)
 	}
-	j := &Journal{f: f, path: path, lastSync: time.Now(), syncEvery: defaultSyncEvery}
+	j := &Journal{f: f, path: path, replayed: valid, lastSync: time.Now(), syncEvery: defaultSyncEvery}
 	return j, state, nil
 }
 
@@ -195,13 +196,7 @@ func (j *Journal) Append(op Op, doc core.DocID, rate float64) error {
 	if j.f == nil {
 		return fmt.Errorf("diskstore: journal closed")
 	}
-	j.buf = appendFrame(j.buf[:0], Record{Op: op, Doc: doc, Rate: rate})
-	if _, err := j.f.Write(j.buf); err != nil {
-		return err
-	}
-	j.unsynced++
-	j.appended++
-	return nil
+	return j.writeLocked(Record{Op: op, Doc: doc, Rate: rate})
 }
 
 // AppendVersion writes one OpVersion record carrying the held copy's
@@ -212,7 +207,12 @@ func (j *Journal) AppendVersion(doc core.DocID, version uint64) error {
 	if j.f == nil {
 		return fmt.Errorf("diskstore: journal closed")
 	}
-	j.buf = appendFrame(j.buf[:0], Record{Op: OpVersion, Doc: doc, Version: version})
+	return j.writeLocked(Record{Op: OpVersion, Doc: doc, Version: version})
+}
+
+// writeLocked frames and writes one record. Caller holds the mutex.
+func (j *Journal) writeLocked(rec Record) error {
+	j.buf = appendFrame(j.buf[:0], rec)
 	if _, err := j.f.Write(j.buf); err != nil {
 		return err
 	}
@@ -287,12 +287,18 @@ func (j *Journal) Appended() int64 {
 // republished copies) per live document — typically run right after
 // recovery, so journals stay proportional to the held set instead of
 // growing across restarts. The rewrite is atomic (temp file + rename); a
-// crash mid-compaction leaves the old journal.
+// crash mid-compaction leaves the old journal. An empty journal compacted
+// to an empty state is already compact and is left alone, so a node's
+// first start pays no rewrite; a journal whose records cancelled out is
+// not empty and is rewritten.
 func (j *Journal) Compact(state map[core.DocID]DocState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("diskstore: journal closed")
+	}
+	if j.replayed == 0 && j.appended == 0 && len(state) == 0 {
+		return nil
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".compact-*")
 	if err != nil {

@@ -245,3 +245,60 @@ func TestJournalVersionSurvivesReadmit(t *testing.T) {
 		t.Fatalf("replayed %+v, want rate 8 version 6", st)
 	}
 }
+
+// TestCompactSkipsOnlyTheEmptyJournal: a brand-new journal compacted to an
+// empty state is left alone (no temp file, no rename — the file keeps its
+// identity), while one whose records cancelled out is rewritten to nothing.
+func TestCompactSkipsOnlyTheEmptyJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, state, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(state); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("compacting an empty journal replaced the file")
+	}
+	// Records that cancel out leave an empty state over a non-empty file.
+	if err := j.Append(OpAdmit, "a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(OpDrop, "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, state, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(state) != 0 {
+		t.Fatalf("replayed state %v, want empty", state)
+	}
+	if err := j.Compact(state); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(after, rewritten) || rewritten.Size() != 0 {
+		t.Fatalf("cancelled-out journal not rewritten: same file %v, size %d", os.SameFile(after, rewritten), rewritten.Size())
+	}
+	// The now-empty journal still takes appends.
+	if err := j.Append(OpAdmit, "b", 2); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func BenchmarkFastPathServe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.ReqID = uint64(i + 1)
-		if !s.tryFastServe(sh, env, conn) {
+		if !s.tryFastServe(sh, shardHash(env.Doc), env, conn) {
 			b.Fatal("fast path declined a pinned doc")
 		}
 	}
@@ -122,5 +123,80 @@ func BenchmarkRateWindowAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now = now.Add(10 * time.Microsecond)
 		w.Add(now, 1)
+	}
+}
+
+// BenchmarkPublishChurn measures one publish plus one unpublish of a
+// document, with the reap running on its usual period, on a shard that has
+// `published` other documents in its index. The index is bucketed so that
+// the cost does not grow with that number: the figures should stay within
+// 2x of each other from 16 to 1024.
+func BenchmarkPublishChurn(b *testing.B) {
+	for _, published := range []int{16, 128, 1024} {
+		b.Run(fmt.Sprintf("published=%d", published), func(b *testing.B) {
+			s := benchServer(b, Config{ID: 0, ParentID: -1, NumShards: 1})
+			sh := s.shards[0]
+			sh.now = time.Now()
+			body := []byte("body")
+			for i := 0; i < published; i++ {
+				sh.publish(core.DocID(fmt.Sprintf("resident-%04d", i)), body, false, 0)
+			}
+			// The churning set: on the disk-bound workload about a hundred
+			// tombstones are in flight per gossip period.
+			churn := make([]core.DocID, 128)
+			for i := range churn {
+				churn[i] = core.DocID(fmt.Sprintf("churn-%03d", i))
+			}
+			perPeriod := time.Duration(len(churn))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				doc := churn[i%len(churn)]
+				sh.now = sh.now.Add(s.cfg.GossipPeriod / perPeriod)
+				sh.publish(doc, body, false, 0)
+				sh.unpublish(doc)
+				sh.reapTombstones()
+			}
+		})
+	}
+}
+
+// BenchmarkDiskHitServe measures one queued request answered from the disk
+// tier, end to end on the shard loop: the memory miss, the disk read, the
+// re-admission to memory with the eviction it forces (unpublish of the
+// victim), the publish, and the response. Memory holds two of the sixteen
+// documents and requests go round-robin, so every one is a disk hit.
+func BenchmarkDiskHitServe(b *testing.B) {
+	const docs, docBytes = 16, 4 << 10
+	s := benchServer(b, Config{
+		ID: 0, ParentID: -1, NumShards: 1, CacheShards: 1,
+		CacheBudgetBytes: 2 * docBytes,
+		DataDir:          b.TempDir(),
+	})
+	b.Cleanup(s.Stop) // closes the journal and the retained body descriptors
+	sh := s.shards[0]
+	sh.now = time.Now()
+	ids := make([]core.DocID, docs)
+	for i := range ids {
+		ids[i] = core.DocID(fmt.Sprintf("doc-%03d", i))
+		if !sh.admit(ids[i], make([]byte, docBytes), 0) {
+			b.Fatalf("admit %s refused", ids[i])
+		}
+	}
+	env := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 0}
+	ev := event{env: env, conn: nopConn{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Doc, env.ReqID = ids[i%docs], uint64(i+1)
+		sh.now = sh.now.Add(50 * time.Microsecond)
+		sh.handle(ev)
+		if i%512 == 511 {
+			sh.tick() // the loop's own timer: reap, credits, journal
+		}
+	}
+	b.StopTimer()
+	if sh.nDiskHits != int64(b.N) {
+		b.Fatalf("%d of %d requests were disk hits", sh.nDiskHits, b.N)
 	}
 }

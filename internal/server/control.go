@@ -706,7 +706,7 @@ func (c *control) snapshot() *netproto.Stats {
 		st.LeaseRefreshes += sn.counters.leaseRefreshes
 		st.SessionRefreshes += sn.counters.sessionRefreshes
 		// Snapshot-carried (not a live atomic), so a scrape never reports
-		// more fast serves than the drained Served it sits inside.
+		// more fast serves than the Served it sits inside.
 		st.FastServed += sn.counters.fastServed
 		st.PendingLen += sn.pendingLen
 		for d, t := range sn.targets {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,31 +102,44 @@ func TestFastPathServesPinnedDocs(t *testing.T) {
 // the publication index) while readers hammer them. Run under -race this
 // pins the tombstone/copy-on-write discipline; functionally every request
 // must still be answered — served from a live copy or answered by the home
-// server — and the budget must hold.
+// server — and the budget must hold. Forty documents share the index's
+// buckets: a publish, an unpublish and a reap each rewrite a bucket other
+// documents are being served from, and no serve counted on an entry may be
+// lost on the way. With one shard every rewrite is the owner's own; with
+// four, one shard's admit evicts documents another shard publishes, so
+// readers also race the cross-shard kill and its eviction note.
 func TestFastPathRaceEvictRepublish(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			raceEvictRepublish(t, shards)
+		})
+	}
+}
+
+func raceEvictRepublish(t *testing.T, shards int) {
 	netw := newTestNetwork()
 	bodies := make(map[core.DocID][]byte)
-	docs := make([]core.DocID, 6)
+	docs := make([]core.DocID, 40)
 	for i := range docs {
 		docs[i] = core.DocID(fmt.Sprintf("d%d", i))
-		bodies[docs[i]] = []byte(fmt.Sprintf("body-%d-0123456789", i))
+		bodies[docs[i]] = []byte(fmt.Sprintf("body-%02d-0123456789", i))
 	}
 	startServer(t, Config{
 		ID: 0, Addr: "root", ParentID: -1,
 		Docs:    map[core.DocID][]byte{"home": []byte("pinned")},
 		Network: netw,
-		// Room for ~2 of the 6 delegated docs: every admit evicts.
+		// Room for ~3 of the 40 delegated docs: every admit evicts.
 		CacheBudgetBytes: 64, CacheShards: 1, EvictPolicy: cachestore.LRU,
-		NumShards:    4,
+		NumShards:    shards,
 		GossipPeriod: 5 * time.Millisecond, // fast ticks: credits keep refreshing
 	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Delegator: republish the six documents round-robin with serve duty,
-	// so each admit displaces an earlier copy (evict → tombstone →
-	// republish on the next round).
+	// Delegator: republish the documents round-robin with serve duty, so
+	// each admit displaces an earlier copy (evict → tombstone → republish
+	// on the next round).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -153,7 +167,7 @@ func TestFastPathRaceEvictRepublish(t *testing.T) {
 			doc := docs[i%len(docs)]
 			if err := conn.Send(&netproto.Envelope{
 				Kind: netproto.TypeDelegate, From: 99, To: 0,
-				Doc: doc, Rate: 100, Body: bodies[doc],
+				Doc: doc, Rate: 1e5, Body: bodies[doc], // duty enough that credits never gate the fast path
 			}); err != nil {
 				return
 			}
@@ -165,6 +179,7 @@ func TestFastPathRaceEvictRepublish(t *testing.T) {
 	// server are always answerable (live copy or NotFound after eviction);
 	// what must never happen is a stale or torn body.
 	const readers = 4
+	var answered atomic.Int64
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -201,6 +216,7 @@ func TestFastPathRaceEvictRepublish(t *testing.T) {
 						t.Errorf("reader %d: doc %s body %q", r, doc, env.Body)
 					}
 					netproto.PutEnvelope(env)
+					answered.Add(1)
 					break
 				}
 			}
@@ -214,9 +230,72 @@ func TestFastPathRaceEvictRepublish(t *testing.T) {
 	if st.EvictedDocs == 0 {
 		t.Fatal("no eviction churn: the race this test exists for never happened")
 	}
+	// The home answers every request itself, fast path or queue, so each
+	// answer is exactly one serve, however the index was rewritten around it.
+	if st.FastServed == 0 {
+		t.Fatal("no request took the fast path: the index was never read under churn")
+	}
+	if st.Served != answered.Load() {
+		t.Fatalf("served = %d, readers got %d answers: serves lost across publish/unpublish/reap", st.Served, answered.Load())
+	}
 	pinned := int64(len("pinned"))
 	if st.MaxCacheBytes > 64+pinned {
 		t.Fatalf("budget violated under churn: high-water %d > %d", st.MaxCacheBytes, 64+pinned)
+	}
+}
+
+// TestPubIndexBucketRewriteKeepsSiblings: documents that share a bucket
+// keep their own entries (and the counts pending on them) when a sibling is
+// published, replaced or removed, and an emptied bucket goes back to nil.
+func TestPubIndexBucketRewriteKeepsSiblings(t *testing.T) {
+	// Three ids that land in one bucket.
+	var docs []core.DocID
+	byBucket := make(map[uint32][]core.DocID)
+	for i := 0; len(docs) == 0; i++ {
+		d := core.DocID(fmt.Sprintf("doc-%d", i))
+		b := pubBucket(shardHash(d))
+		if byBucket[b] = append(byBucket[b], d); len(byBucket[b]) == 3 {
+			docs = byBucket[b]
+		}
+	}
+	var ix pubIndex
+	entries := make([]*pubEntry, len(docs))
+	for i, d := range docs {
+		entries[i] = &pubEntry{body: []byte(d)}
+		ix.set(d, entries[i])
+		entries[i].served.Add(int64(i + 1))
+	}
+	check := func(what string, want ...*pubEntry) {
+		t.Helper()
+		seen := 0
+		ix.each(func(core.DocID, *pubEntry) { seen++ })
+		live := 0
+		for i, d := range docs {
+			if got := ix.get(shardHash(d), d); got != want[i] {
+				t.Fatalf("%s: %s maps to %p, want %p", what, d, got, want[i])
+			}
+			if want[i] != nil {
+				live++
+			}
+		}
+		if seen != live {
+			t.Fatalf("%s: each visited %d entries, want %d", what, seen, live)
+		}
+	}
+	check("after publishing all three", entries[0], entries[1], entries[2])
+	repl := &pubEntry{body: []byte("v2")}
+	ix.set(docs[1], repl)
+	check("after replacing the middle one", entries[0], repl, entries[2])
+	ix.set(docs[0], nil)
+	check("after removing the first", nil, repl, entries[2])
+	if n := entries[2].served.Load(); n != 3 {
+		t.Fatalf("sibling's pending serves = %d, want 3", n)
+	}
+	ix.set(docs[1], nil)
+	ix.set(docs[2], nil)
+	check("after removing all", nil, nil, nil)
+	if m := ix[pubBucket(shardHash(docs[0]))].Load(); m != nil {
+		t.Fatalf("emptied bucket holds %v, want nil", *m)
 	}
 }
 

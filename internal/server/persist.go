@@ -54,7 +54,8 @@ func (s *Server) openPersist() error {
 // version — so a warm restart resumes serving the version it held, and
 // version gating keeps working across the kill. The journal is then
 // compacted to the recovered set, so it stays proportional to the held
-// documents across restart cycles.
+// documents across restart cycles (a no-op on a node's first start, whose
+// journal is empty).
 func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 	live := make(map[core.DocID]diskstore.DocState, len(state))
 	for doc, st := range state {
@@ -94,11 +95,15 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 	_ = s.journal.Compact(live)
 }
 
-// closePersist flushes and closes the journal. Called from Stop after the
-// loops have drained.
+// closePersist flushes and closes the journal and releases the body
+// descriptors the disk tier retained. Called from Stop after the loops have
+// drained.
 func (s *Server) closePersist() {
 	if s.journal != nil {
 		_ = s.journal.Close()
+	}
+	if s.disk != nil {
+		s.disk.Close()
 	}
 }
 

@@ -601,8 +601,9 @@ func (s *Server) readLoop(conn transport.Conn) {
 func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 	switch env.Kind {
 	case netproto.TypeRequest:
-		sh := s.shardFor(env.Doc) // hashed once: fast path and fallback share it
-		if s.tryFastServe(sh, env, conn) {
+		h := shardHash(env.Doc) // hashed once: shard choice and index bucket share it
+		sh := s.shards[h%uint32(len(s.shards))]
+		if s.tryFastServe(sh, h, env, conn) {
 			netproto.PutEnvelope(env)
 			return
 		}
@@ -648,20 +649,17 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 }
 
 // tryFastServe is the lock-free read fast path: one atomic load of the
-// owning shard's copy-on-write publication index, and a hit is answered on
-// the connection goroutine — no event-loop hop, no lock. It declines (the
+// owning shard's copy-on-write publication index (h is shardHash(env.Doc),
+// which picks the bucket), and a hit is answered on the connection
+// goroutine — no event-loop hop, no lock. It declines (the
 // request then takes the shard queue) on an index miss, a dead entry (an
 // eviction race; the queued path re-checks the store and forwards), or an
 // exhausted admission budget (rate-limited copies fall back to the shard's
 // exact filter). Serve and flow counts accumulate on atomics the owning
 // shard drains into its rate windows each tick, so diffusion sees fast-path
 // demand exactly like queued demand.
-func (s *Server) tryFastServe(sh *shard, env *netproto.Envelope, conn transport.Conn) bool {
-	pm := sh.pub.Load()
-	if pm == nil {
-		return false
-	}
-	e := (*pm)[env.Doc]
+func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
+	e := sh.pub.get(h, env.Doc)
 	if e == nil || e.dead.Load() {
 		return false
 	}

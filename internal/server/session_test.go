@@ -51,12 +51,12 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	// serve the origin copy below the session's version; without a floor
 	// the same copy serves fine.
 	fast := &sinkConn{}
-	if s.tryFastServe(sh, &netproto.Envelope{
+	if s.tryFastServe(sh, shardHash("d"), &netproto.Envelope{
 		Kind: netproto.TypeRequest, Doc: "d", Origin: 9, ReqID: 1, MinVersion: 1,
 	}, fast) {
 		t.Fatal("fast path served below the session floor")
 	}
-	if !s.tryFastServe(sh, &netproto.Envelope{
+	if !s.tryFastServe(sh, shardHash("d"), &netproto.Envelope{
 		Kind: netproto.TypeRequest, Doc: "d", Origin: 9, ReqID: 1,
 	}, fast) {
 		t.Fatal("fast path declined a floor-less request for a published doc")

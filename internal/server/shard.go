@@ -12,11 +12,74 @@ import (
 	"webwave/internal/transport"
 )
 
-// pubMap is a shard's copy-on-write publication index: the documents this
-// shard currently serves, readable lock-free by every connection goroutine.
-// Only the owning shard loop writes it (load, copy, store — no CAS needed);
-// other shards may at most tombstone an entry's dead flag on an eviction.
+// pubIndex is a shard's publication index: the documents this shard
+// currently serves, readable lock-free by every connection goroutine. It is
+// a fixed array of copy-on-write maps keyed by the document hash, so a
+// publish or a reap copies one small bucket however many documents the
+// shard holds — under memory pressure every disk hit publishes one document
+// and tombstones another. An empty bucket is nil. Only the owning shard loop
+// writes it (load, copy, store — no CAS needed); other shards may at most
+// tombstone an entry's dead flag on an eviction.
+type pubIndex [pubBuckets]atomic.Pointer[pubMap]
+
 type pubMap = map[core.DocID]*pubEntry
+
+// 256 buckets keep a publish within 2x of its empty-shard cost up to a
+// thousand published documents (BenchmarkPublishChurn) for 2 KiB a shard.
+const (
+	pubBucketBits = 8
+	pubBuckets    = 1 << pubBucketBits
+)
+
+// pubBucket maps shardHash(doc) to doc's bucket. The hash's low bits chose
+// the shard and FNV-1a's high bits barely differ between similar ids, so a
+// Fibonacci multiply folds every bit into the top ones first.
+func pubBucket(h uint32) uint32 { return h * 0x9E3779B1 >> (32 - pubBucketBits) }
+
+// get is the lock-free lookup: one atomic load and one map read. h is
+// shardHash(doc).
+func (ix *pubIndex) get(h uint32, doc core.DocID) *pubEntry {
+	if m := ix[pubBucket(h)].Load(); m != nil {
+		return (*m)[doc]
+	}
+	return nil
+}
+
+// set installs e for doc, or removes doc when e is nil, by swapping in a
+// modified copy of doc's bucket. Owner loop only.
+func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
+	b := &ix[pubBucket(shardHash(doc))]
+	var old pubMap
+	if m := b.Load(); m != nil {
+		old = *m
+	}
+	nm := make(pubMap, len(old)+1)
+	for k, v := range old {
+		if k != doc {
+			nm[k] = v
+		}
+	}
+	if e != nil {
+		nm[doc] = e
+	}
+	if len(nm) == 0 {
+		b.Store(nil)
+		return
+	}
+	b.Store(&nm)
+}
+
+// each calls fn for every entry, tombstones included. Owner loop only, and
+// fn must not write the index.
+func (ix *pubIndex) each(fn func(core.DocID, *pubEntry)) {
+	for i := range ix {
+		if m := ix[i].Load(); m != nil {
+			for doc, e := range *m {
+				fn(doc, e)
+			}
+		}
+	}
+}
 
 // pubEntry is one published document. The body is immutable; the atomics
 // accumulate fast-path activity between shard ticks.
@@ -107,9 +170,12 @@ type shardSnap struct {
 }
 
 // shardCounters is the loop-owned counter block carried in snapshots.
-// fastServed is captured here right after the snapshot's drain, so a
-// scrape always sees FastServed consistent with (a subset of) Served
-// instead of a live atomic racing ahead of the drained counters.
+// fastServed is the cumulative fast-serve count captured just before the
+// snapshot's drain, and served is the queued serves plus that same figure:
+// both are exact, and a scrape always sees FastServed inside Served. (The
+// per-entry counts the drain folds into the rate windows can strand a
+// serve on an entry reaped or replaced while its connection goroutine was
+// descheduled past the tombstone grace; the counters must not.)
 type shardCounters struct {
 	served, forwarded, coalesced       int64
 	delegIn, delegOut, shedIn, shedOut int64
@@ -168,7 +234,7 @@ type shard struct {
 	lastReap  time.Time
 
 	// Counters (loop-owned; exported via snapshots).
-	nServed, nForwarded, nCoalesced  int64
+	nServed, nForwarded, nCoalesced  int64 // nServed: queued serves only, see shardCounters
 	nDelegIn, nDelegOut              int64
 	nShedIn, nShedOut, nEvictHintsIn int64
 	nDiskHits                        int64
@@ -184,7 +250,7 @@ type shard struct {
 	jVers    map[core.DocID]uint64
 
 	// Lock-free surfaces.
-	pub         atomic.Pointer[pubMap]    // publication index (single writer: this loop)
+	pub         pubIndex                  // publication index (single writer: this loop)
 	snap        atomic.Pointer[shardSnap] // epoch-stamped mailbox
 	epoch       uint64
 	nFastServed atomic.Int64 // cumulative fast-path serves
@@ -231,8 +297,6 @@ func newShard(s *Server, idx int) *shard {
 	if sh.flightRetry < 20*time.Millisecond {
 		sh.flightRetry = 20 * time.Millisecond
 	}
-	pm := make(pubMap)
-	sh.pub.Store(&pm)
 	return sh
 }
 
@@ -456,8 +520,8 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 func (sh *shard) tick() {
 	// Read the cumulative fast-serve counter before the drain: every serve
 	// it covers bumped its entry counter first (program order, seq-cst
-	// atomics), so the drain below folds all of them into nServed and the
-	// snapshot's fastServed stays a subset of its served.
+	// atomics), so the windows the drain below feeds cover every serve the
+	// snapshot counts.
 	fast := sh.nFastServed.Load()
 	sh.drainFast()
 	sh.reapTombstones()
@@ -480,16 +544,13 @@ func (sh *shard) tick() {
 // touches the store once, keeping recency-based eviction policies aware
 // that the document is hot.
 func (sh *shard) drainFast() {
-	for doc, e := range *sh.pub.Load() {
-		sh.drainEntry(doc, e)
-	}
+	sh.pub.each(sh.drainEntry)
 }
 
 // drainEntry folds one entry's pending fast-path counts into the windows.
 func (sh *shard) drainEntry(doc core.DocID, e *pubEntry) {
 	now := sh.now
 	if n := e.served.Swap(0); n > 0 {
-		sh.nServed += n
 		sh.totalServed.Add(now, float64(n))
 		sh.servedWindow(doc).Add(now, float64(n))
 		if !e.dead.Load() {
@@ -518,19 +579,11 @@ func (sh *shard) reapTombstones() {
 		return
 	}
 	sh.lastReap = sh.now
-	if len(sh.tombstonedPrev) > 0 {
-		old := sh.pub.Load()
-		nm := make(pubMap, len(*old))
-		for k, v := range *old {
-			nm[k] = v
+	for _, doc := range sh.tombstonedPrev {
+		if e := sh.published(doc); e != nil && e.dead.Load() {
+			sh.drainEntry(doc, e) // final stragglers
+			sh.pub.set(doc, nil)
 		}
-		for _, doc := range sh.tombstonedPrev {
-			if e := nm[doc]; e != nil && e.dead.Load() {
-				sh.drainEntry(doc, e) // final stragglers
-				delete(nm, doc)
-			}
-		}
-		sh.pub.Store(&nm)
 	}
 	sh.tombstonedPrev = sh.tombstoned
 	sh.tombstoned = nil
@@ -539,9 +592,7 @@ func (sh *shard) reapTombstones() {
 // refreshCredits reloads every gated entry's admission budget (see
 // refreshCredit).
 func (sh *shard) refreshCredits() {
-	for doc, e := range *sh.pub.Load() {
-		sh.refreshEntryCredit(doc, e)
-	}
+	sh.pub.each(sh.refreshEntryCredit)
 }
 
 // publishSnap rebuilds and stores the snapshot mailbox. fast is the
@@ -559,7 +610,7 @@ func (sh *shard) publishSnap(fast int64) {
 		installed:  sh.rt.Installed(),
 		filter:     sh.rt.Stats(),
 		counters: shardCounters{
-			served: sh.nServed, forwarded: sh.nForwarded, coalesced: sh.nCoalesced,
+			served: sh.nServed + fast, forwarded: sh.nForwarded, coalesced: sh.nCoalesced,
 			delegIn: sh.nDelegIn, delegOut: sh.nDelegOut,
 			shedIn: sh.nShedIn, shedOut: sh.nShedOut,
 			evictHintsIn:     sh.nEvictHintsIn,
@@ -627,40 +678,34 @@ func (sh *shard) postEvicted(doc core.DocID) {
 // Safe from any goroutine — this is the one cross-shard write, a single
 // atomic flag.
 func (sh *shard) killPub(doc core.DocID) {
-	if e := (*sh.pub.Load())[doc]; e != nil {
+	if e := sh.published(doc); e != nil {
 		e.dead.Store(true)
 	}
+}
+
+// published returns doc's publication entry (live or tombstoned), nil when
+// there is none. Safe from any goroutine.
+func (sh *shard) published(doc core.DocID) *pubEntry {
+	return sh.pub.get(shardHash(doc), doc)
 }
 
 // publish installs (or refreshes) a document in the copy-on-write
 // publication index, stamping the copy's version for response frames.
 // Owner loop only (single writer). Counts still pending on a replaced
 // entry (a refresh, or a tombstone being republished) are drained first so
-// no fast-path serves vanish from the stats.
+// no fast-path serves vanish from the rate windows.
 func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
-	old := sh.pub.Load()
-	var nm pubMap
-	if old == nil {
-		nm = make(pubMap, 8)
-	} else {
-		nm = make(pubMap, len(*old)+1)
-		for k, v := range *old {
-			nm[k] = v
-		}
-		if prev := nm[doc]; prev != nil {
-			sh.drainEntry(doc, prev)
-		}
+	if prev := sh.published(doc); prev != nil {
+		sh.drainEntry(doc, prev)
 	}
-	e := &pubEntry{body: body, always: always, version: version}
-	nm[doc] = e
-	sh.pub.Store(&nm)
+	sh.pub.set(doc, &pubEntry{body: body, always: always, version: version})
 }
 
 // unpublish tombstones a document in the publication index (owner loop
 // only) and drains its pending counts; the entry itself is reaped from the
 // map two ticks later (reapTombstones), keeping a racing bump reachable.
 func (sh *shard) unpublish(doc core.DocID) {
-	e := (*sh.pub.Load())[doc]
+	e := sh.published(doc)
 	if e == nil {
 		return
 	}
@@ -819,7 +864,7 @@ func (sh *shard) handle(ev event) {
 // refreshCredit re-arms one gated entry's fast-path budget after a target
 // change, instead of leaving the fast path cold until the next tick.
 func (sh *shard) refreshCredit(doc core.DocID) {
-	if e := (*sh.pub.Load())[doc]; e != nil {
+	if e := sh.published(doc); e != nil {
 		sh.refreshEntryCredit(doc, e)
 	}
 }
@@ -1125,7 +1170,7 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		// have raced the re-admission and tombstoned the FRESH publication
 		// entry — which sits in no tombstone list and would otherwise stay
 		// dead (fast path disabled) forever. Republish from the live copy.
-		if e := (*sh.pub.Load())[doc]; e != nil && e.dead.Load() {
+		if e := sh.published(doc); e != nil && e.dead.Load() {
 			if body, ok := sh.s.cache.Peek(doc); ok {
 				sh.publish(doc, body, false, sh.docVer[doc])
 				sh.refreshCredit(doc)

@@ -7,13 +7,23 @@ import "time"
 // their served load L_i and the per-child, per-document forwarded rates
 // A_j^d — the quantities the WebWave protocol bases decisions on.
 //
+// Buckets are addressed by their absolute index on the clock (Unix
+// nanoseconds / bucket width) and the window keeps a running total, so Add
+// and Rate cost O(1) amortised: a shard reads every window it owns each
+// gossip period.
+//
 // rateWindow is not safe for concurrent use; servers touch it only from
 // their main loop.
 type rateWindow struct {
-	bucketWidth time.Duration
-	buckets     []float64
-	times       []time.Time // start time of each bucket's interval
-	head        int         // index of the current bucket
+	width   int64 // bucket width, nanoseconds
+	buckets []float64
+	total   float64 // sum of buckets
+	// head is the absolute index of the bucket covering the latest reading;
+	// first is that of the earliest bucket the window has covered since it
+	// started or last reset. Until head-first+1 reaches len(buckets) the
+	// window is still filling and Rate divides by the covered part only.
+	head, first int64
+	started     bool
 }
 
 // newRateWindow returns a window covering `span` with the given number of
@@ -26,60 +36,52 @@ func newRateWindow(span time.Duration, buckets int) *rateWindow {
 		span = time.Second
 	}
 	return &rateWindow{
-		bucketWidth: span / time.Duration(buckets),
-		buckets:     make([]float64, buckets),
-		times:       make([]time.Time, buckets),
+		width:   int64(span / time.Duration(buckets)),
+		buckets: make([]float64, buckets),
 	}
 }
 
-// advance rotates the ring so the head bucket covers `now`.
+// advance moves the head bucket to the one covering `now`, emptying the
+// buckets the ring reuses on the way. A reading older than the head lands
+// in the head bucket.
 func (w *rateWindow) advance(now time.Time) {
-	if w.times[w.head].IsZero() {
-		w.times[w.head] = now.Truncate(w.bucketWidth)
+	idx := now.UnixNano() / w.width
+	if !w.started {
+		w.started, w.head, w.first = true, idx, idx
 		return
 	}
-	for now.Sub(w.times[w.head]) >= w.bucketWidth {
-		next := (w.head + 1) % len(w.buckets)
-		w.times[next] = w.times[w.head].Add(w.bucketWidth)
-		w.buckets[next] = 0
-		w.head = next
-		// Bound the catch-up work after long idleness.
-		if now.Sub(w.times[w.head]) > w.bucketWidth*time.Duration(2*len(w.buckets)) {
-			for i := range w.buckets {
-				w.buckets[i] = 0
-				w.times[i] = time.Time{}
-			}
-			w.head = 0
-			w.times[0] = now.Truncate(w.bucketWidth)
-			return
+	n := int64(len(w.buckets))
+	switch gap := idx - w.head; {
+	case gap <= 0:
+		return
+	case gap < n:
+		for i := w.head + 1; i <= idx; i++ {
+			w.total -= w.buckets[i%n]
+			w.buckets[i%n] = 0
+		}
+	default:
+		// Everything counted has aged out. Past two spans of idleness the
+		// window also starts filling afresh instead of averaging the new
+		// arrivals over a span it did not watch.
+		clear(w.buckets)
+		w.total = 0
+		if gap > 2*n {
+			w.first = idx
 		}
 	}
+	w.head = idx
 }
 
 // Add records n events at time now.
 func (w *rateWindow) Add(now time.Time, n float64) {
 	w.advance(now)
-	w.buckets[w.head] += n
+	w.buckets[w.head%int64(len(w.buckets))] += n
+	w.total += n
 }
 
 // Rate returns the estimated events/second over the covered window.
 func (w *rateWindow) Rate(now time.Time) float64 {
 	w.advance(now)
-	total := 0.0
-	var span time.Duration
-	for i, t := range w.times {
-		if t.IsZero() {
-			continue
-		}
-		age := now.Sub(t)
-		if age < 0 || age >= w.bucketWidth*time.Duration(len(w.buckets)) {
-			continue
-		}
-		total += w.buckets[i]
-		span += w.bucketWidth
-	}
-	if span <= 0 {
-		return 0
-	}
-	return total / span.Seconds()
+	covered := min(w.head-w.first+1, int64(len(w.buckets)))
+	return w.total / time.Duration(covered*w.width).Seconds()
 }

@@ -134,3 +134,34 @@ func TestRateWindowDefensiveConstruction(t *testing.T) {
 	w.Add(time.Unix(1, 0), 1)
 	_ = w.Rate(time.Unix(1, 0))
 }
+
+// TestRateWindowPartialCoverage pins the divisor: while the window fills —
+// from its first reading, or afresh after more than two spans of idleness —
+// Rate averages over the buckets covered so far, not the whole span; after
+// an idle gap of one to two spans the history is gone but the span is not.
+func TestRateWindowPartialCoverage(t *testing.T) {
+	const width = 250 * time.Millisecond
+	w := newRateWindow(time.Second, 4)
+	base := time.Unix(4000, 0)
+	w.Add(base, 10)
+	if got := w.Rate(base); got != 40 {
+		t.Errorf("one bucket covered: rate = %v, want 10/0.25s = 40", got)
+	}
+	w.Add(base.Add(2*width), 10)
+	if got := w.Rate(base.Add(2 * width)); math.Abs(got-20/0.75) > 1e-9 {
+		t.Errorf("three buckets covered: rate = %v, want 20/0.75s", got)
+	}
+	if got := w.Rate(base.Add(5 * width)); got != 10 {
+		t.Errorf("full window: rate = %v, want 10 (first burst aged out, 10 events / 1s)", got)
+	}
+	// 1.5 spans idle: everything aged out, coverage stays whole.
+	w.Add(base.Add(11*width), 3)
+	if got := w.Rate(base.Add(11 * width)); got != 3 {
+		t.Errorf("after 1.5 idle spans: rate = %v, want 3/1s", got)
+	}
+	// More than two spans idle: the window starts filling afresh.
+	w.Add(base.Add(24*width), 3)
+	if got := w.Rate(base.Add(24 * width)); got != 12 {
+		t.Errorf("after 3 idle spans: rate = %v, want 3/0.25s = 12", got)
+	}
+}
