@@ -25,7 +25,6 @@ SWARM_SMOKE_FLAGS = -seed 1 -racks 2 -rack-nodes 8 -rack-depth 4 \
 # the gated schedule is shorter than chaos's; the committed baseline pins
 # this figure — change both together or the spec check fails.
 RESTART_DURATION ?= 6
-WIRE_THROUGHPUT_JSON ?= wire-throughput.json
 BENCHTIME ?= 0.3s
 # CI sweeps a subset of the committed baseline's core counts; local full
 # sweeps can set SCALING_PROCS=1,2,4,8.
@@ -40,14 +39,14 @@ STATICCHECK_VERSION ?= 2025.1
 COVER_FLOOR ?= 77.0
 
 .PHONY: all build test race fmt vet staticcheck staticcheck-install vulncheck \
-	cover cover-check cover-summary bench-smoke bench-micro bench-wire \
+	cover cover-check cover-summary bench-smoke bench-micro \
 	bench-cache bench-cache-baseline bench-scaling bench-scaling-baseline \
 	bench-chaos bench-chaos-baseline bench-hotkey bench-hotkey-baseline \
 	bench-restart bench-restart-baseline bench-bigram bench-bigram-baseline \
 	bench-update bench-update-baseline bench-storm bench-storm-baseline \
 	bench-session bench-session-baseline fuzz-smoke \
 	swarm-bins bench-swarm bench-swarm-baseline bench-swarm-smoke \
-	bench-swarm-smoke-baseline benchmark benchmark-test docs-check profile clean
+	bench-swarm-smoke-baseline benchmark benchmark-test docs-check loc profile clean
 
 all: build test
 
@@ -134,13 +133,6 @@ bench-micro:
 	@cat bench-micro.out
 	$(GO) run ./cmd/benchwire -in bench-micro.out \
 		-baseline bench/BENCH_wire_baseline.json -out $(BENCH_WIRE_JSON)
-
-# bench-wire measures the live TCP serving stack on the v1 (JSON) and v2
-# (binary) wire protocols and reports sustained req/s and the speedup.
-# Wall-clock: NOT deterministic.
-bench-wire:
-	$(GO) run ./cmd/webwave-bench -scenario wire-throughput -seed 1 \
-		-duration 3 -json $(WIRE_THROUGHPUT_JSON)
 
 # bench-cache runs the deterministic cache-pressure scenario (byte-budgeted
 # stores, eviction-policy shoot-out) and gates on hit-rate regressions
@@ -271,7 +263,8 @@ bench-session-baseline:
 		-json bench/BENCH_session_baseline.json
 
 # fuzz-smoke runs the wire-codec round-trip fuzzer for a bounded slice of CI
-# time: every frame kind, both codec versions, v2 re-encode byte equality.
+# time: every frame kind, re-encode byte equality, agreement with the JSON
+# oracle.
 # Corpus finds land in internal/netproto/testdata/fuzz and should be
 # committed.
 fuzz-smoke:
@@ -343,6 +336,20 @@ docs-check:
 	$(GO) run ./cmd/doccheck README.md ROADMAP.md PAPER.md PAPERS.md \
 		CHANGES.md ISSUE.md SNIPPETS.md docs
 
+# loc prints the non-test Go line count of the three stacks ROADMAP tracks:
+# the live stack (the packages TestLiveStackImportFence fences, their shared
+# leaves and the node commands), the paper reproduction, and measurement.
+# CI appends the line to its step summary.
+LOC_LIVE = $(addprefix internal/,server cluster transport netproto cachestore \
+	diskstore gateway router forest core tree stats trace) \
+	cmd/webwave-cluster cmd/webwave-http cmd/webwave-swarm
+LOC_PAPER = $(addprefix internal/,fold wave docwave diffusion sim hierarchy \
+	baseline lru plot repro filter) cmd/webfold cmd/webwave-sim cmd/experiments
+LOC_MEASURE = internal/workload cmd/webwave-bench cmd/benchgate cmd/benchwire benchmark
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
+	echo "loc (non-test Go lines): live stack $$(count $(LOC_LIVE)) / paper stack $$(count $(LOC_PAPER)) / measurement $$(count $(LOC_MEASURE))"
+
 # profile runs the core-scaling scenario under the CPU and heap profilers,
 # leaving pprof artifacts next to the report so scaling regressions are
 # diagnosable (`go tool pprof cpu.pprof`).
@@ -357,5 +364,5 @@ clean:
 		$(BENCH_RESTART_JSON) $(BENCH_BIGRAM_JSON) \
 		$(BENCH_UPDATE_JSON) $(BENCH_STORM_JSON) $(BENCH_SESSION_JSON) \
 		$(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
-		$(WIRE_THROUGHPUT_JSON) bench-micro.out cpu.pprof mem.pprof coverage.out
+		bench-micro.out cpu.pprof mem.pprof coverage.out
 	rm -rf bin

@@ -165,171 +165,91 @@ func run(args []string) error {
 		return err
 	}
 	ranAny := false
-	if *reportPath != "" || *basePath != "" {
-		if *reportPath == "" || *basePath == "" {
-			return fmt.Errorf("both -report and -baseline are required")
-		}
-		rep, err := load(*reportPath)
-		if err != nil {
-			return err
-		}
-		base, err := load(*basePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("", *reportPath, *basePath, workload.Schema,
+		func(r *workload.Report) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gate(rep, base, *maxRegress, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *scalingPath != "" || *scalingBasePath != "" {
-		if *scalingPath == "" || *scalingBasePath == "" {
-			return fmt.Errorf("both -scaling-report and -scaling-baseline are required")
-		}
-		rep, err := loadScaling(*scalingPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadScaling(*scalingBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("scaling-", *scalingPath, *scalingBasePath, workload.ScalingSchema,
+		func(r *workload.ScalingReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateScaling(rep, base, *maxScalingRegress, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *chaosPath != "" || *chaosBasePath != "" {
-		if *chaosPath == "" || *chaosBasePath == "" {
-			return fmt.Errorf("both -chaos-report and -chaos-baseline are required")
-		}
-		rep, err := loadChaos(*chaosPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadChaos(*chaosBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("chaos-", *chaosPath, *chaosBasePath, workload.ChaosSchema,
+		func(r *workload.ChaosReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateChaos(rep, base, *minAvailability, *minJainRatio, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *hotkeyPath != "" || *hotkeyBasePath != "" {
-		if *hotkeyPath == "" || *hotkeyBasePath == "" {
-			return fmt.Errorf("both -hotkey-report and -hotkey-baseline are required")
-		}
-		rep, err := loadHotkey(*hotkeyPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadHotkey(*hotkeyBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("hotkey-", *hotkeyPath, *hotkeyBasePath, workload.HotkeySchema,
+		func(r *workload.HotkeyReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateHotkey(rep, base, *minScaling, *minHotkeyJainRatio, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *restartPath != "" || *restartBasePath != "" {
-		if *restartPath == "" || *restartBasePath == "" {
-			return fmt.Errorf("both -restart-report and -restart-baseline are required")
-		}
-		rep, err := loadRestart(*restartPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadRestart(*restartBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("restart-", *restartPath, *restartBasePath, workload.RestartSchema,
+		func(r *workload.RestartReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateRestart(rep, base, *minWarmAvail, *maxWarmReabsorb, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *bigramPath != "" || *bigramBasePath != "" {
-		if *bigramPath == "" || *bigramBasePath == "" {
-			return fmt.Errorf("both -bigram-report and -bigram-baseline are required")
-		}
-		rep, err := loadBigram(*bigramPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadBigram(*bigramBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("bigram-", *bigramPath, *bigramBasePath, workload.BigramSchema,
+		func(r *workload.BigramReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateBigram(rep, base, *maxTwoTierRegress, *minDropRatio, *minMemOnlyDrop, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *updatePath != "" || *updateBasePath != "" {
-		if *updatePath == "" || *updateBasePath == "" {
-			return fmt.Errorf("both -update-report and -update-baseline are required")
-		}
-		rep, err := loadUpdate(*updatePath)
-		if err != nil {
-			return err
-		}
-		base, err := loadUpdate(*updateBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("update-", *updatePath, *updateBasePath, workload.UpdateSchema,
+		func(r *workload.UpdateReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateUpdate(rep, base, *maxP99Staleness, *maxHitRateCost, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *swarmPath != "" || *swarmBasePath != "" {
-		if *swarmPath == "" || *swarmBasePath == "" {
-			return fmt.Errorf("both -swarm-report and -swarm-baseline are required")
-		}
-		rep, err := loadSwarm(*swarmPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadSwarm(*swarmBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("swarm-", *swarmPath, *swarmBasePath, workload.SwarmSchema,
+		func(r *workload.SwarmReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateSwarm(rep, base, *minSwarmAvail, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *stormPath != "" || *stormBasePath != "" {
-		if *stormPath == "" || *stormBasePath == "" {
-			return fmt.Errorf("both -storm-report and -storm-baseline are required")
-		}
-		rep, err := loadStorm(*stormPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadStorm(*stormBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("storm-", *stormPath, *stormBasePath, workload.StormSchema,
+		func(r *workload.StormReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateStorm(rep, base, *maxOriginFactor, *maxForwardFraction, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
 	}
-	if *sessionPath != "" || *sessionBasePath != "" {
-		if *sessionPath == "" || *sessionBasePath == "" {
-			return fmt.Errorf("both -session-report and -session-baseline are required")
-		}
-		rep, err := loadSession(*sessionPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadSession(*sessionBasePath)
-		if err != nil {
-			return err
-		}
+	if rep, base, err := loadPair("session-", *sessionPath, *sessionBasePath, workload.SessionSchema,
+		func(r *workload.SessionReport) string { return r.Schema }); err != nil {
+		return err
+	} else if rep != nil {
 		if err := gateSession(rep, base, os.Stdout); err != nil {
 			return err
 		}
@@ -341,18 +261,39 @@ func run(args []string) error {
 	return nil
 }
 
-func loadUpdate(path string) (*workload.UpdateReport, error) {
+// loadPair loads a run's report and the committed baseline it is gated
+// against, both carrying the schema want. With both paths empty the gate
+// was not asked for and rep is nil; one empty path is a usage error.
+func loadPair[T any](prefix, repPath, basePath, want string, schema func(*T) string) (rep, base *T, err error) {
+	if repPath == "" && basePath == "" {
+		return nil, nil, nil
+	}
+	if repPath == "" || basePath == "" {
+		return nil, nil, fmt.Errorf("both -%sreport and -%sbaseline are required", prefix, prefix)
+	}
+	if rep, err = loadReport(repPath, want, schema); err != nil {
+		return nil, nil, err
+	}
+	if base, err = loadReport(basePath, want, schema); err != nil {
+		return nil, nil, err
+	}
+	return rep, base, nil
+}
+
+// loadReport decodes the JSON report at path and checks that it carries the
+// schema its gate expects.
+func loadReport[T any](path, want string, schema func(*T) string) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	rep := &workload.UpdateReport{}
+	rep := new(T)
 	if err := json.NewDecoder(f).Decode(rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if rep.Schema != workload.UpdateSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.UpdateSchema)
+	if got := schema(rep); got != want {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, got, want)
 	}
 	return rep, nil
 }
@@ -403,22 +344,6 @@ func gateUpdate(rep, base *workload.UpdateReport, maxP99, maxCost float64, out *
 	return nil
 }
 
-func loadStorm(path string) (*workload.StormReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.StormReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.StormSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.StormSchema)
-	}
-	return rep, nil
-}
-
 // gateStorm applies the lease-collapse thresholds; every violation is
 // reported before the error returns so CI logs show the full picture.
 func gateStorm(rep, base *workload.StormReport, maxOriginFactor, maxForwardFraction float64, out *os.File) error {
@@ -465,22 +390,6 @@ func gateStorm(rep, base *workload.StormReport, maxOriginFactor, maxForwardFract
 	return nil
 }
 
-func loadSession(path string) (*workload.SessionReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.SessionReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.SessionSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.SessionSchema)
-	}
-	return rep, nil
-}
-
 // gateSession applies the read-my-writes thresholds; every violation is
 // reported before the error returns so CI logs show the full picture.
 func gateSession(rep, base *workload.SessionReport, out *os.File) error {
@@ -521,22 +430,6 @@ func gateSession(rep, base *workload.SessionReport, out *os.File) error {
 		return fmt.Errorf("%d session gate violation(s)", bad)
 	}
 	return nil
-}
-
-func loadRestart(path string) (*workload.RestartReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.RestartReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.RestartSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.RestartSchema)
-	}
-	return rep, nil
 }
 
 // gateRestart applies the warm-restart thresholds; every violation is
@@ -587,22 +480,6 @@ func gateRestart(rep, base *workload.RestartReport, minWarmAvail, maxWarmReabsor
 		return fmt.Errorf("%d restart gate violation(s)", bad)
 	}
 	return nil
-}
-
-func loadBigram(path string) (*workload.BigramReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.BigramReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.BigramSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.BigramSchema)
-	}
-	return rep, nil
 }
 
 // gateBigram applies the disk-tier thresholds; every violation is reported
@@ -656,22 +533,6 @@ func safeRatio(num, den float64) float64 {
 	return num / den
 }
 
-func loadHotkey(path string) (*workload.HotkeyReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.HotkeyReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.HotkeySchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.HotkeySchema)
-	}
-	return rep, nil
-}
-
 // gateHotkey applies the replication-forest thresholds; every violation is
 // reported before the error returns so CI logs show the full picture.
 func gateHotkey(rep, base *workload.HotkeyReport, minScaling, minJainRatio float64, out *os.File) error {
@@ -722,22 +583,6 @@ func gateHotkey(rep, base *workload.HotkeyReport, minScaling, minJainRatio float
 	return nil
 }
 
-func loadChaos(path string) (*workload.ChaosReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.ChaosReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.ChaosSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.ChaosSchema)
-	}
-	return rep, nil
-}
-
 // gateChaos applies the fault-tolerance thresholds; every violation is
 // reported before the error returns so CI logs show the full picture.
 func gateChaos(rep, base *workload.ChaosReport, minAvail, minJainRatio float64, out *os.File) error {
@@ -772,22 +617,6 @@ func gateChaos(rep, base *workload.ChaosReport, minAvail, minJainRatio float64, 
 		return fmt.Errorf("%d chaos gate violation(s)", bad)
 	}
 	return nil
-}
-
-func loadScaling(path string) (*workload.ScalingReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.ScalingReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.ScalingSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.ScalingSchema)
-	}
-	return rep, nil
 }
 
 // gateScaling applies the efficiency rules; it reports every violation
@@ -840,19 +669,6 @@ func gateScaling(rep, base *workload.ScalingReport, maxRegress float64, out *os.
 		return fmt.Errorf("%d core-scaling regression(s) vs baseline", bad)
 	}
 	return nil
-}
-
-func load(path string) (*workload.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.Report{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // gate applies the regression rules; it reports every violation before

@@ -11,28 +11,11 @@ package main
 // succeeded, every process drained at teardown, scrapes mostly answered).
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"webwave/internal/workload"
 )
-
-func loadSwarm(path string) (*workload.SwarmReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.SwarmReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.SwarmSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.SwarmSchema)
-	}
-	return rep, nil
-}
 
 // gateSwarm applies the scale-out thresholds; every violation is reported
 // before the error returns so CI logs show the full picture.

@@ -14,8 +14,7 @@
 //	webwave-bench -scenario flash-crowd -seed 1 -json out.json
 //	webwave-bench -scenario churn -mode live -speedup 20 -json out.json
 //	webwave-bench -scenario zipf-steady -n 63 -duration 60 -rate 500
-//	webwave-bench -scenario zipf-steady -mode live -transport tcp -wirev 2
-//	webwave-bench -scenario wire-throughput -duration 3 -json BENCH_wire_throughput.json
+//	webwave-bench -scenario zipf-steady -mode live -transport tcp
 //	webwave-bench -scenario core-scaling -procs 1,2,4,8 -json BENCH_scaling.json
 //	webwave-bench -scenario core-scaling -procs 1,4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	webwave-bench -scenario chaos -kill-fraction 0.1 -json BENCH_chaos.json
@@ -40,14 +39,12 @@
 // then stripped — and reports read-my-writes violations per arm: the gated
 // shape is zero with tokens and strictly positive without.
 //
-// Three scenarios are special, wall-clock (NOT deterministic) measurements
-// of the live serving stack: wire-throughput drives the same pressure once
-// per wire protocol version over TCP loopback and reports the v2/v1
-// speedup; core-scaling sweeps GOMAXPROCS (the servers' shard-loop count
-// follows) and reports req/s, per-core efficiency, Jain fairness and hit
-// rate per core count; chaos kills and restarts a fraction of a live
-// cluster's interior nodes mid-run and reports availability, repair time
-// and post-repair fairness against a no-failure control pass.
+// Two scenarios are special, wall-clock (NOT deterministic) measurements
+// of the live serving stack: core-scaling sweeps GOMAXPROCS (the servers'
+// shard-loop count follows) and reports req/s, per-core efficiency, Jain
+// fairness and hit rate per core count; chaos kills and restarts a fraction
+// of a live cluster's interior nodes mid-run and reports availability,
+// repair time and post-repair fairness against a no-failure control pass.
 //
 // -cpuprofile and -memprofile write pprof artifacts covering the run, so a
 // scaling regression caught by CI can be diagnosed from the uploaded
@@ -83,10 +80,8 @@ func run(args []string) error {
 	rate := fs.Float64("rate", 0, "override aggregate request rate, req/s")
 	window := fs.Float64("window", 0, "override metrics window, seconds")
 	speedup := fs.Float64("speedup", 10, "live: schedule time compression")
-	clients := fs.Int("clients", 16, "live/wire: concurrent workers")
+	clients := fs.Int("clients", 16, "live/core-scaling: concurrent workers")
 	transportName := fs.String("transport", "mem", "live: cluster transport (mem or tcp)")
-	wirev := fs.Int("wirev", 2, "live/wire: TCP wire protocol version (1=JSON, 2=binary)")
-	body := fs.Int("body", 0, "wire-throughput: document body bytes (default 1024)")
 	cacheBudget := fs.Int64("cache-budget", 0, "override per-node cache budget, bytes (0 = scenario default)")
 	diskBudget := fs.Int64("disk-budget", 0, "restart/bigger-than-ram: per-node disk-tier budget, bytes (0 = scenario default)")
 	docBytes := fs.Int("doc-bytes", 0, "override document body size, bytes")
@@ -148,8 +143,6 @@ func run(args []string) error {
 			fmt.Printf("%-14s %3d nodes, %4d docs, %-7s popularity, %-7s arrivals, %.0f req/s for %.0fs\n",
 				d.Name, d.Nodes, d.NumDocs, d.Popularity, d.Arrival, d.TotalRate, d.Duration)
 		}
-		fmt.Printf("%-14s live TCP stack, v1 (JSON) vs v2 (binary) wire protocol, closed-loop saturation\n",
-			"wire-throughput")
 		fmt.Printf("%-14s live TCP stack, GOMAXPROCS sweep, req/s + per-core efficiency + Jain + hit rate\n",
 			"core-scaling")
 		fmt.Printf("%-14s live cluster under node churn: kill/restart interior nodes, availability + repair time + post-repair Jain\n",
@@ -169,12 +162,6 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *scenario == "wire-throughput" {
-		return runWireThroughput(wireSpec{
-			Seed: *seed, Nodes: *n, Clients: *clients,
-			Duration: *duration, BodyBytes: *body,
-		}, *jsonPath)
-	}
 	if *scenario == "core-scaling" {
 		sweep, err := parseProcs(*procs)
 		if err != nil {
@@ -182,7 +169,7 @@ func run(args []string) error {
 		}
 		return runCoreScaling(workload.ScalingSpec{
 			Seed: *seed, Nodes: *n, Clients: *clients,
-			Duration: *duration, BodyBytes: *body, Procs: sweep, Repeat: *repeat,
+			Duration: *duration, Procs: sweep, Repeat: *repeat,
 		}, *jsonPath)
 	}
 	if *scenario == "chaos" {
@@ -278,7 +265,7 @@ func run(args []string) error {
 	case "live":
 		rep, err = workload.RunLive(sp, *seed, workload.LiveOptions{
 			Speedup: *speedup, Clients: *clients,
-			Transport: *transportName, WireVersion: *wirev,
+			Transport: *transportName,
 		})
 	default:
 		return fmt.Errorf("unknown mode %q (want fast or live)", *mode)

@@ -85,7 +85,6 @@ func RunNode(args []string, stderr io.Writer) error {
 	dataDir := fs.String("data-dir", "", "disk-tier root for this node (enables warm re-exec recovery)")
 	diskBudget := fs.Int64("disk-budget", 0, "disk-tier byte budget (0 = unlimited)")
 	tunneling := fs.Bool("tunneling", true, "enable barrier tunneling")
-	wirev := fs.Int("wirev", 0, "wire codec: 0/2 = binary v2, 1 = legacy JSON")
 	dialTimeout := fs.Duration("dial-timeout", 2*time.Second, "per-dial connect timeout")
 	dialAttempts := fs.Int("dial-attempts", 3, "startup parent-dial budget before orphan-starting")
 	reconnectCap := fs.Duration("reconnect-cap", 2*time.Second, "failover backoff ceiling")
@@ -99,7 +98,6 @@ func RunNode(args []string, stderr io.Writer) error {
 	}
 
 	netw := transport.TCPNetwork{
-		Version:       *wirev,
 		DialTimeout:   *dialTimeout,
 		BindRetryWait: *bindWait,
 	}

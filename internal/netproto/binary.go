@@ -1,20 +1,16 @@
-// Binary wire codec (protocol v2).
+// Binary wire codec (protocol v2), the only payload format.
 //
-// v1 frames a JSON object per message: inspectable, but every frame costs a
-// json.Marshal round trip and a fresh payload allocation. v2 keeps the same
-// outer framing (4-byte big-endian length prefix, MaxFrame bound) and swaps
-// the payload for a compact binary form:
+// A frame is a 4-byte big-endian length prefix (bounded by MaxFrame)
+// followed by the payload:
 //
 //	payload := magic(0x02) kind(1B) from(varint) to(varint) seq(uvarint) <kind fields>
 //
 // Integers use encoding/binary varints (zigzag for signed), floats are
 // 8-byte little-endian IEEE 754, and strings/bytes are uvarint
-// length-prefixed. The two codecs coexist on one stream: a JSON payload
-// always begins with '{' (0x7B), a v2 payload with 0x02, so receivers
-// negotiate per frame by inspecting the first payload byte. High-frequency
-// kinds (gossip, request, response) encode and decode without allocating;
-// the rare stats_reply embeds its Stats as a JSON blob rather than growing
-// the binary schema.
+// length-prefixed. A payload that does not start with the magic byte is a
+// decode error. High-frequency kinds (gossip, request, response) encode and
+// decode without allocating; the rare stats_reply embeds its Stats as a
+// JSON blob rather than growing the binary schema.
 package netproto
 
 import (
@@ -28,8 +24,7 @@ import (
 )
 
 // Version2 is the binary protocol version; it doubles as the magic first
-// payload byte distinguishing v2 frames from v1 JSON frames (which always
-// start with '{').
+// byte of every payload.
 const Version2 = 2
 
 // ErrShortPayload reports a v2 payload that ended mid-field.
@@ -183,29 +178,16 @@ func AppendFrameV2(dst []byte, env *Envelope) ([]byte, error) {
 }
 
 // DecodePayload decodes one frame payload (the bytes after the length
-// prefix) into env, auto-detecting the codec from the first byte: '{' means
-// v1 JSON, 0x02 means v2 binary. env is fully overwritten. in may be nil.
+// prefix, magic byte onward) into env, overwriting every field. Doc ids are
+// interned through in when non-nil. Body bytes are copied into env.Body,
+// reusing its capacity when possible — so a caller-owned envelope reused
+// across calls decodes without allocating once its Body has grown to the
+// working-set size.
 func DecodePayload(env *Envelope, payload []byte, in *DocInterner) error {
-	if len(payload) == 0 {
-		return ErrShortPayload
+	if len(payload) > 0 && payload[0] != Version2 {
+		return fmt.Errorf("netproto: payload starts with 0x%02x, want 0x%02x", payload[0], Version2)
 	}
-	if payload[0] == Version2 {
-		return DecodeEnvelopeV2(env, payload, in)
-	}
-	*env = Envelope{}
-	if err := json.Unmarshal(payload, env); err != nil {
-		return fmt.Errorf("netproto: unmarshal: %w", err)
-	}
-	return env.Validate()
-}
-
-// DecodeEnvelopeV2 decodes a v2 payload (magic byte onward) into env,
-// overwriting every field. Doc ids are interned through in when non-nil.
-// Body bytes are copied into env.Body, reusing its capacity when possible —
-// so a caller-owned envelope reused across calls decodes without
-// allocating once its Body has grown to the working-set size.
-func DecodeEnvelopeV2(env *Envelope, payload []byte, in *DocInterner) error {
-	if len(payload) < 2 || payload[0] != Version2 {
+	if len(payload) < 2 {
 		return ErrShortPayload
 	}
 	code := payload[1]
@@ -213,7 +195,7 @@ func DecodeEnvelopeV2(env *Envelope, payload []byte, in *DocInterner) error {
 		return fmt.Errorf("netproto: unknown binary kind code %d", code)
 	}
 	body := env.Body[:0]
-	*env = Envelope{V: Version2, Kind: codeToKind[code]}
+	*env = Envelope{Kind: codeToKind[code]}
 	r := byteReader{b: payload, off: 2}
 	env.From = int(r.varint())
 	env.To = int(r.varint())

@@ -1,9 +1,9 @@
 // Streaming frame codec with reusable buffers. FrameWriter and FrameReader
 // carry their own scratch space so the per-frame cost on a long-lived
 // connection is the encode/decode work itself — no payload allocation, no
-// envelope boxing beyond what the caller asks for. Envelope and frame-buffer
-// pools let transports and servers recycle the remaining per-message
-// allocations across connections.
+// envelope boxing beyond what the caller asks for. The envelope pool lets
+// transports and servers recycle the remaining per-message allocation
+// across connections.
 package netproto
 
 import (
@@ -35,54 +35,30 @@ func PutEnvelope(e *Envelope) {
 	envPool.Put(e)
 }
 
-// maxPooledBuf bounds the scratch buffers kept by the frame pool; a frame
-// that grew past it (a large document body) is left for the GC instead of
-// pinning its memory in the pool.
+// maxPooledBuf bounds the scratch buffer a FrameWriter or FrameReader keeps
+// between frames; one that grew past it (a large document body) is left for
+// the GC instead of staying pinned on the connection.
 const maxPooledBuf = 64 << 10
-
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(p *[]byte) {
-	if cap(*p) > maxPooledBuf {
-		return
-	}
-	*p = (*p)[:0]
-	bufPool.Put(p)
-}
 
 // ---------------------------------------------------------------------------
 // FrameWriter.
 
 // FrameWriter encodes envelopes onto a stream, reusing one scratch buffer
-// across frames. Version selects the payload codec: 1 writes JSON frames
-// (WriteFrame's format), anything else writes binary v2. Not safe for
-// concurrent use; transports serialize callers.
+// across frames. Not safe for concurrent use; transports serialize callers.
 type FrameWriter struct {
-	w       io.Writer
-	buf     []byte
-	version int
+	w   io.Writer
+	buf []byte
 }
 
-// NewFrameWriter returns a writer emitting the given protocol version.
-func NewFrameWriter(w io.Writer, version int) *FrameWriter {
-	return &FrameWriter{w: w, version: version}
+// NewFrameWriter returns a writer over w.
+func NewFrameWriter(w io.Writer) *FrameWriter {
+	return &FrameWriter{w: w}
 }
 
 // WriteEnvelope encodes env and writes one frame. The frame goes out in a
 // single Write call, so an unbuffered destination sees one syscall per
 // frame and a buffered one can coalesce many.
 func (fw *FrameWriter) WriteEnvelope(env *Envelope) error {
-	if fw.version == 1 {
-		if env.V == 0 {
-			env.V = Version
-		}
-		return WriteFrame(fw.w, env)
-	}
-	if env.V == 0 {
-		env.V = Version2
-	}
 	buf, err := AppendFrameV2(fw.buf[:0], env)
 	if err != nil {
 		return err
@@ -101,10 +77,9 @@ func (fw *FrameWriter) WriteEnvelope(env *Envelope) error {
 // FrameReader.
 
 // FrameReader decodes length-prefixed frames from a stream into
-// caller-supplied envelopes, negotiating the codec per frame from the first
-// payload byte ('{' = v1 JSON, 0x02 = binary v2). One payload buffer and
-// one doc-id intern table are reused across frames, so steady-state reads
-// of body-less messages do not allocate. Not safe for concurrent use.
+// caller-supplied envelopes. One payload buffer and one doc-id intern table
+// are reused across frames, so steady-state reads of body-less messages do
+// not allocate. Not safe for concurrent use.
 type FrameReader struct {
 	r      io.Reader
 	buf    []byte

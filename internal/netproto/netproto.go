@@ -3,26 +3,20 @@
 // shedding up the tree, client request packets, tunnel fetches across
 // potential barriers, and a stats scrape for the harness.
 //
-// Messages travel as length-prefixed frames in one of two payload codecs
-// negotiated per frame by the first payload byte: protocol v1 is JSON
-// (inspectable; the stdlib-only constraint rules out protobuf) and protocol
-// v2 is a compact binary form (binary.go) whose high-frequency kinds encode
-// and decode without allocating. The framing layer bounds message size and
-// is covered by fuzz-style round-trip tests.
+// Messages travel as length-prefixed frames whose payload is the compact
+// binary form of binary.go (protocol v2); its high-frequency kinds encode
+// and decode without allocating. The framing layer (frame.go) bounds message
+// size and is covered by fuzz-style round-trip tests. The json tags on
+// Envelope serve the stats_reply blob, the benchmark reports and
+// json.Marshal as a debug rendering; JSON is not a wire format.
 package netproto
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"webwave/internal/core"
 )
-
-// Version is the JSON (v1) protocol version carried in every envelope.
-const Version = 1
 
 // MaxFrame bounds a frame's payload size (16 MiB), preventing a corrupt
 // length prefix from exhausting memory.
@@ -117,7 +111,6 @@ const (
 // Envelope is the single wire message. Fields are a flat union; which are
 // meaningful depends on Kind.
 type Envelope struct {
-	V    int    `json:"v"`
 	Kind Type   `json:"kind"`
 	From int    `json:"from"`
 	To   int    `json:"to"`
@@ -281,9 +274,6 @@ type FilterStats struct {
 
 // Validate performs basic sanity checks on a received envelope.
 func (e *Envelope) Validate() error {
-	if e.V != Version && e.V != Version2 {
-		return fmt.Errorf("netproto: version %d, want %d or %d", e.V, Version, Version2)
-	}
 	if e.Kind == "" {
 		return errors.New("netproto: missing kind")
 	}
@@ -291,54 +281,4 @@ func (e *Envelope) Validate() error {
 		return fmt.Errorf("netproto: negative rate %v", e.Rate)
 	}
 	return nil
-}
-
-// WriteFrame marshals env and writes it to w as a 4-byte big-endian length
-// prefix followed by the JSON payload.
-func WriteFrame(w io.Writer, env *Envelope) error {
-	if env.V == 0 {
-		env.V = Version
-	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("netproto: marshal: %w", err)
-	}
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("netproto: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("netproto: write payload: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame from r and decodes it, accepting either
-// payload codec (JSON v1 or binary v2). Callers that read many frames from
-// one stream should prefer FrameReader, which reuses its buffers.
-func ReadFrame(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("netproto: read header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("netproto: read payload: %w", err)
-	}
-	env := &Envelope{}
-	if err := DecodePayload(env, payload, nil); err != nil {
-		return nil, err
-	}
-	return env, nil
 }

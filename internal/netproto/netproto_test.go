@@ -5,58 +5,44 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"webwave/internal/core"
 )
 
-func TestRoundTripAllKinds(t *testing.T) {
-	envs := []*Envelope{
-		{Kind: TypeGossip, From: 1, To: 2, Load: 123.5},
-		{Kind: TypeDelegate, From: 0, To: 3, Doc: "doc-1", Rate: 42.25, Body: []byte("payload")},
-		{Kind: TypeDelegateAck, From: 3, To: 0, Doc: "doc-1", Rate: 42.25},
-		{Kind: TypeShed, From: 5, To: 1, Doc: "d", Rate: 7},
-		{Kind: TypeEvict, From: 5, To: 1, Doc: "d", Rate: 3.5},
-		{Kind: TypeRequest, From: -1, To: 4, Origin: 4, ReqID: 99, Doc: "d"},
-		{Kind: TypeResponse, From: 2, To: 4, Origin: 4, ReqID: 99, ServedBy: 2, Hops: 3},
-		{Kind: TypeTunnelFetch, From: 6, Doc: "d3"},
-		{Kind: TypeTunnelReply, From: 0, To: 6, Doc: "d3", Body: []byte("b")},
-		{Kind: TypeStatsQuery, From: -1, To: 1},
-		{Kind: TypeStatsReply, From: 1, Stats: &Stats{
-			Node: 1, Load: 55.5, Served: 100, Forwarded: 20,
-			CachedDocs:  []core.DocID{"a", "b"},
-			Targets:     map[core.DocID]float64{"a": 10},
-			FilterStats: FilterStats{Inspected: 120, Extracted: 100, Passed: 20},
-		}},
-		{Kind: TypeShutdown, From: -1, To: 0},
+// writeFrame and readFrame push one envelope through the streaming codec.
+func writeFrame(w io.Writer, env *Envelope) error {
+	return NewFrameWriter(w).WriteEnvelope(env)
+}
+
+func readFrame(r io.Reader) (*Envelope, error) {
+	env := &Envelope{}
+	if err := NewFrameReader(r).ReadInto(env); err != nil {
+		return nil, err
 	}
-	for _, env := range envs {
+	return env, nil
+}
+
+// rawFrame length-prefixes an arbitrary payload.
+func rawFrame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestRoundTripAllKinds carries every kind through the streaming
+// FrameWriter/FrameReader pair.
+func TestRoundTripAllKinds(t *testing.T) {
+	for _, env := range allKindEnvelopes() {
 		t.Run(string(env.Kind), func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, env); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
+			if err := writeFrame(&buf, env); err != nil {
+				t.Fatalf("write: %v", err)
 			}
-			got, err := ReadFrame(&buf)
+			got, err := readFrame(&buf)
 			if err != nil {
-				t.Fatalf("ReadFrame: %v", err)
+				t.Fatalf("read: %v", err)
 			}
-			if got.Kind != env.Kind || got.From != env.From || got.To != env.To {
-				t.Errorf("header mismatch: %+v vs %+v", got, env)
-			}
-			if got.Doc != env.Doc || got.Rate != env.Rate || got.Load != env.Load {
-				t.Errorf("payload mismatch: %+v vs %+v", got, env)
-			}
-			if !bytes.Equal(got.Body, env.Body) {
-				t.Errorf("body mismatch")
-			}
-			if env.Stats != nil {
-				if got.Stats == nil || got.Stats.Load != env.Stats.Load ||
-					len(got.Stats.CachedDocs) != len(env.Stats.CachedDocs) {
-					t.Errorf("stats mismatch: %+v vs %+v", got.Stats, env.Stats)
-				}
-			}
+			sameEnvelope(t, got, env)
 		})
 	}
 }
@@ -65,12 +51,12 @@ func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
 		env := &Envelope{Kind: TypeGossip, From: i, Load: float64(i) * 1.5}
-		if err := WriteFrame(&buf, env); err != nil {
+		if err := writeFrame(&buf, env); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -78,43 +64,61 @@ func TestMultipleFramesSequential(t *testing.T) {
 			t.Errorf("frame %d corrupted: %+v", i, got)
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("after drain: %v, want EOF", err)
 	}
 }
 
 func TestVersionStampedAndChecked(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Envelope{Kind: TypeGossip}); err != nil {
+	if err := writeFrame(&buf, &Envelope{Kind: TypeGossip}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
+	frame := append([]byte(nil), buf.Bytes()...)
+	if frame[4] != Version2 {
+		t.Errorf("first payload byte = %#x, want %#x", frame[4], Version2)
+	}
+	if _, err := readFrame(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got.V != Version {
-		t.Errorf("version = %d, want %d", got.V, Version)
-	}
-	// A frame with the wrong version is rejected.
-	var buf2 bytes.Buffer
-	payload := []byte(`{"v":99,"kind":"gossip","from":0,"to":0}`)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf2.Write(hdr[:])
-	buf2.Write(payload)
-	if _, err := ReadFrame(&buf2); err == nil {
+	// A frame with the wrong version byte is rejected.
+	frame[4] = 3
+	if _, err := readFrame(bytes.NewReader(frame)); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
 
+// TestJSONPayloadRejected feeds the reader what protocol v1 put on the wire:
+// a '{'-leading payload is a decode error, and the stream stays usable for
+// the valid frame behind it.
+func TestJSONPayloadRejected(t *testing.T) {
+	stream, err := AppendFrameV2(bytes.Clone(jsonSeeds[0]), &Envelope{Kind: TypeGossip, From: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewFrameReader(bytes.NewReader(stream))
+	env := &Envelope{}
+	if err := r.ReadInto(env); err == nil {
+		t.Fatalf("JSON payload accepted: %+v", env)
+	}
+	if err := r.ReadInto(env); err != nil || env.From != 7 {
+		t.Errorf("frame after the rejected one: %+v, %v", env, err)
+	}
+	for _, payload := range []string{"{", "{}", `{"kind":"gossip"}`, "[", "\x01\x01"} {
+		if err := DecodePayload(env, []byte(payload), nil); err == nil {
+			t.Errorf("payload %q accepted", payload)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
-	if err := (&Envelope{V: Version}).Validate(); err == nil {
+	if err := (&Envelope{}).Validate(); err == nil {
 		t.Error("missing kind accepted")
 	}
-	if err := (&Envelope{V: Version, Kind: TypeShed, Rate: -1}).Validate(); err == nil {
+	if err := (&Envelope{Kind: TypeShed, Rate: -1}).Validate(); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if err := (&Envelope{V: Version, Kind: TypeGossip}).Validate(); err != nil {
+	if err := (&Envelope{Kind: TypeGossip}).Validate(); err != nil {
 		t.Errorf("valid envelope rejected: %v", err)
 	}
 }
@@ -122,40 +126,31 @@ func TestValidateRejects(t *testing.T) {
 func TestOversizedFrameRejectedOnWrite(t *testing.T) {
 	env := &Envelope{Kind: TypeDelegate, Body: make([]byte, MaxFrame)}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeFrame(&buf, env); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write error = %v", err)
 	}
 }
 
 func TestOversizedFrameRejectedOnRead(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	buf.Write(hdr[:])
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	if _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized read error = %v", err)
 	}
 }
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Envelope{Kind: TypeGossip}); err != nil {
+	if err := writeFrame(&buf, &Envelope{Kind: TypeGossip}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-3] // cut payload short
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
 
 func TestGarbagePayload(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("this is not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := readFrame(bytes.NewReader(rawFrame([]byte("this is not a frame")))); err == nil {
 		t.Error("garbage payload accepted")
 	}
 }
@@ -169,17 +164,15 @@ func TestQuickRoundTrip(t *testing.T) {
 		if rate != rate { // NaN
 			rate = 0
 		}
-		// Strip characters JSON cannot carry in Go strings losslessly.
-		doc = strings.ToValidUTF8(doc, "")
 		env := &Envelope{
 			Kind: TypeDelegate, From: int(from), To: int(to),
 			Doc: core.DocID(doc), Rate: rate, Body: body,
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, env); err != nil {
+		if err := writeFrame(&buf, env); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(&buf)
 		if err != nil {
 			return false
 		}

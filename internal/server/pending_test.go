@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,6 +81,18 @@ func scrapePending(t *testing.T, netw transport.Network, addr string) int {
 	return reply.Stats.PendingLen
 }
 
+// waitPending polls addr's stats until PendingLen reaches want.
+func waitPending(t *testing.T, netw transport.Network, addr string, want int, failure string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for scrapePending(t, netw, addr) != want {
+		if time.Now().After(deadline) {
+			t.Fatal(failure)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestPendingSweptOnConnClose covers the leak fix: response-routing
 // entries for a client connection that goes away must be swept, not kept
 // forever.
@@ -100,22 +114,47 @@ func TestPendingSweptOnConnClose(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for scrapePending(t, netw, "child") != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending entry never appeared")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitPending(t, netw, "child", 1, "pending entry never appeared")
 
 	conn.Close()
-	deadline = time.Now().Add(2 * time.Second)
-	for scrapePending(t, netw, "child") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending entry not swept after conn close")
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitPending(t, netw, "child", 0, "pending entry not swept after conn close")
+}
+
+// TestJSONFrameRetiresConnection has a raw TCP peer write the '{'-leading
+// frame protocol v1 used to send. Its Recv fails, so the read loop retires
+// the connection through the connection-closed path — the peer's pending
+// route is swept although its socket is still open — while the stats
+// scrapes on other connections keep being answered.
+func TestJSONFrameRetiresConnection(t *testing.T) {
+	netw := transport.TCPNetwork{}
+	parentAddr := newFakeParent(t, netw, "127.0.0.1:0").listener.Addr()
+	child := startServer(t, Config{
+		ID: 1, Addr: "127.0.0.1:0", ParentID: 0, ParentAddr: parentAddr, HomeAddr: parentAddr,
+		Network: netw,
+	})
+	peer, err := net.Dial("tcp", child.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer peer.Close()
+
+	frame, err := netproto.AppendFrameV2(nil, &netproto.Envelope{
+		Kind: netproto.TypeRequest, From: -1, Origin: 7, ReqID: 1, Doc: "never",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitPending(t, netw, child.Addr(), 1, "pending entry never appeared")
+
+	payload := `{"v":1,"kind":"gossip","from":7,"to":1,"load":2.5}`
+	frame = append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	if _, err := peer.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitPending(t, netw, child.Addr(), 0, "connection not retired after a JSON frame")
 }
 
 // TestPendingExpires covers the TTL: entries whose response is lost are
@@ -135,13 +174,7 @@ func TestPendingExpires(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for scrapePending(t, netw, "child") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending entry never expired")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitPending(t, netw, "child", 0, "pending entry never expired")
 }
 
 // TestSingleFlightCoalesces pins the request-collapsing behavior: N

@@ -684,14 +684,13 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// Seq deliberately unstamped: no receiver consumes it, and the
 		// global counter would be the one shared cacheline every core's
 		// fast path contends on. Loop-emitted frames keep their stamps.
-		V: netproto.Version,
 	}
 	_ = conn.Send(resp) // soft state: a failed send is equivalent to loss
 	netproto.PutEnvelope(resp)
 	return true
 }
 
-// stampAndSend stamps the wire sequence/version and transmits immediately
+// stampAndSend stamps the wire sequence and transmits immediately
 // (plain Send — transports coalesce concurrent senders' flushes). Loops
 // that batch many frames per iteration use their laneSender instead.
 func (s *Server) stampAndSend(conn transport.Conn, env *netproto.Envelope) {
@@ -699,9 +698,6 @@ func (s *Server) stampAndSend(conn transport.Conn, env *netproto.Envelope) {
 		return
 	}
 	env.Seq = s.seq.Add(1)
-	if env.V == 0 {
-		env.V = netproto.Version
-	}
 	_ = conn.Send(env) // soft state: a failed send is equivalent to loss
 }
 
@@ -724,9 +720,6 @@ func (ls *laneSender) sendOn(conn transport.Conn, env *netproto.Envelope) {
 		return
 	}
 	env.Seq = ls.s.seq.Add(1)
-	if env.V == 0 {
-		env.V = netproto.Version
-	}
 	if lc, ok := conn.(transport.LaneConn); ok {
 		ln := lc.Lane(ls.lane)
 		_ = ln.SendBuffered(env) // soft state: a failed send is equivalent to loss

@@ -73,14 +73,10 @@ func BenchmarkTCPConnRoundTripV2(b *testing.B) {
 	benchRoundTrips(b, TCPNetwork{}, "127.0.0.1:0")
 }
 
-func BenchmarkTCPConnRoundTripV1(b *testing.B) {
-	benchRoundTrips(b, TCPNetwork{Version: 1}, "127.0.0.1:0")
-}
-
 // BenchmarkTCPSendBatchedV2 measures the write path under concurrent
 // senders, where flush coalescing batches frames into shared syscalls.
-func benchConcurrentSend(b *testing.B, version int) {
-	netw := TCPNetwork{Version: version}
+func BenchmarkTCPSendBatchedV2(b *testing.B) {
+	netw := TCPNetwork{}
 	l, err := netw.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -114,7 +110,6 @@ func benchConcurrentSend(b *testing.B, version int) {
 				b.Error(err)
 				return
 			}
-			env.V = 0 // rewritable: FrameWriter stamps it per send
 		}
 	})
 	b.StopTimer()
@@ -122,7 +117,3 @@ func benchConcurrentSend(b *testing.B, version int) {
 	l.Close()
 	wg.Wait()
 }
-
-func BenchmarkTCPSendBatchedV2(b *testing.B) { benchConcurrentSend(b, 2) }
-
-func BenchmarkTCPSendBatchedV1(b *testing.B) { benchConcurrentSend(b, 1) }

@@ -8,42 +8,13 @@ import (
 	"webwave/internal/netproto"
 )
 
-// tcpPair dials a loopback TCP connection pair on the given wire version.
-func tcpPair(t *testing.T, version int) (client, server Conn) {
-	t.Helper()
-	n := TCPNetwork{Version: version}
-	l, err := n.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	type acc struct {
-		c   Conn
-		err error
-	}
-	ch := make(chan acc, 1)
-	go func() {
-		c, err := l.Accept()
-		ch <- acc{c, err}
-	}()
-	client, err = n.Dial(l.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	a := <-ch
-	if a.err != nil {
-		t.Fatalf("accept: %v", a.err)
-	}
-	t.Cleanup(func() { client.Close(); a.c.Close() })
-	return client, a.c
-}
-
 // TestLanesInterleaveIntact drives several lanes of one TCP connection from
 // concurrent goroutines — the doc-sharded server's send pattern — plus
 // plain concurrent Sends, and checks every frame arrives whole: per-lane
 // buffering must never interleave two frames' bytes on the wire.
 func TestLanesInterleaveIntact(t *testing.T) {
-	client, server := tcpPair(t, 2)
+	client, server, cleanup := pair(t, TCPNetwork{}, "127.0.0.1:0")
+	defer cleanup()
 	lc, ok := client.(LaneConn)
 	if !ok {
 		t.Fatal("tcp conn does not implement LaneConn")
@@ -119,7 +90,8 @@ func TestLanesInterleaveIntact(t *testing.T) {
 
 // TestLaneSameIndexSameLane pins the lane identity contract.
 func TestLaneSameIndexSameLane(t *testing.T) {
-	client, _ := tcpPair(t, 2)
+	client, _, cleanup := pair(t, TCPNetwork{}, "127.0.0.1:0")
+	defer cleanup()
 	lc := client.(LaneConn)
 	if lc.Lane(3) != lc.Lane(3) {
 		t.Fatal("Lane(3) returned different lanes")
@@ -127,25 +99,4 @@ func TestLaneSameIndexSameLane(t *testing.T) {
 	if lc.Lane(0) == lc.Lane(1) {
 		t.Fatal("distinct indices share a lane")
 	}
-}
-
-// TestLanesV1Degrade pins the legacy path: on the v1 JSON codec a lane's
-// SendBuffered flushes per frame (historical behavior), so frames arrive
-// without any lane Flush call.
-func TestLanesV1Degrade(t *testing.T) {
-	client, server := tcpPair(t, 1)
-	lane := client.(LaneConn).Lane(0)
-	if err := lane.SendBuffered(&netproto.Envelope{
-		Kind: netproto.TypeGossip, From: 7, Load: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Kind != netproto.TypeGossip || env.From != 7 {
-		t.Fatalf("bad frame %+v", env)
-	}
-	netproto.PutEnvelope(env)
 }

@@ -18,13 +18,11 @@ import (
 // TCPNetwork implements Network over real TCP sockets (stdlib net). Use
 // addresses like "127.0.0.1:0"; Listener.Addr reports the bound address.
 //
-// Version selects the wire codec new connections speak: 0 or 2 is the
-// binary v2 protocol (pooled frame buffers, writes coalesced across
-// concurrent senders before each flush), 1 is the legacy JSON protocol
-// (one marshal, one write and one flush per frame — kept as the
-// inspectable/compatibility path). Receivers negotiate per frame from the
-// payload's first byte, so the two versions interoperate on one stream.
+// Every connection speaks the binary v2 protocol (pooled frame buffers,
+// writes coalesced across concurrent senders before each flush).
 type TCPNetwork struct {
+	// Version names the wire protocol and selects nothing: it accepts only
+	// 0 or netproto.Version2, and Listen and Dial fail on any other value.
 	Version int
 
 	// DialTimeout bounds each connect attempt. Without it a dial into a
@@ -42,11 +40,11 @@ type TCPNetwork struct {
 	BindRetryWait time.Duration
 }
 
-func (n TCPNetwork) version() int {
-	if n.Version == 1 {
-		return 1
+func (n TCPNetwork) checkVersion() error {
+	if n.Version != 0 && n.Version != netproto.Version2 {
+		return fmt.Errorf("transport: tcp wire version %d, want 0 or %d", n.Version, netproto.Version2)
 	}
-	return netproto.Version2
+	return nil
 }
 
 // Listen implements Network. Listeners are opened with SO_REUSEADDR so a
@@ -55,6 +53,9 @@ func (n TCPNetwork) version() int {
 // teardown ("address already in use") is retried with backoff for up to
 // BindRetryWait instead of failing the restart.
 func (n TCPNetwork) Listen(addr string) (Listener, error) {
+	if err := n.checkVersion(); err != nil {
+		return nil, err
+	}
 	lc := net.ListenConfig{Control: reuseAddrControl}
 	wait := n.BindRetryWait
 	if wait == 0 {
@@ -65,7 +66,7 @@ func (n TCPNetwork) Listen(addr string) (Listener, error) {
 	for {
 		l, err := lc.Listen(context.Background(), "tcp", addr)
 		if err == nil {
-			return &tcpListener{l: l, version: n.version()}, nil
+			return &tcpListener{l: l}, nil
 		}
 		if wait <= 0 || !AddrInUse(err) || !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("transport: tcp listen %s: %w", addr, err)
@@ -76,6 +77,9 @@ func (n TCPNetwork) Listen(addr string) (Listener, error) {
 
 // Dial implements Network.
 func (n TCPNetwork) Dial(addr string) (Conn, error) {
+	if err := n.checkVersion(); err != nil {
+		return nil, err
+	}
 	var c net.Conn
 	var err error
 	if n.DialTimeout > 0 {
@@ -86,12 +90,11 @@ func (n TCPNetwork) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: tcp dial %s: %w", addr, err)
 	}
-	return newTCPConn(c, n.version()), nil
+	return newTCPConn(c), nil
 }
 
 type tcpListener struct {
-	l       net.Listener
-	version int
+	l net.Listener
 }
 
 func (t *tcpListener) Accept() (Conn, error) {
@@ -102,7 +105,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 		}
 		return nil, fmt.Errorf("transport: tcp accept: %w", err)
 	}
-	return newTCPConn(c, t.version), nil
+	return newTCPConn(c), nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
@@ -110,9 +113,8 @@ func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 type tcpConn struct {
-	c       net.Conn
-	r       *netproto.FrameReader
-	version int
+	c net.Conn
+	r *netproto.FrameReader
 
 	wm sync.Mutex
 	w  *bufio.Writer
@@ -127,10 +129,10 @@ type tcpConn struct {
 	lanes  map[int]*tcpLane
 }
 
-func newTCPConn(c net.Conn, version int) *tcpConn {
-	t := &tcpConn{c: c, r: netproto.NewFrameReader(bufio.NewReader(c)), version: version}
+func newTCPConn(c net.Conn) *tcpConn {
+	t := &tcpConn{c: c, r: netproto.NewFrameReader(bufio.NewReader(c))}
 	t.w = bufio.NewWriter(c)
-	t.fw = netproto.NewFrameWriter(t.w, version)
+	t.fw = netproto.NewFrameWriter(t.w)
 	return t
 }
 
@@ -177,15 +179,11 @@ func (t *tcpConn) Recv() (*netproto.Envelope, error) {
 
 func (t *tcpConn) Close() error { return t.c.Close() }
 
-// SendBuffered implements BatchConn: on the v2 path the frame is written
-// to the connection's buffer and left for an explicit Flush. The legacy v1
-// path keeps its historical flush-per-frame behavior. SendBuffered stays
+// SendBuffered implements BatchConn: the frame is written to the
+// connection's buffer and left for an explicit Flush. SendBuffered stays
 // out of the senders count — it never flushes, so it must not suppress a
 // concurrent Send's flush.
 func (t *tcpConn) SendBuffered(env *netproto.Envelope) error {
-	if t.version == 1 {
-		return t.Send(env)
-	}
 	t.wm.Lock()
 	err := t.fw.WriteEnvelope(env)
 	t.wm.Unlock()
@@ -200,9 +198,6 @@ func (t *tcpConn) SendBuffered(env *netproto.Envelope) error {
 
 // Flush implements BatchConn.
 func (t *tcpConn) Flush() error {
-	if t.version == 1 {
-		return nil // v1 sends flush themselves
-	}
 	t.wm.Lock()
 	err := t.w.Flush()
 	t.wm.Unlock()
@@ -218,13 +213,8 @@ func (t *tcpConn) Flush() error {
 // Lane implements LaneConn: each index gets a private encode buffer whose
 // frames reach the socket only on the lane's Flush. Shard loops batching
 // onto a shared connection encode concurrently — the connection-wide writer
-// lock is held only for the buffer copy at flush time, not per frame. On
-// the legacy v1 codec (flush-per-frame by design) the lane degrades to
-// plain Send.
+// lock is held only for the buffer copy at flush time, not per frame.
 func (t *tcpConn) Lane(i int) BatchLane {
-	if t.version == 1 {
-		return (*v1Lane)(t)
-	}
 	t.laneMu.RLock()
 	ln := t.lanes[i]
 	t.laneMu.RUnlock()
@@ -240,7 +230,7 @@ func (t *tcpConn) Lane(i int) BatchLane {
 		t.lanes = make(map[int]*tcpLane, 8)
 	}
 	ln = &tcpLane{t: t}
-	ln.fw = netproto.NewFrameWriter(&ln.buf, t.version)
+	ln.fw = netproto.NewFrameWriter(&ln.buf)
 	t.lanes[i] = ln
 	return ln
 }
@@ -301,13 +291,6 @@ func (l *tcpLane) Flush() error {
 	}
 	return nil
 }
-
-// v1Lane adapts the legacy JSON codec to the lane interface: v1 flushes per
-// frame, so buffering is a no-op and Flush has nothing to do.
-type v1Lane tcpConn
-
-func (l *v1Lane) SendBuffered(env *netproto.Envelope) error { return (*tcpConn)(l).Send(env) }
-func (l *v1Lane) Flush() error                              { return nil }
 
 var _ Network = TCPNetwork{}
 var _ BatchConn = (*tcpConn)(nil)

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,5 +271,53 @@ func TestTCPLargeBody(t *testing.T) {
 	}
 	if len(got.Body) != len(body) {
 		t.Fatalf("body length %d, want %d", len(got.Body), len(body))
+	}
+}
+
+// TestTCPVersionChecked pins the one wire: the Version field accepts 0 or
+// netproto.Version2, and anything else fails Listen and Dial by name instead
+// of silently speaking v2.
+func TestTCPVersionChecked(t *testing.T) {
+	for _, version := range []int{0, netproto.Version2} {
+		testSendRecv(t, TCPNetwork{Version: version}, "127.0.0.1:0")
+	}
+	for _, version := range []int{1, 3, 7, -1} {
+		n := TCPNetwork{Version: version}
+		want := fmt.Sprintf("wire version %d,", version)
+		if _, err := n.Listen("127.0.0.1:0"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Version %d: Listen error = %v", version, err)
+		}
+		if _, err := n.Dial("127.0.0.1:1"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Version %d: Dial error = %v", version, err)
+		}
+	}
+}
+
+// TestTCPRecvRejectsJSONFrame has a raw peer write the frame protocol v1
+// used to send: Recv must surface a decode error, not an envelope.
+func TestTCPRecvRejectsJSONFrame(t *testing.T) {
+	l, err := TCPNetwork{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	peer, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := `{"v":1,"kind":"gossip","from":1,"to":0,"load":2.5}`
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	if _, err := peer.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	env, err := conn.Recv()
+	if err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv of a JSON frame = %+v, %v; want a decode error", env, err)
 	}
 }

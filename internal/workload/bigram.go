@@ -20,8 +20,6 @@ package workload
 import (
 	"fmt"
 	"os"
-
-	"webwave/internal/transport"
 )
 
 // BigramSchema identifies bigger-than-ram reports.
@@ -117,7 +115,7 @@ func RunBigram(sp BigramSpec, logf func(format string, args ...any)) (*BigramRep
 	base := ClosedLoopSpec{
 		Seed: sp.Seed, Nodes: sp.Nodes, Clients: sp.Clients,
 		NumDocs: sp.NumDocs, BodyBytes: sp.BodyBytes, ZipfSkew: sp.ZipfSkew,
-		Duration: sp.Duration, Network: transport.TCPNetwork{},
+		Duration: sp.Duration,
 	}
 
 	run := func(name string, mut func(*ClosedLoopSpec)) (BigramPassReport, error) {

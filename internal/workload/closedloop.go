@@ -1,7 +1,7 @@
 package workload
 
-// Shared closed-loop TCP measurement harness behind the wire-throughput
-// and core-scaling scenarios: build a fresh cluster, saturate it with
+// Shared closed-loop TCP measurement harness behind the core-scaling and
+// bigger-than-ram scenarios: build a fresh cluster, saturate it with
 // closed-loop clients (each keeps exactly one request in flight), warm the
 // tree so delegation spreads the hot documents, measure only the steady
 // window. Having one driver keeps the two benchmarks comparable — a change
@@ -34,8 +34,7 @@ type ClosedLoopSpec struct {
 	ZipfSkew  float64 // popularity skew
 	Duration  float64 // measured seconds (warmup runs before, uncounted)
 
-	Network   transport.Network // cluster links (a TCPNetwork variant)
-	NumShards int               // per-server shard loops (0 = GOMAXPROCS)
+	NumShards int // per-server shard loops (0 = GOMAXPROCS)
 
 	// CacheBudgetBytes bounds every node's in-memory body bytes (0 =
 	// unlimited, the pre-existing behavior); DataDir non-empty adds the
@@ -111,7 +110,7 @@ func RunClosedLoop(sp ClosedLoopSpec) (ClosedLoopResult, error) {
 		docs[docIDs[j]] = body
 	}
 	c, err := cluster.New(t, docs, cluster.Config{
-		Network:          sp.Network,
+		Network:          transport.TCPNetwork{},
 		AddrFor:          func(int) string { return "127.0.0.1:0" },
 		GossipPeriod:     25 * time.Millisecond,
 		DiffusionPeriod:  50 * time.Millisecond,

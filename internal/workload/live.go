@@ -37,10 +37,6 @@ type LiveOptions struct {
 	// memory network, "tcp" runs the tree over real loopback sockets (and
 	// so through the wire codec).
 	Transport string
-	// WireVersion selects the TCP wire codec: 0/2 is the binary v2
-	// protocol, 1 the legacy JSON framing. Ignored on the memory transport,
-	// which passes envelopes by pointer.
-	WireVersion int
 	// NumShards is each server's doc-sharded event loop count (0 =
 	// GOMAXPROCS); MaxBatch and QueueDepth tune the loops (0 = defaults).
 	NumShards  int
@@ -205,7 +201,7 @@ func RunLive(sp Spec, seed int64, opt LiveOptions) (*Report, error) {
 		if len(tr.Churn) > 0 {
 			return nil, fmt.Errorf("workload: scenario %q uses churn, which needs the memory transport's link faults; run it with Transport \"mem\"", sp.Name)
 		}
-		ccfg.Network = transport.TCPNetwork{Version: opt.WireVersion}
+		ccfg.Network = transport.TCPNetwork{}
 		ccfg.AddrFor = func(int) string { return "127.0.0.1:0" }
 	default:
 		return nil, fmt.Errorf("workload: unknown transport %q (want mem or tcp)", opt.Transport)

@@ -12,8 +12,6 @@ package workload
 import (
 	"fmt"
 	"runtime"
-
-	"webwave/internal/transport"
 )
 
 // ScalingSpec parameterizes the core-scaling scenario.
@@ -195,7 +193,6 @@ func scalingRunOnce(sp ScalingSpec, procs int) (ScalingRun, error) {
 		Seed: sp.Seed, Nodes: sp.Nodes, Clients: sp.Clients,
 		NumDocs: sp.NumDocs, BodyBytes: sp.BodyBytes, ZipfSkew: sp.ZipfSkew,
 		Duration:  sp.Duration,
-		Network:   transport.TCPNetwork{},
 		NumShards: procs,
 	})
 	if err != nil {
