@@ -18,7 +18,7 @@ func (nopConn) Send(*netproto.Envelope) error     { return nil }
 func (nopConn) Recv() (*netproto.Envelope, error) { return nil, transport.ErrClosed }
 func (nopConn) Close() error                      { return nil }
 
-func benchServer(b *testing.B, cfg Config) *Server {
+func benchServer(b testing.TB, cfg Config) *Server {
 	b.Helper()
 	cfg.Network = transport.NewMemoryNetwork(transport.MemoryOptions{})
 	if cfg.Addr == "" {
@@ -97,7 +97,9 @@ func BenchmarkForwardAndRespond(b *testing.B) {
 	}
 }
 
-// BenchmarkGossipTick measures one gossip fan-out over eight children.
+// BenchmarkGossipTick measures one gossip period on a node with eight
+// children whose load stands still: the per-neighbor is-this-news check,
+// and one refresh fan-out per Window.
 func BenchmarkGossipTick(b *testing.B) {
 	s := benchServer(b, Config{ID: 0, ParentID: -1})
 	conns := make(map[int]transport.Conn, 8)
@@ -192,11 +194,66 @@ func BenchmarkDiskHitServe(b *testing.B) {
 		sh.now = sh.now.Add(50 * time.Microsecond)
 		sh.handle(ev)
 		if i%512 == 511 {
-			sh.tick() // the loop's own timer: reap, credits, journal
+			sh.tick(false) // the loop's own timer: reap, credits, journal
 		}
 	}
 	b.StopTimer()
-	if sh.nDiskHits != int64(b.N) {
-		b.Fatalf("%d of %d requests were disk hits", sh.nDiskHits, b.N)
+	if sh.n.diskHits != int64(b.N) {
+		b.Fatalf("%d of %d requests were disk hits", sh.n.diskHits, b.N)
+	}
+}
+
+// BenchmarkShardTick measures one maintenance tick of a shard holding 64
+// delegated copies, a gossip period after the last, with none, three or all
+// of them served on the fast path in between. The tick's cost follows the
+// touched entries, not the held ones: idle allocates nothing, and three
+// touched cost a fraction of sixty-four.
+func BenchmarkShardTick(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		touched int
+	}{{"idle", 0}, {"3of64touched", 3}, {"64of64touched", 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, docs := gatedShard(b, Config{}, 64, 1e6)
+			sh := s.shards[0]
+			env := &netproto.Envelope{Kind: netproto.TypeRequest, From: 2, Origin: 1}
+			round := func() {
+				for _, doc := range docs[:bc.touched] {
+					env.Doc = doc
+					if !s.tryFastServe(sh, shardHash(doc), env, nopConn{}) {
+						b.Fatalf("fast path declined %s", doc)
+					}
+				}
+				sh.now = sh.now.Add(s.cfg.GossipPeriod)
+				sh.tick(false)
+			}
+			// Reach the steady state first: windows full, or run dry.
+			for i := 0; i < 3*int(s.cfg.Window/s.cfg.GossipPeriod); i++ {
+				round()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
+}
+
+// BenchmarkDiffusionStepQuiescent measures a diffusion step on a node with
+// children whose inputs have not moved since the last one. Target: 0
+// allocs/op.
+func BenchmarkDiffusionStepQuiescent(b *testing.B) {
+	s, _ := gatedShard(b, Config{}, 64, 100)
+	c := s.ctrl
+	for _, child := range []int{2, 3} {
+		c.handle(event{conn: nopConn{}, env: &netproto.Envelope{Kind: netproto.TypeGossip, From: child, To: 1, Load: 50}})
+	}
+	c.doDiffusion() // the gossip just handled is news; after this step nothing is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.now = c.now.Add(s.cfg.DiffusionPeriod)
+		c.doDiffusion()
 	}
 }

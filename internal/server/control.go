@@ -1,6 +1,10 @@
 package server
 
 import (
+	"cmp"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -29,6 +33,13 @@ type control struct {
 
 	nGossip, nTunnels int64
 
+	// sent is the load figure last gossiped to each neighbor and when
+	// (gossipTo). moved (a neighbor gossiped) and stepEpochs (each shard's
+	// snapshot epoch) are what doDiffusion skips a step for when unchanged.
+	sent       map[int]sentLoad
+	moved      bool
+	stepEpochs []uint64
+
 	// Replication-forest state (promote.go). promoCfg/promos/replicaHeat
 	// belong to the home side of the protocol, replicaDocs to the replica
 	// side; a mid-tree node uses both roles at once only in degenerate
@@ -56,8 +67,21 @@ type control struct {
 	batch      []event
 	gossipSeen map[int]int // reused per-batch newest-gossip index by sender
 	gossipEnv  netproto.Envelope
-	laneSender              // lane index NumShards, after the shard lanes
-	snapsBuf   []*shardSnap // reused mailbox-read scratch (loop-owned)
+	laneSender                        // lane index NumShards, after the shard lanes
+	snapsBuf   []*shardSnap           // reused mailbox-read scratch (loop-owned)
+	cands      []dutyCand             // delegateDown's scratch
+	flowOf     map[core.DocID]float64 // claimPassing's scratch
+}
+
+type sentLoad struct {
+	load float64
+	at   time.Time
+}
+
+// dutyCand is one stream delegateDown may hand a child, capped at cap.
+type dutyCand struct {
+	doc core.DocID
+	cap float64
 }
 
 func newControl(s *Server) *control {
@@ -69,6 +93,10 @@ func newControl(s *Server) *control {
 		childMisses: make(map[int]int, 8),
 		batch:       make([]event, 0, s.cfg.MaxBatch),
 		gossipSeen:  make(map[int]int, 8),
+		sent:        make(map[int]sentLoad, 8),
+		stepEpochs:  make([]uint64, len(s.shards)),
+		snapsBuf:    make([]*shardSnap, len(s.shards)),
+		flowOf:      make(map[core.DocID]float64, 16),
 		laneSender:  laneSender{s: s, lane: len(s.shards)},
 		promoCfg: forest.PromoConfig{
 			PromoteThreshold: s.cfg.PromoteThreshold,
@@ -166,6 +194,7 @@ func (c *control) handle(ev event) {
 	c.noteAlive(env.From)
 	switch env.Kind {
 	case netproto.TypeGossip:
+		c.moved = true // neighbors gossip on change: the next diffusion step has news
 		if pl := s.parentLink(); pl != nil && env.From == pl.id {
 			c.parentLoad = env.Load
 			c.parentKnown = true
@@ -173,9 +202,11 @@ func (c *control) handle(ev event) {
 		}
 		// First gossip from an unknown conn registers a child: the child
 		// view is copy-on-write, so shard loops and the fast path observe
-		// the registration without locking.
+		// the registration without locking. It learns our figure at once
+		// rather than at the next change or refresh.
 		if s.childConn(env.From) == nil {
 			c.registerChild(env.From, ev.conn)
+			c.gossipTo(env.From, ev.conn, sumLoad(c.snaps()), true)
 		}
 		c.childLoad[env.From] = env.Load
 
@@ -230,13 +261,7 @@ func (c *control) noteAlive(from int) {
 
 // registerChild rebuilds the copy-on-write child view with one more child.
 func (c *control) registerChild(id int, conn transport.Conn) {
-	old := c.s.children.Load()
-	conns := make(map[int]transport.Conn, 8)
-	if old != nil {
-		for k, v := range old.conns {
-			conns[k] = v
-		}
-	}
+	conns := maps.Clone(c.s.children.Load().conns)
 	conns[id] = conn
 	c.s.children.Store(&childView{conns: conns})
 }
@@ -253,9 +278,6 @@ func (c *control) handleConnClosed(conn transport.Conn) {
 		return
 	}
 	old := c.s.children.Load()
-	if old == nil {
-		return
-	}
 	gone := -1
 	for id, cc := range old.conns {
 		if cc == conn {
@@ -266,14 +288,11 @@ func (c *control) handleConnClosed(conn transport.Conn) {
 	if gone < 0 {
 		return
 	}
-	conns := make(map[int]transport.Conn, len(old.conns))
-	for k, v := range old.conns {
-		if k != gone {
-			conns[k] = v
-		}
-	}
+	conns := maps.Clone(old.conns)
+	delete(conns, gone)
 	c.s.children.Store(&childView{conns: conns})
 	delete(c.childLoad, gone)
+	delete(c.sent, gone)
 	delete(c.childSeen, gone)
 	delete(c.childMisses, gone)
 	for _, sh := range c.s.shards {
@@ -297,6 +316,7 @@ func (c *control) parentLost(pl *parentLink) {
 	c.parentKnown = false
 	c.parentLoad = 0
 	c.parentMisses = 0
+	delete(c.sent, pl.id)
 	if len(s.cfg.AncestorAddrs) == 0 {
 		return
 	}
@@ -325,9 +345,7 @@ func (c *control) installParent(id int, conn transport.Conn) {
 	c.lastParent = c.now
 	c.parentMisses = 0
 	s.readLoop(conn)
-	c.sendOn(conn, &netproto.Envelope{
-		Kind: netproto.TypeGossip, From: s.cfg.ID, To: id, Load: sumLoad(c.snaps()),
-	})
+	c.gossipTo(id, conn, sumLoad(c.snaps()), true)
 	for _, sh := range s.shards {
 		// Blocking post, like cmdChildGone: losing this command would strand
 		// the shard's queued upward flow until its pending TTL.
@@ -357,11 +375,7 @@ func (c *control) doHeartbeat() {
 			}
 		}
 	}
-	cv := s.children.Load()
-	if cv == nil {
-		return
-	}
-	for id, conn := range cv.conns {
+	for id, conn := range s.children.Load().conns {
 		env.To = id
 		c.sendOn(conn, &env)
 		last, ok := c.childSeen[id]
@@ -379,51 +393,52 @@ func (c *control) doHeartbeat() {
 	}
 }
 
-// snaps returns the latest mailbox snapshot of every shard (entries may be
-// nil before the first tick). The backing slice is loop-owned scratch,
-// valid until the next call.
+// snaps returns the latest mailbox snapshot of every shard. The backing
+// slice is loop-owned scratch, valid until the next call.
 func (c *control) snaps() []*shardSnap {
-	if cap(c.snapsBuf) < len(c.s.shards) {
-		c.snapsBuf = make([]*shardSnap, len(c.s.shards))
-	}
-	out := c.snapsBuf[:len(c.s.shards)]
 	for i, sh := range c.s.shards {
-		out[i] = sh.snap.Load()
+		c.snapsBuf[i] = sh.snap.Load()
 	}
-	return out
+	return c.snapsBuf
 }
 
 // sumLoad totals the shards' served rates from their snapshots.
 func sumLoad(snaps []*shardSnap) float64 {
 	load := 0.0
 	for _, sn := range snaps {
-		if sn != nil {
-			load += sn.load
-		}
+		load += sn.load
 	}
 	return load
 }
 
-// doGossip sends this node's load figure to every tree neighbor. One
-// envelope is built per tick and reused across neighbors; transports copy
-// or serialize it per send.
+// doGossip tells each tree neighbor this node's load figure when it has
+// news for it (gossipTo); most periods under steady load send nothing.
 func (c *control) doGossip() {
 	s := c.s
 	load := sumLoad(c.snaps())
-	env := &c.gossipEnv
-	*env = netproto.Envelope{Kind: netproto.TypeGossip, From: s.cfg.ID, Load: load}
 	if pl := s.parentLink(); pl != nil {
-		env.To = pl.id
-		c.sendOn(pl.conn, env)
-		c.nGossip++
+		c.gossipTo(pl.id, pl.conn, load, false)
 	}
-	if cv := s.children.Load(); cv != nil {
-		for id, conn := range cv.conns {
-			env.To = id
-			c.sendOn(conn, env)
-			c.nGossip++
-		}
+	for id, conn := range s.children.Load().conns {
+		c.gossipTo(id, conn, load, false)
 	}
+}
+
+// gossipTo sends one neighbor the load figure if it differs from the one
+// it was last sent by more than the rate estimator's own noise, if that one
+// is a full Window old (it describes none of the current sample, and the
+// re-send heals a lost frame), or at once when asked: a neighbor that just
+// attached. The envelope is loop-owned scratch; transports copy it per send.
+func (c *control) gossipTo(id int, conn transport.Conn, load float64, atOnce bool) {
+	window := c.s.cfg.Window
+	if last, ok := c.sent[id]; ok && !atOnce && c.now.Sub(last.at) < window &&
+		math.Abs(load-last.load) <= rateNoise(max(load, last.load), window) {
+		return
+	}
+	c.sent[id] = sentLoad{load: load, at: c.now}
+	c.gossipEnv = netproto.Envelope{Kind: netproto.TypeGossip, From: c.s.cfg.ID, To: id, Load: load}
+	c.sendOn(conn, &c.gossipEnv)
+	c.nGossip++
 }
 
 // alpha returns the diffusion parameter: configured, or 1/(degree+1).
@@ -431,10 +446,7 @@ func (c *control) alpha() float64 {
 	if c.s.cfg.Alpha > 0 {
 		return c.s.cfg.Alpha
 	}
-	deg := 0
-	if cv := c.s.children.Load(); cv != nil {
-		deg = len(cv.conns)
-	}
+	deg := len(c.s.children.Load().conns)
 	if c.s.parentLink() != nil {
 		deg++
 	}
@@ -450,6 +462,22 @@ func (c *control) doDiffusion() {
 	load := sumLoad(snaps)
 	a := c.alpha()
 	gotDelegate := s.gotDelegate.Swap(false)
+
+	// A step works from the neighbors' figures and the shards' snapshots,
+	// and a shard publishes only what moved: with no news from either it
+	// would find what the last step found. Replication forests still
+	// observe: their hysteresis counts periods.
+	quiet := !c.moved && !gotDelegate
+	for i, sn := range snaps {
+		if sn.epoch != c.stepEpochs[i] {
+			c.stepEpochs[i], quiet = sn.epoch, false
+		}
+	}
+	c.moved = false
+	if quiet {
+		c.doPromotion(snaps)
+		return
+	}
 
 	// (2.1) Delegate down to less-loaded children, capped by A_j.
 	for id, childLoad := range c.childLoad {
@@ -495,15 +523,8 @@ func (c *control) delegateDown(child int, want float64, snaps []*shardSnap) {
 	if c.s.childConn(child) == nil {
 		return
 	}
-	type cand struct {
-		doc core.DocID
-		cap float64
-	}
-	var cands []cand
+	cands := c.cands[:0]
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		flows := sn.flows[child]
 		for doc, flow := range flows {
 			if !c.s.holdsCopy(doc) {
@@ -515,16 +536,14 @@ func (c *control) delegateDown(child int, want float64, snaps []*shardSnap) {
 				cap = srv // can only hand off duty we are actually carrying
 			}
 			if cap > 0 {
-				cands = append(cands, cand{doc: doc, cap: cap})
+				cands = append(cands, dutyCand{doc: doc, cap: cap})
 			}
 		}
 	}
+	c.cands = cands
 	// Largest stream first, deterministic tie-break by doc id.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cap != cands[j].cap {
-			return cands[i].cap > cands[j].cap
-		}
-		return cands[i].doc < cands[j].doc
+	slices.SortFunc(cands, func(x, y dutyCand) int {
+		return cmp.Or(cmp.Compare(y.cap, x.cap), cmp.Compare(x.doc, y.doc))
 	})
 	moved := 0.0
 	for _, cd := range cands {
@@ -548,9 +567,6 @@ func (c *control) shedUp(want float64, snaps []*shardSnap) {
 	}
 	shed := 0.0
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		for doc, srv := range sn.served {
 			if shed >= want {
 				return
@@ -575,11 +591,9 @@ func (c *control) shedUp(want float64, snaps []*shardSnap) {
 func (c *control) claimPassing(want float64, snaps []*shardSnap) float64 {
 	claimed := 0.0
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		// Union of docs with observed flow, totaled across senders.
-		flowOf := make(map[core.DocID]float64, 16)
+		flowOf := c.flowOf
+		clear(flowOf)
 		for _, flows := range sn.flows {
 			for doc, r := range flows {
 				flowOf[doc] += r
@@ -618,9 +632,6 @@ func (c *control) tunnel(load float64, snaps []*shardSnap) {
 	var best core.DocID
 	bestFlow := 0.0
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		for _, flows := range sn.flows {
 			for doc, r := range flows {
 				if r > bestFlow && !s.holdsCopy(doc) {
@@ -684,9 +695,6 @@ func (c *control) snapshot() *netproto.Stats {
 	st.ShardSnapEpochs = make([]uint64, len(snaps))
 	var rs router.Stats
 	for i, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		st.ShardSnapEpochs[i] = sn.epoch
 		st.Load += sn.load
 		st.Served += sn.counters.served
@@ -768,14 +776,7 @@ func (c *control) freshSnaps() []*shardSnap {
 	// that an idle shard always answers (the harness asserts scrape
 	// freshness), short enough that a wedged shard costs a few gossip
 	// periods of control-loop time, not a fixed second.
-	wait := 8 * s.cfg.GossipPeriod
-	if wait < 200*time.Millisecond {
-		wait = 200 * time.Millisecond
-	}
-	if wait > time.Second {
-		wait = time.Second
-	}
-	timeout := time.NewTimer(wait)
+	timeout := time.NewTimer(min(max(8*s.cfg.GossipPeriod, 200*time.Millisecond), time.Second))
 	defer timeout.Stop()
 	got := 0
 	for got < asked {

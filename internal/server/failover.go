@@ -87,13 +87,6 @@ func (s *Server) handshake(addr string) (transport.Conn, int, bool) {
 	}
 	s.stampAndSend(conn, &netproto.Envelope{Kind: netproto.TypePing, From: s.cfg.ID})
 
-	wait := 4 * s.cfg.GossipPeriod
-	if wait < 100*time.Millisecond {
-		wait = 100 * time.Millisecond
-	}
-	if wait > time.Second {
-		wait = time.Second
-	}
 	pong := make(chan int, 1)
 	s.wg.Add(1)
 	go func() {
@@ -113,7 +106,7 @@ func (s *Server) handshake(addr string) (transport.Conn, int, bool) {
 			// candidate is not our parent until the handshake completes.
 		}
 	}()
-	timeout := time.NewTimer(wait)
+	timeout := time.NewTimer(min(max(4*s.cfg.GossipPeriod, 100*time.Millisecond), time.Second))
 	defer timeout.Stop()
 	select {
 	case id := <-pong:

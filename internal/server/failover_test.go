@@ -222,15 +222,15 @@ func TestChildDutyLedgerArithmetic(t *testing.T) {
 	if sh.targets["d"] != before {
 		t.Fatalf("reclaim changed targets: %v -> %v", before, sh.targets["d"])
 	}
-	if sh.nReclaimedDuty != 3 {
-		t.Fatalf("reclaimed counter = %v, want 3", sh.nReclaimedDuty)
+	if sh.n.reclaimedDuty != 3 {
+		t.Fatalf("reclaimed counter = %v, want 3", sh.n.reclaimedDuty)
 	}
 
 	// Child losses re-absorb exactly the outstanding ledger entries.
 	sh.absorbChildDuty(7)
 	sh.absorbChildDuty(9)
-	if sh.nAbsorbedDuty != 1.5+3 {
-		t.Fatalf("absorbed = %v, want 4.5", sh.nAbsorbedDuty)
+	if sh.n.absorbedDuty != 1.5+3 {
+		t.Fatalf("absorbed = %v, want 4.5", sh.n.absorbedDuty)
 	}
 	// Conservation: delegated duty either came back (shed) or was absorbed.
 	if got := sh.targets["d"]; got != 1.5+1+1.5+3 {
@@ -263,8 +263,8 @@ func TestStrandedDutyParksWhileOrphaned(t *testing.T) {
 	if got := sh.strandedDuty["x"]; got != 3 {
 		t.Fatalf("stranded duty = %v, want 3 parked while orphaned", got)
 	}
-	if sh.nAbsorbedDuty != 0 {
-		t.Fatalf("absorbed = %v, want 0 (nothing held)", sh.nAbsorbedDuty)
+	if sh.n.absorbedDuty != 0 {
+		t.Fatalf("absorbed = %v, want 0 (nothing held)", sh.n.absorbedDuty)
 	}
 	// A repaired parent link flushes the parked duty upward.
 	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})

@@ -105,9 +105,11 @@ func TestFastPathServesPinnedDocs(t *testing.T) {
 // server — and the budget must hold. Forty documents share the index's
 // buckets: a publish, an unpublish and a reap each rewrite a bucket other
 // documents are being served from, and no serve counted on an entry may be
-// lost on the way. With one shard every rewrite is the owner's own; with
-// four, one shard's admit evicts documents another shard publishes, so
-// readers also race the cross-shard kill and its eviction note.
+// lost on the way — nor may the owner's flat entry list, which its ticks
+// drain from, drift from the index. With one shard every rewrite is the
+// owner's own; with four, one shard's admit evicts documents another shard
+// publishes, so readers also race the cross-shard kill and its eviction
+// note.
 func TestFastPathRaceEvictRepublish(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -124,7 +126,7 @@ func raceEvictRepublish(t *testing.T, shards int) {
 		docs[i] = core.DocID(fmt.Sprintf("d%d", i))
 		bodies[docs[i]] = []byte(fmt.Sprintf("body-%02d-0123456789", i))
 	}
-	startServer(t, Config{
+	s := startServer(t, Config{
 		ID: 0, Addr: "root", ParentID: -1,
 		Docs:    map[core.DocID][]byte{"home": []byte("pinned")},
 		Network: netw,
@@ -242,6 +244,13 @@ func raceEvictRepublish(t *testing.T, shards int) {
 	if st.MaxCacheBytes > 64+pinned {
 		t.Fatalf("budget violated under churn: high-water %d > %d", st.MaxCacheBytes, 64+pinned)
 	}
+	// The shards' ticks drain from a flat list of their entries and read
+	// rates from a list of live windows; after all that churn both must
+	// still agree with the index and the windows they stand for.
+	s.Stop()
+	for _, sh := range s.shards {
+		checkShardLists(t, sh)
+	}
 }
 
 // TestPubIndexBucketRewriteKeepsSiblings: documents that share a bucket
@@ -268,7 +277,11 @@ func TestPubIndexBucketRewriteKeepsSiblings(t *testing.T) {
 	check := func(what string, want ...*pubEntry) {
 		t.Helper()
 		seen := 0
-		ix.each(func(core.DocID, *pubEntry) { seen++ })
+		for i := range ix {
+			if m := ix[i].Load(); m != nil {
+				seen += len(*m)
+			}
+		}
 		live := 0
 		for i, d := range docs {
 			if got := ix.get(shardHash(d), d); got != want[i] {

@@ -80,7 +80,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		sh.applyEvictions(evs) // earlier-recovered docs may spill back to disk-only
 		sh.installFilter(doc)
 		if st.Rate > 0 {
-			sh.targets[doc] = st.Rate
+			sh.addTarget(doc, st.Rate)
 		}
 		if sh.jTargets == nil {
 			sh.jTargets = make(map[core.DocID]float64, 16)
@@ -203,24 +203,24 @@ func (sh *shard) journalDrop(doc core.DocID) {
 
 // journalTick runs on the shard's maintenance tick: append a target
 // record for every admitted document whose duty moved since the last
-// tick, then push pending records toward stable storage (rate-limited
-// inside MaybeSync).
+// tick (addTarget and dropDuty note them in jMoved), then push pending
+// records toward stable storage (rate-limited inside MaybeSync).
 func (sh *shard) journalTick() {
 	j := sh.s.journal
 	if j == nil {
 		return
 	}
 	const eps = 1e-6
-	for doc, last := range sh.jTargets {
-		rate, live := sh.targets[doc]
-		if !live {
-			rate = 0 // target dissolved without a drop (a demotion): journal the zero
-		}
-		if rate-last < eps && last-rate < eps {
+	for _, doc := range sh.jMoved {
+		last, admitted := sh.jTargets[doc]
+		// A target dissolved without a drop (a demotion) journals its zero.
+		rate := sh.targets[doc]
+		if !admitted || rate-last < eps && last-rate < eps {
 			continue
 		}
 		_ = j.Append(diskstore.OpTarget, doc, rate)
 		sh.jTargets[doc] = rate
 	}
+	sh.jMoved = sh.jMoved[:0]
 	j.MaybeSync(sh.now)
 }

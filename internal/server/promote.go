@@ -103,9 +103,6 @@ func (c *control) promoteTick(snaps []*shardSnap) {
 func (c *control) demandByDoc(snaps []*shardSnap) map[core.DocID]float64 {
 	heat := make(map[core.DocID]float64, 16)
 	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
 		for _, flows := range sn.flows {
 			for doc, r := range flows {
 				heat[doc] += r
@@ -251,13 +248,9 @@ func (c *control) announceReplicas(snaps []*shardSnap) {
 		return // orphaned: reclaim replay re-announces duty after failover
 	}
 	for doc := range c.replicaDocs {
-		rate := 0.0
-		if sn := snaps[c.s.shardIndex(doc)]; sn != nil {
-			rate = sn.served[doc]
-		}
 		c.sendOn(pl.conn, &netproto.Envelope{
 			Kind: netproto.TypePromote, From: c.s.cfg.ID, To: pl.id,
-			Doc: doc, Rate: rate,
+			Doc: doc, Rate: snaps[c.s.shardIndex(doc)].served[doc],
 		})
 	}
 }
@@ -286,9 +279,6 @@ func (c *control) forestChildGone(gone int) {
 // childIDs returns the registered children, deterministically ordered.
 func (c *control) childIDs() []int {
 	cv := c.s.children.Load()
-	if cv == nil {
-		return nil
-	}
 	ids := make([]int, 0, len(cv.conns))
 	for id := range cv.conns {
 		ids = append(ids, id)
@@ -330,10 +320,7 @@ func (sh *shard) promoteOut(child int, doc core.DocID, rate float64) {
 	if conn == nil || !sh.s.holdsCopy(doc) {
 		return
 	}
-	sh.targets[doc] -= rate
-	if sh.targets[doc] < 0 {
-		sh.targets[doc] = 0
-	}
+	sh.addTarget(doc, -rate)
 	sh.dutyLedger(child)[doc] += rate
 	body, _ := sh.s.bodyOf(doc) // a handoff is not local demand
 	sh.sendOn(conn, &netproto.Envelope{
@@ -355,8 +342,7 @@ func (sh *shard) promoteIn(doc core.DocID, rate float64, body []byte, ver uint64
 		sh.admit(doc, body, ver)
 	}
 	if sh.s.holdsCopy(doc) {
-		sh.targets[doc] += rate
-		sh.refreshCredit(doc) // arm the fast path without waiting a tick
+		sh.addTarget(doc, rate) // arm the fast path without waiting a tick
 	}
 }
 
@@ -371,8 +357,5 @@ func (sh *shard) demoteLocal(doc core.DocID) {
 	}
 	sh.rt.Remove(doc)
 	sh.unpublish(doc)
-	residual := sh.targets[doc]
-	delete(sh.targets, doc)
-	delete(sh.served, doc)
-	sh.hintUp(doc, residual)
+	sh.hintUp(doc, sh.dropDuty(doc))
 }

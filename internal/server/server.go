@@ -412,6 +412,7 @@ func New(cfg Config) (*Server, error) {
 		events:  make(chan event, cfg.QueueDepth),
 		stopped: make(chan struct{}),
 	}
+	s.children.Store(&childView{conns: map[int]transport.Conn{}})
 	s.shards = make([]*shard, cfg.NumShards)
 	for i := range s.shards {
 		s.shards[i] = newShard(s, i)
@@ -473,13 +474,11 @@ func (s *Server) shardFor(doc core.DocID) *shard { return s.shards[s.shardIndex(
 // copy with no serve history yet is not evicted on arrival). Pass-through
 // flow is deliberately excluded — requests that stream through but are
 // served elsewhere must not make a bystander copy look hot. The figures
-// come from the owning shard's snapshot mailbox (at most one tick stale),
+// come from the owning shard's snapshot mailbox (at most one tick stale:
+// under the Heat policy shards rebuild the maps every tick they moved),
 // which makes the readout safe from any shard loop.
 func (s *Server) docHeat(doc core.DocID) float64 {
 	snap := s.shardFor(doc).snap.Load()
-	if snap == nil {
-		return 0
-	}
 	return snap.targets[doc] + snap.served[doc]
 }
 
@@ -749,11 +748,7 @@ func (ls *laneSender) flushDirty() {
 
 // childConn returns the registered child's connection, if any.
 func (s *Server) childConn(id int) transport.Conn {
-	cv := s.children.Load()
-	if cv == nil {
-		return nil
-	}
-	return cv.conns[id]
+	return s.children.Load().conns[id]
 }
 
 // parentLink returns the current upward edge, nil at the root or while

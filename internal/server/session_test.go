@@ -70,8 +70,8 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 0, Doc: "d", Origin: 9, ReqID: 3, MinVersion: 2,
 	}, conn: c2})
-	if sh.nSessionRefreshes != 2 {
-		t.Fatalf("session refreshes = %d, want 2", sh.nSessionRefreshes)
+	if sh.n.sessionRefreshes != 2 {
+		t.Fatalf("session refreshes = %d, want 2", sh.n.sessionRefreshes)
 	}
 	if fl := sh.inflight["d"]; fl == nil || len(fl.waiters) != 2 {
 		t.Fatalf("parked flight = %+v, want 2 waiters", sh.inflight["d"])
@@ -146,8 +146,8 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 1, Doc: "d", Origin: 7, ReqID: 1, MinVersion: 2,
 	}, conn: lead})
-	if sh.nSessionRefreshes != 1 {
-		t.Fatalf("session refreshes = %d, want 1", sh.nSessionRefreshes)
+	if sh.n.sessionRefreshes != 1 {
+		t.Fatalf("session refreshes = %d, want 1", sh.n.sessionRefreshes)
 	}
 	if !sh.staleDocs["d"] {
 		t.Fatal("gate did not mark the bypassed copy stale")
@@ -182,9 +182,9 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if len(w2.sent) != 0 {
 		t.Fatal("floor-3 waiter answered with a version-2 body")
 	}
-	if sh.nLeaseRefreshes != 1 || sh.staleDocs["d"] {
+	if sh.n.leaseRefreshes != 1 || sh.staleDocs["d"] {
 		t.Fatalf("lease refreshes = %d, stale = %v; want the passing response to repair the copy",
-			sh.nLeaseRefreshes, sh.staleDocs["d"])
+			sh.n.leaseRefreshes, sh.staleDocs["d"])
 	}
 	if body, held := s.cache.Peek("d"); !held || string(body) != "b2" {
 		t.Fatalf("held body = %q (%v) after refresh, want b2", body, held)

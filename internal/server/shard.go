@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,16 +50,11 @@ func (ix *pubIndex) get(h uint32, doc core.DocID) *pubEntry {
 // modified copy of doc's bucket. Owner loop only.
 func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
 	b := &ix[pubBucket(shardHash(doc))]
-	var old pubMap
+	nm := pubMap{}
 	if m := b.Load(); m != nil {
-		old = *m
+		nm = maps.Clone(*m)
 	}
-	nm := make(pubMap, len(old)+1)
-	for k, v := range old {
-		if k != doc {
-			nm[k] = v
-		}
-	}
+	delete(nm, doc)
 	if e != nil {
 		nm[doc] = e
 	}
@@ -67,18 +63,6 @@ func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
 		return
 	}
 	b.Store(&nm)
-}
-
-// each calls fn for every entry, tombstones included. Owner loop only, and
-// fn must not write the index.
-func (ix *pubIndex) each(fn func(core.DocID, *pubEntry)) {
-	for i := range ix {
-		if m := ix[i].Load(); m != nil {
-			for doc, e := range *m {
-				fn(doc, e)
-			}
-		}
-	}
 }
 
 // pubEntry is one published document. The body is immutable; the atomics
@@ -99,8 +83,8 @@ type pubEntry struct {
 	// gets around to unpublishing.
 	dead atomic.Bool
 	// credits is the admission budget for gated copies: the owning shard
-	// refreshes it each tick to the window the exact filter would admit
-	// (target − served rate, scaled to the tick); the fast path spends one
+	// tops it up with what the exact filter would admit (target − served
+	// rate, over the time since the last top-up); the fast path spends one
 	// per serve and falls back to the shard queue when exhausted.
 	credits atomic.Int64
 	// served counts fast-path serves since the owner last drained them
@@ -110,6 +94,12 @@ type pubEntry struct {
 	// injected) since the last drain — the A_j^d accounting the diffusion
 	// protocol needs, kept even for requests that never touch a loop.
 	flows atomic.Pointer[map[int]*atomic.Int64]
+
+	// Owner-loop bookkeeping, never read by the fast path.
+	doc      core.DocID
+	slot     int       // position in shard.entries, -1 once out of the index
+	hot      bool      // on shard.hot
+	creditAt time.Time // when credits were last earned (zero = never)
 }
 
 // bumpFlow counts one fast-path arrival from the given sender. New senders
@@ -125,14 +115,9 @@ func (e *pubEntry) bumpFlow(from int) {
 				return
 			}
 		}
-		var nm map[int]*atomic.Int64
-		if m == nil {
-			nm = make(map[int]*atomic.Int64, 4)
-		} else {
-			nm = make(map[int]*atomic.Int64, len(*m)+1)
-			for k, v := range *m {
-				nm[k] = v
-			}
+		nm := make(map[int]*atomic.Int64, 4)
+		if m != nil {
+			nm = maps.Clone(*m)
 		}
 		c := new(atomic.Int64)
 		nm[from] = c
@@ -146,15 +131,19 @@ func (e *pubEntry) bumpFlow(from int) {
 // shardSnap is the epoch-stamped snapshot a shard publishes to its mailbox:
 // the aggregate heat/duty figures the control loop reads for gossip and
 // diffusion, and other shards read for eviction ranking — all without
-// touching loop-owned state.
+// touching loop-owned state. A tick publishes only when a figure moved, and
+// the per-document maps are immutable and shared between successive
+// snapshots until a consumer needs them fresh (publishSnap).
 type shardSnap struct {
-	// epoch increments per publication; it stops advancing when a wedged
-	// shard misses its (non-blocking, skippable) ticks, and the stats
-	// scrape exposes it per shard so exactly that is observable.
+	// epoch increments per publication. Every stats scrape publishes, so an
+	// epoch frozen across scrapes means a shard loop too wedged to answer
+	// one — the scrape exposes it per shard so exactly that is observable.
 	epoch      uint64
 	load       float64 // served req/s over the window, fast path included
 	pendingLen int
 
+	// Per-document figures, zero entries omitted (readers index the maps,
+	// and a missing key reads as zero).
 	targets map[core.DocID]float64
 	served  map[core.DocID]float64         // measured served rates
 	flows   map[int]map[core.DocID]float64 // per sender id; -1 = local demand
@@ -205,10 +194,10 @@ type shard struct {
 	now         time.Time // loop-owned clock, read once per event batch
 	rt          *router.Router
 	targets     map[core.DocID]float64
-	served      map[core.DocID]*rateWindow
+	served      map[core.DocID]*docWindow
 	totalServed *rateWindow
-	localFlow   map[core.DocID]*rateWindow
-	childFlow   map[int]map[core.DocID]*rateWindow // A_j^d estimates
+	localFlow   map[core.DocID]*docWindow
+	childFlow   map[int]map[core.DocID]*docWindow // A_j^d estimates
 	// childDuty is the per-child delegated-duty ledger: how much serve duty
 	// for each document is believed to live at (or below) each child —
 	// credited by outgoing delegations and incoming reclaims, debited when
@@ -233,27 +222,37 @@ type shard struct {
 	lastSweep time.Time
 	lastReap  time.Time
 
-	// Counters (loop-owned; exported via snapshots).
-	nServed, nForwarded, nCoalesced  int64 // nServed: queued serves only, see shardCounters
-	nDelegIn, nDelegOut              int64
-	nShedIn, nShedOut, nEvictHintsIn int64
-	nDiskHits                        int64
-	nRepublishesIn, nInvalidationsIn int64
-	nStaleDrops, nLeaseRefreshes     int64
-	nSessionRefreshes                int64
-	nReclaimedDuty, nAbsorbedDuty    float64
+	// n counts what this loop did (exported via snapshots). n.served holds
+	// the queued serves only and n.fastServed stays zero here: a snapshot
+	// adds the fast path's own counter to both, see shardCounters.
+	n shardCounters
 
 	// jTargets is the last journaled duty per admitted document (persist.go);
-	// nil while the disk tier is disabled. jVers mirrors it for the last
-	// journaled copy version (update.go).
+	// nil, like jMoved, while the disk tier is disabled. jVers mirrors it for
+	// the last journaled copy version (update.go).
 	jTargets map[core.DocID]float64
 	jVers    map[core.DocID]uint64
+	jMoved   []core.DocID // targets moved since the last journalTick
 
 	// Lock-free surfaces.
 	pub         pubIndex                  // publication index (single writer: this loop)
 	snap        atomic.Pointer[shardSnap] // epoch-stamped mailbox
-	epoch       uint64
-	nFastServed atomic.Int64 // cumulative fast-path serves
+	nFastServed atomic.Int64              // cumulative fast-path serves
+
+	// What a tick has to look at, so its cost follows what changed and not
+	// what exists. entries mirrors the index as a flat list (this loop is
+	// its only writer); while nFastServed equals fastDrained, its value at
+	// the last drain, no entry has serves pending. hot lists the gated
+	// entries whose served window holds counts (their credits move as it
+	// slides), live the docWindows counted into since they last read empty
+	// (all a rebuild of the snapshot's rate maps reads); targetsMoved and
+	// ratesAt say whether and when one is due (publishSnap).
+	entries      []*pubEntry
+	fastDrained  int64
+	hot          []*pubEntry
+	live         []*docWindow
+	targetsMoved bool
+	ratesAt      time.Time
 
 	// strandedDuty parks duty that should have been hinted upward (an
 	// eviction's residual, a dead child's un-absorbable ledger) while the
@@ -265,7 +264,7 @@ type shard struct {
 	// Two-phase tombstone reaping: unpublished docs wait here one full
 	// tick before their entries leave the index, so a connection goroutine
 	// that loaded the index just before the tombstone still bumps counters
-	// drainFast can reach.
+	// the drain can reach.
 	tombstoned, tombstonedPrev []core.DocID
 
 	evictMu   sync.Mutex
@@ -281,22 +280,20 @@ func newShard(s *Server, idx int) *shard {
 		now:         time.Now(),
 		rt:          router.New(),
 		targets:     make(map[core.DocID]float64, 16),
-		served:      make(map[core.DocID]*rateWindow, 16),
-		localFlow:   make(map[core.DocID]*rateWindow, 16),
-		childFlow:   make(map[int]map[core.DocID]*rateWindow, 8),
+		served:      make(map[core.DocID]*docWindow, 16),
+		localFlow:   make(map[core.DocID]*docWindow, 16),
+		childFlow:   make(map[int]map[core.DocID]*docWindow, 8),
 		childDuty:   make(map[int]map[core.DocID]float64, 8),
 		pending:     make(map[pendingKey]pendingEntry, 64),
 		inflight:    make(map[core.DocID]*flight, 16),
 		docVer:      make(map[core.DocID]uint64, 16),
 		staleDocs:   make(map[core.DocID]bool, 4),
 		batch:       make([]event, 0, cfg.MaxBatch),
-		totalServed: newRateWindow(cfg.Window, 8),
+		totalServed: newRateWindow(cfg.Window, rateBuckets),
 		laneSender:  laneSender{s: s, lane: idx},
 	}
-	sh.flightRetry = 2 * cfg.GossipPeriod
-	if sh.flightRetry < 20*time.Millisecond {
-		sh.flightRetry = 20 * time.Millisecond
-	}
+	sh.snap.Store(&shardSnap{}) // never nil: readers need no check before the first tick
+	sh.flightRetry = max(2*cfg.GossipPeriod, 20*time.Millisecond)
 	return sh
 }
 
@@ -319,7 +316,7 @@ func (sh *shard) loop() {
 		case <-tick.C:
 			sh.now = time.Now()
 			sh.drainEvicted()
-			sh.tick()
+			sh.tick(false)
 		}
 		sh.flushDirty()
 	}
@@ -356,7 +353,7 @@ drain:
 func (sh *shard) handleCmd(ev event) {
 	switch ev.cmd {
 	case cmdSnap:
-		sh.tick()
+		sh.tick(true)
 		if ev.reply != nil {
 			ev.reply <- sh.snap.Load()
 		}
@@ -371,11 +368,13 @@ func (sh *shard) handleCmd(ev event) {
 		if !sh.s.holdsCopy(ev.doc) {
 			return
 		}
-		sh.targets[ev.doc] += ev.rate
-		sh.refreshCredit(ev.doc) // arm the fast path without waiting a tick
+		sh.addTarget(ev.doc, ev.rate) // arm the fast path without waiting a tick
 	case cmdPreclaim:
-		sh.targets[ev.doc] += ev.rate // tunneled copy still in flight: no cached check
+		sh.addTarget(ev.doc, ev.rate) // tunneled copy still in flight: no cached check
 	case cmdChildGone:
+		for _, w := range sh.childFlow[ev.child] {
+			w.Clear() // may still sit on the live list
+		}
 		delete(sh.childFlow, ev.child)
 		sh.absorbChildDuty(ev.child)
 	case cmdParentRestored:
@@ -405,9 +404,8 @@ func (sh *shard) absorbChildDuty(child int) {
 			continue
 		}
 		if sh.s.holdsCopy(doc) {
-			sh.targets[doc] += rate
-			sh.nAbsorbedDuty += rate
-			sh.refreshCredit(doc)
+			sh.addTarget(doc, rate)
+			sh.n.absorbedDuty += rate
 			continue
 		}
 		sh.hintUp(doc, rate)
@@ -462,9 +460,8 @@ func (sh *shard) parentRestored() {
 	sh.strandedDuty = nil
 	for doc, rate := range stranded {
 		if sh.s.holdsCopy(doc) {
-			sh.targets[doc] += rate
-			sh.nAbsorbedDuty += rate
-			sh.refreshCredit(doc)
+			sh.addTarget(doc, rate)
+			sh.n.absorbedDuty += rate
 			continue
 		}
 		sh.hintUp(doc, rate)
@@ -514,53 +511,54 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 }
 
 // tick is the shard's periodic self-maintenance, driven by its own timer
-// every gossip period (and by cmdSnap for scrapes): fold fast-path
-// activity into the rate windows, refresh admission credits, sweep stale
-// routing state, republish the snapshot mailbox.
-func (sh *shard) tick() {
+// every gossip period (and by cmdSnap for scrapes): fold fast-path activity
+// into the rate windows, top up admission credits, sweep stale routing
+// state, publish what moved to the snapshot mailbox. Each step reads only
+// what changed since the last tick, and a shard with nothing pending and
+// every window empty does no per-entry work and allocates nothing.
+func (sh *shard) tick(scrape bool) {
 	// Read the cumulative fast-serve counter before the drain: every serve
 	// it covers bumped its entry counter first (program order, seq-cst
 	// atomics), so the windows the drain below feeds cover every serve the
-	// snapshot counts.
+	// snapshot counts. Unless it moved since the last drain no entry has
+	// serves pending (one that has bumped its entry but not yet the counter
+	// waits for the next tick); when it did, only entries with serves on
+	// them are folded into the loop-owned rate windows, where gossip,
+	// diffusion and the admission filters see them like queued demand.
 	fast := sh.nFastServed.Load()
-	sh.drainFast()
-	sh.reapTombstones()
-	sh.refreshCredits()
-	sh.journalTick()
-	sweepEvery := sh.s.cfg.PendingTTL / 2
-	if sweepEvery < 10*time.Millisecond {
-		sweepEvery = 10 * time.Millisecond
+	if fast != sh.fastDrained {
+		sh.fastDrained = fast
+		for _, e := range sh.entries {
+			if e.served.Load() != 0 {
+				sh.drainEntry(e)
+			}
+		}
 	}
-	if sh.now.Sub(sh.lastSweep) >= sweepEvery {
+	sh.reapTombstones()
+	sh.refreshHot()
+	sh.journalTick()
+	if sh.now.Sub(sh.lastSweep) >= max(sh.s.cfg.PendingTTL/2, 10*time.Millisecond) {
 		sh.lastSweep = sh.now
 		sh.sweepStale()
 	}
-	sh.publishSnap(fast)
+	sh.publishSnap(fast, scrape)
 }
 
-// drainFast folds the fast path's atomic serve/flow counts into the
-// loop-owned rate windows, so gossip, diffusion and the admission filters
-// see fast-path demand exactly like queued demand. A drained serve also
-// touches the store once, keeping recency-based eviction policies aware
-// that the document is hot.
-func (sh *shard) drainFast() {
-	sh.pub.each(sh.drainEntry)
-}
-
-// drainEntry folds one entry's pending fast-path counts into the windows.
-func (sh *shard) drainEntry(doc core.DocID, e *pubEntry) {
-	now := sh.now
+// drainEntry folds one entry's pending fast-path counts into the windows. A
+// drained serve also touches the store once, keeping recency-based eviction
+// policies aware that the document is hot.
+func (sh *shard) drainEntry(e *pubEntry) {
 	if n := e.served.Swap(0); n > 0 {
-		sh.totalServed.Add(now, float64(n))
-		sh.servedWindow(doc).Add(now, float64(n))
+		sh.countServed(e.doc, float64(n))
+		sh.markHot(e)
 		if !e.dead.Load() {
-			sh.s.cache.Get(doc) // one recency/frequency touch per active tick
+			sh.s.cache.Get(e.doc) // one recency/frequency touch per active tick
 		}
 	}
 	if fm := e.flows.Load(); fm != nil {
 		for from, c := range *fm {
 			if n := c.Swap(0); n > 0 {
-				sh.flowWindow(from, doc).Add(now, float64(n))
+				sh.count(sh.flowWindow(from, e.doc), float64(n))
 			}
 		}
 	}
@@ -581,74 +579,115 @@ func (sh *shard) reapTombstones() {
 	sh.lastReap = sh.now
 	for _, doc := range sh.tombstonedPrev {
 		if e := sh.published(doc); e != nil && e.dead.Load() {
-			sh.drainEntry(doc, e) // final stragglers
+			sh.drainEntry(e) // final stragglers
 			sh.pub.set(doc, nil)
+			sh.delist(e)
 		}
 	}
 	sh.tombstonedPrev = sh.tombstoned
 	sh.tombstoned = nil
 }
 
-// refreshCredits reloads every gated entry's admission budget (see
-// refreshCredit).
-func (sh *shard) refreshCredits() {
-	sh.pub.each(sh.refreshEntryCredit)
+// markHot lists a gated entry for credit top-ups on the coming ticks.
+func (sh *shard) markHot(e *pubEntry) {
+	if !e.hot && !e.always {
+		e.hot = true
+		sh.hot = append(sh.hot, e)
+	}
 }
 
-// publishSnap rebuilds and stores the snapshot mailbox. fast is the
-// cumulative fast-serve count captured before the preceding drain.
-func (sh *shard) publishSnap(fast int64) {
-	sh.epoch++
-	now := sh.now
-	snap := &shardSnap{
-		epoch:      sh.epoch,
+// refreshHot tops up the credits of the hot entries and drops those that
+// left the index or whose served window has emptied: the budget just
+// granted stands until the next serve, which lists them again.
+func (sh *shard) refreshHot() {
+	kept := sh.hot[:0]
+	for _, e := range sh.hot {
+		if e.slot >= 0 && sh.refreshEntryCredit(e) {
+			kept = append(kept, e)
+		} else {
+			e.hot = false
+		}
+	}
+	clear(sh.hot[len(kept):])
+	sh.hot = kept
+}
+
+// publishSnap stores a new snapshot in the mailbox if any figure in it
+// moved since the last one (a scrape always gets a new epoch). fast is the
+// cumulative fast-serve count captured before the preceding drain. Load,
+// counters and filter state are read every tick; the per-document maps are
+// carried over unless a consumer needs them fresh — a scrape, evictions
+// that rank victims by docHeat, or diffusion, once per DiffusionPeriod —
+// and something in them can have moved: a target changed, or a window
+// holds (or in the maps being carried still held) counts.
+func (sh *shard) publishSnap(fast int64, scrape bool) {
+	now, cfg := sh.now, &sh.s.cfg
+	snap := shardSnap{
 		load:       sh.totalServed.Rate(now),
 		pendingLen: len(sh.pending),
-		targets:    make(map[core.DocID]float64, len(sh.targets)),
-		served:     make(map[core.DocID]float64, len(sh.served)),
-		flows:      make(map[int]map[core.DocID]float64, len(sh.childFlow)+1),
-		installed:  sh.rt.Installed(),
 		filter:     sh.rt.Stats(),
-		counters: shardCounters{
-			served: sh.nServed + fast, forwarded: sh.nForwarded, coalesced: sh.nCoalesced,
-			delegIn: sh.nDelegIn, delegOut: sh.nDelegOut,
-			shedIn: sh.nShedIn, shedOut: sh.nShedOut,
-			evictHintsIn:     sh.nEvictHintsIn,
-			diskHits:         sh.nDiskHits,
-			republishesIn:    sh.nRepublishesIn,
-			invalidationsIn:  sh.nInvalidationsIn,
-			staleDrops:       sh.nStaleDrops,
-			leaseRefreshes:   sh.nLeaseRefreshes,
-			sessionRefreshes: sh.nSessionRefreshes,
-			fastServed:       fast,
-			reclaimedDuty:    sh.nReclaimedDuty, absorbedDuty: sh.nAbsorbedDuty,
-		},
+		counters:   sh.n,
 	}
-	for d, t := range sh.targets {
-		snap.targets[d] = t
+	snap.counters.served += fast
+	snap.counters.fastServed = fast
+	prev := sh.snap.Load()
+	snap.installed, snap.targets, snap.served, snap.flows = prev.installed, prev.targets, prev.served, prev.flows
+	heatRanked := cfg.EvictPolicy == cachestore.Heat && cfg.CacheBudgetBytes > 0
+	// Half a tick of slack keeps timer jitter from stretching the cadence.
+	wanted := scrape || heatRanked || now.Sub(sh.ratesAt) >= cfg.DiffusionPeriod-cfg.GossipPeriod/2
+	if wanted && (sh.targetsMoved || len(sh.live)+len(prev.served)+len(prev.flows) > 0) {
+		sh.buildRates(&snap)
+	} else if !scrape && snap.load == prev.load && snap.pendingLen == prev.pendingLen &&
+		snap.filter == prev.filter && snap.counters == prev.counters {
+		return // the mailbox already says all of this
 	}
-	for d, w := range sh.served {
-		snap.served[d] = w.Rate(now)
+	if snap.filter.Installs != prev.filter.Installs || snap.filter.Removals != prev.filter.Removals {
+		snap.installed = sh.rt.Installed()
 	}
-	for child, flows := range sh.childFlow {
-		m := make(map[core.DocID]float64, len(flows))
-		for d, w := range flows {
-			if r := w.Rate(now); r > 0 {
-				m[d] = r
+	snap.epoch = prev.epoch + 1
+	out := new(shardSnap) // allocated only here, so an unchanged tick allocates nothing
+	*out = snap
+	sh.snap.Store(out)
+}
+
+// buildRates fills snap's per-document maps from the live windows and, if
+// they moved, the targets, and drops the windows that have emptied from the
+// live list.
+func (sh *shard) buildRates(snap *shardSnap) {
+	sh.ratesAt = sh.now
+	if sh.targetsMoved {
+		sh.targetsMoved = false
+		snap.targets = make(map[core.DocID]float64, len(sh.targets))
+		for d, t := range sh.targets {
+			if t > 0 {
+				snap.targets[d] = t
 			}
 		}
-		snap.flows[child] = m
 	}
-	if len(sh.localFlow) > 0 {
-		m := make(map[core.DocID]float64, len(sh.localFlow))
-		for d, w := range sh.localFlow {
-			if r := w.Rate(now); r > 0 {
-				m[d] = r
-			}
+	was := snap.flows // the maps being replaced size their successors
+	snap.served = make(map[core.DocID]float64, len(snap.served))
+	snap.flows = make(map[int]map[core.DocID]float64, len(was))
+	kept := sh.live[:0]
+	for _, w := range sh.live {
+		r := w.Rate(sh.now)
+		if r <= 0 {
+			w.live = false
+			continue
 		}
-		snap.flows[-1] = m
+		kept = append(kept, w)
+		if w.from == servedRate {
+			snap.served[w.doc] = r
+			continue
+		}
+		m := snap.flows[w.from]
+		if m == nil {
+			m = make(map[core.DocID]float64, len(was[w.from]))
+			snap.flows[w.from] = m
+		}
+		m[w.doc] = r
 	}
-	sh.snap.Store(snap)
+	clear(sh.live[len(kept):])
+	sh.live = kept
 }
 
 // drainEvicted applies eviction cleanups posted by other shards' Puts.
@@ -690,15 +729,32 @@ func (sh *shard) published(doc core.DocID) *pubEntry {
 }
 
 // publish installs (or refreshes) a document in the copy-on-write
-// publication index, stamping the copy's version for response frames.
+// publication index, stamping the copy's version for response frames, and
+// arms its fast-path budget for the target the document carries right now.
 // Owner loop only (single writer). Counts still pending on a replaced
 // entry (a refresh, or a tombstone being republished) are drained first so
 // no fast-path serves vanish from the rate windows.
 func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
 	if prev := sh.published(doc); prev != nil {
-		sh.drainEntry(doc, prev)
+		sh.drainEntry(prev)
+		sh.delist(prev)
 	}
-	sh.pub.set(doc, &pubEntry{body: body, always: always, version: version})
+	e := &pubEntry{body: body, always: always, version: version, doc: doc, slot: len(sh.entries)}
+	sh.entries = append(sh.entries, e)
+	sh.pub.set(doc, e)
+	if sh.refreshEntryCredit(e) {
+		sh.markHot(e) // the document is being served: its budget moves with the window
+	}
+}
+
+// delist takes an entry that left the index out of the flat list.
+func (sh *shard) delist(e *pubEntry) {
+	last := len(sh.entries) - 1
+	moved := sh.entries[last]
+	sh.entries[e.slot], moved.slot = moved, e.slot
+	sh.entries[last] = nil
+	sh.entries = sh.entries[:last]
+	e.slot = -1
 }
 
 // unpublish tombstones a document in the publication index (owner loop
@@ -710,18 +766,34 @@ func (sh *shard) unpublish(doc core.DocID) {
 		return
 	}
 	e.dead.Store(true)
-	sh.drainEntry(doc, e)
+	sh.drainEntry(e)
 	sh.tombstoned = append(sh.tombstoned, doc)
 }
 
-// servedWindow returns (creating if needed) the served-rate window for doc.
-func (sh *shard) servedWindow(doc core.DocID) *rateWindow {
+// count records n events in a per-document window and lists the window as
+// live, so the next rebuild of the snapshot's rate maps reads it.
+func (sh *shard) count(w *docWindow, n float64) {
+	w.Add(sh.now, n)
+	if !w.live {
+		w.live = true
+		sh.live = append(sh.live, w)
+	}
+}
+
+// countServed records n serves of doc in the node-wide and per-document
+// served-rate windows.
+func (sh *shard) countServed(doc core.DocID, n float64) {
+	sh.totalServed.Add(sh.now, n)
 	w := sh.served[doc]
 	if w == nil {
-		w = newRateWindow(sh.s.cfg.Window, 8)
+		w = sh.newWindow(doc, servedRate)
 		sh.served[doc] = w
 	}
-	return w
+	sh.count(w, n)
+}
+
+func (sh *shard) newWindow(doc core.DocID, from int) *docWindow {
+	return &docWindow{rateWindow: *newRateWindow(sh.s.cfg.Window, rateBuckets), doc: doc, from: from}
 }
 
 // flowWindow returns the arrival-rate window for doc as seen from sender
@@ -732,26 +804,54 @@ func (sh *shard) servedWindow(doc core.DocID) *rateWindow {
 // child's first requests overtake its registering gossip across the shard
 // and control queues — the single event loop's per-connection FIFO no
 // longer orders those two.
-func (sh *shard) flowWindow(from int, doc core.DocID) *rateWindow {
+func (sh *shard) flowWindow(from int, doc core.DocID) *docWindow {
+	flows := sh.localFlow
 	if from >= 0 {
-		flows := sh.childFlow[from]
-		if flows == nil {
-			flows = make(map[core.DocID]*rateWindow, 16)
+		if flows = sh.childFlow[from]; flows == nil {
+			flows = make(map[core.DocID]*docWindow, 16)
 			sh.childFlow[from] = flows
 		}
-		w := flows[doc]
-		if w == nil {
-			w = newRateWindow(sh.s.cfg.Window, 8)
-			flows[doc] = w
-		}
-		return w
+	} else {
+		from = -1
 	}
-	w := sh.localFlow[doc]
+	w := flows[doc]
 	if w == nil {
-		w = newRateWindow(sh.s.cfg.Window, 8)
-		sh.localFlow[doc] = w
+		w = sh.newWindow(doc, from)
+		flows[doc] = w
 	}
 	return w
+}
+
+// addTarget moves doc's serve target by delta, never below zero, and
+// re-arms the copy's fast-path budget for the new figure instead of
+// leaving that to the next tick.
+func (sh *shard) addTarget(doc core.DocID, delta float64) {
+	sh.targets[doc] = max(sh.targets[doc]+delta, 0)
+	sh.noteTarget(doc)
+	if e := sh.published(doc); e != nil {
+		sh.refreshEntryCredit(e)
+	}
+}
+
+// noteTarget records a changed target for the snapshot and the journal.
+func (sh *shard) noteTarget(doc core.DocID) {
+	sh.targetsMoved = true
+	if sh.s.journal != nil {
+		sh.jMoved = append(sh.jMoved, doc)
+	}
+}
+
+// dropDuty forgets doc's serve target and served-rate window — the copy is
+// gone, or its replica dissolved — and returns the target it carried.
+func (sh *shard) dropDuty(doc core.DocID) float64 {
+	residual := sh.targets[doc]
+	delete(sh.targets, doc)
+	sh.noteTarget(doc)
+	if w := sh.served[doc]; w != nil {
+		w.Clear() // may still sit on the live list
+		delete(sh.served, doc)
+	}
+	return residual
 }
 
 func (sh *shard) handle(ev event) {
@@ -779,7 +879,7 @@ func (sh *shard) handle(ev event) {
 		sh.maybeLeaseRefresh(env)
 
 	case netproto.TypeDelegate:
-		sh.nDelegIn++
+		sh.n.delegIn++
 		sh.s.gotDelegate.Store(true)
 		if env.Body != nil {
 			// A copy that does not fit under the byte budget is simply not
@@ -788,8 +888,7 @@ func (sh *shard) handle(ev event) {
 			sh.admit(env.Doc, env.Body, env.DocVersion)
 		}
 		if sh.s.holdsCopy(env.Doc) {
-			sh.targets[env.Doc] += env.Rate
-			sh.refreshCredit(env.Doc) // arm the fast path without waiting a tick
+			sh.addTarget(env.Doc, env.Rate) // arm the fast path without waiting a tick
 			sh.sendOn(ev.conn, &netproto.Envelope{
 				Kind: netproto.TypeDelegateAck, From: sh.s.cfg.ID, To: env.From,
 				Doc: env.Doc, Rate: env.Rate,
@@ -800,14 +899,13 @@ func (sh *shard) handle(ev event) {
 		// Accepted in full in this implementation; nothing to reconcile.
 
 	case netproto.TypeShed:
-		sh.nShedIn++
+		sh.n.shedIn++
 		// Duty coming back up is no longer the sender's: debit its ledger.
 		sh.dropLedgerDuty(env.From, env.Doc, env.Rate)
 		// Pick up shed duty only for documents we hold (either tier);
 		// otherwise the request flow simply continues to the home server.
 		if sh.s.holdsCopy(env.Doc) {
-			sh.targets[env.Doc] += env.Rate
-			sh.refreshCredit(env.Doc)
+			sh.addTarget(env.Doc, env.Rate)
 		}
 
 	case netproto.TypeEvict:
@@ -815,11 +913,10 @@ func (sh *shard) handle(ev event) {
 		// serve duty it abandoned if we still hold the document; otherwise
 		// the flow simply continues toward the home server, which always
 		// can serve (origin copies are pinned).
-		sh.nEvictHintsIn++
+		sh.n.evictHintsIn++
 		sh.dropLedgerDuty(env.From, env.Doc, env.Rate)
 		if sh.s.holdsCopy(env.Doc) {
-			sh.targets[env.Doc] += env.Rate
-			sh.refreshCredit(env.Doc)
+			sh.addTarget(env.Doc, env.Rate)
 		}
 
 	case netproto.TypeReclaim:
@@ -828,7 +925,7 @@ func (sh *shard) handle(ev event) {
 		// the evict-hint path debits — so a later loss of this child
 		// re-absorbs exactly what lives below the repaired edge. The duty
 		// itself stays at the child; nothing is added to our own targets.
-		sh.nReclaimedDuty += env.Rate
+		sh.n.reclaimedDuty += env.Rate
 		sh.dutyLedger(env.From)[env.Doc] += env.Rate
 
 	case netproto.TypeTunnelFetch:
@@ -846,11 +943,11 @@ func (sh *shard) handle(ev event) {
 		}
 
 	case netproto.TypeTunnelReply:
-		if env.Body != nil && sh.admit(env.Doc, env.Body, env.DocVersion) {
+		if env.Body != nil {
 			// The tunnel's pre-claim raised the target before the copy
-			// existed; arm the fast path now instead of one tick late —
-			// the burst that triggered tunneling is happening right now.
-			sh.refreshCredit(env.Doc)
+			// existed; publishing arms the fast path for it at once — the
+			// burst that triggered tunneling is happening right now.
+			sh.admit(env.Doc, env.Body, env.DocVersion)
 		}
 
 	case netproto.TypeRepublish:
@@ -861,31 +958,37 @@ func (sh *shard) handle(ev event) {
 	}
 }
 
-// refreshCredit re-arms one gated entry's fast-path budget after a target
-// change, instead of leaving the fast path cold until the next tick.
-func (sh *shard) refreshCredit(doc core.DocID) {
-	if e := sh.published(doc); e != nil {
-		sh.refreshEntryCredit(doc, e)
-	}
-}
-
-// refreshEntryCredit reloads one gated entry's admission budget to what the
-// exact filter would admit over the next tick: target minus measured served
-// rate, scaled by the tick length (+1 so a barely-lagging copy still
-// serves). Overshoot is bounded by one tick's worth of credits.
-func (sh *shard) refreshEntryCredit(doc core.DocID, e *pubEntry) {
+// refreshEntryCredit tops up one gated entry's admission budget with what
+// the exact filter would have admitted since the last top-up: target minus
+// measured served rate, times the time elapsed, plus one credit per gossip
+// period so a barely-lagging copy still serves. Unspent credits carry over
+// and the budget never exceeds one period's worth, so neither a late tick
+// nor a burst of scrapes (each one a tick) admits more than the target;
+// overshoot is bounded by one period of credits, which also absorbs a serve
+// racing the Load-then-Store. It reports whether the served window holds
+// counts, that is whether the budget will move again as time passes.
+func (sh *shard) refreshEntryCredit(e *pubEntry) (serving bool) {
 	if e.always || e.dead.Load() {
-		return
+		return false
 	}
-	gap := sh.targets[doc]
-	if w := sh.served[doc]; w != nil {
+	gap := sh.targets[e.doc]
+	if w := sh.served[e.doc]; w != nil {
 		gap -= w.Rate(sh.now)
+		serving = w.total > 0
 	}
-	if gap > 0 {
-		e.credits.Store(int64(gap*sh.s.cfg.GossipPeriod.Seconds()) + 1)
-	} else {
+	if gap <= 0 {
+		// creditAt stays: a copy handed duty later in this batch, or one
+		// whose window slides back under its target, is armed at once.
 		e.credits.Store(0)
+		return serving
 	}
+	period := sh.s.cfg.GossipPeriod.Seconds()
+	earned := int64((gap + 1/period) * min(sh.now.Sub(e.creditAt).Seconds(), period))
+	if earned > 0 { // else the fraction of a credit keeps accruing from creditAt
+		e.creditAt = sh.now
+	}
+	e.credits.Store(min(max(e.credits.Load(), 0)+earned, int64(gap*period)+1))
+	return serving
 }
 
 // handleConnClosed sweeps per-connection routing state when a link dies:
@@ -937,7 +1040,7 @@ func (sh *shard) handleRequest(ev event) {
 	// registered child, or local demand otherwise. Accounting happens
 	// before single-flight coalescing, so the local protocol signals see
 	// the full demand even when the upstream fetch is shared.
-	sh.flowWindow(env.From, env.Doc).Add(sh.now, 1)
+	sh.count(sh.flowWindow(env.From, env.Doc), 1)
 
 	if env.MinVersion > sh.docVer[env.Doc] && sh.sessionGate(ev) {
 		return
@@ -968,7 +1071,7 @@ func (sh *shard) sessionGate(ev event) bool {
 		if _, published := sh.s.bodyOf(env.Doc); !published && sh.docVer[env.Doc] == 0 {
 			return false
 		}
-		sh.nSessionRefreshes++
+		sh.n.sessionRefreshes++
 		fl := sh.inflight[env.Doc]
 		if fl == nil {
 			fl = &flight{at: sh.now}
@@ -979,7 +1082,7 @@ func (sh *shard) sessionGate(ev event) bool {
 		})
 		return true
 	}
-	sh.nSessionRefreshes++
+	sh.n.sessionRefreshes++
 	if sh.s.holdsCopy(env.Doc) {
 		sh.staleDocs[env.Doc] = true
 	}
@@ -1005,7 +1108,7 @@ func (sh *shard) forwardUp(ev event) {
 	fl := sh.inflight[env.Doc]
 	if fl != nil && sh.now.Sub(fl.at) < sh.flightRetry {
 		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion})
-		sh.nCoalesced++
+		sh.n.coalesced++
 		return
 	}
 	if fl == nil {
@@ -1013,7 +1116,7 @@ func (sh *shard) forwardUp(ev event) {
 		sh.inflight[env.Doc] = fl
 	}
 	fl.at = sh.now
-	sh.nForwarded++
+	sh.n.forwarded++
 	key := pendingKey{origin: env.Origin, reqID: env.ReqID}
 	sh.pending[key] = pendingEntry{conn: ev.conn, at: sh.now, doc: env.Doc, hops: env.Hops, minVer: env.MinVersion}
 	pl := sh.s.parentLink()
@@ -1081,7 +1184,7 @@ func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
 			maxVer = w.minVer
 		}
 	}
-	sh.nForwarded++
+	sh.n.forwarded++
 	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{conn: lead.conn, at: sh.now, doc: doc, minVer: maxVer}
 	pl := sh.s.parentLink()
 	if pl == nil {
@@ -1112,7 +1215,7 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 		// A stale body (a delegation or tunnel reply that raced a
 		// republish): refuse it — admitting it would roll the document
 		// back behind the version the tree has already converged on.
-		sh.nStaleDrops++
+		sh.n.staleDrops++
 		return false
 	}
 	if sh.bumpDocVer(doc, ver) && sh.s.disk != nil {
@@ -1173,7 +1276,6 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		if e := sh.published(doc); e != nil && e.dead.Load() {
 			if body, ok := sh.s.cache.Peek(doc); ok {
 				sh.publish(doc, body, false, sh.docVer[doc])
-				sh.refreshCredit(doc)
 			}
 		}
 		return
@@ -1189,9 +1291,7 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 	}
 	sh.rt.Remove(doc)
 	sh.unpublish(doc)
-	residual := sh.targets[doc]
-	delete(sh.targets, doc)
-	delete(sh.served, doc)
+	residual := sh.dropDuty(doc)
 	sh.journalDrop(doc)
 	// A copy displaced before accruing any serve duty has nothing for the
 	// parent to absorb; hintUp skips the no-op (and parks the hint while
@@ -1207,7 +1307,7 @@ func (sh *shard) serveRequest(ev event) {
 			// Disk-tier hit: serve the spilled copy and re-admit it to
 			// memory so subsequent requests take the fast path again (the
 			// disk copy stays — bodies are immutable, demotion is free).
-			sh.nDiskHits++
+			sh.n.diskHits++
 			sh.readmitFromDisk(env.Doc, dbody)
 			body, cached = dbody, true
 		}
@@ -1218,10 +1318,8 @@ func (sh *shard) serveRequest(ev event) {
 		sh.forwardUp(ev)
 		return
 	}
-	now := sh.now
-	sh.nServed++
-	sh.totalServed.Add(now, 1)
-	sh.servedWindow(env.Doc).Add(now, 1)
+	sh.n.served++
+	sh.countServed(env.Doc, 1)
 	resp := netproto.GetEnvelope()
 	*resp = netproto.Envelope{
 		Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: env.Origin,
@@ -1247,7 +1345,6 @@ func (sh *shard) readmitFromDisk(doc core.DocID, body []byte) {
 	sh.applyEvictions(evs)
 	if ok {
 		sh.publish(doc, body, false, sh.docVer[doc])
-		sh.refreshCredit(doc)
 	}
 }
 
@@ -1274,11 +1371,8 @@ func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	if conn == nil || !sh.s.holdsCopy(doc) {
 		return
 	}
-	sh.targets[doc] -= rate
-	if sh.targets[doc] < 0 {
-		sh.targets[doc] = 0
-	}
-	sh.nDelegOut++
+	sh.addTarget(doc, -rate)
+	sh.n.delegOut++
 	sh.dutyLedger(child)[doc] += rate // credited back if the child sheds or dies
 	body, _ := sh.s.bodyOf(doc)       // a handoff is not local demand
 	sh.sendOn(conn, &netproto.Envelope{
@@ -1296,11 +1390,8 @@ func (sh *shard) shedOut(doc core.DocID, rate float64) {
 	if pl == nil || !sh.s.holdsCopy(doc) {
 		return
 	}
-	sh.targets[doc] -= rate
-	if sh.targets[doc] < 0 {
-		sh.targets[doc] = 0
-	}
-	sh.nShedOut++
+	sh.addTarget(doc, -rate)
+	sh.n.shedOut++
 	sh.sendOn(pl.conn, &netproto.Envelope{
 		Kind: netproto.TypeShed, From: sh.s.cfg.ID, To: pl.id,
 		Doc: doc, Rate: rate,

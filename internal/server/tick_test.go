@@ -1,0 +1,452 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"webwave/internal/core"
+	"webwave/internal/netproto"
+	"webwave/internal/transport"
+)
+
+// The tests below drive shard and control loops by hand — handlers called
+// inline on the test goroutine, sh.now / c.now advanced explicitly — so
+// nothing in them depends on a timer or a sleep.
+
+// handServer returns an unstarted mid-tree node (id 1 under parent 0, with
+// children 2 and 3) whose links all discard what they are sent.
+func handServer(tb testing.TB, cfg Config) *Server {
+	tb.Helper()
+	cfg.ID, cfg.ParentID, cfg.ParentAddr, cfg.HomeAddr = 1, 0, "parent", "parent"
+	s := benchServer(tb, cfg)
+	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})
+	s.children.Store(&childView{conns: map[int]transport.Conn{2: nopConn{}, 3: nopConn{}}})
+	return s
+}
+
+// request sends one request the way dispatch does: the fast path first, the
+// shard's queued path when that declines. It reports whether the fast path
+// served it.
+func request(s *Server, doc core.DocID, from int, reqID uint64) bool {
+	env := &netproto.Envelope{Kind: netproto.TypeRequest, From: from, Origin: 1, ReqID: reqID, Doc: doc}
+	sh := s.shardFor(doc)
+	if s.tryFastServe(sh, shardHash(doc), env, nopConn{}) {
+		return true
+	}
+	sh.handle(event{env: env, conn: nopConn{}})
+	return false
+}
+
+// rebuildRates is the every-tick snapshot rebuild this package used to run,
+// kept as the oracle the change-driven snapshot is compared against: every
+// target and every window the shard owns, read from scratch (zero entries
+// left out, as the snapshot leaves them out).
+func rebuildRates(sh *shard) (targets, served map[core.DocID]float64, flows map[int]map[core.DocID]float64) {
+	now := sh.now
+	targets = make(map[core.DocID]float64)
+	for d, t := range sh.targets {
+		if t > 0 {
+			targets[d] = t
+		}
+	}
+	served = make(map[core.DocID]float64)
+	for d, w := range sh.served {
+		if r := w.Rate(now); r > 0 {
+			served[d] = r
+		}
+	}
+	flows = make(map[int]map[core.DocID]float64)
+	add := func(from int, ws map[core.DocID]*docWindow) {
+		for d, w := range ws {
+			if r := w.Rate(now); r > 0 {
+				if flows[from] == nil {
+					flows[from] = make(map[core.DocID]float64)
+				}
+				flows[from][d] = r
+			}
+		}
+	}
+	for child, ws := range sh.childFlow {
+		add(child, ws)
+	}
+	add(-1, sh.localFlow)
+	return targets, served, flows
+}
+
+// checkShardLists asserts the loop-owned lists agree with what they index:
+// the flat entry list mirrors the publication index, and every window that
+// holds counts is on the live list.
+func checkShardLists(t *testing.T, sh *shard) {
+	t.Helper()
+	indexed := 0
+	for i := range sh.pub {
+		if m := sh.pub[i].Load(); m != nil {
+			for doc, e := range *m {
+				indexed++
+				if e.slot < 0 || e.slot >= len(sh.entries) || sh.entries[e.slot] != e || e.doc != doc {
+					t.Fatalf("entry %s: slot %d does not point back at it in a list of %d", doc, e.slot, len(sh.entries))
+				}
+			}
+		}
+	}
+	if indexed != len(sh.entries) {
+		t.Fatalf("flat list holds %d entries, the index %d", len(sh.entries), indexed)
+	}
+	for _, e := range sh.hot {
+		if !e.hot {
+			t.Fatalf("entry %s on the hot list without its flag", e.doc)
+		}
+	}
+	onList := make(map[*docWindow]bool, len(sh.live))
+	for _, w := range sh.live {
+		onList[w] = true
+	}
+	check := func(ws map[core.DocID]*docWindow) {
+		for d, w := range ws {
+			if w.Rate(sh.now) > 0 && !onList[w] {
+				t.Fatalf("window %s/%d holds counts but is not live", d, w.from)
+			}
+		}
+	}
+	check(sh.served)
+	check(sh.localFlow)
+	for _, ws := range sh.childFlow {
+		check(ws)
+	}
+}
+
+// TestSnapshotMatchesRebuild: after any sequence of fast serves, queued
+// serves, duty movements, evictions, republishes and a child's death, the
+// snapshot a scrape gets equals a from-scratch rebuild of the same figures.
+func TestSnapshotMatchesRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { snapshotMatchesRebuild(t, seed) })
+	}
+}
+
+func snapshotMatchesRebuild(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([]core.DocID, 12)
+	for i := range docs {
+		docs[i] = core.DocID(fmt.Sprintf("doc-%02d", i))
+	}
+	body := make([]byte, 100)
+	s := handServer(t, Config{
+		NumShards: 1, CacheShards: 1,
+		CacheBudgetBytes: 650, // six of the twelve bodies: admissions evict
+		GossipPeriod:     20 * time.Millisecond, DiffusionPeriod: 40 * time.Millisecond,
+		Window: 400 * time.Millisecond,
+	})
+	sh := s.shards[0]
+	vers := make(map[core.DocID]uint64)
+	var reqID uint64
+	pick := func() core.DocID { return docs[rng.Intn(len(docs))] }
+	env := func(kind netproto.Type, doc core.DocID, rate float64) event {
+		return event{conn: nopConn{}, env: &netproto.Envelope{
+			Kind: kind, From: 0, To: 1, Doc: doc, Rate: rate, Body: body, DocVersion: vers[doc],
+		}}
+	}
+	for step := 0; step < 3000; step++ {
+		doc := pick()
+		switch op := rng.Intn(100); {
+		case op < 50: // a request, from a client or forwarded by a child
+			reqID++
+			request(s, doc, []int{-1, -1, 2, 3}[rng.Intn(4)], reqID)
+		case op < 58:
+			sh.handle(env(netproto.TypeDelegate, doc, float64(5+rng.Intn(400))))
+		case op < 62:
+			sh.handleCmd(event{cmd: cmdDelegate, child: 2 + rng.Intn(2), doc: doc, rate: float64(rng.Intn(50))})
+		case op < 66:
+			sh.handleCmd(event{cmd: cmdShed, doc: doc, rate: float64(rng.Intn(50))})
+		case op < 70:
+			sh.handleCmd(event{cmd: cmdClaim, doc: doc, rate: float64(rng.Intn(50))})
+		case op < 73:
+			vers[doc]++
+			sh.handle(env(netproto.TypeRepublish, doc, 0))
+		case op < 75:
+			vers[doc]++
+			ev := env(netproto.TypeInvalidate, doc, 0)
+			ev.env.Body = nil
+			sh.handle(ev)
+		case op < 76:
+			sh.handleCmd(event{cmd: cmdChildGone, child: 2 + rng.Intn(2)})
+		case op < 90:
+			sh.now = sh.now.Add(time.Duration(rng.Intn(30)) * time.Millisecond)
+			sh.tick(false)
+		case op < 92: // long enough for every window to empty
+			sh.now = sh.now.Add(time.Duration(rng.Intn(1500)) * time.Millisecond)
+			sh.tick(false)
+		default:
+			sh.now = sh.now.Add(time.Duration(rng.Intn(30)) * time.Millisecond)
+			before := sh.snap.Load().epoch
+			sh.tick(true)
+			sn := sh.snap.Load()
+			if sn.epoch <= before {
+				t.Fatalf("step %d: a scrape left the epoch at %d", step, sn.epoch)
+			}
+			targets, served, flows := rebuildRates(sh)
+			// A reused map may be nil where the rebuild has an empty one.
+			if len(targets)+len(sn.targets) > 0 && !reflect.DeepEqual(sn.targets, targets) {
+				t.Fatalf("step %d: targets %v, rebuild %v", step, sn.targets, targets)
+			}
+			if len(served)+len(sn.served) > 0 && !reflect.DeepEqual(sn.served, served) {
+				t.Fatalf("step %d: served %v, rebuild %v", step, sn.served, served)
+			}
+			if len(flows)+len(sn.flows) > 0 && !reflect.DeepEqual(sn.flows, flows) {
+				t.Fatalf("step %d: flows %v, rebuild %v", step, sn.flows, flows)
+			}
+			if want := sh.totalServed.Rate(sh.now); sn.load != want {
+				t.Fatalf("step %d: load %v, want %v", step, sn.load, want)
+			}
+			if sn.counters.served != sh.n.served+sh.nFastServed.Load() {
+				t.Fatalf("step %d: served counter %d, want %d", step, sn.counters.served, sh.n.served+sh.nFastServed.Load())
+			}
+			if want := sh.rt.Installed(); len(want)+len(sn.installed) > 0 && !reflect.DeepEqual(sn.installed, want) {
+				t.Fatalf("step %d: installed %v, router has %v", step, sn.installed, sh.rt.Installed())
+			}
+		}
+		checkShardLists(t, sh)
+	}
+	if st := s.cache.Stats(); st.Evictions == 0 {
+		t.Fatal("no admission ever evicted: the sequence never exercised the eviction paths")
+	}
+}
+
+// gatedShard returns a one-shard node holding n delegated (rate-limited)
+// copies with the given target each.
+func gatedShard(tb testing.TB, cfg Config, n int, target float64) (*Server, []core.DocID) {
+	cfg.NumShards = 1
+	s := handServer(tb, cfg)
+	sh := s.shards[0]
+	docs := make([]core.DocID, n)
+	for i := range docs {
+		docs[i] = core.DocID(fmt.Sprintf("doc-%02d", i))
+		sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+			Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: docs[i], Rate: target, Body: []byte("body"),
+		}})
+		if sh.published(docs[i]) == nil {
+			tb.Fatalf("%s not published", docs[i])
+		}
+	}
+	return s, docs
+}
+
+// TestIdleTickDoesNothing: once its windows have emptied, a shard's tick
+// allocates nothing, touches no entry and publishes nothing, however many
+// documents it holds.
+func TestIdleTickDoesNothing(t *testing.T) {
+	s, docs := gatedShard(t, Config{}, 64, 100)
+	sh := s.shards[0]
+	for i, doc := range docs {
+		request(s, doc, -1, uint64(i+1))
+	}
+	// Run the windows dry.
+	for i := 0; i < 3*int(s.cfg.Window/s.cfg.GossipPeriod); i++ {
+		sh.now = sh.now.Add(s.cfg.GossipPeriod)
+		sh.tick(false)
+	}
+	if len(sh.hot) != 0 || len(sh.live) != 0 {
+		t.Fatalf("after three idle windows %d entries are hot and %d windows live", len(sh.hot), len(sh.live))
+	}
+	const sentinel = 12345
+	var zero time.Time
+	for _, e := range sh.entries {
+		e.credits.Store(sentinel)
+		e.creditAt = zero
+	}
+	epoch := sh.snap.Load().epoch
+	allocs := testing.AllocsPerRun(100, func() {
+		sh.now = sh.now.Add(s.cfg.GossipPeriod)
+		sh.tick(false)
+	})
+	if allocs != 0 {
+		t.Fatalf("an idle tick allocates %v times", allocs)
+	}
+	for _, e := range sh.entries {
+		if e.credits.Load() != sentinel || e.creditAt != zero {
+			t.Fatalf("an idle tick touched entry %s", e.doc)
+		}
+	}
+	if got := sh.snap.Load().epoch; got != epoch {
+		t.Fatalf("idle ticks published: epoch %d -> %d", epoch, got)
+	}
+	sh.tick(true)
+	if got := sh.snap.Load().epoch; got != epoch+1 {
+		t.Fatalf("a scrape of an idle shard moved the epoch %d -> %d, want +1", epoch, got)
+	}
+}
+
+// TestScrapeBurstAdmitsOnePeriodOfCredits: every stats scrape runs a shard
+// tick. Back-to-back scrapes used to re-arm each gated entry for a whole
+// gossip period each time, so a tight scrape loop let the fast path serve
+// many times the target; credits now accrue with the time actually elapsed.
+func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
+	const target = 1000
+	s, docs := gatedShard(t, Config{GossipPeriod: 50 * time.Millisecond}, 1, target)
+	sh := s.shards[0]
+	onePeriod := int(target*s.cfg.GossipPeriod.Seconds()) + 1
+	admitted := 0
+	env := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 1, Doc: docs[0]}
+	for scrape := 0; scrape < 20; scrape++ {
+		for s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
+			admitted++
+		}
+		sh.handleCmd(event{cmd: cmdSnap}) // no time passes between scrapes
+	}
+	if admitted == 0 || admitted > onePeriod {
+		t.Fatalf("20 back-to-back scrapes admitted %d fast serves, want 1..%d (one period of credits)", admitted, onePeriod)
+	}
+	// Time passing does re-arm it.
+	sh.now = sh.now.Add(s.cfg.Window + s.cfg.GossipPeriod)
+	sh.tick(false)
+	if !s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
+		t.Fatal("the fast path stayed cold after a full window without serves")
+	}
+}
+
+// TestFastServesReachWindowsAcrossReap: every fast-path serve lands in
+// Stats.Served and in its document's rate windows, whether its entry was
+// live, tombstoned and waiting for the reap, or replaced by a republish
+// when the owner got to it.
+func TestFastServesReachWindowsAcrossReap(t *testing.T) {
+	s, docs := gatedShard(t, Config{Window: time.Hour}, 3, 1e6)
+	sh := s.shards[0]
+	doc := docs[1]
+	bumps := 0
+	straggler := func(e *pubEntry) { // a connection goroutine that had already loaded the entry
+		e.bumpFlow(-1)
+		e.served.Add(1)
+		sh.nFastServed.Add(1)
+		bumps++
+	}
+	tick := func() {
+		sh.now = sh.now.Add(s.cfg.GossipPeriod)
+		sh.tick(false)
+		checkShardLists(t, sh)
+	}
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			if !request(s, doc, -1, uint64(bumps+1)) {
+				t.Fatalf("fast path declined serve %d", bumps+1)
+			}
+			bumps++
+		}
+	}
+	serve(5)
+	tick()
+	old := sh.published(doc)
+	serve(3)
+	sh.unpublish(doc) // drains the three
+	straggler(old)    // lands on the tombstone
+	tick()
+	straggler(old) // still reachable: the reap comes a full period after the tombstone
+	tick()
+	tick()
+	if sh.published(doc) != nil {
+		t.Fatal("tombstone not reaped after two periods")
+	}
+	sh.publish(doc, []byte("v2"), false, 1)
+	serve(4)
+	replaced := sh.published(doc)
+	straggler(replaced)
+	sh.publish(doc, []byte("v3"), false, 2) // drains the replaced entry first
+	serve(2)
+	tick()
+	if got := sh.served[doc].total; got != float64(bumps) {
+		t.Fatalf("served window holds %v serves, want %d", got, bumps)
+	}
+	if got := sh.localFlow[doc].total; got != float64(bumps) {
+		t.Fatalf("flow window holds %v arrivals, want %d", got, bumps)
+	}
+	if got := sh.totalServed.total; got != float64(bumps) {
+		t.Fatalf("load window holds %v serves, want %d", got, bumps)
+	}
+	sh.tick(true)
+	if c := sh.snap.Load().counters; c.served != int64(bumps) || c.fastServed != int64(bumps) {
+		t.Fatalf("counters served=%d fast=%d, want %d", c.served, c.fastServed, bumps)
+	}
+}
+
+// countConn records the gossip frames it is sent.
+type countConn struct {
+	nopConn
+	loads []float64
+}
+
+func (c *countConn) Send(env *netproto.Envelope) error {
+	if env.Kind == netproto.TypeGossip {
+		c.loads = append(c.loads, env.Load)
+	}
+	return nil
+}
+
+// TestGossipOnChange: under steady load a neighbor hears the figure at the
+// refresh cadence only; a real change is on the wire within one period; a
+// neighbor that just attached is told at once.
+func TestGossipOnChange(t *testing.T) {
+	s := handServer(t, Config{NumShards: 1})
+	c := s.ctrl
+	parent, kid2, kid3 := &countConn{}, &countConn{}, &countConn{}
+	s.parent.Store(&parentLink{id: 0, conn: parent})
+	s.children.Store(&childView{conns: map[int]transport.Conn{2: kid2, 3: kid3}})
+	neighbors := map[string]*countConn{"parent": parent, "child 2": kid2, "child 3": kid3}
+	setLoad := func(l float64) { s.shards[0].snap.Store(&shardSnap{load: l}) }
+	period := func() {
+		c.now = c.now.Add(s.cfg.GossipPeriod)
+		c.doGossip()
+	}
+
+	// Steady: the estimate wobbles inside its own noise around 200 req/s.
+	const periods = 40
+	for i := 0; i < periods; i++ {
+		setLoad(200 + 0.5*rateNoise(200, s.cfg.Window)*math.Sin(float64(i)))
+		period()
+	}
+	refreshes := int(time.Duration(periods)*s.cfg.GossipPeriod/s.cfg.Window) + 1
+	for name, conn := range neighbors {
+		if n := len(conn.loads); n == 0 || n > refreshes {
+			t.Fatalf("%s heard %d gossip frames over %d steady periods, want 1..%d", name, n, periods, refreshes)
+		}
+		conn.loads = nil
+	}
+	if c.nGossip > int64(3*refreshes) {
+		t.Fatalf("gossip_sent = %d over %d steady periods with 3 neighbors", c.nGossip, periods)
+	}
+
+	// A 2x step reaches everyone on the next period.
+	setLoad(400)
+	period()
+	for name, conn := range neighbors {
+		if len(conn.loads) != 1 || conn.loads[0] != 400 {
+			t.Fatalf("%s after a 2x step heard %v, want [400]", name, conn.loads)
+		}
+		conn.loads = nil
+	}
+
+	// A child registering (its first gossip) learns the figure at once.
+	kid7 := &countConn{}
+	c.handle(event{conn: kid7, env: &netproto.Envelope{Kind: netproto.TypeGossip, From: 7, To: 1}})
+	if s.childConn(7) != kid7 {
+		t.Fatal("first gossip did not register the child")
+	}
+	if len(kid7.loads) != 1 || kid7.loads[0] != 400 {
+		t.Fatalf("new child heard %v, want [400] at once", kid7.loads)
+	}
+
+	// So does a parent installed by failover.
+	c.parentLost(s.parentLink())
+	grandparent := &countConn{}
+	c.installParent(9, grandparent)
+	if len(grandparent.loads) != 1 || grandparent.loads[0] != 400 {
+		t.Fatalf("new parent heard %v, want [400] at once", grandparent.loads)
+	}
+	period()
+	if len(grandparent.loads) != 1 || len(kid7.loads) != 1 {
+		t.Fatalf("an unchanged figure was re-sent the period after attaching: parent %v, child %v", grandparent.loads, kid7.loads)
+	}
+	s.wg.Wait() // installParent's read loop ends on the first Recv
+}

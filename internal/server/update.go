@@ -41,10 +41,10 @@ func (sh *shard) bumpDocVer(doc core.DocID, ver uint64) bool {
 func (sh *shard) handleRepublish(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
 	if !sh.bumpDocVer(doc, ver) {
-		sh.nStaleDrops++
+		sh.n.staleDrops++
 		return
 	}
-	sh.nRepublishesIn++
+	sh.n.republishesIn++
 	var body []byte
 	if len(env.Body) > 0 {
 		body = env.Body // safe to retain: recycled envelopes drop, never reuse, Body
@@ -70,10 +70,10 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
 	if !sh.bumpDocVer(doc, ver) {
-		sh.nStaleDrops++
+		sh.n.staleDrops++
 		return
 	}
-	sh.nInvalidationsIn++
+	sh.n.invalidationsIn++
 	if sh.s.isRoot && len(env.Body) > 0 {
 		sh.originWrite(doc, env.Body, ver)
 	} else {
@@ -115,7 +115,6 @@ func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
 	sh.applyEvictions(evs)
 	if inMem {
 		sh.publish(doc, body, false, ver)
-		sh.refreshCredit(doc)
 	} else {
 		// Memory refused the new body (it outgrew the budget): the fast path
 		// must not keep serving the old one.
@@ -151,9 +150,6 @@ func (sh *shard) invalidateLocal(doc core.DocID) {
 // lease-refreshes on its next demand.
 func (sh *shard) diffuseDown(doc core.DocID, ver uint64, body []byte) {
 	cv := sh.s.children.Load()
-	if cv == nil {
-		return
-	}
 	out := netproto.GetEnvelope()
 	for id, conn := range cv.conns {
 		kind, b := netproto.TypeInvalidate, []byte(nil)
@@ -182,8 +178,7 @@ func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
 	}
 	if sh.admit(env.Doc, env.Body, env.DocVersion) {
 		delete(sh.staleDocs, env.Doc)
-		sh.nLeaseRefreshes++
-		sh.refreshCredit(env.Doc)
+		sh.n.leaseRefreshes++
 	}
 }
 
@@ -210,9 +205,8 @@ func (sh *shard) answerParked(doc core.DocID) {
 			kept = append(kept, w)
 			continue
 		}
-		sh.nServed++
-		sh.totalServed.Add(sh.now, 1)
-		sh.servedWindow(doc).Add(sh.now, 1)
+		sh.n.served++
+		sh.countServed(doc, 1)
 		*out = netproto.Envelope{
 			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
 			Doc: doc, Origin: w.origin, ReqID: w.reqID,

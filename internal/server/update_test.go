@@ -194,8 +194,8 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRepublish, From: 0, To: 1, Doc: "d", DocVersion: 1, Body: []byte("old"),
 	}, conn: nopConn{}})
-	if sh.nStaleDrops != 1 || sh.nRepublishesIn != 0 {
-		t.Fatalf("stale republish: drops=%d applied=%d, want 1/0", sh.nStaleDrops, sh.nRepublishesIn)
+	if sh.n.staleDrops != 1 || sh.n.republishesIn != 0 {
+		t.Fatalf("stale republish: drops=%d applied=%d, want 1/0", sh.n.staleDrops, sh.n.republishesIn)
 	}
 	if body, ok := s.cache.Peek("d"); !ok || string(body) != "v2" {
 		t.Fatalf("held body = %q (%v) after stale republish, want v2 intact", body, ok)
@@ -205,8 +205,8 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeInvalidate, From: 0, To: 1, Doc: "d", DocVersion: 2,
 	}, conn: nopConn{}})
-	if sh.nStaleDrops != 2 || sh.nInvalidationsIn != 0 {
-		t.Fatalf("same-version invalidate: drops=%d applied=%d, want 2/0", sh.nStaleDrops, sh.nInvalidationsIn)
+	if sh.n.staleDrops != 2 || sh.n.invalidationsIn != 0 {
+		t.Fatalf("same-version invalidate: drops=%d applied=%d, want 2/0", sh.n.staleDrops, sh.n.invalidationsIn)
 	}
 	if !s.cache.Contains("d") {
 		t.Fatal("same-version invalidate dropped the copy")
@@ -218,8 +218,8 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeInvalidate, From: 0, To: 1, Doc: "d", DocVersion: 3,
 	}, conn: nopConn{}})
-	if sh.nInvalidationsIn != 1 {
-		t.Fatalf("invalidations applied = %d, want 1", sh.nInvalidationsIn)
+	if sh.n.invalidationsIn != 1 {
+		t.Fatalf("invalidations applied = %d, want 1", sh.n.invalidationsIn)
 	}
 	if s.cache.Contains("d") {
 		t.Fatal("invalidate left the stale body in memory")
@@ -235,8 +235,8 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	if sh.admit("d", []byte("v1"), 1) {
 		t.Fatal("admit accepted a version below the high-water mark")
 	}
-	if sh.nStaleDrops != 3 {
-		t.Fatalf("stale drops = %d, want 3 after refused handoff", sh.nStaleDrops)
+	if sh.n.staleDrops != 3 {
+		t.Fatalf("stale drops = %d, want 3 after refused handoff", sh.n.staleDrops)
 	}
 	// The current version re-admits fine (the lease refresh path).
 	if !sh.admit("d", []byte("v3"), 3) {

@@ -1,6 +1,11 @@
 package server
 
-import "time"
+import (
+	"math"
+	"time"
+
+	"webwave/internal/core"
+)
 
 // rateWindow estimates an event rate (events/second) over a sliding window
 // using a ring of fixed-width buckets. It is used by servers to measure
@@ -9,8 +14,7 @@ import "time"
 //
 // Buckets are addressed by their absolute index on the clock (Unix
 // nanoseconds / bucket width) and the window keeps a running total, so Add
-// and Rate cost O(1) amortised: a shard reads every window it owns each
-// gossip period.
+// and Rate cost O(1) amortised.
 //
 // rateWindow is not safe for concurrent use; servers touch it only from
 // their main loop.
@@ -85,3 +89,38 @@ func (w *rateWindow) Rate(now time.Time) float64 {
 	covered := min(w.head-w.first+1, int64(len(w.buckets)))
 	return w.total / time.Duration(covered*w.width).Seconds()
 }
+
+// Clear forgets everything counted, for a window whose subject is gone.
+func (w *rateWindow) Clear() {
+	clear(w.buckets)
+	w.total = 0
+}
+
+// rateBuckets is the bucket count of every window the server keeps.
+const rateBuckets = 8
+
+// rateNoise is how far a window's Rate may sit from a steady true rate r
+// with nothing having changed: the head bucket is still filling, which
+// understates r by up to one bucket's share, and the count over the span
+// is itself a sample whose standard deviation is its square root. Gossip
+// uses it as the dead-band below which a moved load figure is not news.
+func rateNoise(r float64, span time.Duration) float64 {
+	return r/rateBuckets + math.Sqrt(r/span.Seconds())
+}
+
+// docWindow is one of the per-document windows a shard keeps — a
+// document's served rate, or its arrival flow from one sender — tagged
+// with what it measures, so the shard can keep a list of the windows that
+// currently hold counts instead of reading every window it owns.
+type docWindow struct {
+	rateWindow
+	doc core.DocID
+	// from is the flow's sender id (-1 = locally injected demand), or
+	// servedRate for a served-rate window.
+	from int
+	live bool // on shard.live
+}
+
+// servedRate is docWindow.from for a served-rate window; sender ids are
+// node ids (or -1) and never reach it.
+const servedRate = math.MinInt
