@@ -126,6 +126,8 @@ bench-smoke:
 # handlers, transport round trips) with -benchmem, records ns/op and
 # allocs/op into $(BENCH_WIRE_JSON), and fails on a >2x allocs/op
 # regression against the committed baseline (bench/BENCH_wire_baseline.json).
+# BenchmarkResidentDocBytes rides along ungated: its figure is the shard's
+# heap per resident document (bytes/doc), printed in bench-micro.out.
 bench-micro:
 	$(GO) test -run 'TestNothing^' -bench . -benchmem -benchtime $(BENCHTIME) \
 		./internal/netproto/ ./internal/server/ ./internal/transport/ \

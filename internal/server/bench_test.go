@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,10 +130,9 @@ func BenchmarkRateWindowAdd(b *testing.B) {
 }
 
 // BenchmarkPublishChurn measures one publish plus one unpublish of a
-// document, with the reap running on its usual period, on a shard that has
-// `published` other documents in its index. The index is bucketed so that
-// the cost does not grow with that number: the figures should stay within
-// 2x of each other from 16 to 1024.
+// document on a shard that has `published` other documents in its index.
+// The index is bucketed so that the cost does not grow with that number:
+// the figures should stay within 2x of each other from 16 to 1024.
 func BenchmarkPublishChurn(b *testing.B) {
 	for _, published := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("published=%d", published), func(b *testing.B) {
@@ -144,7 +144,7 @@ func BenchmarkPublishChurn(b *testing.B) {
 				sh.publish(core.DocID(fmt.Sprintf("resident-%04d", i)), body, false, 0)
 			}
 			// The churning set: on the disk-bound workload about a hundred
-			// tombstones are in flight per gossip period.
+			// documents are unpublished per gossip period.
 			churn := make([]core.DocID, 128)
 			for i := range churn {
 				churn[i] = core.DocID(fmt.Sprintf("churn-%03d", i))
@@ -156,11 +156,48 @@ func BenchmarkPublishChurn(b *testing.B) {
 				doc := churn[i%len(churn)]
 				sh.now = sh.now.Add(s.cfg.GossipPeriod / perPeriod)
 				sh.publish(doc, body, false, 0)
-				sh.unpublish(doc)
-				sh.reapTombstones()
+				sh.unpublish(sh.state(doc))
 			}
 		})
 	}
+}
+
+// BenchmarkResidentDocBytes reports the shard-side heap cost of one resident
+// document (bytes/doc): published with a target, served once on the fast
+// path, and that serve and its arrival drained into the rate windows. The
+// body is shared, so the figure is the per-document bookkeeping alone.
+func BenchmarkResidentDocBytes(b *testing.B) {
+	const docs = 10000
+	ids := make([]core.DocID, docs)
+	for i := range ids {
+		ids[i] = core.DocID(fmt.Sprintf("doc-%05d", i))
+	}
+	body := []byte("body")
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		s := benchServer(b, Config{ID: 0, ParentID: -1, NumShards: 1})
+		sh := s.shards[0]
+		sh.now = time.Now()
+		before := heap()
+		for j, doc := range ids {
+			sh.publish(doc, body, true, 0)
+			sh.addTarget(doc, 1)
+			if !request(s, doc, -1, uint64(j+1)) {
+				b.Fatalf("fast path declined %s", doc)
+			}
+		}
+		sh.now = sh.now.Add(s.cfg.GossipPeriod)
+		sh.tick(false)
+		total += heap() - before
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(float64(total)/float64(b.N*docs), "bytes/doc")
 }
 
 // BenchmarkDiskHitServe measures one queued request answered from the disk
@@ -194,7 +231,7 @@ func BenchmarkDiskHitServe(b *testing.B) {
 		sh.now = sh.now.Add(50 * time.Microsecond)
 		sh.handle(ev)
 		if i%512 == 511 {
-			sh.tick(false) // the loop's own timer: reap, credits, journal
+			sh.tick(false) // the loop's own timer: drain, credits, journal
 		}
 	}
 	b.StopTimer()

@@ -195,13 +195,13 @@ func TestChildDutyLedgerArithmetic(t *testing.T) {
 	if !sh.admit("d", []byte("body"), 0) {
 		t.Fatal("admit failed")
 	}
-	sh.targets["d"] = 4
+	sh.state("d").target = 4
 
 	sh.delegateOut(7, "d", 2.5)
 	if got := sh.childDuty[7]["d"]; got != 2.5 {
 		t.Fatalf("ledger after delegate = %v, want 2.5", got)
 	}
-	if got := sh.targets["d"]; got != 1.5 {
+	if got := sh.state("d").target; got != 1.5 {
 		t.Fatalf("targets after delegate = %v, want 1.5", got)
 	}
 
@@ -213,14 +213,14 @@ func TestChildDutyLedgerArithmetic(t *testing.T) {
 	}
 
 	// A reclaim from another child credits its own ledger, never targets.
-	before := sh.targets["d"]
+	before := sh.state("d").target
 	reclaim := &netproto.Envelope{Kind: netproto.TypeReclaim, From: 9, To: 1, Doc: "d", Rate: 3}
 	sh.handle(event{env: reclaim, conn: nopConn{}})
 	if got := sh.childDuty[9]["d"]; got != 3 {
 		t.Fatalf("ledger after reclaim = %v, want 3", got)
 	}
-	if sh.targets["d"] != before {
-		t.Fatalf("reclaim changed targets: %v -> %v", before, sh.targets["d"])
+	if sh.state("d").target != before {
+		t.Fatalf("reclaim changed targets: %v -> %v", before, sh.state("d").target)
 	}
 	if sh.n.reclaimedDuty != 3 {
 		t.Fatalf("reclaimed counter = %v, want 3", sh.n.reclaimedDuty)
@@ -233,7 +233,7 @@ func TestChildDutyLedgerArithmetic(t *testing.T) {
 		t.Fatalf("absorbed = %v, want 4.5", sh.n.absorbedDuty)
 	}
 	// Conservation: delegated duty either came back (shed) or was absorbed.
-	if got := sh.targets["d"]; got != 1.5+1+1.5+3 {
+	if got := sh.state("d").target; got != 1.5+1+1.5+3 {
 		t.Fatalf("final target = %v, want 7 (residual + shed + absorbed)", got)
 	}
 	if len(sh.childDuty) != 0 {
@@ -260,7 +260,7 @@ func TestStrandedDutyParksWhileOrphaned(t *testing.T) {
 	reclaim := &netproto.Envelope{Kind: netproto.TypeReclaim, From: 9, To: 1, Doc: "x", Rate: 3}
 	sh.handle(event{env: reclaim, conn: nopConn{}})
 	sh.absorbChildDuty(9)
-	if got := sh.strandedDuty["x"]; got != 3 {
+	if got := sh.state("x").stranded; got != 3 {
 		t.Fatalf("stranded duty = %v, want 3 parked while orphaned", got)
 	}
 	if sh.n.absorbedDuty != 0 {
@@ -269,7 +269,7 @@ func TestStrandedDutyParksWhileOrphaned(t *testing.T) {
 	// A repaired parent link flushes the parked duty upward.
 	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})
 	sh.parentRestored()
-	if sh.strandedDuty != nil {
-		t.Fatalf("stranded duty not flushed: %v", sh.strandedDuty)
+	if got := sh.state("x").stranded; got != 0 {
+		t.Fatalf("stranded duty not flushed: %v", got)
 	}
 }

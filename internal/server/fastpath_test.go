@@ -100,10 +100,10 @@ func TestFastPathServesPinnedDocs(t *testing.T) {
 // and republication of the same documents: a tight byte budget and a
 // stream of delegations keep copies churning in and out of the store (and
 // the publication index) while readers hammer them. Run under -race this
-// pins the tombstone/copy-on-write discipline; functionally every request
+// pins the dead-flag/copy-on-write discipline; functionally every request
 // must still be answered — served from a live copy or answered by the home
 // server — and the budget must hold. Forty documents share the index's
-// buckets: a publish, an unpublish and a reap each rewrite a bucket other
+// buckets: a publish and an unpublish each rewrite a bucket other
 // documents are being served from, and no serve counted on an entry may be
 // lost on the way — nor may the owner's flat entry list, which its ticks
 // drain from, drift from the index. With one shard every rewrite is the
@@ -140,7 +140,7 @@ func raceEvictRepublish(t *testing.T, shards int) {
 	var wg sync.WaitGroup
 
 	// Delegator: republish the documents round-robin with serve duty, so
-	// each admit displaces an earlier copy (evict → tombstone → republish
+	// each admit displaces an earlier copy (evict → unpublish → republish
 	// on the next round).
 	wg.Add(1)
 	go func() {
@@ -238,7 +238,7 @@ func raceEvictRepublish(t *testing.T, shards int) {
 		t.Fatal("no request took the fast path: the index was never read under churn")
 	}
 	if st.Served != answered.Load() {
-		t.Fatalf("served = %d, readers got %d answers: serves lost across publish/unpublish/reap", st.Served, answered.Load())
+		t.Fatalf("served = %d, readers got %d answers: serves lost across publish/unpublish", st.Served, answered.Load())
 	}
 	pinned := int64(len("pinned"))
 	if st.MaxCacheBytes > 64+pinned {
@@ -270,9 +270,9 @@ func TestPubIndexBucketRewriteKeepsSiblings(t *testing.T) {
 	var ix pubIndex
 	entries := make([]*pubEntry, len(docs))
 	for i, d := range docs {
-		entries[i] = &pubEntry{body: []byte(d)}
+		entries[i] = &pubEntry{body: []byte(d), st: &docState{doc: d}}
 		ix.set(d, entries[i])
-		entries[i].served.Add(int64(i + 1))
+		entries[i].st.served.Add(int64(i + 1))
 	}
 	check := func(what string, want ...*pubEntry) {
 		t.Helper()
@@ -301,7 +301,7 @@ func TestPubIndexBucketRewriteKeepsSiblings(t *testing.T) {
 	check("after replacing the middle one", entries[0], repl, entries[2])
 	ix.set(docs[0], nil)
 	check("after removing the first", nil, repl, entries[2])
-	if n := entries[2].served.Load(); n != 3 {
+	if n := entries[2].st.served.Load(); n != 3 {
 		t.Fatalf("sibling's pending serves = %d, want 3", n)
 	}
 	ix.set(docs[1], nil)

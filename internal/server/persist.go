@@ -69,23 +69,15 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 			continue // journaled as held, but the body tier dropped it
 		}
 		sh := s.shardFor(doc)
-		if st.Version > 0 {
-			sh.docVer[doc] = st.Version
-			if sh.jVers == nil {
-				sh.jVers = make(map[core.DocID]uint64, 16)
-			}
-			sh.jVers[doc] = st.Version
-		}
+		rec := sh.state(doc)
+		rec.ver, rec.jVer = st.Version, st.Version
 		evs, inMem := s.cache.PutVersion(doc, body, st.Version)
 		sh.applyEvictions(evs) // earlier-recovered docs may spill back to disk-only
-		sh.installFilter(doc)
+		sh.installFilter(rec)
 		if st.Rate > 0 {
 			sh.addTarget(doc, st.Rate)
 		}
-		if sh.jTargets == nil {
-			sh.jTargets = make(map[core.DocID]float64, 16)
-		}
-		sh.jTargets[doc] = st.Rate
+		rec.admitted, rec.jTarget = true, st.Rate
 		if inMem {
 			sh.publish(doc, body, false, st.Version)
 		}
@@ -168,37 +160,26 @@ func (sh *shard) diskWriteThrough(doc core.DocID, body []byte) {
 	}
 }
 
-// journalAdmit records that this node now holds doc (either tier). The
-// jTargets entry doubles as the dedupe: one admit record per admission
-// lifecycle, however many delegate frames re-send the body.
-func (sh *shard) journalAdmit(doc core.DocID) {
+// journalAdmit records that this node now holds the document (either
+// tier). The admitted bit doubles as the dedupe: one admit record per
+// admission lifecycle, however many delegate frames re-send the body.
+func (sh *shard) journalAdmit(st *docState) {
 	j := sh.s.journal
-	if j == nil {
+	if j == nil || st.admitted && st.jTarget == st.target {
 		return
 	}
-	rate := sh.targets[doc]
-	if last, ok := sh.jTargets[doc]; ok && last == rate {
-		return
-	}
-	_ = j.Append(diskstore.OpAdmit, doc, rate)
-	if sh.jTargets == nil {
-		sh.jTargets = make(map[core.DocID]float64, 16)
-	}
-	sh.jTargets[doc] = rate
+	_ = j.Append(diskstore.OpAdmit, st.doc, st.target)
+	st.admitted, st.jTarget = true, st.target
 }
 
-// journalDrop records that no tier holds doc anymore.
-func (sh *shard) journalDrop(doc core.DocID) {
-	j := sh.s.journal
-	if j == nil {
-		return
-	}
-	if _, ok := sh.jTargets[doc]; !ok {
+// journalDrop records that no tier holds the document anymore.
+func (sh *shard) journalDrop(st *docState) {
+	if sh.s.journal == nil || !st.admitted {
 		return // never journaled as admitted (e.g. pinned origin copy)
 	}
-	_ = j.Append(diskstore.OpDrop, doc, 0)
-	delete(sh.jTargets, doc)
-	delete(sh.jVers, doc) // a later re-admission journals its version afresh
+	_ = sh.s.journal.Append(diskstore.OpDrop, st.doc, 0)
+	// A later re-admission journals its target and version afresh.
+	st.admitted, st.jTarget, st.jVer = false, 0, 0
 }
 
 // journalTick runs on the shard's maintenance tick: append a target
@@ -211,15 +192,13 @@ func (sh *shard) journalTick() {
 		return
 	}
 	const eps = 1e-6
-	for _, doc := range sh.jMoved {
-		last, admitted := sh.jTargets[doc]
+	for _, st := range sh.jMoved {
 		// A target dissolved without a drop (a demotion) journals its zero.
-		rate := sh.targets[doc]
-		if !admitted || rate-last < eps && last-rate < eps {
+		if !st.admitted || st.target-st.jTarget < eps && st.jTarget-st.target < eps {
 			continue
 		}
-		_ = j.Append(diskstore.OpTarget, doc, rate)
-		sh.jTargets[doc] = rate
+		_ = j.Append(diskstore.OpTarget, st.doc, st.target)
+		st.jTarget = st.target
 	}
 	sh.jMoved = sh.jMoved[:0]
 	j.MaybeSync(sh.now)

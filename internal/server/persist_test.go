@@ -94,10 +94,10 @@ func TestNewRecoversWarmStateFromDataDir(t *testing.T) {
 	if s.cache.Contains("ghost") {
 		t.Fatal("bodyless journal entry resurrected")
 	}
-	if got := s.shardFor("a").targets["a"]; got != 12 {
+	if got := s.shardFor("a").state("a").target; got != 12 {
 		t.Fatalf("target a = %v, want 12", got)
 	}
-	if got := s.shardFor("b").targets["b"]; got != 3 {
+	if got := s.shardFor("b").state("b").target; got != 3 {
 		t.Fatalf("target b = %v, want 3", got)
 	}
 	// Recovery compacts the journal to one admit per live doc, so journals

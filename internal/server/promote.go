@@ -325,7 +325,7 @@ func (sh *shard) promoteOut(child int, doc core.DocID, rate float64) {
 	body, _ := sh.s.bodyOf(doc) // a handoff is not local demand
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypePromote, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: sh.docVer[doc],
+		Doc: doc, Rate: rate, Body: body, DocVersion: sh.state(doc).ver,
 	})
 }
 
@@ -347,7 +347,7 @@ func (sh *shard) promoteIn(doc core.DocID, rate float64, body []byte, ver uint64
 }
 
 // demoteLocal tears this node's replica down: the same teardown an
-// eviction runs (filter out, publication tombstoned, residual duty hinted
+// eviction runs (filter out, publication withdrawn, residual duty hinted
 // upward, where the home's evict handler debits its ledger and re-absorbs).
 // The cached body stays — it is unpinned, so ordinary pressure reclaims
 // it, and a re-promotion shortly after costs no second body transfer.
@@ -355,7 +355,8 @@ func (sh *shard) demoteLocal(doc core.DocID) {
 	if !sh.s.holdsCopy(doc) {
 		return // evicted earlier: the residual already traveled with the hint
 	}
+	st := sh.state(doc)
 	sh.rt.Remove(doc)
-	sh.unpublish(doc)
-	sh.hintUp(doc, sh.dropDuty(doc))
+	sh.unpublish(st)
+	sh.hintUp(doc, sh.dropDuty(st))
 }

@@ -654,9 +654,9 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 // request then takes the shard queue) on an index miss, a dead entry (an
 // eviction race; the queued path re-checks the store and forwards), or an
 // exhausted admission budget (rate-limited copies fall back to the shard's
-// exact filter). Serve and flow counts accumulate on atomics the owning
-// shard drains into its rate windows each tick, so diffusion sees fast-path
-// demand exactly like queued demand.
+// exact filter). Serve and flow counts accumulate on the document record's
+// atomics, which the owning shard drains into its rate windows each tick,
+// so diffusion sees fast-path demand exactly like queued demand.
 func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
 	e := sh.pub.get(h, env.Doc)
 	if e == nil || e.dead.Load() {
@@ -671,8 +671,8 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 	if !e.always && e.credits.Add(-1) < 0 {
 		return false
 	}
-	e.bumpFlow(env.From)
-	e.served.Add(1)
+	e.st.bumpFlow(env.From)
+	e.st.served.Add(1)
 	sh.nFastServed.Add(1)
 	resp := netproto.GetEnvelope()
 	*resp = netproto.Envelope{

@@ -73,8 +73,8 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	if sh.n.sessionRefreshes != 2 {
 		t.Fatalf("session refreshes = %d, want 2", sh.n.sessionRefreshes)
 	}
-	if fl := sh.inflight["d"]; fl == nil || len(fl.waiters) != 2 {
-		t.Fatalf("parked flight = %+v, want 2 waiters", sh.inflight["d"])
+	if fl := sh.state("d").flight; fl == nil || len(fl.waiters) != 2 {
+		t.Fatalf("parked flight = %+v, want 2 waiters", fl)
 	}
 	if len(c1.sent) != 0 || len(c2.sent) != 0 {
 		t.Fatal("a parked request was answered before its version landed")
@@ -104,7 +104,7 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	if len(c2.sent) != 1 || c2.sent[0].DocVersion != 2 || string(c2.sent[0].Body) != "b2" {
 		t.Fatalf("floor-2 responses = %+v, want one at version 2", c2.sent)
 	}
-	if sh.inflight["d"] != nil {
+	if sh.state("d").flight != nil {
 		t.Fatal("flight not retired after all waiters were answered")
 	}
 
@@ -149,7 +149,7 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if sh.n.sessionRefreshes != 1 {
 		t.Fatalf("session refreshes = %d, want 1", sh.n.sessionRefreshes)
 	}
-	if !sh.staleDocs["d"] {
+	if !sh.state("d").stale {
 		t.Fatal("gate did not mark the bypassed copy stale")
 	}
 	if !s.cache.Contains("d") {
@@ -165,8 +165,8 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 1, Doc: "d", Origin: 7, ReqID: 2, MinVersion: 3,
 	}, conn: w2})
-	if fl := sh.inflight["d"]; fl == nil || len(fl.waiters) != 1 || fl.waiters[0].minVer != 3 {
-		t.Fatalf("coalesced flight = %+v, want one waiter with floor 3", sh.inflight["d"])
+	if fl := sh.state("d").flight; fl == nil || len(fl.waiters) != 1 || fl.waiters[0].minVer != 3 {
+		t.Fatalf("coalesced flight = %+v, want one waiter with floor 3", fl)
 	}
 
 	// The response lands at version 2: it routes to the leader and lease-
@@ -182,14 +182,14 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if len(w2.sent) != 0 {
 		t.Fatal("floor-3 waiter answered with a version-2 body")
 	}
-	if sh.n.leaseRefreshes != 1 || sh.staleDocs["d"] {
+	if sh.n.leaseRefreshes != 1 || sh.state("d").stale {
 		t.Fatalf("lease refreshes = %d, stale = %v; want the passing response to repair the copy",
-			sh.n.leaseRefreshes, sh.staleDocs["d"])
+			sh.n.leaseRefreshes, sh.state("d").stale)
 	}
 	if body, held := s.cache.Peek("d"); !held || string(body) != "b2" {
 		t.Fatalf("held body = %q (%v) after refresh, want b2", body, held)
 	}
-	if sh.inflight["d"] == nil {
+	if sh.state("d").flight == nil {
 		t.Fatal("unsatisfied waiter was not re-armed as a fresh flight")
 	}
 	pe, ok = sh.pending[pendingKey{origin: 7, reqID: 2}]

@@ -16,11 +16,11 @@ import (
 // pubIndex is a shard's publication index: the documents this shard
 // currently serves, readable lock-free by every connection goroutine. It is
 // a fixed array of copy-on-write maps keyed by the document hash, so a
-// publish or a reap copies one small bucket however many documents the
-// shard holds — under memory pressure every disk hit publishes one document
-// and tombstones another. An empty bucket is nil. Only the owning shard loop
-// writes it (load, copy, store — no CAS needed); other shards may at most
-// tombstone an entry's dead flag on an eviction.
+// publish or an unpublish copies one small bucket however many documents
+// the shard holds — under memory pressure every disk hit publishes one
+// document and unpublishes another. An empty bucket is nil. Only the owning
+// shard loop writes it (load, copy, store — no CAS needed); other shards
+// may at most set an entry's dead flag on an eviction.
 type pubIndex [pubBuckets]atomic.Pointer[pubMap]
 
 type pubMap = map[core.DocID]*pubEntry
@@ -65,8 +65,9 @@ func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
 	b.Store(&nm)
 }
 
-// pubEntry is one published document. The body is immutable; the atomics
-// accumulate fast-path activity between shard ticks.
+// pubEntry is one published copy of a document. The body is immutable; its
+// fast-path serves are counted on the document's record (st), which
+// outlives the entry.
 type pubEntry struct {
 	body []byte
 	// version is the document version of body (0 = never republished);
@@ -77,16 +78,31 @@ type pubEntry struct {
 	// delegated or tunneled copy instead spends credits, the fast-path
 	// stand-in for the shard's rate-limited admission filter.
 	always bool
-	// dead is the eviction tombstone: set (possibly by another shard's
-	// Put displacing this copy) the moment the document leaves the store,
-	// so the fast path stops serving a stale body before the owning shard
-	// gets around to unpublishing.
+	// dead is set (possibly by another shard's Put displacing this copy)
+	// the moment the document leaves the store, so the fast path stops
+	// serving a stale body before the owning shard gets around to
+	// unpublishing.
 	dead atomic.Bool
 	// credits is the admission budget for gated copies: the owning shard
 	// tops it up with what the exact filter would admit (target − served
 	// rate, over the time since the last top-up); the fast path spends one
 	// per serve and falls back to the shard queue when exhausted.
 	credits atomic.Int64
+	st      *docState // the document's record, where the fast path counts
+
+	// Owner-loop bookkeeping, never read by the fast path.
+	slot     int       // position in shard.entries, -1 once out of the index
+	hot      bool      // on shard.hot
+	creditAt time.Time // when credits were last earned (zero = never)
+}
+
+// docState is everything a shard keeps about one document, in one
+// pointer-stable record: created on the document's first event and never
+// freed, like the rate windows it holds. The fast-path counters live here
+// rather than on the published entry, so a serve counted through an entry
+// that was unpublished or replaced meanwhile still reaches the windows.
+type docState struct {
+	doc core.DocID
 	// served counts fast-path serves since the owner last drained them
 	// into its rate windows.
 	served atomic.Int64
@@ -95,20 +111,51 @@ type pubEntry struct {
 	// protocol needs, kept even for requests that never touch a loop.
 	flows atomic.Pointer[map[int]*atomic.Int64]
 
-	// Owner-loop bookkeeping, never read by the fast path.
-	doc      core.DocID
-	slot     int       // position in shard.entries, -1 once out of the index
-	hot      bool      // on shard.hot
-	creditAt time.Time // when credits were last earned (zero = never)
+	// Owner loop only.
+	pub       *pubEntry  // the entry in the publication index, nil if none
+	target    float64    // serve duty
+	servedWin *docWindow // measured served rate; nil until served
+	flowWin   *docWindow // local demand (From -1); nil until requested
+	flight    *flight    // the upstream fetch requests coalesce behind
+	// ver is the latest version this shard has seen (from republish or
+	// invalidate frames, delegated copies, or responses); it only moves
+	// forward.
+	ver uint64
+	// stranded parks duty that should have been hinted upward (an
+	// eviction's residual, a dead child's un-absorbable ledger) while the
+	// node is orphaned: with no parent link the hint has nowhere to go, and
+	// dropping it would silently zero that share of the wave.
+	// parentRestored flushes it across the repaired edge.
+	stranded float64
+	// The journal's view (persist.go, disk tier only): the last target and
+	// copy version journaled for the document, and whether an admit record
+	// is open for it.
+	jTarget  float64
+	jVer     uint64
+	admitted bool
+	// stale marks a body dropped by an invalidation (or bypassed by a
+	// session floor) while its filter and duty stayed — cleared when a
+	// passing response re-admits the fresh copy (the lease refresh).
+	stale bool
+}
+
+// bumpVer advances the record's version high-water mark, reporting whether
+// ver was news.
+func (st *docState) bumpVer(ver uint64) bool {
+	if ver <= st.ver {
+		return false
+	}
+	st.ver = ver
+	return true
 }
 
 // bumpFlow counts one fast-path arrival from the given sender. New senders
 // install their counter with a copy-on-write swap (existing counters are
 // carried by pointer, so no concurrent increment is lost); the steady state
 // is a single atomic add.
-func (e *pubEntry) bumpFlow(from int) {
+func (st *docState) bumpFlow(from int) {
 	for {
-		m := e.flows.Load()
+		m := st.flows.Load()
 		if m != nil {
 			if c, ok := (*m)[from]; ok {
 				c.Add(1)
@@ -121,7 +168,7 @@ func (e *pubEntry) bumpFlow(from int) {
 		}
 		c := new(atomic.Int64)
 		nm[from] = c
-		if e.flows.CompareAndSwap(m, &nm) {
+		if st.flows.CompareAndSwap(m, &nm) {
 			c.Add(1)
 			return
 		}
@@ -161,10 +208,7 @@ type shardSnap struct {
 // shardCounters is the loop-owned counter block carried in snapshots.
 // fastServed is the cumulative fast-serve count captured just before the
 // snapshot's drain, and served is the queued serves plus that same figure:
-// both are exact, and a scrape always sees FastServed inside Served. (The
-// per-entry counts the drain folds into the rate windows can strand a
-// serve on an entry reaped or replaced while its connection goroutine was
-// descheduled past the tombstone grace; the counters must not.)
+// both are exact, and a scrape always sees FastServed inside Served.
 type shardCounters struct {
 	served, forwarded, coalesced       int64
 	delegIn, delegOut, shedIn, shedOut int64
@@ -174,13 +218,6 @@ type shardCounters struct {
 	staleDrops, leaseRefreshes         int64
 	sessionRefreshes                   int64
 	reclaimedDuty, absorbedDuty        float64
-}
-
-// evictedNote is a cross-shard eviction cleanup request: shard A's Put
-// displaced a document owned by shard B; B must tear down its protocol
-// state for it.
-type evictedNote struct {
-	doc core.DocID
 }
 
 // shard is one doc-sharded event loop. Everything below `events` is owned
@@ -193,10 +230,8 @@ type shard struct {
 
 	now         time.Time // loop-owned clock, read once per event batch
 	rt          *router.Router
-	targets     map[core.DocID]float64
-	served      map[core.DocID]*docWindow
+	docs        map[core.DocID]*docState
 	totalServed *rateWindow
-	localFlow   map[core.DocID]*docWindow
 	childFlow   map[int]map[core.DocID]*docWindow // A_j^d estimates
 	// childDuty is the per-child delegated-duty ledger: how much serve duty
 	// for each document is believed to live at (or below) each child —
@@ -204,35 +239,20 @@ type shard struct {
 	// the child sheds duty back or abandons it with an evict hint. When a
 	// child dies the ledger is what the node re-absorbs, so the wave does
 	// not silently lose the dead subtree's share.
-	childDuty map[int]map[core.DocID]float64
-	pending   map[pendingKey]pendingEntry
-	inflight  map[core.DocID]*flight
-	// docVer is the latest document version this shard has seen per doc
-	// (from republish/invalidate frames, delegated copies, or responses);
-	// it only moves forward. staleDocs marks documents whose body was
-	// dropped by an invalidation while their filter and duty stayed —
-	// cleared when a passing response re-admits the fresh copy (the lease
-	// refresh, update.go).
-	docVer      map[core.DocID]uint64
-	staleDocs   map[core.DocID]bool
+	childDuty   map[int]map[core.DocID]float64
+	pending     map[pendingKey]pendingEntry
 	flightRetry time.Duration
 	batch       []event
 	laneSender
 
 	lastSweep time.Time
-	lastReap  time.Time
 
 	// n counts what this loop did (exported via snapshots). n.served holds
 	// the queued serves only and n.fastServed stays zero here: a snapshot
 	// adds the fast path's own counter to both, see shardCounters.
 	n shardCounters
 
-	// jTargets is the last journaled duty per admitted document (persist.go);
-	// nil, like jMoved, while the disk tier is disabled. jVers mirrors it for
-	// the last journaled copy version (update.go).
-	jTargets map[core.DocID]float64
-	jVers    map[core.DocID]uint64
-	jMoved   []core.DocID // targets moved since the last journalTick
+	jMoved []*docState // targets moved since the last journalTick (disk tier only)
 
 	// Lock-free surfaces.
 	pub         pubIndex                  // publication index (single writer: this loop)
@@ -241,12 +261,13 @@ type shard struct {
 
 	// What a tick has to look at, so its cost follows what changed and not
 	// what exists. entries mirrors the index as a flat list (this loop is
-	// its only writer); while nFastServed equals fastDrained, its value at
-	// the last drain, no entry has serves pending. hot lists the gated
-	// entries whose served window holds counts (their credits move as it
-	// slides), live the docWindows counted into since they last read empty
-	// (all a rebuild of the snapshot's rate maps reads); targetsMoved and
-	// ratesAt say whether and when one is due (publishSnap).
+	// its only writer); fastDrained counts the fast serves drained so far,
+	// so while nFastServed has not passed it no record has serves pending.
+	// hot lists the gated entries whose served window holds counts (their
+	// credits move as it slides), live the docWindows counted into since
+	// they last read empty (all a rebuild of the snapshot's rate maps
+	// reads); targetsMoved and ratesAt say whether and when one is due
+	// (publishSnap).
 	entries      []*pubEntry
 	fastDrained  int64
 	hot          []*pubEntry
@@ -254,21 +275,8 @@ type shard struct {
 	targetsMoved bool
 	ratesAt      time.Time
 
-	// strandedDuty parks duty that should have been hinted upward (an
-	// eviction's residual, a dead child's un-absorbable ledger) while the
-	// node is orphaned: with no parent link the hint has nowhere to go, and
-	// dropping it would silently zero that share of the wave. parentRestored
-	// flushes it across the repaired edge.
-	strandedDuty map[core.DocID]float64
-
-	// Two-phase tombstone reaping: unpublished docs wait here one full
-	// tick before their entries leave the index, so a connection goroutine
-	// that loaded the index just before the tombstone still bumps counters
-	// the drain can reach.
-	tombstoned, tombstonedPrev []core.DocID
-
 	evictMu   sync.Mutex
-	evictedIn []evictedNote // posted by other shards' Puts, drained by this loop
+	evictedIn []core.DocID // posted by other shards' Puts, drained by this loop
 }
 
 func newShard(s *Server, idx int) *shard {
@@ -279,15 +287,10 @@ func newShard(s *Server, idx int) *shard {
 		events:      make(chan event, cfg.QueueDepth),
 		now:         time.Now(),
 		rt:          router.New(),
-		targets:     make(map[core.DocID]float64, 16),
-		served:      make(map[core.DocID]*docWindow, 16),
-		localFlow:   make(map[core.DocID]*docWindow, 16),
+		docs:        make(map[core.DocID]*docState, 16),
 		childFlow:   make(map[int]map[core.DocID]*docWindow, 8),
 		childDuty:   make(map[int]map[core.DocID]float64, 8),
 		pending:     make(map[pendingKey]pendingEntry, 64),
-		inflight:    make(map[core.DocID]*flight, 16),
-		docVer:      make(map[core.DocID]uint64, 16),
-		staleDocs:   make(map[core.DocID]bool, 4),
 		batch:       make([]event, 0, cfg.MaxBatch),
 		totalServed: newRateWindow(cfg.Window, rateBuckets),
 		laneSender:  laneSender{s: s, lane: idx},
@@ -295,6 +298,16 @@ func newShard(s *Server, idx int) *shard {
 	sh.snap.Store(&shardSnap{}) // never nil: readers need no check before the first tick
 	sh.flightRetry = max(2*cfg.GossipPeriod, 20*time.Millisecond)
 	return sh
+}
+
+// state returns doc's record, creating it on first use.
+func (sh *shard) state(doc core.DocID) *docState {
+	st := sh.docs[doc]
+	if st == nil {
+		st = &docState{doc: doc}
+		sh.docs[doc] = st
+	}
+	return st
 }
 
 func (sh *shard) loop() {
@@ -414,19 +427,16 @@ func (sh *shard) absorbChildDuty(child int) {
 
 // hintUp forwards abandoned duty toward the parent as an evict hint so a
 // surviving copy upstream absorbs it. While orphaned the hint has no live
-// edge to travel; the rate is parked in strandedDuty and flushed by
-// parentRestored, so duty conservation survives a double failure (losing a
-// child and the parent in the same window).
+// edge to travel; the rate is parked on the record (stranded) and flushed
+// by parentRestored, so duty conservation survives a double failure
+// (losing a child and the parent in the same window).
 func (sh *shard) hintUp(doc core.DocID, rate float64) {
 	if rate <= 0 {
 		return
 	}
 	pl := sh.s.parentLink()
 	if pl == nil {
-		if sh.strandedDuty == nil {
-			sh.strandedDuty = make(map[core.DocID]float64, 4)
-		}
-		sh.strandedDuty[doc] += rate
+		sh.state(doc).stranded += rate
 		return
 	}
 	sh.sendOn(pl.conn, &netproto.Envelope{
@@ -445,26 +455,30 @@ func (sh *shard) parentRestored() {
 	if pl == nil {
 		return // lost again before the command drained
 	}
-	for doc, rate := range sh.targets {
-		if rate <= 0 {
-			continue
+	for doc, st := range sh.docs {
+		if st.target > 0 {
+			sh.sendOn(pl.conn, &netproto.Envelope{
+				Kind: netproto.TypeReclaim, From: sh.s.cfg.ID, To: pl.id,
+				Doc: doc, Rate: st.target,
+			})
 		}
-		sh.sendOn(pl.conn, &netproto.Envelope{
-			Kind: netproto.TypeReclaim, From: sh.s.cfg.ID, To: pl.id,
-			Doc: doc, Rate: rate,
-		})
-	}
-	// Duty stranded while orphaned: re-absorb what we meanwhile hold again
-	// (a tunneled copy, say), hint the rest across the repaired edge.
-	stranded := sh.strandedDuty
-	sh.strandedDuty = nil
-	for doc, rate := range stranded {
-		if sh.s.holdsCopy(doc) {
-			sh.addTarget(doc, rate)
-			sh.n.absorbedDuty += rate
-			continue
+		// Flights stay armed so new arrivals keep coalescing behind the
+		// replays below instead of each traveling upstream.
+		if st.flight != nil {
+			st.flight.at = sh.now
 		}
-		sh.hintUp(doc, rate)
+		// Duty stranded while orphaned: re-absorb what we meanwhile hold
+		// again (a tunneled copy, say), hint the rest across the repaired
+		// edge.
+		if rate := st.stranded; rate > 0 {
+			st.stranded = 0
+			if sh.s.holdsCopy(doc) {
+				sh.addTarget(doc, rate)
+				sh.n.absorbedDuty += rate
+			} else {
+				sh.hintUp(doc, rate)
+			}
+		}
 	}
 	fwd := netproto.GetEnvelope()
 	for key, pe := range sh.pending {
@@ -478,11 +492,6 @@ func (sh *shard) parentRestored() {
 		sh.pending[key] = pe
 	}
 	netproto.PutEnvelope(fwd)
-	// Flights stay armed so new arrivals keep coalescing behind the replays
-	// instead of each traveling upstream.
-	for _, fl := range sh.inflight {
-		fl.at = sh.now
-	}
 }
 
 // dutyLedger returns (creating if needed) the delegated-duty ledger for one
@@ -518,23 +527,31 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 // every window empty does no per-entry work and allocates nothing.
 func (sh *shard) tick(scrape bool) {
 	// Read the cumulative fast-serve counter before the drain: every serve
-	// it covers bumped its entry counter first (program order, seq-cst
+	// it covers bumped its record's counter first (program order, seq-cst
 	// atomics), so the windows the drain below feeds cover every serve the
-	// snapshot counts. Unless it moved since the last drain no entry has
-	// serves pending (one that has bumped its entry but not yet the counter
-	// waits for the next tick); when it did, only entries with serves on
-	// them are folded into the loop-owned rate windows, where gossip,
-	// diffusion and the admission filters see them like queued demand.
+	// snapshot counts. Unless it passed the drained count no record has
+	// serves pending (one that has bumped its record but not yet the
+	// counter is drained early or waits for the next tick); when it did,
+	// the published records with serves on them are folded into the
+	// loop-owned rate windows, where gossip, diffusion and the admission
+	// filters see them like queued demand. Serves still missing after that
+	// went through an entry unpublished or replaced since its connection
+	// goroutine loaded it, and one walk over every record finds them.
 	fast := sh.nFastServed.Load()
-	if fast != sh.fastDrained {
-		sh.fastDrained = fast
+	if fast > sh.fastDrained {
 		for _, e := range sh.entries {
-			if e.served.Load() != 0 {
-				sh.drainEntry(e)
+			if e.st.served.Load() != 0 {
+				sh.drain(e.st)
+			}
+		}
+		if sh.fastDrained < fast {
+			for _, st := range sh.docs {
+				if st.served.Load() != 0 {
+					sh.drain(st)
+				}
 			}
 		}
 	}
-	sh.reapTombstones()
 	sh.refreshHot()
 	sh.journalTick()
 	if sh.now.Sub(sh.lastSweep) >= max(sh.s.cfg.PendingTTL/2, 10*time.Millisecond) {
@@ -544,48 +561,27 @@ func (sh *shard) tick(scrape bool) {
 	sh.publishSnap(fast, scrape)
 }
 
-// drainEntry folds one entry's pending fast-path counts into the windows. A
-// drained serve also touches the store once, keeping recency-based eviction
-// policies aware that the document is hot.
-func (sh *shard) drainEntry(e *pubEntry) {
-	if n := e.served.Swap(0); n > 0 {
-		sh.countServed(e.doc, float64(n))
-		sh.markHot(e)
-		if !e.dead.Load() {
-			sh.s.cache.Get(e.doc) // one recency/frequency touch per active tick
-		}
-	}
-	if fm := e.flows.Load(); fm != nil {
-		for from, c := range *fm {
-			if n := c.Swap(0); n > 0 {
-				sh.count(sh.flowWindow(from, e.doc), float64(n))
+// drain folds one record's pending fast-path counts into the windows. A
+// drained serve of a published copy also touches the store once, keeping
+// recency-based eviction policies aware that the document is hot.
+func (sh *shard) drain(st *docState) {
+	if n := st.served.Swap(0); n > 0 {
+		sh.fastDrained += n
+		sh.countServed(st, float64(n))
+		if e := st.pub; e != nil {
+			sh.markHot(e)
+			if !e.dead.Load() {
+				sh.s.cache.Get(st.doc) // one recency/frequency touch per active tick
 			}
 		}
 	}
-}
-
-// reapTombstones removes entries unpublished at least one full gossip
-// period ago from the index (unless the document was republished since —
-// its entry is live again and stays). Between the tombstone and the reap
-// the dead entry declines every fast-path serve but keeps its counters
-// reachable, so a racing bump is at worst drained one tick late instead of
-// lost. The generation shift is clamped to the gossip period — ticks also
-// run per stats scrape (cmdSnap), and a tight scrape loop must not
-// collapse the grace window a racing connection goroutine relies on.
-func (sh *shard) reapTombstones() {
-	if sh.now.Sub(sh.lastReap) < sh.s.cfg.GossipPeriod {
-		return
-	}
-	sh.lastReap = sh.now
-	for _, doc := range sh.tombstonedPrev {
-		if e := sh.published(doc); e != nil && e.dead.Load() {
-			sh.drainEntry(e) // final stragglers
-			sh.pub.set(doc, nil)
-			sh.delist(e)
+	if fm := st.flows.Load(); fm != nil {
+		for from, c := range *fm {
+			if n := c.Swap(0); n > 0 {
+				sh.count(sh.flowWindow(from, st), float64(n))
+			}
 		}
 	}
-	sh.tombstonedPrev = sh.tombstoned
-	sh.tombstoned = nil
 }
 
 // markHot lists a gated entry for credit top-ups on the coming ticks.
@@ -657,10 +653,10 @@ func (sh *shard) buildRates(snap *shardSnap) {
 	sh.ratesAt = sh.now
 	if sh.targetsMoved {
 		sh.targetsMoved = false
-		snap.targets = make(map[core.DocID]float64, len(sh.targets))
-		for d, t := range sh.targets {
-			if t > 0 {
-				snap.targets[d] = t
+		snap.targets = make(map[core.DocID]float64, len(snap.targets))
+		for d, st := range sh.docs {
+			if st.target > 0 {
+				snap.targets[d] = st.target
 			}
 		}
 	}
@@ -700,8 +696,8 @@ func (sh *shard) drainEvicted() {
 	notes := sh.evictedIn
 	sh.evictedIn = nil
 	sh.evictMu.Unlock()
-	for _, n := range notes {
-		sh.dropEvicted(n.doc)
+	for _, doc := range notes {
+		sh.dropEvicted(doc)
 	}
 }
 
@@ -709,11 +705,11 @@ func (sh *shard) drainEvicted() {
 // shard; the owner drains it at its next batch or tick.
 func (sh *shard) postEvicted(doc core.DocID) {
 	sh.evictMu.Lock()
-	sh.evictedIn = append(sh.evictedIn, evictedNote{doc: doc})
+	sh.evictedIn = append(sh.evictedIn, doc)
 	sh.evictMu.Unlock()
 }
 
-// killPub tombstones a published entry so the fast path stops serving it.
+// killPub marks a published entry dead so the fast path stops serving it.
 // Safe from any goroutine — this is the one cross-shard write, a single
 // atomic flag.
 func (sh *shard) killPub(doc core.DocID) {
@@ -722,8 +718,8 @@ func (sh *shard) killPub(doc core.DocID) {
 	}
 }
 
-// published returns doc's publication entry (live or tombstoned), nil when
-// there is none. Safe from any goroutine.
+// published returns doc's publication entry (live or dead), nil when there
+// is none. Safe from any goroutine.
 func (sh *shard) published(doc core.DocID) *pubEntry {
 	return sh.pub.get(shardHash(doc), doc)
 }
@@ -731,15 +727,16 @@ func (sh *shard) published(doc core.DocID) *pubEntry {
 // publish installs (or refreshes) a document in the copy-on-write
 // publication index, stamping the copy's version for response frames, and
 // arms its fast-path budget for the target the document carries right now.
-// Owner loop only (single writer). Counts still pending on a replaced
-// entry (a refresh, or a tombstone being republished) are drained first so
-// no fast-path serves vanish from the rate windows.
+// Owner loop only (single writer). Counts pending on the record are drained
+// first, so the budget reads an up-to-date served rate.
 func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
-	if prev := sh.published(doc); prev != nil {
-		sh.drainEntry(prev)
-		sh.delist(prev)
+	st := sh.state(doc)
+	sh.drain(st)
+	if st.pub != nil {
+		sh.delist(st.pub)
 	}
-	e := &pubEntry{body: body, always: always, version: version, doc: doc, slot: len(sh.entries)}
+	e := &pubEntry{body: body, always: always, version: version, st: st, slot: len(sh.entries)}
+	st.pub = e
 	sh.entries = append(sh.entries, e)
 	sh.pub.set(doc, e)
 	if sh.refreshEntryCredit(e) {
@@ -757,17 +754,19 @@ func (sh *shard) delist(e *pubEntry) {
 	e.slot = -1
 }
 
-// unpublish tombstones a document in the publication index (owner loop
-// only) and drains its pending counts; the entry itself is reaped from the
-// map two ticks later (reapTombstones), keeping a racing bump reachable.
-func (sh *shard) unpublish(doc core.DocID) {
-	e := sh.published(doc)
-	if e == nil {
+// unpublish takes a document out of the publication index (owner loop
+// only) and drains its pending counts. A connection goroutine that loaded
+// the entry just before sees it dead; one that already counted a serve on
+// it counted on the record, which the next tick drains.
+func (sh *shard) unpublish(st *docState) {
+	if st.pub == nil {
 		return
 	}
-	e.dead.Store(true)
-	sh.drainEntry(e)
-	sh.tombstoned = append(sh.tombstoned, doc)
+	st.pub.dead.Store(true)
+	sh.drain(st)
+	sh.pub.set(st.doc, nil)
+	sh.delist(st.pub)
+	st.pub = nil
 }
 
 // count records n events in a per-document window and lists the window as
@@ -780,44 +779,44 @@ func (sh *shard) count(w *docWindow, n float64) {
 	}
 }
 
-// countServed records n serves of doc in the node-wide and per-document
-// served-rate windows.
-func (sh *shard) countServed(doc core.DocID, n float64) {
+// countServed records n serves of a document in the node-wide and
+// per-document served-rate windows.
+func (sh *shard) countServed(st *docState, n float64) {
 	sh.totalServed.Add(sh.now, n)
-	w := sh.served[doc]
-	if w == nil {
-		w = sh.newWindow(doc, servedRate)
-		sh.served[doc] = w
+	if st.servedWin == nil {
+		st.servedWin = sh.newWindow(st.doc, servedRate)
 	}
-	sh.count(w, n)
+	sh.count(st.servedWin, n)
 }
 
 func (sh *shard) newWindow(doc core.DocID, from int) *docWindow {
 	return &docWindow{rateWindow: *newRateWindow(sh.s.cfg.Window, rateBuckets), doc: doc, from: from}
 }
 
-// flowWindow returns the arrival-rate window for doc as seen from sender
-// `from`: a child's A_j^d estimate for forwarded requests (requests only
-// travel up the tree, so any non-negative sender id is a child), or local
-// demand for client-injected ones (From -1). Keying on the envelope's id
-// rather than the registration view keeps attribution correct even when a
-// child's first requests overtake its registering gossip across the shard
-// and control queues — the single event loop's per-connection FIFO no
-// longer orders those two.
-func (sh *shard) flowWindow(from int, doc core.DocID) *docWindow {
-	flows := sh.localFlow
-	if from >= 0 {
-		if flows = sh.childFlow[from]; flows == nil {
-			flows = make(map[core.DocID]*docWindow, 16)
-			sh.childFlow[from] = flows
+// flowWindow returns the arrival-rate window for a document as seen from
+// sender `from`: a child's A_j^d estimate for forwarded requests (requests
+// only travel up the tree, so any non-negative sender id is a child), or
+// local demand for client-injected ones (From -1). Keying on the
+// envelope's id rather than the registration view keeps attribution
+// correct even when a child's first requests overtake its registering
+// gossip across the shard and control queues — the single event loop's
+// per-connection FIFO no longer orders those two.
+func (sh *shard) flowWindow(from int, st *docState) *docWindow {
+	if from < 0 {
+		if st.flowWin == nil {
+			st.flowWin = sh.newWindow(st.doc, -1)
 		}
-	} else {
-		from = -1
+		return st.flowWin
 	}
-	w := flows[doc]
+	flows := sh.childFlow[from]
+	if flows == nil {
+		flows = make(map[core.DocID]*docWindow, 16)
+		sh.childFlow[from] = flows
+	}
+	w := flows[st.doc]
 	if w == nil {
-		w = sh.newWindow(doc, from)
-		flows[doc] = w
+		w = sh.newWindow(st.doc, from)
+		flows[st.doc] = w
 	}
 	return w
 }
@@ -826,30 +825,31 @@ func (sh *shard) flowWindow(from int, doc core.DocID) *docWindow {
 // re-arms the copy's fast-path budget for the new figure instead of
 // leaving that to the next tick.
 func (sh *shard) addTarget(doc core.DocID, delta float64) {
-	sh.targets[doc] = max(sh.targets[doc]+delta, 0)
-	sh.noteTarget(doc)
-	if e := sh.published(doc); e != nil {
-		sh.refreshEntryCredit(e)
+	st := sh.state(doc)
+	st.target = max(st.target+delta, 0)
+	sh.noteTarget(st)
+	if st.pub != nil {
+		sh.refreshEntryCredit(st.pub)
 	}
 }
 
 // noteTarget records a changed target for the snapshot and the journal.
-func (sh *shard) noteTarget(doc core.DocID) {
+func (sh *shard) noteTarget(st *docState) {
 	sh.targetsMoved = true
 	if sh.s.journal != nil {
-		sh.jMoved = append(sh.jMoved, doc)
+		sh.jMoved = append(sh.jMoved, st)
 	}
 }
 
 // dropDuty forgets doc's serve target and served-rate window — the copy is
 // gone, or its replica dissolved — and returns the target it carried.
-func (sh *shard) dropDuty(doc core.DocID) float64 {
-	residual := sh.targets[doc]
-	delete(sh.targets, doc)
-	sh.noteTarget(doc)
-	if w := sh.served[doc]; w != nil {
-		w.Clear() // may still sit on the live list
-		delete(sh.served, doc)
+func (sh *shard) dropDuty(st *docState) float64 {
+	residual := st.target
+	st.target = 0
+	sh.noteTarget(st)
+	if st.servedWin != nil {
+		st.servedWin.Clear() // may still sit on the live list
+		st.servedWin = nil
 	}
 	return residual
 }
@@ -864,7 +864,8 @@ func (sh *shard) handle(ev event) {
 		// A response is also a version observation: learn the served
 		// version before routing, so the lease check below compares
 		// against the freshest high-water mark.
-		sh.bumpDocVer(env.Doc, env.DocVersion)
+		st := sh.state(env.Doc)
+		st.bumpVer(env.DocVersion)
 		key := pendingKey{origin: env.Origin, reqID: env.ReqID}
 		if pe, ok := sh.pending[key]; ok {
 			delete(sh.pending, key)
@@ -872,11 +873,11 @@ func (sh *shard) handle(ev event) {
 		}
 		// Any response carrying this document also answers the requests
 		// coalesced behind the in-flight fetch.
-		if fl, ok := sh.inflight[env.Doc]; ok {
-			delete(sh.inflight, env.Doc)
-			sh.answerWaiters(fl, env)
+		if fl := st.flight; fl != nil {
+			st.flight = nil
+			sh.answerWaiters(st, fl, env)
 		}
-		sh.maybeLeaseRefresh(env)
+		sh.maybeLeaseRefresh(st, env)
 
 	case netproto.TypeDelegate:
 		sh.n.delegIn++
@@ -935,10 +936,11 @@ func (sh *shard) handle(ev event) {
 		// our high-water mark goes unanswered — shipping an older copy
 		// across the barrier would plant exactly the stale body the token
 		// exists to bypass.
-		if body, ok := sh.s.bodyOf(env.Doc); ok && env.MinVersion <= sh.docVer[env.Doc] {
+		ver := sh.state(env.Doc).ver
+		if body, ok := sh.s.bodyOf(env.Doc); ok && env.MinVersion <= ver {
 			sh.sendOn(ev.conn, &netproto.Envelope{
 				Kind: netproto.TypeTunnelReply, From: sh.s.cfg.ID, To: env.From,
-				Doc: env.Doc, Body: body, DocVersion: sh.docVer[env.Doc],
+				Doc: env.Doc, Body: body, DocVersion: ver,
 			})
 		}
 
@@ -971,8 +973,8 @@ func (sh *shard) refreshEntryCredit(e *pubEntry) (serving bool) {
 	if e.always || e.dead.Load() {
 		return false
 	}
-	gap := sh.targets[e.doc]
-	if w := sh.served[e.doc]; w != nil {
+	gap := e.st.target
+	if w := e.st.servedWin; w != nil {
 		gap -= w.Rate(sh.now)
 		serving = w.total > 0
 	}
@@ -1002,14 +1004,16 @@ func (sh *shard) handleConnClosed(conn transport.Conn) {
 			delete(sh.pending, key)
 		}
 	}
-	for _, fl := range sh.inflight {
-		kept := fl.waiters[:0]
-		for _, w := range fl.waiters {
-			if w.conn != conn {
-				kept = append(kept, w)
+	for _, st := range sh.docs {
+		if fl := st.flight; fl != nil {
+			kept := fl.waiters[:0]
+			for _, w := range fl.waiters {
+				if w.conn != conn {
+					kept = append(kept, w)
+				}
 			}
+			fl.waiters = kept
 		}
-		fl.waiters = kept
 	}
 }
 
@@ -1023,9 +1027,9 @@ func (sh *shard) sweepStale() {
 			delete(sh.pending, key)
 		}
 	}
-	for doc, fl := range sh.inflight {
-		if sh.now.Sub(fl.at) > ttl {
-			delete(sh.inflight, doc)
+	for _, st := range sh.docs {
+		if st.flight != nil && sh.now.Sub(st.flight.at) > ttl {
+			st.flight = nil
 		}
 	}
 }
@@ -1036,24 +1040,25 @@ func (sh *shard) sweepStale() {
 // this point.)
 func (sh *shard) handleRequest(ev event) {
 	env := ev.env
+	st := sh.state(env.Doc)
 	// Account per-child forwarded flow (A_j^d) when the request came from a
 	// registered child, or local demand otherwise. Accounting happens
 	// before single-flight coalescing, so the local protocol signals see
 	// the full demand even when the upstream fetch is shared.
-	sh.count(sh.flowWindow(env.From, env.Doc), 1)
+	sh.count(sh.flowWindow(env.From, st), 1)
 
-	if env.MinVersion > sh.docVer[env.Doc] && sh.sessionGate(ev) {
+	if env.MinVersion > st.ver && sh.sessionGate(st, ev) {
 		return
 	}
 	if sh.rt.Classify(env.Doc) == router.Extract || sh.s.isRoot {
-		sh.serveRequest(ev)
+		sh.serveRequest(st, ev)
 		return
 	}
-	sh.forwardUp(ev)
+	sh.forwardUp(st, ev)
 }
 
 // sessionGate handles a request whose session token demands a newer version
-// than this shard has seen (MinVersion > docVer): serving the local copy
+// than this shard has seen (MinVersion > st.ver): serving the local copy
 // would violate read-my-writes, so the request bypasses it and rides the
 // subtree-lease single-flight upward instead — any held body is marked
 // stale (kept serving token-less readers) so the passing response re-admits
@@ -1065,18 +1070,17 @@ func (sh *shard) handleRequest(ev event) {
 // whether the request was consumed; false means the token is unsatisfiable
 // here and normal serving should proceed (an unpublished document at the
 // root answers NotFound rather than parking forever).
-func (sh *shard) sessionGate(ev event) bool {
+func (sh *shard) sessionGate(st *docState, ev event) bool {
 	env := ev.env
 	if sh.s.isRoot {
-		if _, published := sh.s.bodyOf(env.Doc); !published && sh.docVer[env.Doc] == 0 {
+		if _, published := sh.s.bodyOf(env.Doc); !published && st.ver == 0 {
 			return false
 		}
 		sh.n.sessionRefreshes++
-		fl := sh.inflight[env.Doc]
-		if fl == nil {
-			fl = &flight{at: sh.now}
-			sh.inflight[env.Doc] = fl
+		if st.flight == nil {
+			st.flight = &flight{at: sh.now}
 		}
+		fl := st.flight
 		fl.waiters = append(fl.waiters, waiter{
 			origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion,
 		})
@@ -1084,9 +1088,9 @@ func (sh *shard) sessionGate(ev event) bool {
 	}
 	sh.n.sessionRefreshes++
 	if sh.s.holdsCopy(env.Doc) {
-		sh.staleDocs[env.Doc] = true
+		st.stale = true
 	}
-	sh.forwardUp(ev)
+	sh.forwardUp(st, ev)
 	return true
 }
 
@@ -1103,9 +1107,9 @@ func (sh *shard) sessionGate(ev event) bool {
 // and flight created, nothing sent — and replayed by parentRestored once a
 // failover lands, so losing a parent delays queued upward flow instead of
 // dropping it.
-func (sh *shard) forwardUp(ev event) {
+func (sh *shard) forwardUp(st *docState, ev event) {
 	env := ev.env
-	fl := sh.inflight[env.Doc]
+	fl := st.flight
 	if fl != nil && sh.now.Sub(fl.at) < sh.flightRetry {
 		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion})
 		sh.n.coalesced++
@@ -1113,7 +1117,7 @@ func (sh *shard) forwardUp(ev event) {
 	}
 	if fl == nil {
 		fl = &flight{}
-		sh.inflight[env.Doc] = fl
+		st.flight = fl
 	}
 	fl.at = sh.now
 	sh.n.forwarded++
@@ -1137,7 +1141,7 @@ func (sh *shard) forwardUp(ev event) {
 // response's version must not be answered with it (a token-less leader's
 // fetch can resolve to a copy older than what a coalesced session has
 // already seen); they re-arm as a fresh flight instead.
-func (sh *shard) answerWaiters(fl *flight, resp *netproto.Envelope) {
+func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope) {
 	if len(fl.waiters) == 0 {
 		return
 	}
@@ -1159,7 +1163,7 @@ func (sh *shard) answerWaiters(fl *flight, resp *netproto.Envelope) {
 	}
 	netproto.PutEnvelope(out)
 	if len(unsatisfied) > 0 {
-		sh.refetchUnsatisfied(resp.Doc, unsatisfied)
+		sh.refetchUnsatisfied(st, unsatisfied)
 	}
 }
 
@@ -1170,9 +1174,10 @@ func (sh *shard) answerWaiters(fl *flight, resp *netproto.Envelope) {
 // left behind it. At the root there is nowhere to forward; the group stays
 // parked until the claimed write lands (answerParked) or the sweep expires
 // the flight.
-func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
+func (sh *shard) refetchUnsatisfied(st *docState, ws []waiter) {
+	doc := st.doc
 	fl := &flight{at: sh.now, waiters: ws}
-	sh.inflight[doc] = fl
+	st.flight = fl
 	if sh.s.isRoot {
 		return
 	}
@@ -1204,21 +1209,22 @@ func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
 // admitted (a body that cannot fit is rejected, not cached).
 //
 // For every displaced document: the fast path is cut immediately (the
-// publication tombstone), and the owning shard — usually this one, always
+// entry's dead flag), and the owning shard — usually this one, always
 // this one when the cache striping is aligned — tears down the admission
 // filter so requests resume traveling toward the home server, drops the
 // serve target and rate window, and hints the eviction to the parent with
 // the abandoned target rate so a surviving copy upstream absorbs the duty
 // instead of waiting a diffusion period to notice the imbalance.
 func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
-	if ver < sh.docVer[doc] {
+	st := sh.state(doc)
+	if ver < st.ver {
 		// A stale body (a delegation or tunnel reply that raced a
 		// republish): refuse it — admitting it would roll the document
 		// back behind the version the tree has already converged on.
 		sh.n.staleDrops++
 		return false
 	}
-	if sh.bumpDocVer(doc, ver) && sh.s.disk != nil {
+	if st.bumpVer(ver) && sh.s.disk != nil {
 		sh.s.disk.Delete(doc) // any resident disk body predates ver
 	}
 	// Write through to the disk tier first, so the body is crash-safe (and
@@ -1227,10 +1233,10 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 	evs, ok := sh.s.cache.PutVersion(doc, body, ver)
 	sh.applyEvictions(evs)
 	if ok {
-		sh.installFilter(doc)
+		sh.installFilter(st)
 		sh.publish(doc, body, false, ver)
-		sh.journalAdmit(doc)
-		sh.journalVersion(doc, ver)
+		sh.journalAdmit(st)
+		sh.journalVersion(st, ver)
 		return true
 	}
 	if sh.s.diskHas(doc) {
@@ -1239,9 +1245,9 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 		// lets a corpus larger than RAM keep serving below the home server.
 		// No publication: the fast path needs an in-memory body; the read
 		// path serves the copy from disk until a hit re-admits it.
-		sh.installFilter(doc)
-		sh.journalAdmit(doc)
-		sh.journalVersion(doc, ver)
+		sh.installFilter(st)
+		sh.journalAdmit(st)
+		sh.journalVersion(st, ver)
 		return true
 	}
 	return false
@@ -1268,14 +1274,15 @@ func (sh *shard) applyEvictions(evs []cachestore.Eviction) {
 // entry out, duty handed to the parent. Skipped when the document was
 // re-admitted before the cleanup drained (the note is then stale).
 func (sh *shard) dropEvicted(doc core.DocID) {
+	st := sh.state(doc)
 	if sh.s.cache.Contains(doc) {
 		// Re-admitted since the note was posted. The evictor's killPub may
-		// have raced the re-admission and tombstoned the FRESH publication
-		// entry — which sits in no tombstone list and would otherwise stay
-		// dead (fast path disabled) forever. Republish from the live copy.
-		if e := sh.published(doc); e != nil && e.dead.Load() {
+		// have raced the re-admission and marked the FRESH publication
+		// entry dead, which would otherwise leave the fast path disabled
+		// for it forever. Republish from the live copy.
+		if e := st.pub; e != nil && e.dead.Load() {
 			if body, ok := sh.s.cache.Peek(doc); ok {
-				sh.publish(doc, body, false, sh.docVer[doc])
+				sh.publish(doc, body, false, st.ver)
 			}
 		}
 		return
@@ -1285,21 +1292,21 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		// wrote through), so the node keeps the document's duty and filter.
 		// Only the fast path goes down — it needs an in-memory body — and
 		// the read path serves memory → disk until a hit re-admits it.
-		sh.unpublish(doc)
+		sh.unpublish(st)
 		sh.s.nSpills.Add(1)
 		return
 	}
 	sh.rt.Remove(doc)
-	sh.unpublish(doc)
-	residual := sh.dropDuty(doc)
-	sh.journalDrop(doc)
+	sh.unpublish(st)
+	residual := sh.dropDuty(st)
+	sh.journalDrop(st)
 	// A copy displaced before accruing any serve duty has nothing for the
 	// parent to absorb; hintUp skips the no-op (and parks the hint while
 	// orphaned).
 	sh.hintUp(doc, residual)
 }
 
-func (sh *shard) serveRequest(ev event) {
+func (sh *shard) serveRequest(st *docState, ev event) {
 	env := ev.env
 	body, cached := sh.s.cache.Get(env.Doc)
 	if !cached {
@@ -1308,28 +1315,26 @@ func (sh *shard) serveRequest(ev event) {
 			// memory so subsequent requests take the fast path again (the
 			// disk copy stays — bodies are immutable, demotion is free).
 			sh.n.diskHits++
-			sh.readmitFromDisk(env.Doc, dbody)
+			sh.readmitFromDisk(st, dbody)
 			body, cached = dbody, true
 		}
 	}
 	if !cached && !sh.s.isRoot {
 		// The filter extracted a document we no longer hold (install/evict
 		// race); keep the request moving toward the home server.
-		sh.forwardUp(ev)
+		sh.forwardUp(st, ev)
 		return
 	}
 	sh.n.served++
-	sh.countServed(env.Doc, 1)
+	sh.countServed(st, 1)
 	resp := netproto.GetEnvelope()
 	*resp = netproto.Envelope{
 		Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: env.Origin,
 		Doc: env.Doc, Origin: env.Origin, ReqID: env.ReqID,
 		ServedBy: sh.s.cfg.ID, Hops: env.Hops,
 		Body: body, NotFound: !cached,
-		// Stale copies are dropped the instant a newer version is known
-		// (republish swaps in place, invalidate deletes), so a locally
-		// served body is always at the shard's high-water version.
-		DocVersion: sh.docVer[env.Doc],
+		// Known defect (ROADMAP item 1(b)): the high-water mark, not the body's own version.
+		DocVersion: st.ver,
 	}
 	sh.sendOn(ev.conn, resp)
 	netproto.PutEnvelope(resp)
@@ -1340,25 +1345,24 @@ func (sh *shard) serveRequest(ev event) {
 // journaled as admitted, and the disk copy stays where it is. If memory
 // still refuses the body (budget smaller than the body), the document simply
 // stays disk-resident.
-func (sh *shard) readmitFromDisk(doc core.DocID, body []byte) {
-	evs, ok := sh.s.cache.PutVersion(doc, body, sh.docVer[doc])
+func (sh *shard) readmitFromDisk(st *docState, body []byte) {
+	evs, ok := sh.s.cache.PutVersion(st.doc, body, st.ver)
 	sh.applyEvictions(evs)
 	if ok {
-		sh.publish(doc, body, false, sh.docVer[doc])
+		sh.publish(st.doc, body, false, st.ver)
 	}
 }
 
 // installFilter wires the admission decision for one cached document: the
 // packet is extracted while the measured served rate lags the target rate.
 // The filter runs on this shard's loop, so it reads the loop-owned clock
-// instead of taking a timestamp per classified packet.
-func (sh *shard) installFilter(doc core.DocID) {
-	sh.rt.Install(doc, router.FilterFunc(func(d core.DocID) bool {
-		w := sh.served[d]
-		if w == nil {
-			return sh.targets[d] > 0
+// and record instead of taking a timestamp per classified packet.
+func (sh *shard) installFilter(st *docState) {
+	sh.rt.Install(st.doc, router.FilterFunc(func(core.DocID) bool {
+		if st.servedWin == nil {
+			return st.target > 0
 		}
-		return w.Rate(sh.now) < sh.targets[d]
+		return st.servedWin.Rate(sh.now) < st.target
 	}))
 }
 
@@ -1377,7 +1381,7 @@ func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	body, _ := sh.s.bodyOf(doc)       // a handoff is not local demand
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypeDelegate, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: sh.docVer[doc],
+		Doc: doc, Rate: rate, Body: body, DocVersion: sh.state(doc).ver,
 	})
 }
 

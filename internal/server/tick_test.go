@@ -48,38 +48,42 @@ func request(s *Server, doc core.DocID, from int, reqID uint64) bool {
 func rebuildRates(sh *shard) (targets, served map[core.DocID]float64, flows map[int]map[core.DocID]float64) {
 	now := sh.now
 	targets = make(map[core.DocID]float64)
-	for d, t := range sh.targets {
-		if t > 0 {
-			targets[d] = t
-		}
-	}
 	served = make(map[core.DocID]float64)
-	for d, w := range sh.served {
+	flows = make(map[int]map[core.DocID]float64)
+	add := func(from int, d core.DocID, w *docWindow) {
 		if r := w.Rate(now); r > 0 {
-			served[d] = r
+			if flows[from] == nil {
+				flows[from] = make(map[core.DocID]float64)
+			}
+			flows[from][d] = r
 		}
 	}
-	flows = make(map[int]map[core.DocID]float64)
-	add := func(from int, ws map[core.DocID]*docWindow) {
-		for d, w := range ws {
+	for d, st := range sh.docs {
+		if st.target > 0 {
+			targets[d] = st.target
+		}
+		if w := st.servedWin; w != nil {
 			if r := w.Rate(now); r > 0 {
-				if flows[from] == nil {
-					flows[from] = make(map[core.DocID]float64)
-				}
-				flows[from][d] = r
+				served[d] = r
 			}
+		}
+		if st.flowWin != nil {
+			add(-1, d, st.flowWin)
 		}
 	}
 	for child, ws := range sh.childFlow {
-		add(child, ws)
+		for d, w := range ws {
+			add(child, d, w)
+		}
 	}
-	add(-1, sh.localFlow)
 	return targets, served, flows
 }
 
 // checkShardLists asserts the loop-owned lists agree with what they index:
-// the flat entry list mirrors the publication index, and every window that
-// holds counts is on the live list.
+// the flat entry list mirrors the publication index, every indexed entry
+// and its document's record point at each other, a record's journal view
+// is consistent, and the live list holds exactly the windows with counts
+// that some record or child map owns.
 func checkShardLists(t *testing.T, sh *shard) {
 	t.Helper()
 	indexed := 0
@@ -87,8 +91,11 @@ func checkShardLists(t *testing.T, sh *shard) {
 		if m := sh.pub[i].Load(); m != nil {
 			for doc, e := range *m {
 				indexed++
-				if e.slot < 0 || e.slot >= len(sh.entries) || sh.entries[e.slot] != e || e.doc != doc {
+				if e.slot < 0 || e.slot >= len(sh.entries) || sh.entries[e.slot] != e {
 					t.Fatalf("entry %s: slot %d does not point back at it in a list of %d", doc, e.slot, len(sh.entries))
+				}
+				if e.st == nil || e.st != sh.docs[doc] || e.st.doc != doc {
+					t.Fatalf("entry %s: its record is not the shard's record for it", doc)
 				}
 			}
 		}
@@ -98,37 +105,55 @@ func checkShardLists(t *testing.T, sh *shard) {
 	}
 	for _, e := range sh.hot {
 		if !e.hot {
-			t.Fatalf("entry %s on the hot list without its flag", e.doc)
+			t.Fatalf("entry %s on the hot list without its flag", e.st.doc)
+		}
+	}
+	owned := make(map[*docWindow]bool)
+	for doc, st := range sh.docs {
+		if st.pub != sh.published(doc) {
+			t.Fatalf("record %s: published entry %p, the index has %p", doc, st.pub, sh.published(doc))
+		}
+		if st.jTarget != 0 && !st.admitted {
+			t.Fatalf("record %s: journaled target %v without an admit record", doc, st.jTarget)
+		}
+		for _, w := range []*docWindow{st.servedWin, st.flowWin} {
+			if w != nil {
+				owned[w] = true
+			}
+		}
+	}
+	for _, ws := range sh.childFlow {
+		for _, w := range ws {
+			owned[w] = true
 		}
 	}
 	onList := make(map[*docWindow]bool, len(sh.live))
 	for _, w := range sh.live {
 		onList[w] = true
-	}
-	check := func(ws map[core.DocID]*docWindow) {
-		for d, w := range ws {
-			if w.Rate(sh.now) > 0 && !onList[w] {
-				t.Fatalf("window %s/%d holds counts but is not live", d, w.from)
-			}
+		if w.Rate(sh.now) > 0 && !owned[w] {
+			t.Fatalf("live window %s/%d holds counts but nothing owns it", w.doc, w.from)
 		}
 	}
-	check(sh.served)
-	check(sh.localFlow)
-	for _, ws := range sh.childFlow {
-		check(ws)
+	for w := range owned {
+		if w.Rate(sh.now) > 0 && !onList[w] {
+			t.Fatalf("window %s/%d holds counts but is not live", w.doc, w.from)
+		}
 	}
 }
 
 // TestSnapshotMatchesRebuild: after any sequence of fast serves, queued
 // serves, duty movements, evictions, republishes and a child's death, the
 // snapshot a scrape gets equals a from-scratch rebuild of the same figures.
+// One more run keeps the disk tier on, so spills, disk hits and the journal
+// take part.
 func TestSnapshotMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { snapshotMatchesRebuild(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { snapshotMatchesRebuild(t, seed, "") })
 	}
+	t.Run("disk", func(t *testing.T) { snapshotMatchesRebuild(t, 1, t.TempDir()) })
 }
 
-func snapshotMatchesRebuild(t *testing.T, seed int64) {
+func snapshotMatchesRebuild(t *testing.T, seed int64, dataDir string) {
 	rng := rand.New(rand.NewSource(seed))
 	docs := make([]core.DocID, 12)
 	for i := range docs {
@@ -138,9 +163,12 @@ func snapshotMatchesRebuild(t *testing.T, seed int64) {
 	s := handServer(t, Config{
 		NumShards: 1, CacheShards: 1,
 		CacheBudgetBytes: 650, // six of the twelve bodies: admissions evict
+		DataDir:          dataDir,
+		DiskBudgetBytes:  900, // nine: the disk tier evicts too
 		GossipPeriod:     20 * time.Millisecond, DiffusionPeriod: 40 * time.Millisecond,
 		Window: 400 * time.Millisecond,
 	})
+	t.Cleanup(s.Stop)
 	sh := s.shards[0]
 	vers := make(map[core.DocID]uint64)
 	var reqID uint64
@@ -214,6 +242,9 @@ func snapshotMatchesRebuild(t *testing.T, seed int64) {
 	if st := s.cache.Stats(); st.Evictions == 0 {
 		t.Fatal("no admission ever evicted: the sequence never exercised the eviction paths")
 	}
+	if dataDir != "" && (s.nSpills.Load() == 0 || s.disk.StatsSnapshot().Evictions == 0) {
+		t.Fatal("the disk tier never spilled or evicted: the sequence never exercised its paths")
+	}
 }
 
 // gatedShard returns a one-shard node holding n delegated (rate-limited)
@@ -268,7 +299,7 @@ func TestIdleTickDoesNothing(t *testing.T) {
 	}
 	for _, e := range sh.entries {
 		if e.credits.Load() != sentinel || e.creditAt != zero {
-			t.Fatalf("an idle tick touched entry %s", e.doc)
+			t.Fatalf("an idle tick touched entry %s", e.st.doc)
 		}
 	}
 	if got := sh.snap.Load().epoch; got != epoch {
@@ -309,17 +340,17 @@ func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 }
 
 // TestFastServesReachWindowsAcrossReap: every fast-path serve lands in
-// Stats.Served and in its document's rate windows, whether its entry was
-// live, tombstoned and waiting for the reap, or replaced by a republish
-// when the owner got to it.
+// Stats.Served and in its document's rate windows exactly once, whether the
+// entry it went through was live, unpublished however long ago, or replaced
+// by a republish when its connection goroutine got around to counting.
 func TestFastServesReachWindowsAcrossReap(t *testing.T) {
 	s, docs := gatedShard(t, Config{Window: time.Hour}, 3, 1e6)
 	sh := s.shards[0]
 	doc := docs[1]
 	bumps := 0
 	straggler := func(e *pubEntry) { // a connection goroutine that had already loaded the entry
-		e.bumpFlow(-1)
-		e.served.Add(1)
+		e.st.bumpFlow(-1)
+		e.st.served.Add(1)
 		sh.nFastServed.Add(1)
 		bumps++
 	}
@@ -340,26 +371,28 @@ func TestFastServesReachWindowsAcrossReap(t *testing.T) {
 	tick()
 	old := sh.published(doc)
 	serve(3)
-	sh.unpublish(doc) // drains the three
-	straggler(old)    // lands on the tombstone
-	tick()
-	straggler(old) // still reachable: the reap comes a full period after the tombstone
-	tick()
-	tick()
+	sh.unpublish(sh.state(doc)) // drains the three
 	if sh.published(doc) != nil {
-		t.Fatal("tombstone not reaped after two periods")
+		t.Fatal("unpublish left the entry in the index")
 	}
+	straggler(old) // lands after the entry left the index
+	tick()
+	tick()
+	straggler(old) // descheduled past a full gossip period
+	tick()
 	sh.publish(doc, []byte("v2"), false, 1)
+	straggler(old) // and past the republish
+	tick()
 	serve(4)
 	replaced := sh.published(doc)
 	straggler(replaced)
 	sh.publish(doc, []byte("v3"), false, 2) // drains the replaced entry first
 	serve(2)
 	tick()
-	if got := sh.served[doc].total; got != float64(bumps) {
+	if got := sh.state(doc).servedWin.total; got != float64(bumps) {
 		t.Fatalf("served window holds %v serves, want %d", got, bumps)
 	}
-	if got := sh.localFlow[doc].total; got != float64(bumps) {
+	if got := sh.state(doc).flowWin.total; got != float64(bumps) {
 		t.Fatalf("flow window holds %v arrivals, want %d", got, bumps)
 	}
 	if got := sh.totalServed.total; got != float64(bumps) {

@@ -26,21 +26,12 @@ import (
 	"webwave/internal/netproto"
 )
 
-// bumpDocVer advances the shard's latest-known version for doc, reporting
-// whether ver was news. Versions only move forward.
-func (sh *shard) bumpDocVer(doc core.DocID, ver uint64) bool {
-	if ver <= sh.docVer[doc] {
-		return false
-	}
-	sh.docVer[doc] = ver
-	return true
-}
-
 // handleRepublish applies one versioned body push: gate on the version,
 // refresh (origin or copy-holder) locally, diffuse down the tree.
 func (sh *shard) handleRepublish(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
-	if !sh.bumpDocVer(doc, ver) {
+	st := sh.state(doc)
+	if !st.bumpVer(ver) {
 		sh.n.staleDrops++
 		return
 	}
@@ -52,12 +43,12 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 	switch {
 	case sh.s.isRoot:
 		sh.originWrite(doc, body, ver)
-		sh.answerParked(doc)
+		sh.answerParked(st)
 	case sh.s.holdsCopy(doc):
-		if body == nil || !sh.refreshCopy(doc, body, ver) {
+		if body == nil || !sh.refreshCopy(st, body, ver) {
 			// No body to install (or neither tier kept it): degrade to an
 			// invalidation so the stale copy never serves again.
-			sh.invalidateLocal(doc)
+			sh.invalidateLocal(st)
 		}
 	}
 	sh.diffuseDown(doc, ver, body)
@@ -69,7 +60,8 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 // always serve the latest version — but it never travels further.
 func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
-	if !sh.bumpDocVer(doc, ver) {
+	st := sh.state(doc)
+	if !st.bumpVer(ver) {
 		sh.n.staleDrops++
 		return
 	}
@@ -77,10 +69,10 @@ func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 	if sh.s.isRoot && len(env.Body) > 0 {
 		sh.originWrite(doc, env.Body, ver)
 	} else {
-		sh.invalidateLocal(doc)
+		sh.invalidateLocal(st)
 	}
 	if sh.s.isRoot {
-		sh.answerParked(doc)
+		sh.answerParked(st)
 	}
 	sh.diffuseDown(doc, ver, nil)
 }
@@ -105,7 +97,8 @@ func (sh *shard) originWrite(doc core.DocID, body []byte, ver uint64) {
 // the document's filter, targets and duty exactly as they were — a
 // republish moves data, not duty. Reports whether at least one tier holds
 // the new body.
-func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
+func (sh *shard) refreshCopy(st *docState, body []byte, ver uint64) bool {
+	doc := st.doc
 	if sh.s.disk != nil {
 		// Disk bodies are immutable per version; replace, don't touch.
 		sh.s.disk.Delete(doc)
@@ -118,9 +111,9 @@ func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
 	} else {
 		// Memory refused the new body (it outgrew the budget): the fast path
 		// must not keep serving the old one.
-		sh.unpublish(doc)
+		sh.unpublish(st)
 	}
-	sh.journalVersion(doc, ver)
+	sh.journalVersion(st, ver)
 	return inMem || sh.s.diskHas(doc)
 }
 
@@ -128,19 +121,20 @@ func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
 // document's admission filter, targets and duty. Requests now miss locally
 // and travel upward through the single-flight table — the lease — and the
 // response re-admits the fresh copy (maybeLeaseRefresh).
-func (sh *shard) invalidateLocal(doc core.DocID) {
+func (sh *shard) invalidateLocal(st *docState) {
+	doc := st.doc
 	if !sh.s.holdsCopy(doc) {
 		return
 	}
-	sh.unpublish(doc)
+	sh.unpublish(st)
 	sh.s.cache.Delete(doc)
 	if sh.s.disk != nil {
 		sh.s.disk.Delete(doc)
 	}
-	sh.staleDocs[doc] = true
+	st.stale = true
 	// The node no longer holds a body in any tier; a restart before the
 	// lease refresh recovers without this document, like any dropped copy.
-	sh.journalDrop(doc)
+	sh.journalDrop(st)
 }
 
 // diffuseDown forwards a write down every child edge. Children whose duty
@@ -169,15 +163,15 @@ func (sh *shard) diffuseDown(doc core.DocID, ver uint64, body []byte) {
 // the single-flight fetch that produced it is the subtree's lease, so the
 // refreshed copy costs the origin one fetch however many clients stormed
 // the document here.
-func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
-	if !sh.staleDocs[env.Doc] || env.NotFound || len(env.Body) == 0 {
+func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
+	if !st.stale || env.NotFound || len(env.Body) == 0 {
 		return
 	}
-	if env.DocVersion < sh.docVer[env.Doc] {
+	if env.DocVersion < st.ver {
 		return // upstream served an older version: keep waiting for the write
 	}
 	if sh.admit(env.Doc, env.Body, env.DocVersion) {
-		delete(sh.staleDocs, env.Doc)
+		st.stale = false
 		sh.n.leaseRefreshes++
 	}
 }
@@ -185,11 +179,11 @@ func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
 // answerParked serves session requests parked at the root (sessionGate) for
 // a version that just arrived: once the high-water mark satisfies a
 // waiter's floor it is answered from the pinned origin copy — the origin is
-// never stale relative to itself, so the copy is stamped at docVer exactly
-// like serveRequest does. Waiters demanding a still-newer version stay
-// parked for the next write (or the sweep's expiry).
-func (sh *shard) answerParked(doc core.DocID) {
-	fl := sh.inflight[doc]
+// never stale relative to itself, so the copy is stamped at the high-water
+// mark exactly like serveRequest does. Waiters demanding a still-newer
+// version stay parked for the next write (or the sweep's expiry).
+func (sh *shard) answerParked(st *docState) {
+	doc, fl := st.doc, st.flight
 	if fl == nil || len(fl.waiters) == 0 {
 		return
 	}
@@ -197,7 +191,7 @@ func (sh *shard) answerParked(doc core.DocID) {
 	if !ok {
 		return
 	}
-	ver := sh.docVer[doc]
+	ver := st.ver
 	var kept []waiter
 	out := netproto.GetEnvelope()
 	for _, w := range fl.waiters {
@@ -206,7 +200,7 @@ func (sh *shard) answerParked(doc core.DocID) {
 			continue
 		}
 		sh.n.served++
-		sh.countServed(doc, 1)
+		sh.countServed(st, 1)
 		*out = netproto.Envelope{
 			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
 			Doc: doc, Origin: w.origin, ReqID: w.reqID,
@@ -216,7 +210,7 @@ func (sh *shard) answerParked(doc core.DocID) {
 	}
 	netproto.PutEnvelope(out)
 	if len(kept) == 0 {
-		delete(sh.inflight, doc)
+		st.flight = nil
 		return
 	}
 	fl.waiters = kept
@@ -224,17 +218,11 @@ func (sh *shard) answerParked(doc core.DocID) {
 
 // journalVersion records the held copy's version, deduplicated per
 // version, so a warm restart recovers the version alongside the body.
-func (sh *shard) journalVersion(doc core.DocID, ver uint64) {
+func (sh *shard) journalVersion(st *docState, ver uint64) {
 	j := sh.s.journal
-	if j == nil || ver == 0 {
+	if j == nil || ver == 0 || st.jVer == ver {
 		return
 	}
-	if sh.jVers[doc] == ver {
-		return
-	}
-	if sh.jVers == nil {
-		sh.jVers = make(map[core.DocID]uint64, 16)
-	}
-	sh.jVers[doc] = ver
-	_ = j.AppendVersion(doc, ver)
+	st.jVer = ver
+	_ = j.AppendVersion(st.doc, ver)
 }

@@ -214,7 +214,7 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 
 	// A genuinely newer invalidate applies: body gone, duty and filter stay,
 	// the document marked stale for the lease path.
-	sh.targets["d"] = 4
+	sh.state("d").target = 4
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeInvalidate, From: 0, To: 1, Doc: "d", DocVersion: 3,
 	}, conn: nopConn{}})
@@ -224,11 +224,11 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	if s.cache.Contains("d") {
 		t.Fatal("invalidate left the stale body in memory")
 	}
-	if !sh.staleDocs["d"] {
+	if !sh.state("d").stale {
 		t.Fatal("invalidate did not mark the document stale")
 	}
-	if sh.targets["d"] != 4 {
-		t.Fatalf("invalidate moved duty: target = %v, want 4", sh.targets["d"])
+	if sh.state("d").target != 4 {
+		t.Fatalf("invalidate moved duty: target = %v, want 4", sh.state("d").target)
 	}
 
 	// A stale delegate handoff (version below high-water) must be refused.
@@ -280,7 +280,7 @@ func TestWarmRestartRecoversVersions(t *testing.T) {
 	s2 := startServer(t, cfg)
 	waitCached(t, netw, "leaf", map[core.DocID]bool{"d": true})
 	sh := s2.shardFor("d")
-	if got := sh.docVer["d"]; got != 7 {
+	if got := sh.state("d").ver; got != 7 {
 		t.Fatalf("recovered version = %d, want 7", got)
 	}
 
