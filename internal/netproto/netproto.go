@@ -232,7 +232,9 @@ type Stats struct {
 	Demotions    int64                `json:"demotions,omitempty"`
 	// Disk persistence tier figures (zero with Config.DataDir unset).
 	// DiskHits counts requests served from the disk tier (a subset of
-	// Served — each also re-admits the body to memory); DiskDocs/DiskBytes/
+	// Served). Each offers its body back to memory, which takes it only if
+	// it is hotter than the copy it would evict; ReadmitsRefused counts the
+	// offers memory declined. DiskDocs/DiskBytes/
 	// DiskBudgetBytes mirror the cache figures for the on-disk tier;
 	// DiskSpills counts memory evictions that became disk-resident spills
 	// (duty kept) rather than losses (duty hinted upstream); WarmDocs is
@@ -240,6 +242,7 @@ type Stats struct {
 	// JournalLag is the journal records appended but not yet fsynced — what
 	// a power cut (not a process kill) could lose.
 	DiskHits        int64 `json:"disk_hits,omitempty"`
+	ReadmitsRefused int64 `json:"readmits_refused,omitempty"`
 	DiskDocs        int64 `json:"disk_docs,omitempty"`
 	DiskBytes       int64 `json:"disk_bytes,omitempty"`
 	DiskBudgetBytes int64 `json:"disk_budget_bytes,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 	"webwave/internal/transport"
@@ -202,10 +203,24 @@ func BenchmarkResidentDocBytes(b *testing.B) {
 
 // BenchmarkDiskHitServe measures one queued request answered from the disk
 // tier, end to end on the shard loop: the memory miss, the disk read, the
-// re-admission to memory with the eviction it forces (unpublish of the
-// victim), the publish, and the response. Memory holds two of the sixteen
-// documents and requests go round-robin, so every one is a disk hit.
+// offer back to memory and the response. Memory holds two of sixteen
+// documents, and the store ranks by the benchmark's own heat, so each offer
+// lands on a known side of the gate. In /refused requests go round-robin
+// over the fourteen others and the two residents are hotter: every offer is
+// refused. In /readmit requests go round-robin over all sixteen and the
+// requested document is the hot one: every offer re-admits it and evicts a
+// resident (unpublish of the victim, publish of the body).
 func BenchmarkDiskHitServe(b *testing.B) {
+	for _, readmit := range []bool{false, true} {
+		name := "refused"
+		if readmit {
+			name = "readmit"
+		}
+		b.Run(name, func(b *testing.B) { benchDiskHit(b, readmit) })
+	}
+}
+
+func benchDiskHit(b *testing.B, readmit bool) {
 	const docs, docBytes = 16, 4 << 10
 	s := benchServer(b, Config{
 		ID: 0, ParentID: -1, NumShards: 1, CacheShards: 1,
@@ -213,6 +228,15 @@ func BenchmarkDiskHitServe(b *testing.B) {
 		DataDir:          b.TempDir(),
 	})
 	b.Cleanup(s.Stop) // closes the journal and the retained body descriptors
+	var asked core.DocID
+	resident := make(map[core.DocID]bool)
+	s.cache = cachestore.New(cachestore.Config{BudgetBytes: 2 * docBytes, Shards: 1,
+		HeatOf: func(d core.DocID) float64 {
+			if d == asked || !readmit && resident[d] {
+				return 1
+			}
+			return 0
+		}})
 	sh := s.shards[0]
 	sh.now = time.Now()
 	ids := make([]core.DocID, docs)
@@ -222,12 +246,22 @@ func BenchmarkDiskHitServe(b *testing.B) {
 			b.Fatalf("admit %s refused", ids[i])
 		}
 	}
+	asked = ids[0] // the requested document is never a candidate victim
+	for _, d := range s.cache.Docs() {
+		resident[d] = true
+	}
+	cycle := ids
+	if !readmit {
+		cycle = ids[:docs-len(resident)] // the last two admitted stay resident
+	}
 	env := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 0}
 	ev := event{env: env, conn: nopConn{}}
+	evicted := s.cache.Stats().Evictions
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Doc, env.ReqID = ids[i%docs], uint64(i+1)
+		env.Doc, env.ReqID = cycle[i%len(cycle)], uint64(i+1)
+		asked = env.Doc
 		sh.now = sh.now.Add(50 * time.Microsecond)
 		sh.handle(ev)
 		if i%512 == 511 {
@@ -237,6 +271,10 @@ func BenchmarkDiskHitServe(b *testing.B) {
 	b.StopTimer()
 	if sh.n.diskHits != int64(b.N) {
 		b.Fatalf("%d of %d requests were disk hits", sh.n.diskHits, b.N)
+	}
+	evicted = s.cache.Stats().Evictions - evicted
+	if readmit && evicted != int64(b.N) || !readmit && (evicted != 0 || sh.n.readmitsRefused != int64(b.N)) {
+		b.Fatalf("%d requests: %d evictions, %d refused offers", b.N, evicted, sh.n.readmitsRefused)
 	}
 }
 

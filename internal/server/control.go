@@ -708,6 +708,7 @@ func (c *control) snapshot() *netproto.Stats {
 		st.ReclaimedDuty += sn.counters.reclaimedDuty
 		st.AbsorbedDuty += sn.counters.absorbedDuty
 		st.DiskHits += sn.counters.diskHits
+		st.ReadmitsRefused += sn.counters.readmitsRefused
 		st.RepublishesIn += sn.counters.republishesIn
 		st.InvalidationsIn += sn.counters.invalidationsIn
 		st.StaleDrops += sn.counters.staleDrops

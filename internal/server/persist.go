@@ -10,8 +10,10 @@ package server
 //     evictions carry no body.
 //   - A memory eviction whose body is still on disk becomes a spill: the
 //     fast path goes down but the filter and targets stay, and the read
-//     path serves memory → disk → parent, re-admitting on the first disk
-//     hit. Only when BOTH tiers lose the body does the old teardown (duty
+//     path serves memory → disk → parent. Memory is then a heat-gated
+//     cache of disk: a disk hit offers its body back, and memory takes it
+//     only if it is hotter than what it would evict (readmitFromDisk).
+//     Only when BOTH tiers lose the body does the old teardown (duty
 //     hinted upstream) run.
 //   - On restart, New replays the journal against the surviving body
 //     files, re-admits what fits in memory (the rest stays disk-resident),
