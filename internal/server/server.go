@@ -474,9 +474,11 @@ func (s *Server) shardFor(doc core.DocID) *shard { return s.shards[s.shardIndex(
 // copy with no serve history yet is not evicted on arrival). Pass-through
 // flow is deliberately excluded — requests that stream through but are
 // served elsewhere must not make a bystander copy look hot. The figures
-// come from the owning shard's snapshot mailbox (at most one tick stale:
-// under the Heat policy shards rebuild the maps every tick they moved),
-// which makes the readout safe from any shard loop.
+// come from the owning shard's snapshot mailbox, which makes the readout
+// safe from any shard loop. Under the Heat policy with a byte budget shards
+// rebuild the maps every tick they moved, so they are at most one tick
+// stale; otherwise — the disk tier's re-admission gate under LRU or GDSF —
+// they are rebuilt once per DiffusionPeriod and can be that old.
 func (s *Server) docHeat(doc core.DocID) float64 {
 	snap := s.shardFor(doc).snap.Load()
 	return snap.targets[doc] + snap.served[doc]
