@@ -314,9 +314,9 @@ func TestPubIndexBucketRewriteKeepsSiblings(t *testing.T) {
 
 // TestFastPathFallbackOnAdmission pins the admission fallback: a delegated
 // (rate-limited) copy serves on the fast path only while its credits last;
-// past that, requests must fall back to the shard queue's exact filter —
-// and once the filter saturates, travel to the home server instead of
-// being over-served locally.
+// past that, requests fall back to the shard queue, whose filter spends the
+// same spent budget and so sends them on to the home server instead of
+// over-serving them locally.
 func TestFastPathFallbackOnAdmission(t *testing.T) {
 	netw := newTestNetwork()
 	body := []byte("gated body")

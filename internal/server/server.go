@@ -598,8 +598,11 @@ func (s *Server) readLoop(conn transport.Conn) {
 
 // dispatch routes one inbound envelope: cached request hits are served on
 // this goroutine; per-document kinds go to the owning shard; neighborhood
-// kinds (gossip, stats, shutdown) go to the control loop.
+// kinds (gossip, stats, shutdown) go to the control loop. Before a post
+// that would block on a full queue, the connection is flushed: replies the
+// fast path left for Recv to flush must not wait behind the queue.
 func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
+	ch := s.events
 	switch env.Kind {
 	case netproto.TypeRequest:
 		h := shardHash(env.Doc) // hashed once: shard choice and index bucket share it
@@ -608,20 +611,25 @@ func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 			netproto.PutEnvelope(env)
 			return
 		}
-		s.post(sh.events, event{env: env, conn: conn})
+		ch = sh.events
 	case netproto.TypeResponse, netproto.TypeDelegate, netproto.TypeDelegateAck,
 		netproto.TypeShed, netproto.TypeEvict, netproto.TypeReclaim,
 		netproto.TypeTunnelFetch, netproto.TypeTunnelReply,
 		netproto.TypeRepublish, netproto.TypeInvalidate:
-		s.post(s.shardFor(env.Doc).events, event{env: env, conn: conn})
-	case netproto.TypePromote, netproto.TypeDemote:
-		// Control-plane kinds despite carrying a Doc: the promotion state
-		// machine is control-loop state, which re-posts the per-document
-		// work (admit, target, teardown) to the owning shard as commands.
-		s.post(s.events, event{env: env, conn: conn})
-	default:
-		s.post(s.events, event{env: env, conn: conn})
+		ch = s.shardFor(env.Doc).events
 	}
+	// TypePromote and TypeDemote stay on the control loop despite carrying
+	// a Doc: the promotion state machine is control-loop state, which
+	// re-posts the per-document work (admit, target, teardown) to the
+	// owning shard as commands.
+	ev := event{env: env, conn: conn}
+	if s.tryPost(ch, ev) {
+		return
+	}
+	if bc, ok := conn.(transport.BatchConn); ok {
+		_ = bc.Flush()
+	}
+	s.post(ch, ev)
 }
 
 // post enqueues an event, releasing the envelope if the server stopped.
@@ -652,13 +660,15 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 // tryFastServe is the lock-free read fast path: one atomic load of the
 // owning shard's copy-on-write publication index (h is shardHash(env.Doc),
 // which picks the bucket), and a hit is answered on the connection
-// goroutine — no event-loop hop, no lock. It declines (the
-// request then takes the shard queue) on an index miss, a dead entry (an
-// eviction race; the queued path re-checks the store and forwards), or an
-// exhausted admission budget (rate-limited copies fall back to the shard's
-// exact filter). Serve and flow counts accumulate on the document record's
-// atomics, which the owning shard drains into its rate windows each tick,
-// so diffusion sees fast-path demand exactly like queued demand.
+// goroutine — no event-loop hop, no lock. It declines (the request then
+// takes the shard queue) on an index miss, a dead entry (an eviction race;
+// the queued path re-checks the store and forwards), or a spent admission
+// budget (the queued filter spends the same budget, so it forwards). Serve
+// and flow counts accumulate on the document record's atomics, which the
+// owning shard drains into its rate windows each tick, so diffusion sees
+// fast-path demand exactly like queued demand. On a BatchConn the reply is
+// buffered: the read loop's next Recv flushes it unless another request is
+// already waiting, so a pipelined batch's replies share one write.
 func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
 	e := sh.pub.get(h, env.Doc)
 	if e == nil || e.dead.Load() {
@@ -686,7 +696,11 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// global counter would be the one shared cacheline every core's
 		// fast path contends on. Loop-emitted frames keep their stamps.
 	}
-	_ = conn.Send(resp) // soft state: a failed send is equivalent to loss
+	if bc, ok := conn.(transport.BatchConn); ok {
+		_ = bc.SendBuffered(resp) // soft state: a failed send is equivalent to loss
+	} else {
+		_ = conn.Send(resp)
+	}
 	netproto.PutEnvelope(resp)
 	return true
 }

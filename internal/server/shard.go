@@ -75,25 +75,24 @@ type pubEntry struct {
 	// served copy against the latest write.
 	version uint64
 	// always marks an origin (pinned) copy: admitted unconditionally. A
-	// delegated or tunneled copy instead spends credits, the fast-path
-	// stand-in for the shard's rate-limited admission filter.
+	// delegated or tunneled copy instead spends credits.
 	always bool
 	// dead is set (possibly by another shard's Put displacing this copy)
 	// the moment the document leaves the store, so the fast path stops
 	// serving a stale body before the owning shard gets around to
 	// unpublishing.
 	dead atomic.Bool
-	// credits is the admission budget for gated copies: the owning shard
-	// tops it up with what the exact filter would admit (target − served
-	// rate, over the time since the last top-up); the fast path spends one
-	// per serve and falls back to the shard queue when exhausted.
+	// credits is a gated copy's one admission budget: the owning shard
+	// tops it up at the target rate (refreshEntryCredit); the fast path and
+	// the queued filter each spend one per serve, and a request finding it
+	// spent is forwarded.
 	credits atomic.Int64
 	st      *docState // the document's record, where the fast path counts
 
 	// Owner-loop bookkeeping, never read by the fast path.
 	slot     int       // position in shard.entries, -1 once out of the index
 	hot      bool      // on shard.hot
-	creditAt time.Time // when credits were last earned (zero = never)
+	creditAt time.Time // credits accrue from here (zero = never earned)
 }
 
 // docState is everything a shard keeps about one document, in one
@@ -263,8 +262,8 @@ type shard struct {
 	// what exists. entries mirrors the index as a flat list (this loop is
 	// its only writer); fastDrained counts the fast serves drained so far,
 	// so while nFastServed has not passed it no record has serves pending.
-	// hot lists the gated entries whose served window holds counts (their
-	// credits move as it slides), live the docWindows counted into since
+	// hot lists the gated entries whose budget is below full (spent, or
+	// asked for, since it last was), live the docWindows counted into since
 	// they last read empty (all a rebuild of the snapshot's rate maps
 	// reads); targetsMoved and ratesAt say whether and when one is due
 	// (publishSnap).
@@ -593,12 +592,12 @@ func (sh *shard) markHot(e *pubEntry) {
 }
 
 // refreshHot tops up the credits of the hot entries and drops those that
-// left the index or whose served window has emptied: the budget just
-// granted stands until the next serve, which lists them again.
+// left the index or whose budget is full: it stands until the next spend,
+// which lists them again.
 func (sh *shard) refreshHot() {
 	kept := sh.hot[:0]
 	for _, e := range sh.hot {
-		if e.slot >= 0 && sh.refreshEntryCredit(e) {
+		if e.slot >= 0 && !sh.refreshEntryCredit(e) {
 			kept = append(kept, e)
 		} else {
 			e.hot = false
@@ -738,7 +737,7 @@ func (sh *shard) published(doc core.DocID) *pubEntry {
 // publication index, stamping the copy's version for response frames, and
 // arms its fast-path budget for the target the document carries right now.
 // Owner loop only (single writer). Counts pending on the record are drained
-// first, so the budget reads an up-to-date served rate.
+// first, listing the entry that earned them for its top-up.
 func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
 	st := sh.state(doc)
 	sh.drain(st)
@@ -749,9 +748,7 @@ func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint6
 	st.pub = e
 	sh.entries = append(sh.entries, e)
 	sh.pub.set(doc, e)
-	if sh.refreshEntryCredit(e) {
-		sh.markHot(e) // the document is being served: its budget moves with the window
-	}
+	sh.refreshEntryCredit(e)
 }
 
 // delist takes an entry that left the index out of the flat list.
@@ -970,37 +967,35 @@ func (sh *shard) handle(ev event) {
 	}
 }
 
-// refreshEntryCredit tops up one gated entry's admission budget with what
-// the exact filter would have admitted since the last top-up: target minus
-// measured served rate, times the time elapsed, plus one credit per gossip
-// period so a barely-lagging copy still serves. Unspent credits carry over
-// and the budget never exceeds one period's worth, so neither a late tick
-// nor a burst of scrapes (each one a tick) admits more than the target;
-// overshoot is bounded by one period of credits, which also absorbs a serve
-// racing the Load-then-Store. It reports whether the served window holds
-// counts, that is whether the budget will move again as time passes.
-func (sh *shard) refreshEntryCredit(e *pubEntry) (serving bool) {
+// refreshEntryCredit tops up one gated entry's admission budget at the
+// copy's target rate, for the time since credits were last earned (a
+// fraction of a credit carries to the next top-up). Unspent credits carry
+// over up to one gossip period's worth plus one, so neither a late tick nor
+// a burst of scrapes (each one a tick) admits more than the target; the one
+// also absorbs a serve racing the Load-then-Store. It reports whether the
+// budget is full, with nothing left to earn.
+func (sh *shard) refreshEntryCredit(e *pubEntry) (full bool) {
 	if e.always || e.dead.Load() {
-		return false
+		return true
 	}
-	gap := e.st.target
-	if w := e.st.servedWin; w != nil {
-		gap -= w.Rate(sh.now)
-		serving = w.total > 0
+	target := e.st.target
+	if target <= 0 {
+		e.credits.Store(0) // creditAt stays: a copy handed duty later is armed at once
+		return true
 	}
-	if gap <= 0 {
-		// creditAt stays: a copy handed duty later in this batch, or one
-		// whose window slides back under its target, is armed at once.
-		e.credits.Store(0)
-		return serving
-	}
-	period := sh.s.cfg.GossipPeriod.Seconds()
-	earned := int64((gap + 1/period) * min(sh.now.Sub(e.creditAt).Seconds(), period))
-	if earned > 0 { // else the fraction of a credit keeps accruing from creditAt
+	budget := int64(target*sh.s.cfg.GossipPeriod.Seconds()) + 1
+	have := max(e.credits.Load(), 0)
+	due := target * sh.now.Sub(e.creditAt).Seconds()
+	if due >= float64(budget-have) {
 		e.creditAt = sh.now
+		e.credits.Store(budget)
+		return true
 	}
-	e.credits.Store(min(max(e.credits.Load(), 0)+earned, int64(gap*period)+1))
-	return serving
+	if n := int64(due); n > 0 {
+		e.creditAt = e.creditAt.Add(time.Duration(float64(n) / target * float64(time.Second)))
+		e.credits.Store(have + n)
+	}
+	return false
 }
 
 // handleConnClosed sweeps per-connection routing state when a link dies:
@@ -1372,12 +1367,17 @@ func (sh *shard) readmitFromDisk(st *docState, body []byte) {
 	}
 }
 
-// installFilter wires the admission decision for one cached document: the
-// packet is extracted while the measured served rate lags the target rate.
-// The filter runs on this shard's loop, so it reads the loop-owned clock
-// and record instead of taking a timestamp per classified packet.
+// installFilter wires the admission decision for one cached document. A
+// live published copy spends the fast path's credits: one budget, so the
+// node serves its target and forwards the rest. A copy the fast path cannot
+// reach (disk-only, or dead) is extracted while its served rate lags the
+// target, read off the loop-owned clock: no timestamp per packet.
 func (sh *shard) installFilter(st *docState) {
 	sh.rt.Install(st.doc, router.FilterFunc(func(core.DocID) bool {
+		if e := st.pub; e != nil && !e.dead.Load() {
+			sh.markHot(e) // the next tick tops the budget up
+			return e.credits.Add(-1) >= 0
+		}
 		if st.servedWin == nil {
 			return st.target > 0
 		}

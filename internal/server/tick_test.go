@@ -312,9 +312,9 @@ func TestIdleTickDoesNothing(t *testing.T) {
 }
 
 // TestScrapeBurstAdmitsOnePeriodOfCredits: every stats scrape runs a shard
-// tick. Back-to-back scrapes used to re-arm each gated entry for a whole
-// gossip period each time, so a tight scrape loop let the fast path serve
-// many times the target; credits now accrue with the time actually elapsed.
+// tick, and a tick tops the budget up only for the time actually elapsed
+// since credits were last earned. Twenty back-to-back scrapes therefore
+// admit one period's worth of fast serves in total, not one each.
 func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 	const target = 1000
 	s, docs := gatedShard(t, Config{GossipPeriod: 50 * time.Millisecond}, 1, target)
@@ -336,6 +336,49 @@ func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 	sh.tick(false)
 	if !s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
 		t.Fatal("the fast path stayed cold after a full window without serves")
+	}
+}
+
+// TestOneBudgetServesTheTarget: under demand at three times a gated copy's
+// target, the node serves the target and forwards the surplus. The fast
+// path and the queued filter spend one budget refilled at the target rate,
+// so nearly every serve is a fast one, and a request the fast path declined
+// for a spent budget is forwarded by the queued path, never served.
+func TestOneBudgetServesTheTarget(t *testing.T) {
+	const target, demand, periods = 200, 3, 200
+	s, docs := gatedShard(t, Config{GossipPeriod: 50 * time.Millisecond, Window: time.Second}, 1, target)
+	sh := s.shards[0]
+	e := sh.published(docs[0])
+	period := s.cfg.GossipPeriod
+	perPeriod := int(demand * target * period.Seconds())
+	var reqID uint64
+	for p := 0; p < periods; p++ {
+		for i := 0; i < perPeriod; i++ {
+			reqID++
+			spent := e.credits.Load() <= 0
+			queued := sh.n.served
+			if !request(s, docs[0], -1, reqID) && !spent {
+				t.Fatalf("period %d: the fast path declined with %d credits left", p, e.credits.Load())
+			}
+			if sh.n.served != queued {
+				t.Fatalf("period %d: the queued path served a request the budget refused", p)
+			}
+		}
+		sh.now = sh.now.Add(period)
+		sh.tick(false)
+	}
+	sh.tick(true)
+	c := sh.snap.Load().counters
+	window := float64(periods) * period.Seconds()
+	onePeriod := int64(target*period.Seconds()) + 1
+	if frac := float64(c.fastServed) / float64(c.served); frac < 0.99 {
+		t.Fatalf("fast serves %d of %d served (%.3f), want >= 0.99", c.fastServed, c.served, frac)
+	}
+	if lo, hi := int64(target*window)-onePeriod, int64(target*window)+onePeriod; c.served < lo || c.served > hi {
+		t.Fatalf("served %d over %.0f s at target %d, want %d..%d", c.served, window, target, lo, hi)
+	}
+	if passed := sh.n.forwarded + sh.n.coalesced; int64(reqID)-c.served != passed {
+		t.Fatalf("%d requests, %d served, %d passed upward: the surplus went missing", reqID, c.served, passed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -113,8 +114,9 @@ func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 type tcpConn struct {
-	c net.Conn
-	r *netproto.FrameReader
+	c  net.Conn
+	br *bufio.Reader
+	r  *netproto.FrameReader
 
 	wm sync.Mutex
 	w  *bufio.Writer
@@ -124,13 +126,18 @@ type tcpConn struct {
 	// coalesce their frames into one flush (and, under TCP, fewer syscalls
 	// and fuller segments) instead of flushing per frame.
 	senders atomic.Int32
+	// deferred is set (under wm) by SendBuffered and cleared by every flush
+	// of w: frames sit in w that Recv must flush before it blocks. Recv
+	// reads it without the lock, so nothing deferred costs one atomic load.
+	deferred atomic.Bool
 
 	laneMu sync.RWMutex
 	lanes  map[int]*tcpLane
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	t := &tcpConn{c: c, r: netproto.NewFrameReader(bufio.NewReader(c))}
+	t := &tcpConn{c: c, br: bufio.NewReader(c)}
+	t.r = netproto.NewFrameReader(t.br)
 	t.w = bufio.NewWriter(c)
 	t.fw = netproto.NewFrameWriter(t.w)
 	return t
@@ -138,7 +145,8 @@ func newTCPConn(c net.Conn) *tcpConn {
 
 // Send implements Conn. Frames from concurrent senders are batched into a
 // shared flush; a lone sender still flushes immediately, so the protocol's
-// latency sensitivity is preserved.
+// latency sensitivity is preserved. A flush also carries any frames
+// SendBuffered left behind.
 func (t *tcpConn) Send(env *netproto.Envelope) error {
 	t.senders.Add(1)
 	t.wm.Lock()
@@ -148,7 +156,7 @@ func (t *tcpConn) Send(env *netproto.Envelope) error {
 	// remains — even after this sender's own encode error — so a failed
 	// send never strands an earlier sender's deferred frames in the buffer.
 	if pending := t.senders.Add(-1); pending == 0 {
-		if ferr := t.w.Flush(); err == nil {
+		if ferr := t.flushLocked(); err == nil {
 			err = ferr
 		}
 	}
@@ -165,7 +173,15 @@ func (t *tcpConn) Send(env *netproto.Envelope) error {
 // Recv implements Conn. Only one goroutine may call Recv at a time. The
 // returned envelope comes from netproto's pool; a caller that fully
 // consumes it may release it with netproto.PutEnvelope.
+//
+// Before reading, Recv flushes the frames SendBuffered left in the write
+// buffer, unless a complete inbound frame is already buffered: that read
+// cannot block, and the caller is back before any wait. So the replies to
+// a pipelined batch of requests leave in one write.
 func (t *tcpConn) Recv() (*netproto.Envelope, error) {
+	if t.deferred.Load() && !t.frameBuffered() {
+		_ = t.Flush() // a write error resurfaces on the next Send or Flush
+	}
 	env := netproto.GetEnvelope()
 	if err := t.r.ReadInto(env); err != nil {
 		netproto.PutEnvelope(env)
@@ -177,15 +193,29 @@ func (t *tcpConn) Recv() (*netproto.Envelope, error) {
 	return env, nil
 }
 
+// frameBuffered reports whether the read buffer holds a whole frame, so the
+// next read will not touch the socket. A frame larger than the buffer never
+// counts as whole.
+func (t *tcpConn) frameBuffered() bool {
+	n := t.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := t.br.Peek(4) // buffered: no read
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
 func (t *tcpConn) Close() error { return t.c.Close() }
 
 // SendBuffered implements BatchConn: the frame is written to the
-// connection's buffer and left for an explicit Flush. SendBuffered stays
-// out of the senders count — it never flushes, so it must not suppress a
-// concurrent Send's flush.
+// connection's buffer and goes out with the next Send, Flush or lane Flush
+// on the connection, at the latest when Recv would block. SendBuffered
+// stays out of the senders count — it never flushes, so it must not
+// suppress a concurrent Send's flush.
 func (t *tcpConn) SendBuffered(env *netproto.Envelope) error {
 	t.wm.Lock()
 	err := t.fw.WriteEnvelope(env)
+	t.deferred.Store(true)
 	t.wm.Unlock()
 	if err != nil {
 		if errors.Is(err, net.ErrClosed) {
@@ -199,7 +229,7 @@ func (t *tcpConn) SendBuffered(env *netproto.Envelope) error {
 // Flush implements BatchConn.
 func (t *tcpConn) Flush() error {
 	t.wm.Lock()
-	err := t.w.Flush()
+	err := t.flushLocked()
 	t.wm.Unlock()
 	if err != nil {
 		if errors.Is(err, net.ErrClosed) {
@@ -208,6 +238,12 @@ func (t *tcpConn) Flush() error {
 		return fmt.Errorf("transport: tcp flush: %w", err)
 	}
 	return nil
+}
+
+// flushLocked writes w out, deferred frames included. The caller holds wm.
+func (t *tcpConn) flushLocked() error {
+	t.deferred.Store(false)
+	return t.w.Flush()
 }
 
 // Lane implements LaneConn: each index gets a private encode buffer whose
@@ -275,7 +311,7 @@ func (l *tcpLane) Flush() error {
 	t.wm.Lock()
 	_, err := t.w.Write(l.buf.Bytes())
 	if err == nil {
-		err = t.w.Flush()
+		err = t.flushLocked()
 	}
 	t.wm.Unlock()
 	if l.buf.Cap() > maxLaneBuf {

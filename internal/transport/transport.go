@@ -37,8 +37,11 @@ type Conn interface {
 // BatchConn is implemented by connections that can buffer writes for an
 // explicit flush, letting a serial sender (a server's main loop emitting
 // many frames per event batch) pay one flush — and on TCP one syscall —
-// per batch instead of per frame. SendBuffered may leave the frame
-// unflushed indefinitely; the sender owns calling Flush promptly.
+// per batch instead of per frame. A SendBuffered frame goes out with the
+// connection's next flush (Flush, a Send, a lane's Flush) and, at the
+// latest, before Recv blocks — so a goroutine that answers the frames its
+// own Recv loop reads may leave every reply to Recv, and the replies to a
+// pipelined batch share one write.
 type BatchConn interface {
 	Conn
 	SendBuffered(env *netproto.Envelope) error
