@@ -7,7 +7,6 @@ BENCH_WIRE_JSON ?= BENCH_wire.json
 BENCH_CACHE_JSON ?= BENCH_cache.json
 BENCH_SCALING_JSON ?= BENCH_scaling.json
 BENCH_CHAOS_JSON ?= BENCH_chaos.json
-BENCH_HOTKEY_JSON ?= BENCH_hotkey.json
 BENCH_RESTART_JSON ?= BENCH_restart.json
 BENCH_BIGRAM_JSON ?= BENCH_bigram.json
 BENCH_UPDATE_JSON ?= BENCH_update.json
@@ -41,7 +40,7 @@ COVER_FLOOR ?= 77.0
 .PHONY: all build test race fmt vet staticcheck staticcheck-install vulncheck \
 	cover cover-check cover-summary bench-smoke bench-micro \
 	bench-cache bench-cache-baseline bench-scaling bench-scaling-baseline \
-	bench-chaos bench-chaos-baseline bench-hotkey bench-hotkey-baseline \
+	bench-chaos bench-chaos-baseline \
 	bench-restart bench-restart-baseline bench-bigram bench-bigram-baseline \
 	bench-update bench-update-baseline bench-storm bench-storm-baseline \
 	bench-session bench-session-baseline fuzz-smoke \
@@ -234,7 +233,7 @@ bench-update-baseline:
 		-json bench/BENCH_update_baseline.json
 
 # bench-storm runs the invalidation-storm scenario (repeatedly invalidate a
-# promoted hot document, then storm the leaves) and gates the lease
+# hot document diffusion has spread, then storm the leaves) and gates the lease
 # collapse: per-write origin fetches bounded by the subtree count, not the
 # client count. Wall-clock: NOT deterministic.
 bench-storm:
@@ -271,21 +270,6 @@ bench-session-baseline:
 # committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/netproto/
-
-# bench-hotkey runs the deterministic replication-forest model (one
-# document's flash crowd against k=1 vs k=3 trees) and gates the scaling
-# (widest forest must beat the single tree >=2x in throughput), the Jain
-# ratio and the promote/demote round trip against the committed baseline.
-bench-hotkey:
-	$(GO) run ./cmd/webwave-bench -scenario hot-key -seed 1 -json $(BENCH_HOTKEY_JSON)
-	$(GO) run ./cmd/benchgate -hotkey-report $(BENCH_HOTKEY_JSON) \
-		-hotkey-baseline bench/BENCH_hotkey_baseline.json
-
-# bench-hotkey-baseline regenerates the committed hot-key baseline after an
-# intentional behavior change; commit the result.
-bench-hotkey-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario hot-key -seed 1 \
-		-json bench/BENCH_hotkey_baseline.json
 
 # swarm-bins builds the two binaries the multi-process scenario needs: the
 # node binary every swarm process execs, and the runner that spawns them.
@@ -343,10 +327,10 @@ docs-check:
 # leaves and the node commands), the paper reproduction, and measurement.
 # CI appends the line to its step summary.
 LOC_LIVE = $(addprefix internal/,server cluster transport netproto cachestore \
-	diskstore gateway router forest core tree stats trace) \
+	diskstore gateway router core tree stats trace) \
 	cmd/webwave-cluster cmd/webwave-http cmd/webwave-swarm
 LOC_PAPER = $(addprefix internal/,fold wave docwave diffusion sim hierarchy \
-	baseline lru plot repro filter) cmd/webfold cmd/webwave-sim cmd/experiments
+	baseline lru plot repro filter forest) cmd/webfold cmd/webwave-sim cmd/experiments
 LOC_MEASURE = internal/workload cmd/webwave-bench cmd/benchgate cmd/benchwire benchmark
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
@@ -362,9 +346,8 @@ profile:
 
 clean:
 	rm -f $(BENCH_JSON) $(BENCH_WIRE_JSON) $(BENCH_CACHE_JSON) \
-		$(BENCH_SCALING_JSON) $(BENCH_CHAOS_JSON) $(BENCH_HOTKEY_JSON) \
-		$(BENCH_RESTART_JSON) $(BENCH_BIGRAM_JSON) \
-		$(BENCH_UPDATE_JSON) $(BENCH_STORM_JSON) $(BENCH_SESSION_JSON) \
-		$(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
+		$(BENCH_SCALING_JSON) $(BENCH_CHAOS_JSON) $(BENCH_RESTART_JSON) \
+		$(BENCH_BIGRAM_JSON) $(BENCH_UPDATE_JSON) $(BENCH_STORM_JSON) \
+		$(BENCH_SESSION_JSON) $(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
 		bench-micro.out cpu.pprof mem.pprof coverage.out
 	rm -rf bin

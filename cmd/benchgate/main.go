@@ -17,16 +17,6 @@
 //     req/s would only measure whose CPU is newer. Absolute per-core drops
 //     are printed as warnings, not failures, for the same reason.
 //
-//   - Hot-key (-hotkey-report/-hotkey-baseline): the replication-forest
-//     floor. The committed baseline pins the workload (spec mismatch fails);
-//     the report must then show the widest forest beating the single tree by
-//     at least -min-scaling in throughput on the single-document flash crowd
-//     while keeping Jain fairness at least -min-hotkey-jain-ratio of the
-//     k=1 run, and every multi-tree run must complete a promote/demote
-//     round trip — promotion during the ramp AND demotion after the decay,
-//     so the hysteresis can never be satisfied by a forest that promotes
-//     and sticks.
-//
 //   - Chaos (-chaos-report/-chaos-baseline): the fault-tolerance floor. The
 //     committed baseline pins the workload (spec mismatch fails, so the
 //     scenario cannot be silently shrunk until it passes); the report must
@@ -61,8 +51,7 @@
 //   - Invalidation-storm (-storm-report/-storm-baseline): the lease floor.
 //     The committed baseline pins the workload; the storm must then answer
 //     every burst read, exercise the leases (lease refreshes >= 1, at least
-//     one invalidation applied), complete the warm-up promotion when a
-//     forest is configured, and collapse the per-write origin load: origin
+//     one invalidation applied), and collapse the per-write origin load: origin
 //     fetches per write at most -max-origin-factor times the subtree count
 //     (O(subtrees), not O(clients)) and upstream forwards per write at most
 //     -max-forward-fraction of the client count (no thundering herd).
@@ -99,7 +88,6 @@
 //	benchgate -report BENCH_cache.json -baseline bench/BENCH_cache_baseline.json [-max-regress 0.10]
 //	benchgate -scaling-report BENCH_scaling.json -scaling-baseline bench/BENCH_scaling_baseline.json [-max-scaling-regress 0.15]
 //	benchgate -chaos-report BENCH_chaos.json -chaos-baseline bench/BENCH_chaos_baseline.json [-min-availability 0.95] [-min-jain-ratio 0.90]
-//	benchgate -hotkey-report BENCH_hotkey.json -hotkey-baseline bench/BENCH_hotkey_baseline.json [-min-scaling 2.0] [-min-hotkey-jain-ratio 0.90]
 //	benchgate -restart-report BENCH_restart.json -restart-baseline bench/BENCH_restart_baseline.json [-min-warm-availability 0.981] [-max-warm-reabsorb 0.06]
 //	benchgate -bigram-report BENCH_bigram.json -bigram-baseline bench/BENCH_bigram_baseline.json [-max-twotier-regress 0.10] [-min-drop-ratio 2.0]
 //	benchgate -update-report BENCH_update.json -update-baseline bench/BENCH_update_baseline.json [-max-p99-staleness 0] [-max-hitrate-cost 0.10]
@@ -135,10 +123,6 @@ func run(args []string) error {
 	chaosBasePath := fs.String("chaos-baseline", "", "committed chaos baseline JSON (pins the workload)")
 	minAvailability := fs.Float64("min-availability", 0.95, "chaos: minimum served/offered under the scheduled kills")
 	minJainRatio := fs.Float64("min-jain-ratio", 0.90, "chaos: minimum post-repair Jain relative to the no-failure run")
-	hotkeyPath := fs.String("hotkey-report", "", "hot-key report JSON produced by this run")
-	hotkeyBasePath := fs.String("hotkey-baseline", "", "committed hot-key baseline JSON (pins the workload)")
-	minScaling := fs.Float64("min-scaling", 2.0, "hot-key: minimum widest-forest/k=1 throughput ratio")
-	minHotkeyJainRatio := fs.Float64("min-hotkey-jain-ratio", 0.90, "hot-key: minimum widest-forest Jain relative to the k=1 run")
 	restartPath := fs.String("restart-report", "", "restart-warmth report JSON produced by this run")
 	restartBasePath := fs.String("restart-baseline", "", "committed restart baseline JSON (pins the workload)")
 	minWarmAvail := fs.Float64("min-warm-availability", 0.981, "restart: minimum warm-pass post-restart availability")
@@ -188,15 +172,6 @@ func run(args []string) error {
 		return err
 	} else if rep != nil {
 		if err := gateChaos(rep, base, *minAvailability, *minJainRatio, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if rep, base, err := loadPair("hotkey-", *hotkeyPath, *hotkeyBasePath, workload.HotkeySchema,
-		func(r *workload.HotkeyReport) string { return r.Schema }); err != nil {
-		return err
-	} else if rep != nil {
-		if err := gateHotkey(rep, base, *minScaling, *minHotkeyJainRatio, os.Stdout); err != nil {
 			return err
 		}
 		ranAny = true
@@ -256,7 +231,7 @@ func run(args []string) error {
 		ranAny = true
 	}
 	if !ranAny {
-		return fmt.Errorf("nothing to gate: pass -report/-baseline, -scaling-report/-scaling-baseline, -chaos-report/-chaos-baseline, -hotkey-report/-hotkey-baseline, -restart-report/-restart-baseline, -bigram-report/-bigram-baseline, -update-report/-update-baseline, -storm-report/-storm-baseline, -session-report/-session-baseline and/or -swarm-report/-swarm-baseline")
+		return fmt.Errorf("nothing to gate: pass -report/-baseline, -scaling-report/-scaling-baseline, -chaos-report/-chaos-baseline, -restart-report/-restart-baseline, -bigram-report/-bigram-baseline, -update-report/-update-baseline, -storm-report/-storm-baseline, -session-report/-session-baseline and/or -swarm-report/-swarm-baseline")
 	}
 	return nil
 }
@@ -369,10 +344,6 @@ func gateStorm(rep, base *workload.StormReport, maxOriginFactor, maxForwardFract
 		rep.Writes, rep.InvalidationsIn)
 	check(rep.LeaseRefreshes >= 1,
 		"lease refreshes %d (the leases must be exercised)", rep.LeaseRefreshes)
-	if rep.Spec.K > 1 {
-		check(rep.Promotions >= 1,
-			"promotions %d with K=%d (warm-up must raise the forest)", rep.Promotions, rep.Spec.K)
-	}
 	// The headline: per-write origin load is O(subtrees), not O(clients).
 	// Zero is legitimate — proactive duty diffusion can repair the tree
 	// before the burst lands — so only the ceiling is gated.
@@ -531,56 +502,6 @@ func safeRatio(num, den float64) float64 {
 		return 999
 	}
 	return num / den
-}
-
-// gateHotkey applies the replication-forest thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateHotkey(rep, base *workload.HotkeyReport, minScaling, minJainRatio float64, out *os.File) error {
-	// The baseline pins the workload: HotkeySpec includes the K sweep (a
-	// slice), so the pin is a field-wise comparison via canonical JSON — a
-	// report from a gentler flash, a bigger server or a narrower sweep is
-	// not the gated scenario.
-	repSpec, err := json.Marshal(rep.Spec)
-	if err != nil {
-		return err
-	}
-	baseSpec, err := json.Marshal(base.Spec)
-	if err != nil {
-		return err
-	}
-	if string(repSpec) != string(baseSpec) {
-		return fmt.Errorf("report spec %s and baseline spec %s are different workloads; regenerate the baseline",
-			repSpec, baseSpec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	baseRun := rep.Run(1)
-	check(baseRun != nil, "k=1 baseline run present in the sweep")
-	check(rep.ScalingX >= minScaling,
-		"widest forest scales %.2fx over k=1 (floor %.2fx)", rep.ScalingX, minScaling)
-	check(rep.JainRatio >= minJainRatio,
-		"widest forest jain ratio %.3f vs k=1 (floor %.2f)", rep.JainRatio, minJainRatio)
-	for _, run := range rep.Runs {
-		if run.K <= 1 {
-			continue
-		}
-		check(run.Promotions >= 1 && run.Demotions >= 1,
-			"k=%d promote/demote round trip (%d promotions, %d demotions)",
-			run.K, run.Promotions, run.Demotions)
-		check(run.PromotedAtS >= 0 && run.DemotedAtS > run.PromotedAtS,
-			"k=%d promoted at %.1fs, demoted at %.1fs", run.K, run.PromotedAtS, run.DemotedAtS)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d hot-key gate violation(s)", bad)
-	}
-	return nil
 }
 
 // gateChaos applies the fault-tolerance thresholds; every violation is

@@ -113,7 +113,7 @@ func stormReport(perWriteFetches, perWriteForwards float64) *workload.StormRepor
 	sp := workload.StormSpec{Seed: 1}.WithDefaults()
 	return &workload.StormReport{
 		Schema: workload.StormSchema, Scenario: "invalidation-storm",
-		Spec: sp, Nodes: 1 + sp.Subtrees*(1+sp.LeavesPer), Promotions: 1,
+		Spec: sp, Nodes: 1 + sp.Subtrees*(1+sp.LeavesPer),
 		Writes: int64(sp.Writes), BurstReads: int64(sp.Writes * sp.Clients),
 		Responses:             2000,
 		OriginFetches:         int64(perWriteFetches * float64(sp.Writes)),
@@ -151,17 +151,6 @@ func TestStormGateFailsWithoutLeaseRefresh(t *testing.T) {
 	rep := writeJSON(t, dir, "rep.json", dead)
 	if err := run([]string{"-storm-report", rep, "-storm-baseline", base}); err == nil {
 		t.Fatal("gate accepted a run that never exercised a lease")
-	}
-}
-
-func TestStormGateFailsWithoutPromotion(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", stormReport(1.1, 11.6))
-	flat := stormReport(1.1, 11.6)
-	flat.Promotions = 0 // K=2 in the default spec: the forest must have fired
-	rep := writeJSON(t, dir, "rep.json", flat)
-	if err := run([]string{"-storm-report", rep, "-storm-baseline", base}); err == nil {
-		t.Fatal("gate accepted an unpromoted forest run")
 	}
 }
 

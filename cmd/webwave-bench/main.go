@@ -18,21 +18,15 @@
 //	webwave-bench -scenario core-scaling -procs 1,2,4,8 -json BENCH_scaling.json
 //	webwave-bench -scenario core-scaling -procs 1,4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	webwave-bench -scenario chaos -kill-fraction 0.1 -json BENCH_chaos.json
-//	webwave-bench -scenario hot-key -ks 1,3 -json BENCH_hotkey.json
 //	webwave-bench -scenario update-heavy -write-fraction 0.1 -json BENCH_update.json
-//	webwave-bench -scenario invalidation-storm -k 2 -writes 8 -json BENCH_storm.json
+//	webwave-bench -scenario invalidation-storm -writes 8 -json BENCH_storm.json
 //	webwave-bench -scenario session -rounds 40 -json BENCH_session.json
-//
-// hot-key is special but deterministic: a seeded capacity model of the
-// replication forest (one document's flash crowd against k=1 vs k=3 trees,
-// promote/demote hysteresis, two-choices routing) whose report benchgate
-// thresholds against the committed baseline.
 //
 // update-heavy and invalidation-storm are the mutable-document scenarios:
 // update-heavy replays one Poisson schedule twice against a live cluster
 // (read-only control, then a seeded write mix) and reports staleness
 // percentiles plus the hit-rate cost of mutability; invalidation-storm
-// promotes one hot document, then repeatedly invalidates it and storms the
+// spreads one hot document, then repeatedly invalidates it and storms the
 // leaves, measuring how far the subtree leases collapse per-write origin
 // fetches below one-per-client. session replays a seeded
 // write-then-read-elsewhere schedule twice — session token riding the wire,
@@ -90,7 +84,6 @@ func run(args []string) error {
 	repeat := fs.Int("repeat", 1, "core-scaling: full-sweep repetitions, keeping the lowest efficiency per core count (baselines use 3)")
 	killFraction := fs.Float64("kill-fraction", 0, "chaos: fraction of interior nodes killed mid-run (0 = default 0.10)")
 	heartbeatMS := fs.Int("heartbeat-ms", 0, "chaos: failure-detector period, milliseconds (0 = default 40)")
-	ks := fs.String("ks", "", "hot-key: comma-separated forest widths to sweep (default 1,3)")
 	writeFraction := fs.Float64("write-fraction", 0, "update-heavy: fraction of the schedule that becomes republish writes (0 = default 0.10)")
 	writes := fs.Int("writes", 0, "invalidation-storm: write rounds (0 = default 8)")
 	subtrees := fs.Int("subtrees", 0, "invalidation-storm/session: interior subtrees under the origin (0 = default 3)")
@@ -98,7 +91,6 @@ func run(args []string) error {
 	sessionDocs := fs.Int("docs", 0, "session: catalog size (0 = default 4)")
 	rounds := fs.Int("rounds", 0, "session: write-then-read rounds per pass (0 = default 40)")
 	readsPerWrite := fs.Int("reads-per-write", 0, "session: reads injected per round (0 = default 6)")
-	kWidth := fs.Int("k", 0, "invalidation-storm: replication-forest width for the hot doc (0 = default 2, 1 disables)")
 	settleMS := fs.Int("settle-ms", 0, "invalidation-storm: write-to-burst settle, milliseconds (0 = default 25)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -151,11 +143,9 @@ func run(args []string) error {
 			"restart")
 		fmt.Printf("%-14s corpus ~10x memory budget, three passes (in-ram / mem-only / two-tier): hit-rate retention + disk hits\n",
 			"bigger-than-ram")
-		fmt.Printf("%-14s deterministic replication-forest model: single-doc flash crowd, k=1 vs k=3 trees, scaling + Jain + promote/demote round trip\n",
-			"hot-key")
 		fmt.Printf("%-14s live cluster, one schedule twice (read-only vs write mix): staleness percentiles + hit-rate cost of mutability\n",
 			"update-heavy")
-		fmt.Printf("%-18s live forest, repeated invalidate + leaf read storm: per-write origin fetches vs clients (lease collapse)\n",
+		fmt.Printf("%-18s live star, repeated invalidate + leaf read storm: per-write origin fetches vs clients (lease collapse)\n",
 			"invalidation-storm")
 		fmt.Printf("%-14s live star, seeded write-then-read-elsewhere schedule twice (token on/off): read-my-writes violations\n",
 			"session")
@@ -196,17 +186,6 @@ func run(args []string) error {
 			DiskBudgetBytes:  *diskBudget,
 		}, *jsonPath)
 	}
-	if *scenario == "hot-key" {
-		sweep, err := parseKs(*ks)
-		if err != nil {
-			return err
-		}
-		return runHotkey(workload.HotkeySpec{
-			Seed: *seed, Nodes: *n, BaseRate: *rate,
-			Duration: *duration, Window: *window, Ks: sweep,
-		}, *jsonPath)
-	}
-
 	if *scenario == "update-heavy" {
 		return runUpdate(workload.UpdateSpec{
 			Seed: *seed, Nodes: *n, TotalRate: *rate, Duration: *duration,
@@ -220,7 +199,7 @@ func run(args []string) error {
 		}
 		return runStorm(workload.StormSpec{
 			Seed: *seed, Subtrees: *subtrees, LeavesPer: *leavesPer,
-			Clients: cl, Writes: *writes, K: *kWidth, SettleMS: *settleMS,
+			Clients: cl, Writes: *writes, SettleMS: *settleMS,
 		}, *jsonPath)
 	}
 

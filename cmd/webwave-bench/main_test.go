@@ -71,7 +71,7 @@ func TestFsFlagSet(t *testing.T) {
 	// otherwise StormSpec's own default (120) wins over the flag default (16).
 	if err := run([]string{"-scenario", "invalidation-storm", "-seed", "1",
 		"-subtrees", "2", "-leaves-per", "2", "-clients", "12", "-writes", "2",
-		"-k", "1", "-settle-ms", "20"}); err != nil {
+		"-settle-ms", "20"}); err != nil {
 		t.Fatalf("explicit small storm run: %v", err)
 	}
 }

@@ -31,8 +31,8 @@ func runUpdate(sp workload.UpdateSpec, jsonPath string) error {
 
 func runStorm(sp workload.StormSpec, jsonPath string) error {
 	sp = sp.WithDefaults()
-	fmt.Printf("scenario invalidation-storm: %d subtrees x %d leaves, %d clients per burst, %d writes, K=%d, settle %dms\n",
-		sp.Subtrees, sp.LeavesPer, sp.Clients, sp.Writes, sp.K, sp.SettleMS)
+	fmt.Printf("scenario invalidation-storm: %d subtrees x %d leaves, %d clients per burst, %d writes, settle %dms\n",
+		sp.Subtrees, sp.LeavesPer, sp.Clients, sp.Writes, sp.SettleMS)
 	rep, err := workload.RunStorm(sp, func(format string, args ...any) {
 		fmt.Printf(format+"\n", args...)
 	})

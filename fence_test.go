@@ -14,17 +14,10 @@ import (
 // shared leaves (core, tree, stats, trace), never the paper-reproduction or
 // measurement packages. Test files are exempt.
 func TestLiveStackImportFence(t *testing.T) {
-	live := []string{"server", "cluster", "transport", "netproto", "cachestore", "diskstore", "gateway", "router", "forest"}
+	live := []string{"server", "cluster", "transport", "netproto", "cachestore", "diskstore", "gateway", "router"}
 	allowed := map[string]bool{}
 	for _, p := range append([]string{"core", "tree", "stats", "trace"}, live...) {
 		allowed["webwave/internal/"+p] = true
-	}
-	// Known violations, "package -> import". An entry goes when its import
-	// goes; the value records whether the scan still found it.
-	exceptions := map[string]bool{
-		// forest.PerTreeTLB computes each tree's assignment with the paper
-		// stack's WebFold.
-		"forest -> webwave/internal/fold": false,
 	}
 	for _, pkg := range live {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
@@ -41,21 +34,10 @@ func TestLiveStackImportFence(t *testing.T) {
 			}
 			for _, imp := range f.Imports {
 				path, _ := strconv.Unquote(imp.Path.Value)
-				if (path != "webwave" && !strings.HasPrefix(path, "webwave/")) || allowed[path] {
-					continue
-				}
-				key := pkg + " -> " + path
-				if _, known := exceptions[key]; !known {
+				if (path == "webwave" || strings.HasPrefix(path, "webwave/")) && !allowed[path] {
 					t.Errorf("%s imports %s, which is outside the live stack", file, path)
-					continue
 				}
-				exceptions[key] = true
 			}
-		}
-	}
-	for key, found := range exceptions {
-		if !found {
-			t.Errorf("exception %q is no longer needed: delete it from this test", key)
 		}
 	}
 }

@@ -81,17 +81,6 @@ type Config struct {
 	Ancestors       bool
 	HeartbeatPeriod time.Duration
 	HeartbeatMisses int
-
-	// PromoteThreshold enables hot-document replication forests (0
-	// disables): the home promotes a document whose demand stays above the
-	// threshold onto PromoteK replica roots, and demotes it when demand
-	// falls below DemoteThreshold (0 = threshold/4) — both transitions
-	// debounced by PromoteHysteresis diffusion periods (0 = 3). See
-	// server.Config.
-	PromoteThreshold  float64
-	DemoteThreshold   float64
-	PromoteK          int
-	PromoteHysteresis int
 }
 
 // Cluster is a running tree of live servers.
@@ -200,12 +189,6 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 			DiskBudgetBytes:  cfg.DiskBudgetBytes,
 			HeartbeatPeriod:  cfg.HeartbeatPeriod,
 			HeartbeatMisses:  cfg.HeartbeatMisses,
-			// Promotion knobs go to every node: only the root runs the home
-			// state machine, but any node must accept replica enrollments.
-			PromoteThreshold:  cfg.PromoteThreshold,
-			DemoteThreshold:   cfg.DemoteThreshold,
-			PromoteK:          cfg.PromoteK,
-			PromoteHysteresis: cfg.PromoteHysteresis,
 		}
 		if cfg.DataDir != "" {
 			scfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", v))

@@ -12,7 +12,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -109,13 +108,6 @@ type Config struct {
 	// reads the response headers instead: it needs per-request identity,
 	// which the hook deliberately omits.) Must be safe for concurrent use.
 	OnResult func(Result)
-
-	// ReplicaRouting enables two-choices routing for promoted documents
-	// (see replica.go). Requires a backend implementing StatsBackend;
-	// silently off otherwise. ReplicaRefresh is the scrape period (default
-	// DefaultReplicaRefresh).
-	ReplicaRouting bool
-	ReplicaRefresh time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -128,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.Prefix == "" {
 		c.Prefix = "/docs/"
 	}
-	if c.ReplicaRefresh <= 0 {
-		c.ReplicaRefresh = DefaultReplicaRefresh
-	}
 	return c
 }
 
@@ -140,13 +129,6 @@ type Gateway struct {
 	cfg     Config
 
 	seq atomic.Uint64
-
-	// Replica-routing state (replica.go): the lock-free routing table the
-	// refresher goroutine swaps, and the sampler's guarded rng.
-	replicas    atomic.Pointer[replicaTable]
-	replicaStop chan struct{}
-	rngMu       sync.Mutex
-	rng         *rand.Rand
 
 	mu    sync.Mutex
 	conns map[int]*originConn // entry node -> pooled connection
@@ -166,14 +148,11 @@ type originConn struct {
 
 // New builds a gateway over a running cluster.
 func New(b Backend, cfg Config) *Gateway {
-	g := &Gateway{
+	return &Gateway{
 		backend: b,
 		cfg:     cfg.withDefaults(),
 		conns:   make(map[int]*originConn),
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	g.startReplicaRouter()
-	return g
 }
 
 // Close releases the gateway's pooled connections. In-flight requests fail
@@ -185,9 +164,6 @@ func (g *Gateway) Close() {
 		return
 	}
 	g.done = true
-	if g.replicaStop != nil {
-		close(g.replicaStop)
-	}
 	for _, oc := range g.conns {
 		oc.conn.Close()
 	}
@@ -333,12 +309,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	minVer := ParseSession(r.Header.Get(SessionHeader))[core.DocID(name)]
 
 	origin := g.cfg.Origin(r)
-	// A promoted document overrides the picker: enter at the less loaded
-	// of two sampled replica roots, spreading the flash crowd over the
-	// forest instead of funneling it into one tree.
-	if ro := g.replicaOrigin(core.DocID(name)); ro >= 0 {
-		origin = ro
-	}
 	start := time.Now()
 	env, err := g.fetch(origin, core.DocID(name), minVer, g.cfg.Timeout)
 	if env != nil {

@@ -31,7 +31,9 @@ const Version2 = 2
 var ErrShortPayload = errors.New("netproto: truncated binary payload")
 
 // kind codes: the byte each Type travels as in a v2 frame. 0 is reserved so
-// a zeroed buffer never decodes as a valid kind.
+// a zeroed buffer never decodes as a valid kind. 16 and 17 carried the
+// retired promote/demote frames and stay unassigned, so a frame from an
+// older node is rejected rather than misread.
 var kindToCode = map[Type]byte{
 	TypeGossip:      1,
 	TypeDelegate:    2,
@@ -48,8 +50,6 @@ var kindToCode = map[Type]byte{
 	TypePing:        13,
 	TypePong:        14,
 	TypeReclaim:     15,
-	TypePromote:     16,
-	TypeDemote:      17,
 	TypeRepublish:   18,
 	TypeInvalidate:  19,
 }
@@ -58,7 +58,7 @@ var codeToKind = [20]Type{
 	1: TypeGossip, 2: TypeDelegate, 3: TypeDelegateAck, 4: TypeShed,
 	5: TypeRequest, 6: TypeResponse, 7: TypeTunnelFetch, 8: TypeTunnelReply,
 	9: TypeStatsQuery, 10: TypeStatsReply, 11: TypeShutdown, 12: TypeEvict,
-	13: TypePing, 14: TypePong, 15: TypeReclaim, 16: TypePromote, 17: TypeDemote,
+	13: TypePing, 14: TypePong, 15: TypeReclaim,
 	18: TypeRepublish, 19: TypeInvalidate,
 }
 
@@ -129,8 +129,7 @@ func AppendEnvelopeV2(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendBytes(dst, env.Body)
 		dst = binary.AppendUvarint(dst, env.DocVersion)
 	case TypeDelegate, TypeDelegateAck, TypeShed, TypeEvict, TypeReclaim,
-		TypePromote, TypeDemote, TypeTunnelFetch, TypeTunnelReply,
-		TypeRepublish, TypeInvalidate:
+		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
 		dst = appendString(dst, string(env.Doc))
 		dst = appendFloat(dst, env.Rate)
 		dst = appendBytes(dst, env.Body)
@@ -221,8 +220,7 @@ func DecodePayload(env *Envelope, payload []byte, in *DocInterner) error {
 		}
 		env.DocVersion = r.uvarint()
 	case TypeDelegate, TypeDelegateAck, TypeShed, TypeEvict, TypeReclaim,
-		TypePromote, TypeDemote, TypeTunnelFetch, TypeTunnelReply,
-		TypeRepublish, TypeInvalidate:
+		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
 		env.Doc = in.Intern(r.bytes())
 		env.Rate = r.float()
 		if b := r.bytes(); len(b) > 0 {

@@ -38,8 +38,6 @@ func allKindEnvelopes() []*Envelope {
 		{Kind: TypePing, From: 4, To: 1, Seq: 12},
 		{Kind: TypePong, From: 1, To: 4, Seq: 13},
 		{Kind: TypeReclaim, From: 4, To: 0, Seq: 14, Doc: "d", Rate: 12.5},
-		{Kind: TypePromote, From: 0, To: 5, Seq: 15, Doc: "hot", Rate: 80.5, Body: []byte("copy"), DocVersion: 3},
-		{Kind: TypeDemote, From: 0, To: 5, Seq: 16, Doc: "hot", Rate: 2.25},
 		{Kind: TypeRepublish, From: 0, To: 5, Seq: 17, Doc: "hot", Body: []byte("v2 body"), DocVersion: 2},
 		{Kind: TypeInvalidate, From: 0, To: 5, Seq: 18, Doc: "hot", DocVersion: 7},
 		{Kind: TypeResponse, From: 2, To: 4, Origin: 4, ReqID: 101, ServedBy: 2, Hops: 1, Doc: "hot", Body: []byte("v2 body"), DocVersion: 2},
@@ -54,7 +52,7 @@ func TestAllKindsHaveBinaryEncoding(t *testing.T) {
 		TypeGossip, TypeDelegate, TypeDelegateAck, TypeShed, TypeRequest,
 		TypeResponse, TypeEvict, TypeTunnelFetch, TypeTunnelReply,
 		TypeStatsQuery, TypeStatsReply, TypeShutdown, TypePing, TypePong,
-		TypeReclaim, TypePromote, TypeDemote, TypeRepublish, TypeInvalidate,
+		TypeReclaim, TypeRepublish, TypeInvalidate,
 	}
 	for _, k := range kinds {
 		code, ok := kindToCode[k]
@@ -214,9 +212,18 @@ func TestBinaryDecodeRejectsGarbage(t *testing.T) {
 	if err := DecodePayload(env, append(append([]byte(nil), valid...), 0xAA), nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Unknown kind code.
-	if err := DecodePayload(env, []byte{Version2, 0xEE, 0, 0, 0}, nil); err == nil {
-		t.Error("unknown kind code accepted")
+	// Unknown kind codes, including 16 and 17, retired with the
+	// promote/demote frames, on an otherwise valid delegate-family payload.
+	reclaim, err := AppendEnvelopeV2(nil, &Envelope{Kind: TypeReclaim, From: 4, Doc: "d", Rate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range []byte{0xEE, 16, 17} {
+		bad := append([]byte(nil), reclaim...)
+		bad[1] = code
+		if err := DecodePayload(env, bad, nil); err == nil {
+			t.Errorf("unknown kind code %d accepted", code)
+		}
 	}
 	// A claimed string length far past the payload end.
 	bad := []byte{Version2, 5 /* request */, 2, 2, 0 /* from,to,seq */, 2, 10, 0xFF, 0xFF, 0xFF, 0x7F}

@@ -87,6 +87,9 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		for code := 1; code < len(codeToKind); code++ {
 			kind := codeToKind[code]
+			if kind == "" {
+				continue // retired code
+			}
 			env := &Envelope{
 				Kind: kind, From: int(from), To: int(to), Seq: seq,
 				Load: rate, Doc: core.DocID(doc), Rate: math.Abs(rate),

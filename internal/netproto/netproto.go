@@ -76,18 +76,6 @@ const (
 	// same bookkeeping the evict-hint path feeds — so a later loss of this
 	// child re-absorbs exactly the duty that actually lives below the edge.
 	TypeReclaim Type = "reclaim"
-	// TypePromote enrolls the receiver as a replica root for a hot
-	// document: Doc names it, Rate is the serve duty the home hands over
-	// with the copy, and Body carries the document bytes when the receiver
-	// is not known to hold them. The home records the handed-over rate in
-	// its per-child duty ledger — the same bookkeeping delegation feeds —
-	// so losing a replica root re-absorbs exactly the duty living there.
-	TypePromote Type = "promote"
-	// TypeDemote dissolves a replica root once the document cools: the
-	// replica stops advertising the copy and hands its residual serve duty
-	// back up through the ordinary evict-hint path, with Rate echoing the
-	// duty the home should expect back.
-	TypeDemote Type = "demote"
 	// TypeRepublish pushes a new version of a mutable document down the
 	// tree: DocVersion is the new monotonically increasing version number
 	// and Body the replacement bytes. A copy-holder that sees a higher
@@ -125,7 +113,7 @@ type Envelope struct {
 	Body []byte     `json:"body,omitempty"`
 	// DocVersion is the document's version number: the superseding version
 	// on republish/invalidate frames, the version of the copy handed over
-	// on delegate/promote/tunnel frames, and the version of the copy that
+	// on delegate/tunnel frames, and the version of the copy that
 	// answered on responses (so clients can measure staleness). 0 means the
 	// document has never been republished.
 	DocVersion uint64 `json:"doc_version,omitempty"`
@@ -220,16 +208,12 @@ type Stats struct {
 	// duty went.
 	ReclaimedDuty float64 `json:"reclaimed_duty,omitempty"`
 	AbsorbedDuty  float64 `json:"absorbed_duty,omitempty"`
-	// Hot-document replication forest figures. PromotedDocs is the home
-	// server's view of its live replica forests: document → replica-root
-	// node ids, the map the gateway's two-choices router refreshes from.
-	// ReplicaDocs lists the documents this node currently serves as a
-	// replica root. Promotions/Demotions count completed transitions at
-	// the home.
+	// Always nil; read only by benchmark/; delete after the benchmark-only follow-up.
 	PromotedDocs map[core.DocID][]int `json:"promoted_docs,omitempty"`
-	ReplicaDocs  []core.DocID         `json:"replica_docs,omitempty"`
-	Promotions   int64                `json:"promotions,omitempty"`
-	Demotions    int64                `json:"demotions,omitempty"`
+	// Always zero; read only by benchmark/; delete after the benchmark-only follow-up.
+	Promotions int64 `json:"promotions,omitempty"`
+	// Always zero; read only by benchmark/; delete after the benchmark-only follow-up.
+	Demotions int64 `json:"demotions,omitempty"`
 	// Disk persistence tier figures (zero with Config.DataDir unset).
 	// DiskHits counts requests served from the disk tier (a subset of
 	// Served). Each offers its body back to memory, which takes it only if

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"webwave/internal/core"
-	"webwave/internal/forest"
 	"webwave/internal/netproto"
 	"webwave/internal/router"
 	"webwave/internal/transport"
@@ -39,16 +38,6 @@ type control struct {
 	sent       map[int]sentLoad
 	moved      bool
 	stepEpochs []uint64
-
-	// Replication-forest state (promote.go). promoCfg/promos/replicaHeat
-	// belong to the home side of the protocol, replicaDocs to the replica
-	// side; a mid-tree node uses both roles at once only in degenerate
-	// configurations, so the maps coexist harmlessly.
-	promoCfg                forest.PromoConfig
-	promos                  map[core.DocID]*promoEntry     // home: per-doc tracker + roots
-	replicaHeat             map[core.DocID]map[int]float64 // home: announced served rates per root
-	replicaDocs             map[core.DocID]bool            // replica: docs this node hosts a replica for
-	nPromotions, nDemotions int64
 
 	// Failure-detector state (loop-owned except failoverOn, which the
 	// Start-time orphan path also sets). lastParent / childSeen record when
@@ -98,14 +87,6 @@ func newControl(s *Server) *control {
 		snapsBuf:    make([]*shardSnap, len(s.shards)),
 		flowOf:      make(map[core.DocID]float64, 16),
 		laneSender:  laneSender{s: s, lane: len(s.shards)},
-		promoCfg: forest.PromoConfig{
-			PromoteThreshold: s.cfg.PromoteThreshold,
-			DemoteThreshold:  s.cfg.DemoteThreshold,
-			Hysteresis:       s.cfg.PromoteHysteresis,
-		}.WithDefaults(),
-		promos:      make(map[core.DocID]*promoEntry, 4),
-		replicaHeat: make(map[core.DocID]map[int]float64, 4),
-		replicaDocs: make(map[core.DocID]bool, 4),
 	}
 }
 
@@ -220,12 +201,6 @@ func (c *control) handle(ev event) {
 	case netproto.TypePong:
 		// Liveness only, recorded by noteAlive above.
 
-	case netproto.TypePromote:
-		c.handlePromote(ev)
-
-	case netproto.TypeDemote:
-		c.handleDemote(ev)
-
 	case netproto.TypeStatsQuery:
 		s.stampAndSend(ev.conn, &netproto.Envelope{
 			Kind: netproto.TypeStatsReply, From: s.cfg.ID, To: env.From,
@@ -302,7 +277,6 @@ func (c *control) handleConnClosed(conn transport.Conn) {
 		// control queue, so this cannot deadlock.
 		c.s.post(sh.events, event{cmd: cmdChildGone, child: gone})
 	}
-	c.forestChildGone(gone)
 }
 
 // parentLost flips the node into orphan mode: the parent pointer clears (so
@@ -465,8 +439,7 @@ func (c *control) doDiffusion() {
 
 	// A step works from the neighbors' figures and the shards' snapshots,
 	// and a shard publishes only what moved: with no news from either it
-	// would find what the last step found. Replication forests still
-	// observe: their hysteresis counts periods.
+	// would find what the last step found.
 	quiet := !c.moved && !gotDelegate
 	for i, sn := range snaps {
 		if sn.epoch != c.stepEpochs[i] {
@@ -475,7 +448,6 @@ func (c *control) doDiffusion() {
 	}
 	c.moved = false
 	if quiet {
-		c.doPromotion(snaps)
 		return
 	}
 
@@ -511,10 +483,6 @@ func (c *control) doDiffusion() {
 	} else {
 		c.underFor = 0
 	}
-
-	// Replication forests ride the diffusion cadence: the home runs the
-	// promotion state machine, replica roots announce their served rates.
-	c.doPromotion(snaps)
 }
 
 // delegateDown picks the child's largest forwarded streams we actually
@@ -748,7 +716,6 @@ func (c *control) snapshot() *netproto.Stats {
 	if s.journal != nil {
 		st.JournalLag = s.journal.Lag()
 	}
-	c.promoStats(st)
 	return st
 }
 

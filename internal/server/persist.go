@@ -195,7 +195,7 @@ func (sh *shard) journalTick() {
 	}
 	const eps = 1e-6
 	for _, st := range sh.jMoved {
-		// A target dissolved without a drop (a demotion) journals its zero.
+		// A target shed or delegated away in full journals its zero.
 		if !st.admitted || st.target-st.jTarget < eps && st.jTarget-st.target < eps {
 			continue
 		}

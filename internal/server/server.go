@@ -161,26 +161,6 @@ type Config struct {
 	BarrierPatience int
 	Tunneling       bool
 
-	// PromoteThreshold enables hot-document replication forests at the
-	// home server (root only; 0 disables). When one document's observed
-	// demand — inbound request flow plus what its replica roots announce —
-	// stays at or above this rate (req/s) for PromoteHysteresis diffusion
-	// periods, the home promotes the document onto PromoteK replica roots:
-	// its least-loaded children, whose disjoint subtrees then run the
-	// ordinary diffusion protocol as independent replica trees, and whose
-	// identities a gateway learns from stats scrapes for two-choices
-	// routing. Demand below DemoteThreshold (default PromoteThreshold/4)
-	// for the same number of periods demotes the document; replica roots
-	// hand residual duty back through the evict-hint path, so duty
-	// conservation holds across promotion, demotion and replica death.
-	PromoteThreshold float64
-	DemoteThreshold  float64
-	// PromoteK is the replica-forest size (default 2).
-	PromoteK int
-	// PromoteHysteresis is the consecutive-period count both promotion
-	// and demotion require (default 3) — the anti-flapping dead band.
-	PromoteHysteresis int
-
 	Network transport.Network
 }
 
@@ -221,9 +201,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheShards <= 0 {
 		c.CacheShards = c.NumShards
 	}
-	if c.PromoteThreshold > 0 && c.PromoteK <= 0 {
-		c.PromoteK = 2
-	}
 	return c
 }
 
@@ -241,8 +218,6 @@ type event struct {
 	doc   core.DocID
 	child int
 	rate  float64
-	body  []byte // document bytes riding a cmdPromoteIn (copied off the wire)
-	ver   uint64 // document version riding a cmdPromoteIn
 	reply chan *shardSnap
 }
 
@@ -282,18 +257,6 @@ const (
 	// replays its unanswered pending requests upward (their previous leaders
 	// died with the old link) and re-announces its held duty via reclaim.
 	cmdParentRestored
-	// cmdPromoteOut (home side) ships `rate` replica duty for `doc` to
-	// `child` in a promote frame, crediting the child's duty ledger exactly
-	// like a delegation — so every existing kill/restart repair path
-	// conserves replica duty unchanged.
-	cmdPromoteOut
-	// cmdPromoteIn (replica side) installs a promoted copy: admit the body,
-	// raise the target by the handed-over rate, arm the fast path.
-	cmdPromoteIn
-	// cmdDemoteLocal (replica side) dissolves a replica copy: filter and
-	// publication go down and the residual target is hinted upward, the
-	// same teardown an eviction runs.
-	cmdDemoteLocal
 )
 
 // pendingKey identifies an in-flight request for response routing.
@@ -618,10 +581,6 @@ func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 		netproto.TypeRepublish, netproto.TypeInvalidate:
 		ch = s.shardFor(env.Doc).events
 	}
-	// TypePromote and TypeDemote stay on the control loop despite carrying
-	// a Doc: the promotion state machine is control-loop state, which
-	// re-posts the per-document work (admit, target, teardown) to the
-	// owning shard as commands.
 	ev := event{env: env, conn: conn}
 	if s.tryPost(ch, ev) {
 		return

@@ -391,12 +391,6 @@ func (sh *shard) handleCmd(ev event) {
 		sh.absorbChildDuty(ev.child)
 	case cmdParentRestored:
 		sh.parentRestored()
-	case cmdPromoteOut:
-		sh.promoteOut(ev.child, ev.doc, ev.rate)
-	case cmdPromoteIn:
-		sh.promoteIn(ev.doc, ev.rate, ev.body, ev.ver)
-	case cmdDemoteLocal:
-		sh.demoteLocal(ev.doc)
 	}
 }
 
@@ -849,7 +843,7 @@ func (sh *shard) noteTarget(st *docState) {
 }
 
 // dropDuty forgets doc's serve target and served-rate window — the copy is
-// gone, or its replica dissolved — and returns the target it carried.
+// gone — and returns the target it carried.
 func (sh *shard) dropDuty(st *docState) float64 {
 	residual := st.target
 	st.target = 0

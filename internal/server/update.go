@@ -16,7 +16,7 @@ package server
 // everyone coalesced behind it.
 //
 // Body frames ride only the edges the duty ledger says have copies below
-// them (the delegation/promotion edges); every other child gets a cheap
+// them (the delegation edges); every other child gets a cheap
 // version-only invalidate and forwards it on, so deeper copies the ledger
 // cannot see (tunneled ones, for instance) still converge — they drop to
 // stale and lease-refresh on the next demand.

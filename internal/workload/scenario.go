@@ -39,10 +39,8 @@ func Scenarios() []Spec {
 		{
 			// Adversarial skew: a Zipf head steep enough (s = 1.3) that the
 			// top document alone carries ~a third of all traffic, plus a
-			// single-document flash crowd riding on top — the workload
-			// replication forests exist for. The deterministic run shows how
-			// far diffusion alone stretches before the hot-key bench's
-			// forest model takes over.
+			// single-document flash crowd riding on top. The deterministic
+			// run shows how far diffusion alone spreads one hot document.
 			Name:       "adversarial-skew",
 			Nodes:      31,
 			NumDocs:    64,

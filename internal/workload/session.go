@@ -154,7 +154,7 @@ func sessionPass(sp SessionSpec, tokens bool) (*SessionPass, error) {
 		catalog[i] = core.DocID(fmt.Sprintf("doc-%d", i))
 		docs[catalog[i]] = []byte("session document body: " + string(catalog[i]))
 	}
-	c, err := updateCluster(t, docs, 0)
+	c, err := updateCluster(t, docs)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@ package workload
 // diffuse within about one diffusion period) and the hit-rate cost of the
 // write mix versus the read-only control.
 //
-// invalidation-storm promotes one hot document onto a replication forest,
-// then repeatedly invalidates it and storms the leaves with reads: every
+// invalidation-storm spreads one hot document down the tree with a warm-up
+// flash, then repeatedly invalidates it and storms the leaves with reads: every
 // copy below the origin is stale at once, and without the subtree leases
 // each of the C clients would ride its own fetch to the origin. With them,
 // the per-shard single-flight collapses each subtree's storm into one
@@ -142,19 +142,13 @@ type UpdateReport struct {
 }
 
 // updateCluster builds the live cluster every update-style run uses.
-func updateCluster(t *tree.Tree, docs map[core.DocID][]byte, promoteK int) (*cluster.Cluster, error) {
-	cfg := cluster.Config{
+func updateCluster(t *tree.Tree, docs map[core.DocID][]byte) (*cluster.Cluster, error) {
+	return cluster.New(t, docs, cluster.Config{
 		GossipPeriod:    20 * time.Millisecond,
 		DiffusionPeriod: updateDiffusionPeriod,
 		Window:          400 * time.Millisecond,
 		Tunneling:       true,
-	}
-	if promoteK > 1 {
-		cfg.PromoteThreshold = 50
-		cfg.PromoteK = promoteK
-		cfg.PromoteHysteresis = 2
-	}
-	return cluster.New(t, docs, cfg)
+	})
 }
 
 // RunUpdate executes the read-only control pass and the write-mix pass on
@@ -214,7 +208,7 @@ func RunUpdate(sp UpdateSpec, logf func(format string, args ...any)) (*UpdateRep
 // entry order, so both passes offer the identical read set plus-or-minus
 // the entries that became writes.
 func updatePass(sp UpdateSpec, t *tree.Tree, docs map[core.DocID][]byte, sched []trace.Request, writeFraction float64) (*UpdatePass, error) {
-	c, err := updateCluster(t, docs, 0)
+	c, err := updateCluster(t, docs)
 	if err != nil {
 		return nil, err
 	}
@@ -287,10 +281,6 @@ type StormSpec struct {
 
 	Clients int `json:"clients"` // storm reads per write burst; default 120
 	Writes  int `json:"writes"`  // invalidation rounds; default 8
-	// K is the replication-forest width for the hot document (PromoteK);
-	// the warm-up flash promotes it before the storm. Default 2; the
-	// nightly long-form variant runs 3. 1 disables promotion.
-	K int `json:"k"`
 	// SettleMS is the pause between a write and its read burst: longer than
 	// the push propagation of the invalidate frames (a few transport hops),
 	// but shorter than one diffusion period — wait a full tick and the duty
@@ -298,8 +288,8 @@ type StormSpec struct {
 	// which repairs the tree so proactively the lease has nothing to do.
 	// Default 25.
 	SettleMS int `json:"settle_ms"`
-	// WarmSeconds bounds the warm-up flash that spreads copies (and, K>1,
-	// promotes the document) before the storm. Default 8.
+	// WarmSeconds bounds the warm-up flash that spreads copies before the
+	// storm. Default 8.
 	WarmSeconds float64 `json:"warm_seconds"`
 }
 
@@ -317,9 +307,6 @@ func (s StormSpec) WithDefaults() StormSpec {
 	if s.Writes <= 0 {
 		s.Writes = 8
 	}
-	if s.K == 0 {
-		s.K = 2
-	}
 	if s.SettleMS <= 0 {
 		s.SettleMS = 25
 	}
@@ -335,8 +322,7 @@ type StormReport struct {
 	Scenario string    `json:"scenario"`
 	Spec     StormSpec `json:"spec"`
 
-	Nodes      int   `json:"nodes"`
-	Promotions int64 `json:"promotions"` // forest transitions at the origin (K>1)
+	Nodes int `json:"nodes"`
 
 	Writes     int64 `json:"writes"`
 	BurstReads int64 `json:"burst_reads"` // storm reads injected
@@ -407,15 +393,15 @@ func RunStorm(sp StormSpec, logf func(format string, args ...any)) (*StormReport
 		hot:    []byte("storm document, version 0"),
 		"cold": []byte("background document"),
 	}
-	c, err := updateCluster(t, docs, sp.K)
+	c, err := updateCluster(t, docs)
 	if err != nil {
 		return nil, fmt.Errorf("storm: cluster: %w", err)
 	}
 	defer c.Stop()
 	rep := &StormReport{Schema: StormSchema, Scenario: "invalidation-storm", Spec: sp, Nodes: t.Len()}
 
-	// Warm-up flash: spread copies across the subtrees (and promote the
-	// document when a forest is configured) before any write lands.
+	// Warm-up flash: spread copies across the subtrees by diffusion before
+	// any write lands.
 	warmDeadline := time.Now().Add(dur(sp.WarmSeconds))
 	warmed := false
 	for !warmed && time.Now().Before(warmDeadline) {
@@ -434,23 +420,20 @@ func RunStorm(sp StormSpec, logf func(format string, args ...any)) (*StormReport
 			return nil, fmt.Errorf("storm: warm stats: %w", err)
 		}
 		// Warm means: copies exist below the origin (some node beyond the
-		// root caches hot), and the forest fired when one was asked for.
-		spread := false
+		// root caches hot).
 		for v, st := range sts {
 			if v == t.Root() || st == nil {
 				continue
 			}
 			for _, d := range st.CachedDocs {
 				if d == hot {
-					spread = true
+					warmed = true
 				}
 			}
 		}
-		promoted := sp.K <= 1 || (sts[t.Root()] != nil && sts[t.Root()].Promotions >= 1)
-		warmed = spread && promoted
 	}
 	if !warmed {
-		return nil, fmt.Errorf("storm: warm-up never spread the document (K=%d)", sp.K)
+		return nil, fmt.Errorf("storm: warm-up never spread the document")
 	}
 	sts, err := c.Stats()
 	if err != nil {
@@ -463,7 +446,7 @@ func RunStorm(sp StormSpec, logf func(format string, args ...any)) (*StormReport
 			forwardedBefore += st.Forwarded
 		}
 	}
-	logf("  warm: origin served %d during spread, promotions %d", originBefore, sts[t.Root()].Promotions)
+	logf("  warm: origin served %d during spread", originBefore)
 
 	// The storm: invalidate, let the version-only frames diffuse, then hit
 	// every leaf at once. Each subtree's concurrent misses must collapse
@@ -493,7 +476,6 @@ func RunStorm(sp StormSpec, logf func(format string, args ...any)) (*StormReport
 	if rep.PerWriteOriginFetches > 0 {
 		rep.FetchCollapseX = round6(float64(sp.Clients) / rep.PerWriteOriginFetches)
 	}
-	rep.Promotions = sts[t.Root()].Promotions
 	for _, st := range sts {
 		if st != nil {
 			rep.UpstreamForwards += st.Forwarded

@@ -45,7 +45,7 @@ func TestUpdateRunSmall(t *testing.T) {
 }
 
 // TestStormRunSmall smoke-tests the invalidation-storm runner: the warm-up
-// must spread (and with K=2 promote) the hot document, and the storm's
+// must spread the hot document, and the storm's
 // origin fetches must collapse far below one-per-client.
 func TestStormRunSmall(t *testing.T) {
 	rep, err := RunStorm(StormSpec{
@@ -59,9 +59,6 @@ func TestStormRunSmall(t *testing.T) {
 	}
 	if rep.Unanswered != 0 {
 		t.Fatalf("%d storm reads unanswered", rep.Unanswered)
-	}
-	if rep.Promotions < 1 {
-		t.Errorf("promotions = %d, want the warm-up flash to promote", rep.Promotions)
 	}
 	if rep.InvalidationsIn == 0 {
 		t.Error("no node ever applied an invalidation")
