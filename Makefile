@@ -263,13 +263,14 @@ bench-session-baseline:
 	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 \
 		-json bench/BENCH_session_baseline.json
 
-# fuzz-smoke runs the wire-codec round-trip fuzzer for a bounded slice of CI
-# time: every frame kind, re-encode byte equality, agreement with the JSON
-# oracle.
-# Corpus finds land in internal/netproto/testdata/fuzz and should be
-# committed.
+# fuzz-smoke runs two fuzzers for a bounded slice of CI time: the wire-codec
+# round trip (every frame kind, re-encode byte equality, agreement with the
+# JSON oracle) and the journal replay (arbitrary bytes never refuse a start,
+# and the replayed state survives compaction and a reopen).
+# Corpus finds land in the package's testdata/fuzz and should be committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/diskstore/
 
 # swarm-bins builds the two binaries the multi-process scenario needs: the
 # node binary every swarm process execs, and the runner that spawns them.

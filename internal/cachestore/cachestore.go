@@ -227,17 +227,17 @@ func (s *Store) Get(doc core.DocID) ([]byte, bool) {
 	return body, true
 }
 
-// Peek returns the cached body without touching recency or frequency —
-// for reads that should not look like demand (e.g. handing a copy to a
-// delegation message).
-func (s *Store) Peek(doc core.DocID) ([]byte, bool) {
+// Peek returns the cached body and its version without touching recency
+// or frequency — for reads that should not look like demand (e.g. handing
+// a copy to a delegation message).
+func (s *Store) Peek(doc core.DocID) ([]byte, uint64, bool) {
 	sh := s.shardFor(doc)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[doc]; ok {
-		return e.body, true
+		return e.body, e.version, true
 	}
-	return nil, false
+	return nil, 0, false
 }
 
 // Contains reports presence without touching recency.

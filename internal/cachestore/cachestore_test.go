@@ -225,7 +225,7 @@ func TestOversizePinnedRefreshAllowed(t *testing.T) {
 	if _, ok := s.Put("origin", body(400)); !ok {
 		t.Fatalf("pinned refresh rejected")
 	}
-	if got, _ := s.Peek("origin"); len(got) != 400 {
+	if got, _, _ := s.Peek("origin"); len(got) != 400 {
 		t.Fatalf("pinned body not refreshed: %d bytes", len(got))
 	}
 }

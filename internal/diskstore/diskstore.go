@@ -2,19 +2,21 @@
 // disk-backed store of evicted-but-warm document bodies, plus an
 // append-only CRC-framed journal (journal.go) of admissions, drops and
 // serve-duty targets. Together they make a node's cache state survive a
-// SIGKILL: bodies live one-file-per-document under the store directory
-// (the filename encodes the document id, so presence is recoverable by a
-// directory scan alone), and the journal replays to the duty each copy
-// carried, which a restarted node re-announces through the existing
-// reclaim frames — zero new repair protocol.
+// SIGKILL: bodies live one-file-per-document under the store directory,
+// named <base64 id>.<version>.body, so a directory scan alone recovers
+// which documents are held and at which version; the journal records duty
+// only, and replays to the rate each copy carried, which a restarted node
+// re-announces through the existing reclaim frames — zero new repair
+// protocol.
 //
 // The store deliberately mirrors cachestore's contract — Put returns the
-// evictions it caused, bodies are immutable, pinning is absent (origin
-// copies are republished from config, never from disk) — so the server
-// wires it in as "where evicted bodies spill" rather than a new subsystem
-// with its own lifecycle rules. Writes are atomic (temp file + rename):
-// a crash mid-spill leaves either the previous body or none, never a torn
-// one.
+// evictions it caused, each copy carries its document version and a Put
+// never rolls it back, pinning is absent (origin copies are republished
+// from config, never from disk) — so the server wires it in as "where
+// evicted bodies spill" rather than a new subsystem with its own lifecycle
+// rules. Writes are atomic (temp file + rename): one rename makes a body
+// and its version durable together, and a crash mid-spill leaves either
+// the previous body or none, never a torn one.
 //
 // Reads are the server's majority serve path once the working set
 // outgrows memory, so an entry keeps its file descriptor: Put retains the
@@ -29,13 +31,16 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"webwave/internal/core"
 )
 
 // bodyExt suffixes every body file; anything else in the directory is
-// ignored (temp files, stray editor droppings).
+// ignored (temp files, stray editor droppings), and a body file whose name
+// does not parse is removed by Open.
 const bodyExt = ".body"
 
 // Config parameterizes a Store.
@@ -78,11 +83,13 @@ const (
 	numLists
 )
 
-// entry is one resident body: its size, its retained descriptor (nil
-// until first read or after giving it up) and its list positions.
+// entry is one resident body: its size, its document version, its
+// retained descriptor (nil until first read or after giving it up) and its
+// list positions.
 type entry struct {
 	doc   core.DocID
 	size  int64
+	ver   uint64
 	f     *os.File
 	links [numLists]struct{ prev, next *entry }
 }
@@ -107,8 +114,11 @@ type Store struct {
 
 // Open creates (or reopens) a store over cfg.Dir. Bodies already present
 // are indexed by scanning the directory — recovery needs no journal for
-// presence, only for duty — oldest-modified first, so a budget shrink
-// evicts the stalest survivors.
+// presence or version, only for duty — oldest-modified first, so a budget
+// shrink evicts the stalest survivors. Where a crash left two versions of
+// one document (between a replacing Put's rename and its removal of the
+// old file) the higher is kept. A body file without a version in its name
+// was written before versions were and cannot vouch for one: it is removed.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("diskstore: empty dir")
@@ -126,24 +136,20 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	type found struct {
-		doc  core.DocID
-		size int64
-		mod  int64
+		entry
+		mod int64
 	}
 	var scan []found
 	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		doc, ok := docOfFile(de.Name())
-		if !ok {
-			continue
-		}
+		doc, ver, ok := parseName(de.Name())
 		info, err := de.Info()
-		if err != nil {
-			continue // vanished mid-scan: not resident
+		switch {
+		case de.IsDir() || !strings.HasSuffix(de.Name(), bodyExt):
+		case !ok || err != nil:
+			os.Remove(filepath.Join(cfg.Dir, de.Name())) // unversioned, or vanished mid-scan
+		default:
+			scan = append(scan, found{entry{doc: doc, size: info.Size(), ver: ver}, info.ModTime().UnixNano()})
 		}
-		scan = append(scan, found{doc: doc, size: info.Size(), mod: info.ModTime().UnixNano()})
 	}
 	sort.Slice(scan, func(i, j int) bool {
 		if scan[i].mod != scan[j].mod {
@@ -152,7 +158,15 @@ func Open(cfg Config) (*Store, error) {
 		return scan[i].doc < scan[j].doc
 	})
 	for _, f := range scan {
-		e := &entry{doc: f.doc, size: f.size}
+		if old := s.entries[f.doc]; old != nil {
+			drop := min(old.ver, f.ver)
+			os.Remove(s.fileOf(f.doc, drop))
+			if drop == f.ver {
+				continue
+			}
+			s.removeEntry(old)
+		}
+		e := &entry{doc: f.doc, size: f.size, ver: f.ver}
 		s.entries[f.doc] = e
 		s.pushFront(byUse, e)
 		s.bytes += f.size
@@ -161,40 +175,59 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// fileOf maps a document id to its body path: URL-safe base64 of the id,
-// so arbitrary ids (slashes, dots, bytes) round-trip through one flat
-// directory.
-func (s *Store) fileOf(doc core.DocID) string {
-	return filepath.Join(s.dir, base64.RawURLEncoding.EncodeToString([]byte(doc))+bodyExt)
+// fileOf maps a document version to its body path: URL-safe base64 of the
+// id (so arbitrary ids — slashes, dots, bytes — round-trip through one flat
+// directory, and the name's only dots are the separators), then the
+// version in decimal.
+func (s *Store) fileOf(doc core.DocID, ver uint64) string {
+	return filepath.Join(s.dir, base64.RawURLEncoding.EncodeToString([]byte(doc))+"."+strconv.FormatUint(ver, 10)+bodyExt)
 }
 
-// docOfFile inverts fileOf for directory scans.
-func docOfFile(name string) (core.DocID, bool) {
-	if len(name) <= len(bodyExt) || name[len(name)-len(bodyExt):] != bodyExt {
-		return "", false
+// parseName inverts fileOf for directory scans. Only the canonical form
+// parses, so each document version has exactly one file name.
+func parseName(name string) (core.DocID, uint64, bool) {
+	id, ver, ok := strings.Cut(strings.TrimSuffix(name, bodyExt), ".")
+	v, err := strconv.ParseUint(ver, 10, 64)
+	if !ok || err != nil || strconv.FormatUint(v, 10) != ver {
+		return "", 0, false
 	}
-	raw, err := base64.RawURLEncoding.DecodeString(name[:len(name)-len(bodyExt)])
+	raw, err := base64.RawURLEncoding.DecodeString(id)
 	if err != nil {
-		return "", false
+		return "", 0, false
 	}
-	return core.DocID(raw), true
+	return core.DocID(raw), v, true
 }
 
-// Put stores a body, evicting least-recently-used bodies to fit the
-// budget, and reports the evictions. A body larger than the whole budget
-// is rejected outright — without first evicting every resident body. A
-// repeat Put of a resident document only refreshes recency (bodies are
-// immutable), costing no write.
+// Put stores a body at version 0; see PutVersion.
 func (s *Store) Put(doc core.DocID, body []byte) ([]Eviction, bool) {
+	return s.PutVersion(doc, body, 0)
+}
+
+// PutVersion stores a body at a document version, evicting least-recently-
+// used bodies to fit the budget, and reports the evictions. A body larger
+// than the whole budget is rejected outright — without first evicting
+// every resident body. A Put at the resident version only refreshes
+// recency (a version's body never changes), costing no write; one below it
+// is refused, so nothing rolls a document back. One above it replaces the
+// resident body: the old version is gone whether or not the new one fits.
+func (s *Store) PutVersion(doc core.DocID, body []byte, ver uint64) ([]Eviction, bool) {
 	size := int64(len(body))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false
 	}
-	if e := s.entries[doc]; e != nil {
-		s.touch(byUse, e)
-		return nil, true
+	if old := s.entries[doc]; old != nil {
+		if ver <= old.ver {
+			if ver == old.ver {
+				s.touch(byUse, old)
+			}
+			return nil, ver == old.ver
+		}
+		// Its file goes last: a crash before then leaves both versions, and
+		// Open keeps the newer.
+		s.removeEntry(old)
+		defer os.Remove(s.fileOf(doc, old.ver))
 	}
 	if s.budget > 0 && size > s.budget {
 		s.rejected++
@@ -206,21 +239,21 @@ func (s *Store) Put(doc core.DocID, body []byte) ([]Eviction, bool) {
 	}
 	// Atomic publish: write to a temp file in the same directory, then
 	// rename over the final name. A crash between the two leaves no file —
-	// the document is simply not resident on recovery. The descriptor
-	// survives the rename and serves the entry's reads.
+	// the document is simply not resident at that version on recovery. The
+	// descriptor survives the rename and serves the entry's reads.
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
 		return evs, false
 	}
 	if _, err = tmp.Write(body); err == nil {
-		err = os.Rename(tmp.Name(), s.fileOf(doc))
+		err = os.Rename(tmp.Name(), s.fileOf(doc, ver))
 	}
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return evs, false
 	}
-	e := &entry{doc: doc, size: size}
+	e := &entry{doc: doc, size: size, ver: ver}
 	s.entries[doc] = e
 	s.pushFront(byUse, e)
 	s.retain(e, tmp)
@@ -244,7 +277,7 @@ func (s *Store) evictOver(incoming *int64) []Eviction {
 	for need > s.budget && s.tail[byUse] != nil {
 		victim := s.tail[byUse]
 		s.removeEntry(victim)
-		os.Remove(s.fileOf(victim.doc))
+		os.Remove(s.fileOf(victim.doc, victim.ver))
 		need -= victim.size
 		s.evictions++
 		s.evictedByte += victim.size
@@ -253,28 +286,38 @@ func (s *Store) evictOver(incoming *int64) []Eviction {
 	return evs
 }
 
-// Get reads a body, refreshing its recency. A missing or unreadable file
-// drops the stale index entry and reports a miss.
+// Get is GetVersion without the version.
 func (s *Store) Get(doc core.DocID) ([]byte, bool) {
+	body, _, ok := s.GetVersion(doc)
+	return body, ok
+}
+
+// GetVersion reads a body and its version, refreshing its recency. A
+// missing or unreadable file drops the stale index entry and reports a
+// miss.
+func (s *Store) GetVersion(doc core.DocID) ([]byte, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	body, e := s.read(doc)
 	if e == nil {
 		s.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	s.touch(byUse, e)
 	s.hits++
-	return body, true
+	return body, e.ver, true
 }
 
-// Peek reads a body without touching recency or hit counters — copy
-// transfers (delegation bodies, recovery) are not demand.
-func (s *Store) Peek(doc core.DocID) ([]byte, bool) {
+// Peek reads a body and its version without touching recency or hit
+// counters — copy transfers (delegation bodies, recovery) are not demand.
+func (s *Store) Peek(doc core.DocID) ([]byte, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	body, e := s.read(doc)
-	return body, e != nil
+	if e == nil {
+		return nil, 0, false
+	}
+	return body, e.ver, true
 }
 
 // read returns doc's body and entry, or a nil entry on a miss: one pread
@@ -288,7 +331,7 @@ func (s *Store) read(doc core.DocID) ([]byte, *entry) {
 	}
 	if e.f != nil {
 		s.touch(byRead, e)
-	} else if f, err := os.Open(s.fileOf(doc)); err == nil {
+	} else if f, err := os.Open(s.fileOf(doc, e.ver)); err == nil {
 		s.retain(e, f)
 	} else {
 		s.removeEntry(e)
@@ -340,25 +383,25 @@ func (s *Store) Contains(doc core.DocID) bool {
 	return s.entries[doc] != nil
 }
 
+// Version reports the resident body's version without reading it or
+// touching recency.
+func (s *Store) Version(doc core.DocID) (uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[doc]; e != nil {
+		return e.ver, true
+	}
+	return 0, false
+}
+
 // Delete removes a body (no-op when absent).
 func (s *Store) Delete(doc core.DocID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.entries[doc]; e != nil {
 		s.removeEntry(e)
-		os.Remove(s.fileOf(doc))
+		os.Remove(s.fileOf(doc, e.ver))
 	}
-}
-
-// Docs returns the resident document ids, most recently used first.
-func (s *Store) Docs() []core.DocID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]core.DocID, 0, len(s.entries))
-	for e := s.head[byUse]; e != nil; e = e.links[byUse].next {
-		out = append(out, e.doc)
-	}
-	return out
 }
 
 // Len returns the resident document count.

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
@@ -33,6 +34,14 @@ func wantClosed(t *testing.T, what string, f *os.File) {
 	t.Helper()
 	if _, err := f.ReadAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("%s: descriptor still open (read error %v)", what, err)
+	}
+}
+
+// peek is Peek without the version, shaped like Get.
+func peek(s *Store) func(core.DocID) ([]byte, bool) {
+	return func(doc core.DocID) ([]byte, bool) {
+		b, _, ok := s.Peek(doc)
+		return b, ok
 	}
 }
 
@@ -121,7 +130,7 @@ func TestReopenRecoversBodiesByScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put("odd/../id with spaces", body(64, 'q'))
-	s.Put("plain", body(32, 'p'))
+	s.PutVersion("plain", body(32, 'p'), 1<<40)
 
 	// No Close/flush step: every Put is already durable (rename). Reopen
 	// as a crashed-and-restarted node would.
@@ -141,16 +150,127 @@ func TestReopenRecoversBodiesByScan(t *testing.T) {
 	if !ok || string(got) != string(body(64, 'q')) {
 		t.Fatalf("recovered body mismatch: %q, %v", got, ok)
 	}
-	got, ok = r.Peek("plain")
-	if !ok || string(got) != string(body(32, 'p')) {
-		t.Fatalf("recovered body mismatch: %q, %v", got, ok)
+	got, ver, ok := r.Peek("plain")
+	if !ok || string(got) != string(body(32, 'p')) || ver != 1<<40 {
+		t.Fatalf("recovered body mismatch: %q at version %d, %v", got, ver, ok)
 	}
 	if n := openCount(r); n != 2 {
 		t.Fatalf("%d descriptors after reading two scanned bodies, want 2", n)
 	}
 	f := heldFile(r, "plain")
-	if got, ok = r.Get("plain"); !ok || string(got) != string(body(32, 'p')) || heldFile(r, "plain") != f {
-		t.Fatalf("second read: %q, %v, same descriptor %v", got, ok, heldFile(r, "plain") == f)
+	if got, ver, ok = r.GetVersion("plain"); !ok || string(got) != string(body(32, 'p')) || ver != 1<<40 || heldFile(r, "plain") != f {
+		t.Fatalf("second read: %q at version %d, %v, same descriptor %v", got, ver, ok, heldFile(r, "plain") == f)
+	}
+	if _, ver, _ = r.GetVersion("odd/../id with spaces"); ver != 0 {
+		t.Fatalf("a plain Put recovered at version %d, want 0", ver)
+	}
+}
+
+// TestPutVersionOrdering: a Put above the resident version replaces the
+// body (file included), one at it only touches recency, one below it is
+// refused and leaves the resident body as it was.
+func TestPutVersionOrdering(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, BudgetBytes: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.PutVersion("a", body(100, '2'), 2)
+	s.Put("b", body(100, 'b'))
+	if _, ok := s.PutVersion("a", body(100, 'x'), 2); !ok {
+		t.Fatal("a Put at the resident version was refused")
+	}
+	if got := s.StatsSnapshot().Puts; got != 2 {
+		t.Fatalf("a Put at the resident version wrote: puts=%d, want 2", got)
+	}
+	// That Put made a the most recent: c displaces b.
+	if evs, _ := s.Put("c", body(60, 'c')); len(evs) != 1 || evs[0].Doc != "b" {
+		t.Fatalf("evictions = %+v, want b", evs)
+	}
+	if _, ok := s.PutVersion("a", body(100, '1'), 1); ok {
+		t.Fatal("a Put below the resident version was accepted")
+	}
+	if got, ver, ok := s.GetVersion("a"); !ok || ver != 2 || string(got) != string(body(100, '2')) {
+		t.Fatalf("after an equal and a lower Put: %q at version %d, %v; want the version-2 body", got, ver, ok)
+	}
+	if evs, ok := s.PutVersion("a", body(120, '3'), 3); !ok || len(evs) != 0 {
+		t.Fatalf("higher Put = %v, %v; want it in place of version 2, evicting nothing", evs, ok)
+	}
+	if got, ver, ok := s.GetVersion("a"); !ok || ver != 3 || string(got) != string(body(120, '3')) {
+		t.Fatalf("after a higher Put: %q at version %d, %v", got, ver, ok)
+	}
+	if s.Bytes() != 180 {
+		t.Fatalf("Bytes=%d, want 180 (a at 120, c at 60)", s.Bytes())
+	}
+	if _, err := os.Stat(s.fileOf("a", 2)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the superseded file survived: %v", err)
+	}
+	// A higher version that cannot fit still retires the old one.
+	if _, ok := s.PutVersion("a", body(300, '4'), 4); ok {
+		t.Fatal("an over-budget body was admitted")
+	}
+	if s.Contains("a") {
+		t.Fatal("a refused higher Put left the superseded body resident")
+	}
+	if des, _ := os.ReadDir(dir); len(des) != 1 {
+		t.Fatalf("directory holds %d files, want c's alone", len(des))
+	}
+}
+
+// TestOpenKeepsTheHigherVersion: a crash between a replacing Put's rename
+// and its removal of the old file leaves two bodies for one document; Open
+// serves the higher version and removes the other file.
+func TestOpenKeepsTheHigherVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutVersion("a", body(10, '5'), 5)
+	s.Close()
+	// The older body, as the interrupted Put left it.
+	if err := os.WriteFile(s.fileOf("a", 4), body(20, '4'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, ver, ok := r.GetVersion("a"); !ok || ver != 5 || string(got) != string(body(10, '5')) {
+		t.Fatalf("recovered %q at version %d, %v; want the version-5 body", got, ver, ok)
+	}
+	if r.Len() != 1 || r.Bytes() != 10 {
+		t.Fatalf("Len=%d Bytes=%d, want 1/10", r.Len(), r.Bytes())
+	}
+	if _, err := os.Stat(r.fileOf("a", 4)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the lower version's file survived: %v", err)
+	}
+}
+
+// TestOpenRemovesUnversionedBodies: a body file named as before versions
+// were (<base64 id>.body) cannot say which version it holds, so Open
+// removes it rather than serve it under one.
+func TestOpenRemovesUnversionedBodies(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, base64.RawURLEncoding.EncodeToString([]byte("a"))+bodyExt)
+	if err := os.WriteFile(old, body(10, 'a'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Contains("a") || s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("an unversioned body was indexed: Len=%d Bytes=%d", s.Len(), s.Bytes())
+	}
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("an unversioned body was served")
+	}
+	if _, err := os.Stat(old); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the unversioned file survived: %v", err)
 	}
 }
 
@@ -213,10 +333,10 @@ func TestEvictedAndDeletedBodiesMissAndClose(t *testing.T) {
 		if _, ok := s.Get(doc); ok {
 			t.Fatalf("Get(%s) hit after removal", doc)
 		}
-		if _, ok := s.Peek(doc); ok {
+		if _, _, ok := s.Peek(doc); ok {
 			t.Fatalf("Peek(%s) hit after removal", doc)
 		}
-		if _, err := os.Stat(s.fileOf(doc)); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(s.fileOf(doc, 0)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("body file of %s survived: %v", doc, err)
 		}
 	}
@@ -285,7 +405,7 @@ func TestDeleteThenPutNeverReadsOldBytes(t *testing.T) {
 		if _, ok := s.Put("a", want); !ok {
 			t.Fatalf("Put v%d rejected", v)
 		}
-		for _, read := range []func(core.DocID) ([]byte, bool){s.Get, s.Peek} {
+		for _, read := range []func(core.DocID) ([]byte, bool){s.Get, peek(s)} {
 			if got, ok := read("a"); !ok || string(got) != string(want) {
 				t.Fatalf("v%d read back %q, %v", v, got, ok)
 			}
@@ -303,7 +423,7 @@ func TestFailedPutLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := os.MkdirAll(filepath.Join(s.fileOf("a"), "blocker"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(s.fileOf("a", 0), "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Put("a", body(10, 'a')); ok {
@@ -391,7 +511,7 @@ func TestConcurrentAccess(t *testing.T) {
 						t.Errorf("Get(%d) returned a foreign or torn body", d)
 					}
 				case 3:
-					if got, ok := s.Peek(id(d)); ok && string(got) != string(body(128, byte(d))) {
+					if got, _, ok := s.Peek(id(d)); ok && string(got) != string(body(128, byte(d))) {
 						t.Errorf("Peek(%d) returned a foreign or torn body", d)
 					}
 				}

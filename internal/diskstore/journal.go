@@ -1,10 +1,11 @@
 package diskstore
 
-// The journal is an append-only log of the node's cache-protocol state
-// changes: a document was admitted (either tier), dropped entirely, or
-// had its serve-duty target move. Replayed on restart, it reconstructs
-// which documents the node held and how much duty each carried — the
-// state a warm node re-announces upstream as reclaim frames.
+// The journal is an append-only log of the node's duty: a document was
+// admitted (either tier), dropped entirely, or had its serve-duty target
+// move. Replayed on restart, it reconstructs which documents the node held
+// and how much duty each carried — the state a warm node re-announces
+// upstream as reclaim frames. Versions are not journaled: each body file
+// names its own (diskstore.go).
 //
 // Frame layout (little-endian):
 //
@@ -43,27 +44,13 @@ const (
 	OpDrop Op = 2
 	// OpTarget records a change to Doc's serve-duty target.
 	OpTarget Op = 3
-	// OpVersion records the document version of the held copy after a
-	// republish or versioned admit. Its 8-byte field carries the version
-	// as a uint64 instead of float64 rate bits. Replay folds it in only
-	// while the document is held and never moves a version backward, so
-	// reordered teardown noise cannot resurrect or roll back a copy.
-	OpVersion Op = 4
+	// Op 4 carried a copy's version in journals written before body files
+	// named their version; replay skips it like any unknown op.
 )
 
-// Record is one journal entry.
-type Record struct {
-	Op      Op
-	Doc     core.DocID
-	Rate    float64
-	Version uint64
-}
-
-// DocState is the replayed per-document state: the last known duty rate
-// and the version of the held copy (0 = never republished).
+// DocState is the replayed per-document state: the last known duty rate.
 type DocState struct {
-	Rate    float64
-	Version uint64
+	Rate float64
 }
 
 // maxFrame bounds a frame's payload; document ids are short, so anything
@@ -92,8 +79,7 @@ type Journal struct {
 // OpenJournal replays the journal at path (creating it if missing),
 // truncates any torn tail, and returns the journal opened for append
 // alongside the replayed state: each held document mapped to its last
-// known duty rate and copy version. Records for documents later dropped
-// are absent.
+// known duty rate. Records for documents later dropped are absent.
 func OpenJournal(path string) (*Journal, map[core.DocID]DocState, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -148,42 +134,26 @@ func replay(f *os.File) (map[core.DocID]DocState, int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return state, off, nil // corrupt frame
 		}
-		rec := Record{Op: Op(payload[0]), Doc: core.DocID(payload[9:])}
-		field := binary.LittleEndian.Uint64(payload[1:9])
-		if rec.Op == OpVersion {
-			rec.Version = field
-		} else {
-			rec.Rate = math.Float64frombits(field)
-		}
-		applyRecord(state, rec)
+		rate := math.Float64frombits(binary.LittleEndian.Uint64(payload[1:9]))
+		applyRecord(state, Op(payload[0]), core.DocID(payload[9:]), rate)
 		off += int64(8 + n)
 	}
 }
 
 // applyRecord folds one record into the presence/duty state. Unknown ops
 // are skipped, so journals written by newer code replay under older code.
-func applyRecord(state map[core.DocID]DocState, rec Record) {
-	switch rec.Op {
+func applyRecord(state map[core.DocID]DocState, op Op, doc core.DocID, rate float64) {
+	switch op {
 	case OpAdmit:
-		// An admit keeps a previously journaled version: re-admission after
-		// a spill does not reset the copy to version 0.
-		st := state[rec.Doc]
-		st.Rate = rec.Rate
-		state[rec.Doc] = st
+		state[doc] = DocState{Rate: rate}
 	case OpDrop:
-		delete(state, rec.Doc)
+		delete(state, doc)
 	case OpTarget:
 		// A target for a document never admitted (or already dropped) is
 		// stale noise from a reordered teardown; it must not resurrect the
 		// document.
-		if st, held := state[rec.Doc]; held {
-			st.Rate = rec.Rate
-			state[rec.Doc] = st
-		}
-	case OpVersion:
-		if st, held := state[rec.Doc]; held && rec.Version > st.Version {
-			st.Version = rec.Version
-			state[rec.Doc] = st
+		if _, held := state[doc]; held {
+			state[doc] = DocState{Rate: rate}
 		}
 	}
 }
@@ -196,23 +166,7 @@ func (j *Journal) Append(op Op, doc core.DocID, rate float64) error {
 	if j.f == nil {
 		return fmt.Errorf("diskstore: journal closed")
 	}
-	return j.writeLocked(Record{Op: op, Doc: doc, Rate: rate})
-}
-
-// AppendVersion writes one OpVersion record carrying the held copy's
-// document version.
-func (j *Journal) AppendVersion(doc core.DocID, version uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("diskstore: journal closed")
-	}
-	return j.writeLocked(Record{Op: OpVersion, Doc: doc, Version: version})
-}
-
-// writeLocked frames and writes one record. Caller holds the mutex.
-func (j *Journal) writeLocked(rec Record) error {
-	j.buf = appendFrame(j.buf[:0], rec)
+	j.buf = appendFrame(j.buf[:0], op, doc, rate)
 	if _, err := j.f.Write(j.buf); err != nil {
 		return err
 	}
@@ -222,19 +176,15 @@ func (j *Journal) writeLocked(rec Record) error {
 }
 
 // appendFrame encodes one record onto buf.
-func appendFrame(buf []byte, rec Record) []byte {
-	n := 9 + len(rec.Doc)
+func appendFrame(buf []byte, op Op, doc core.DocID, rate float64) []byte {
+	n := 9 + len(doc)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	crcAt := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC patched below
 	payloadAt := len(buf)
-	buf = append(buf, byte(rec.Op))
-	field := math.Float64bits(rec.Rate)
-	if rec.Op == OpVersion {
-		field = rec.Version
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, field)
-	buf = append(buf, rec.Doc...)
+	buf = append(buf, byte(op))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rate))
+	buf = append(buf, doc...)
 	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[payloadAt:]))
 	return buf
 }
@@ -283,14 +233,13 @@ func (j *Journal) Appended() int64 {
 	return j.appended
 }
 
-// Compact rewrites the journal as one OpAdmit (plus one OpVersion for
-// republished copies) per live document — typically run right after
-// recovery, so journals stay proportional to the held set instead of
-// growing across restarts. The rewrite is atomic (temp file + rename); a
-// crash mid-compaction leaves the old journal. An empty journal compacted
-// to an empty state is already compact and is left alone, so a node's
-// first start pays no rewrite; a journal whose records cancelled out is
-// not empty and is rewritten.
+// Compact rewrites the journal as one OpAdmit per live document —
+// typically run right after recovery, so journals stay proportional to the
+// held set instead of growing across restarts. The rewrite is atomic (temp
+// file + rename); a crash mid-compaction leaves the old journal. An empty
+// journal compacted to an empty state is already compact and is left
+// alone, so a node's first start pays no rewrite; a journal whose records
+// cancelled out is not empty and is rewritten.
 func (j *Journal) Compact(state map[core.DocID]DocState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -305,14 +254,8 @@ func (j *Journal) Compact(state map[core.DocID]DocState) error {
 		return err
 	}
 	var buf []byte
-	records := 0
 	for doc, st := range state {
-		buf = appendFrame(buf[:0], Record{Op: OpAdmit, Doc: doc, Rate: st.Rate})
-		if st.Version > 0 {
-			buf = appendFrame(buf, Record{Op: OpVersion, Doc: doc, Version: st.Version})
-			records++
-		}
-		records++
+		buf = appendFrame(buf[:0], OpAdmit, doc, st.Rate)
 		if _, err := tmp.Write(buf); err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
@@ -340,7 +283,7 @@ func (j *Journal) Compact(state map[core.DocID]DocState) error {
 	old.Close()
 	j.f = f
 	j.unsynced = 0
-	j.appended = int64(records)
+	j.appended = int64(len(state))
 	j.lastSync = time.Now()
 	return nil
 }

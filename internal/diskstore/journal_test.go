@@ -1,8 +1,11 @@
 package diskstore
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"webwave/internal/core"
@@ -148,7 +151,7 @@ func TestJournalCompact(t *testing.T) {
 	}
 	j.Append(OpAdmit, "keep", 5)
 	before, _ := os.Stat(path)
-	if err := j.Compact(map[core.DocID]DocState{"keep": {Rate: 5, Version: 2}}); err != nil {
+	if err := j.Compact(map[core.DocID]DocState{"keep": {Rate: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := os.Stat(path)
@@ -164,8 +167,8 @@ func TestJournalCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(state) != 1 || (state["keep"] != DocState{Rate: 6, Version: 2}) {
-		t.Fatalf("post-compact replay %v, want keep rate 6 version 2", state)
+	if len(state) != 1 || (state["keep"] != DocState{Rate: 6}) {
+		t.Fatalf("post-compact replay %v, want keep rate 6", state)
 	}
 }
 
@@ -188,62 +191,106 @@ func TestJournalLagAndSync(t *testing.T) {
 	}
 }
 
-// TestJournalVersionRecords covers OpVersion replay semantics: versions
-// stick to held documents, never move backward, die with a drop, and do
-// not resurrect dropped documents.
-func TestJournalVersionRecords(t *testing.T) {
+// TestJournalReplaysOldVersionRecords replays frames as the build before
+// versioned body files wrote them, op-4 version records among them: those
+// are skipped, admits, targets and drops come back intact, and Compact
+// writes no op-4 record.
+func TestJournalReplaysOldVersionRecords(t *testing.T) {
 	path := journalPath(t)
-	j, _, err := OpenJournal(path)
+	// The old layout of a version record: op 4, the version's bits where a
+	// rate goes.
+	version := func(v uint64) float64 { return math.Float64frombits(v) }
+	var raw []byte
+	for _, rec := range []struct {
+		op   Op
+		doc  core.DocID
+		rate float64
+	}{
+		{OpAdmit, "a", 4},
+		{4, "a", version(3)},
+		{OpTarget, "a", 6},
+		{OpAdmit, "b", 1},
+		{4, "b", version(9)},
+		{OpDrop, "b", 0},
+		{4, "c", version(2)}, // for a document never admitted
+		{OpAdmit, "d", 2},
+		{4, "d", version(1 << 40)},
+	} {
+		raw = appendFrame(raw, rec.op, rec.doc, rec.rate)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, state, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(OpAdmit, "a", 4)
-	j.AppendVersion("a", 3)
-	j.AppendVersion("a", 2) // stale: must not roll back
-	j.Append(OpAdmit, "b", 1)
-	j.AppendVersion("b", 9)
-	j.Append(OpDrop, "b", 0)
-	j.AppendVersion("b", 10) // after drop: must not resurrect
-	j.Append(OpAdmit, "c", 2)
-	j.Append(OpDrop, "c", 0)
-	j.Append(OpAdmit, "c", 2) // re-admit after drop: version starts fresh
-	j.Close()
-
-	_, state, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[core.DocID]DocState{"a": {Rate: 4, Version: 3}, "c": {Rate: 2}}
-	if len(state) != len(want) {
+	want := map[core.DocID]DocState{"a": {Rate: 6}, "d": {Rate: 2}}
+	if !reflect.DeepEqual(state, want) {
 		t.Fatalf("replayed %v, want %v", state, want)
 	}
-	for doc, st := range want {
-		if state[doc] != st {
-			t.Fatalf("replayed %v, want %v", state, want)
+	if err := j.Compact(state); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(compacted); {
+		n := int(binary.LittleEndian.Uint32(compacted[off:]))
+		if op := Op(compacted[off+8]); op != OpAdmit {
+			t.Fatalf("compacted journal holds an op-%d record at byte %d", op, off)
 		}
+		off += 8 + n
+	}
+	if _, state, err = OpenJournal(path); err != nil || !reflect.DeepEqual(state, want) {
+		t.Fatalf("compacted replay %v (%v), want %v", state, err, want)
 	}
 }
 
-// TestJournalVersionSurvivesReadmit pins the spill/re-admit interaction: an
-// OpAdmit for a still-held document refreshes the rate without resetting
-// the journaled version.
-func TestJournalVersionSurvivesReadmit(t *testing.T) {
-	path := journalPath(t)
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(OpAdmit, "a", 4)
-	j.AppendVersion("a", 6)
-	j.Append(OpAdmit, "a", 8) // disk->memory re-admission re-journals
-	j.Close()
-	_, state, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := state["a"]; st != (DocState{Rate: 8, Version: 6}) {
-		t.Fatalf("replayed %+v, want rate 8 version 6", st)
-	}
+// FuzzJournalReplay opens a journal made of arbitrary bytes: OpenJournal
+// never fails or panics, and the state it replays survives Compact and a
+// reopen unchanged (rates compared bit for bit, NaNs included).
+func FuzzJournalReplay(f *testing.F) {
+	var seed []byte
+	seed = appendFrame(seed, OpAdmit, "a", 1)
+	seed = appendFrame(seed, OpTarget, "a", 2.5)
+	seed = appendFrame(seed, 4, "a", math.Float64frombits(7)) // an old version record
+	seed = appendFrame(seed, OpAdmit, "b", 0)
+	seed = appendFrame(seed, OpDrop, "b", 0)
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3]) // torn tail
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, state, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("OpenJournal refused %d bytes: %v", len(raw), err)
+		}
+		if err := j.Compact(state); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, again, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopen after Compact: %v", err)
+		}
+		defer j.Close()
+		if len(again) != len(state) {
+			t.Fatalf("reopen replayed %d documents, Compact was given %d", len(again), len(state))
+		}
+		for doc, st := range state {
+			if got, ok := again[doc]; !ok || math.Float64bits(got.Rate) != math.Float64bits(st.Rate) {
+				t.Fatalf("document %q: reopen replayed %v (%v), Compact was given %v", doc, got, ok, st)
+			}
+		}
+	})
 }
 
 // TestCompactSkipsOnlyTheEmptyJournal: a brand-new journal compacted to an

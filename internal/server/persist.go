@@ -2,8 +2,9 @@ package server
 
 // The disk persistence tier (Config.DataDir). Two pieces from
 // internal/diskstore hang off the server: a byte-budgeted body store that
-// keeps evicted-but-warm documents on disk, and an append-only journal of
-// admissions, drops and duty targets. Integration is deliberately thin:
+// keeps evicted-but-warm documents on disk, each body beside its version,
+// and an append-only journal of admissions, drops and duty targets — duty
+// only. Integration is deliberately thin:
 //
 //   - Admission writes through to disk (the body is crash-safe before any
 //     duty is accepted), so a later memory eviction is free — cachestore's
@@ -16,10 +17,11 @@ package server
 //     Only when BOTH tiers lose the body does the old teardown (duty
 //     hinted upstream) run.
 //   - On restart, New replays the journal against the surviving body
-//     files, re-admits what fits in memory (the rest stays disk-resident),
-//     restores each document's target, and Start re-announces the whole
-//     held set as reclaim frames — exactly the failover replay path, zero
-//     new repair protocol. A torn journal tail is truncated, never fatal.
+//     files, re-admits what fits in memory (the rest stays disk-resident)
+//     at the version its file names, restores each document's target and
+//     write mark, and Start re-announces the whole held set as reclaim
+//     frames — exactly the failover replay path, zero new repair protocol.
+//     A torn journal tail is truncated, never fatal.
 
 import (
 	"fmt"
@@ -51,13 +53,13 @@ func (s *Server) openPersist() error {
 
 // recoverWarm rebuilds cache and duty state from a previous run: for each
 // journaled document whose body survived on disk, re-admit to memory
-// (under the budget; the rest stays disk-resident), reinstall the
-// admission filter and restore the last journaled target and copy
-// version — so a warm restart resumes serving the version it held, and
-// version gating keeps working across the kill. The journal is then
-// compacted to the recovered set, so it stays proportional to the held
-// documents across restart cycles (a no-op on a node's first start, whose
-// journal is empty).
+// (under the budget; the rest stays disk-resident) at the body's version,
+// reinstall the admission filter, restore the last journaled target and
+// start the write mark at the body's version — so a warm restart resumes
+// serving the version it held, and the write gate keeps refusing older
+// frames across the kill. The journal is then compacted to the recovered
+// set, so it stays proportional to the held documents across restart
+// cycles (a no-op on a node's first start, whose journal is empty).
 func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 	live := make(map[core.DocID]diskstore.DocState, len(state))
 	for doc, st := range state {
@@ -66,14 +68,14 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 				continue // origin copies republish from config, not disk
 			}
 		}
-		body, ok := s.disk.Peek(doc)
+		body, ver, ok := s.disk.Peek(doc)
 		if !ok {
 			continue // journaled as held, but the body tier dropped it
 		}
 		sh := s.shardFor(doc)
 		rec := sh.state(doc)
-		rec.ver, rec.jVer = st.Version, st.Version
-		evs, inMem := s.cache.PutVersion(doc, body, st.Version)
+		rec.ver = ver
+		evs, inMem := s.cache.PutVersion(doc, body, ver)
 		sh.applyEvictions(evs) // earlier-recovered docs may spill back to disk-only
 		sh.installFilter(rec)
 		if st.Rate > 0 {
@@ -81,7 +83,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		}
 		rec.admitted, rec.jTarget = true, st.Rate
 		if inMem {
-			sh.publish(doc, body, false, st.Version)
+			sh.publish(doc, body, false, ver)
 		}
 		live[doc] = st
 		s.warmDocs++
@@ -114,40 +116,53 @@ func (s *Server) diskHas(doc core.DocID) bool {
 	return s.disk != nil && s.disk.Contains(doc)
 }
 
-// diskGet reads a body from the disk tier, counting a hit and refreshing
-// its recency.
-func (s *Server) diskGet(doc core.DocID) ([]byte, bool) {
+// diskGet reads a body and its version from the disk tier, counting a hit
+// and refreshing its recency.
+func (s *Server) diskGet(doc core.DocID) ([]byte, uint64, bool) {
 	if s.disk == nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return s.disk.Get(doc)
+	return s.disk.GetVersion(doc)
 }
 
-// bodyOf returns a held body from whichever tier has it, with Peek
-// semantics in both — copy handoffs are not demand.
-func (s *Server) bodyOf(doc core.DocID) ([]byte, bool) {
-	if body, ok := s.cache.Peek(doc); ok {
-		return body, true
+// bodyOf returns a held body and its version from whichever tier has it,
+// with Peek semantics in both — copy handoffs are not demand.
+func (s *Server) bodyOf(doc core.DocID) ([]byte, uint64, bool) {
+	if body, ver, ok := s.cache.Peek(doc); ok {
+		return body, ver, true
 	}
 	if s.disk == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	return s.disk.Peek(doc)
+}
+
+// copyVersion reports the version of the copy either tier holds, without
+// reading a body or touching recency.
+func (s *Server) copyVersion(doc core.DocID) (uint64, bool) {
+	if ver, ok := s.cache.Version(doc); ok {
+		return ver, true
+	}
+	if s.disk == nil {
+		return 0, false
+	}
+	return s.disk.Version(doc)
 }
 
 // diskWriteThrough spills an admitted body to the disk tier at admit time
 // rather than evict time: the eviction callback carries no body, and
 // writing now makes the copy SIGKILL-safe from the moment duty is
-// accepted for it. Bodies are immutable, so a repeat write-through of a
-// resident document costs a recency touch, not I/O. A document the disk
-// tier displaces to make room — and which memory no longer holds — gets
-// the same owner-side teardown a memory eviction runs.
-func (sh *shard) diskWriteThrough(doc core.DocID, body []byte) {
+// accepted for it. A version's body never changes, so a repeat
+// write-through at the resident version costs a recency touch, not I/O; a
+// newer version replaces the resident file. A document the disk tier
+// displaces to make room — and which memory no longer holds — gets the
+// same owner-side teardown a memory eviction runs.
+func (sh *shard) diskWriteThrough(doc core.DocID, body []byte, ver uint64) {
 	s := sh.s
 	if s.disk == nil {
 		return
 	}
-	evs, _ := s.disk.Put(doc, body)
+	evs, _ := s.disk.PutVersion(doc, body, ver)
 	for _, ev := range evs {
 		if s.cache.Contains(ev.Doc) {
 			continue // memory still holds it: the document stays admitted
@@ -180,8 +195,8 @@ func (sh *shard) journalDrop(st *docState) {
 		return // never journaled as admitted (e.g. pinned origin copy)
 	}
 	_ = sh.s.journal.Append(diskstore.OpDrop, st.doc, 0)
-	// A later re-admission journals its target and version afresh.
-	st.admitted, st.jTarget, st.jVer = false, 0, 0
+	// A later re-admission journals its target afresh.
+	st.admitted, st.jTarget = false, 0
 }
 
 // journalTick runs on the shard's maintenance tick: append a target

@@ -633,10 +633,12 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 	if e == nil || e.dead.Load() {
 		return false
 	}
-	if env.MinVersion > e.version {
+	if !versionOK(e.version, env.MinVersion, 0) {
 		// The session has seen a newer version than this copy: decline
 		// before spending a credit so the queued path can gate the request
-		// upward (sessionGate) instead of serving it stale.
+		// upward (sessionGate) instead of serving it stale. A published copy
+		// is never below the write mark: a write that moves the mark
+		// refreshes or unpublishes it.
 		return false
 	}
 	if !e.always && e.credits.Add(-1) < 0 {

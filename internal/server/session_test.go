@@ -186,7 +186,7 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 		t.Fatalf("lease refreshes = %d, stale = %v; want the passing response to repair the copy",
 			sh.n.leaseRefreshes, sh.state("d").stale)
 	}
-	if body, held := s.cache.Peek("d"); !held || string(body) != "b2" {
+	if body, _, held := s.cache.Peek("d"); !held || string(body) != "b2" {
 		t.Fatalf("held body = %q (%v) after refresh, want b2", body, held)
 	}
 	if sh.state("d").flight == nil {

@@ -70,9 +70,8 @@ func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
 // outlives the entry.
 type pubEntry struct {
 	body []byte
-	// version is the document version of body (0 = never republished);
-	// responses stamp it so clients and staleness probes can compare the
-	// served copy against the latest write.
+	// version is the document version of body (0 = never republished),
+	// the label every fast-path reply carries.
 	version uint64
 	// always marks an origin (pinned) copy: admitted unconditionally. A
 	// delegated or tunneled copy instead spends credits.
@@ -116,9 +115,9 @@ type docState struct {
 	servedWin *docWindow // measured served rate; nil until served
 	flowWin   *docWindow // local demand (From -1); nil until requested
 	flight    *flight    // the upstream fetch requests coalesce behind
-	// ver is the latest version this shard has seen (from republish or
-	// invalidate frames, delegated copies, or responses); it only moves
-	// forward.
+	// ver is the write mark: the newest version a write frame brought here
+	// (after a warm restart, the recovered copy's). Only applyWrite moves
+	// it. It never labels a reply: a copy carries its own version.
 	ver uint64
 	// stranded parks duty that should have been hinted upward (an
 	// eviction's residual, a dead child's un-absorbable ledger) while the
@@ -126,11 +125,10 @@ type docState struct {
 	// dropping it would silently zero that share of the wave.
 	// parentRestored flushes it across the repaired edge.
 	stranded float64
-	// The journal's view (persist.go, disk tier only): the last target and
-	// copy version journaled for the document, and whether an admit record
-	// is open for it.
+	// The journal's view (persist.go, disk tier only): the last target
+	// journaled for the document, and whether an admit record is open for
+	// it.
 	jTarget  float64
-	jVer     uint64
 	admitted bool
 	// stale marks a body dropped by an invalidation (or bypassed by a
 	// session floor) while its filter and duty stayed — cleared when a
@@ -138,14 +136,23 @@ type docState struct {
 	stale bool
 }
 
-// bumpVer advances the record's version high-water mark, reporting whether
-// ver was news.
-func (st *docState) bumpVer(ver uint64) bool {
-	if ver <= st.ver {
-		return false
+// versionOK is the one serving predicate: may a copy at copyVer answer a
+// request with session floor floor, given the document's write mark? Below
+// the floor it would break read-my-writes; below the mark a write this node
+// passed on superseded it. Mark 0 means no local write can disqualify the
+// copy: at the origin (shard.mark), for a reply relayed from upstream.
+func versionOK(copyVer, floor, mark uint64) bool {
+	return copyVer >= floor && copyVer >= mark
+}
+
+// mark is the write mark a local copy of st's document is held to: none at
+// the origin, whose copy is the document itself until a write's body
+// arrives.
+func (sh *shard) mark(st *docState) uint64 {
+	if sh.s.isRoot {
+		return 0
 	}
-	st.ver = ver
-	return true
+	return st.ver
 }
 
 // bumpFlow counts one fast-path arrival from the given sender. New senders
@@ -862,11 +869,9 @@ func (sh *shard) handle(ev event) {
 		sh.handleRequest(ev)
 
 	case netproto.TypeResponse:
-		// A response is also a version observation: learn the served
-		// version before routing, so the lease check below compares
-		// against the freshest high-water mark.
+		// A response moves no version: one that overtakes a write must not
+		// make the write look stale.
 		st := sh.state(env.Doc)
-		st.bumpVer(env.DocVersion)
 		key := pendingKey{origin: env.Origin, reqID: env.ReqID}
 		if pe, ok := sh.pending[key]; ok {
 			delete(sh.pending, key)
@@ -934,11 +939,11 @@ func (sh *shard) handle(ev event) {
 		// Only the home can answer authoritatively. Peek: a tunnel fetch
 		// is a copy transfer, not local demand, so it must not refresh
 		// recency or frequency. A fetch carrying a session floor newer than
-		// our high-water mark goes unanswered — shipping an older copy
-		// across the barrier would plant exactly the stale body the token
-		// exists to bypass.
-		ver := sh.state(env.Doc).ver
-		if body, ok := sh.s.bodyOf(env.Doc); ok && env.MinVersion <= ver {
+		// the copy goes unanswered — shipping an older copy across the
+		// barrier would plant exactly the stale body the token exists to
+		// bypass.
+		body, ver, ok := sh.s.bodyOf(env.Doc)
+		if ok && versionOK(ver, env.MinVersion, sh.mark(sh.state(env.Doc))) {
 			sh.sendOn(ev.conn, &netproto.Envelope{
 				Kind: netproto.TypeTunnelReply, From: sh.s.cfg.ID, To: env.From,
 				Doc: env.Doc, Body: body, DocVersion: ver,
@@ -1046,8 +1051,13 @@ func (sh *shard) handleRequest(ev event) {
 	// the full demand even when the upstream fetch is shared.
 	sh.count(sh.flowWindow(env.From, st), 1)
 
-	if env.MinVersion > st.ver && sh.sessionGate(st, ev) {
-		return
+	// Every copy passes versionOK when a version-0 one does, so the held
+	// copy's version is looked up only when a floor or a mark is in play.
+	if mark := sh.mark(st); !versionOK(0, env.MinVersion, mark) {
+		if ver, held := sh.s.copyVersion(env.Doc); held && !versionOK(ver, env.MinVersion, mark) {
+			sh.sessionGate(st, ev)
+			return
+		}
 	}
 	if sh.rt.Classify(env.Doc) == router.Extract || sh.s.isRoot {
 		sh.serveRequest(st, ev)
@@ -1056,26 +1066,21 @@ func (sh *shard) handleRequest(ev event) {
 	sh.forwardUp(st, ev)
 }
 
-// sessionGate handles a request whose session token demands a newer version
-// than this shard has seen (MinVersion > st.ver): serving the local copy
-// would violate read-my-writes, so the request bypasses it and rides the
-// subtree-lease single-flight upward instead — any held body is marked
-// stale (kept serving token-less readers) so the passing response re-admits
-// the fresh copy through maybeLeaseRefresh, the same repair path
-// invalidation uses. At the root there is no upward edge; the write that
-// minted the token is still in flight toward us, so the request parks as a
-// flight waiter until the version lands (answerParked) or the pending sweep
-// expires it (a token claiming a version that never arrives). Reports
-// whether the request was consumed; false means the token is unsatisfiable
-// here and normal serving should proceed (an unpublished document at the
-// root answers NotFound rather than parking forever).
-func (sh *shard) sessionGate(st *docState, ev event) bool {
+// sessionGate handles a request the held copy may not answer (versionOK
+// failed: the session token demands a newer version, or a write superseded
+// the copy): serving it would violate read-my-writes, so the request
+// bypasses it and rides the subtree-lease single-flight upward instead —
+// the held body is marked stale (kept serving token-less readers) so the
+// passing response re-admits the fresh copy through maybeLeaseRefresh, the
+// same repair path invalidation uses. At the root there is no upward edge;
+// the write that minted the token is still in flight toward us, so the
+// request parks as a flight waiter until the version lands (answerParked)
+// or the pending sweep expires it (a token claiming a version that never
+// arrives).
+func (sh *shard) sessionGate(st *docState, ev event) {
 	env := ev.env
+	sh.n.sessionRefreshes++
 	if sh.s.isRoot {
-		if _, published := sh.s.bodyOf(env.Doc); !published && st.ver == 0 {
-			return false
-		}
-		sh.n.sessionRefreshes++
 		if st.flight == nil {
 			st.flight = &flight{at: sh.now}
 		}
@@ -1083,14 +1088,10 @@ func (sh *shard) sessionGate(st *docState, ev event) bool {
 		fl.waiters = append(fl.waiters, waiter{
 			origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion,
 		})
-		return true
+		return
 	}
-	sh.n.sessionRefreshes++
-	if sh.s.holdsCopy(env.Doc) {
-		st.stale = true
-	}
+	st.stale = true
 	sh.forwardUp(st, ev)
-	return true
 }
 
 // forwardUp relays a request toward the home server, remembering which
@@ -1139,7 +1140,9 @@ func (sh *shard) forwardUp(st *docState, ev event) {
 // fetch that produced it. Waiters whose session floor exceeds the
 // response's version must not be answered with it (a token-less leader's
 // fetch can resolve to a copy older than what a coalesced session has
-// already seen); they re-arm as a fresh flight instead.
+// already seen); they re-arm as a fresh flight instead. The write mark does
+// not disqualify a relayed reply: it is the best upstream had, labelled
+// with its own version.
 func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope) {
 	if len(fl.waiters) == 0 {
 		return
@@ -1147,7 +1150,7 @@ func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope
 	var unsatisfied []waiter
 	out := netproto.GetEnvelope()
 	for _, w := range fl.waiters {
-		if w.minVer > resp.DocVersion && !resp.NotFound {
+		if !resp.NotFound && !versionOK(resp.DocVersion, w.minVer, 0) {
 			unsatisfied = append(unsatisfied, w)
 			continue
 		}
@@ -1184,9 +1187,7 @@ func (sh *shard) refetchUnsatisfied(st *docState, ws []waiter) {
 	fl.waiters = ws[1:]
 	var maxVer uint64
 	for _, w := range ws {
-		if w.minVer > maxVer {
-			maxVer = w.minVer
-		}
+		maxVer = max(maxVer, w.minVer)
 	}
 	sh.n.forwarded++
 	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{conn: lead.conn, at: sh.now, doc: doc, minVer: maxVer}
@@ -1216,40 +1217,47 @@ func (sh *shard) refetchUnsatisfied(st *docState, ws []waiter) {
 // instead of waiting a diffusion period to notice the imbalance.
 func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 	st := sh.state(doc)
-	if ver < st.ver {
+	if cur, _ := sh.s.copyVersion(doc); !versionOK(ver, cur, sh.mark(st)) {
 		// A stale body (a delegation or tunnel reply that raced a
-		// republish): refuse it — admitting it would roll the document
-		// back behind the version the tree has already converged on.
+		// republish, or older than the copy held here): refuse it —
+		// admitting it would roll the document back. An admit moves no
+		// mark; the body carries its version into the tiers.
 		sh.n.staleDrops++
 		return false
 	}
-	if st.bumpVer(ver) && sh.s.disk != nil {
-		sh.s.disk.Delete(doc) // any resident disk body predates ver
+	if !sh.storeCopy(st, body, ver) {
+		return false
 	}
-	// Write through to the disk tier first, so the body is crash-safe (and
-	// eviction-safe) before any duty is accepted for it.
-	sh.diskWriteThrough(doc, body)
-	evs, ok := sh.s.cache.PutVersion(doc, body, ver)
+	// Disk-only is still admitted: the node accepts the copy and its duty,
+	// which is what lets a corpus larger than RAM keep serving below the
+	// home server. The read path serves it from disk until a hit re-admits
+	// it to memory.
+	sh.installFilter(st)
+	sh.journalAdmit(st)
+	return true
+}
+
+// storeCopy puts body, at version ver, into both tiers: disk first, so the
+// body is crash-safe (and eviction-safe) before any duty is accepted for
+// it, then memory, publishing it there for the fast path. If memory cannot
+// take it (it outgrew the budget) but disk did, an older copy memory holds
+// is dropped, so the tiers never serve two versions. Reports whether
+// either tier holds the body; if not, memory may still hold an older one.
+func (sh *shard) storeCopy(st *docState, body []byte, ver uint64) bool {
+	doc := st.doc
+	sh.diskWriteThrough(doc, body, ver)
+	evs, inMem := sh.s.cache.PutVersion(doc, body, ver)
 	sh.applyEvictions(evs)
-	if ok {
-		sh.installFilter(st)
+	if inMem {
 		sh.publish(doc, body, false, ver)
-		sh.journalAdmit(st)
-		sh.journalVersion(st, ver)
 		return true
 	}
-	if sh.s.diskHas(doc) {
-		// Too big (or too contended) for memory, but captured by the disk
-		// tier: the node still accepts the copy and its duty — this is what
-		// lets a corpus larger than RAM keep serving below the home server.
-		// No publication: the fast path needs an in-memory body; the read
-		// path serves the copy from disk until a hit re-admits it.
-		sh.installFilter(st)
-		sh.journalAdmit(st)
-		sh.journalVersion(st, ver)
-		return true
+	if !sh.s.diskHas(doc) {
+		return false
 	}
-	return false
+	sh.unpublish(st)
+	sh.s.cache.Delete(doc)
+	return true
 }
 
 // applyEvictions runs the protocol-side cleanup for a Put's displaced
@@ -1280,8 +1288,8 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		// entry dead, which would otherwise leave the fast path disabled
 		// for it forever. Republish from the live copy.
 		if e := st.pub; e != nil && e.dead.Load() {
-			if body, ok := sh.s.cache.Peek(doc); ok {
-				sh.publish(doc, body, false, st.ver)
+			if body, ver, ok := sh.s.cache.Peek(doc); ok {
+				sh.publish(doc, body, false, ver)
 			}
 		}
 		return
@@ -1305,21 +1313,22 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 	sh.hintUp(doc, residual)
 }
 
+// serveRequest answers a request from the copy this node holds, memory
+// first, then disk, labelled with that copy's own version (handleRequest
+// already held it to versionOK; both tiers hold a document at one version).
 func (sh *shard) serveRequest(st *docState, ev event) {
 	env := ev.env
-	body, cached := sh.s.cache.Get(env.Doc)
-	if !cached {
-		if dbody, ok := sh.s.diskGet(env.Doc); ok {
+	body, ver, held := sh.s.cache.GetVersion(env.Doc)
+	if !held {
+		if body, ver, held = sh.s.diskGet(env.Doc); held {
 			// Disk-tier hit: serve the spilled copy and offer it back to
-			// memory, which takes it only if it is hotter than what it
-			// would evict (the disk copy stays either way — bodies are
-			// immutable, demotion is free).
+			// memory, which takes it only if it is hotter than what it would
+			// evict (the disk copy stays either way, so demotion is free).
 			sh.n.diskHits++
-			sh.readmitFromDisk(st, dbody)
-			body, cached = dbody, true
+			sh.readmitFromDisk(st, body, ver)
 		}
 	}
-	if !cached && !sh.s.isRoot {
+	if !held && !sh.s.isRoot {
 		// The filter extracted a document we no longer hold (install/evict
 		// race); keep the request moving toward the home server.
 		sh.forwardUp(st, ev)
@@ -1332,32 +1341,31 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 		Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: env.Origin,
 		Doc: env.Doc, Origin: env.Origin, ReqID: env.ReqID,
 		ServedBy: sh.s.cfg.ID, Hops: env.Hops,
-		Body: body, NotFound: !cached,
-		// Known defect (ROADMAP item 1(b)): the high-water mark, not the body's own version.
-		DocVersion: st.ver,
+		Body: body, NotFound: !held, DocVersion: ver,
 	}
 	sh.sendOn(ev.conn, resp)
 	netproto.PutEnvelope(resp)
 }
 
-// readmitFromDisk offers a disk-served body back to memory so later
-// requests take the fast path. With a disk tier, memory is a heat-gated
-// cache of disk: the store takes the body when it fits, or when its docHeat
-// per byte is strictly above that of the coldest copies it would evict.
-// Re-admitting on every hit would make memory hold whatever was read last,
-// each hit evicting (and unpublishing) another copy. docHeat outside the Heat
-// policy is up to one DiffusionPeriod old (see docHeat), so a document that
-// just turned hot can be refused for that long. A refused or oversized body
-// stays disk-resident and keeps being served from there. No journal
-// traffic: the document was already journaled as admitted.
-func (sh *shard) readmitFromDisk(st *docState, body []byte) {
-	evs, ok, refused := sh.s.cache.Offer(st.doc, body, st.ver)
+// readmitFromDisk offers a disk-served body, at its version, back to
+// memory so later requests take the fast path. With a disk tier, memory is
+// a heat-gated cache of disk: the store takes the body when it fits, or
+// when its docHeat per byte is strictly above that of the coldest copies it
+// would evict. Re-admitting on every hit would make memory hold whatever
+// was read last, each hit evicting (and unpublishing) another copy. docHeat
+// outside the Heat policy is up to one DiffusionPeriod old (see docHeat),
+// so a document that just turned hot can be refused for that long. A
+// refused or oversized body stays disk-resident and keeps being served from
+// there. No journal traffic: the document was already journaled as
+// admitted.
+func (sh *shard) readmitFromDisk(st *docState, body []byte, ver uint64) {
+	evs, ok, refused := sh.s.cache.Offer(st.doc, body, ver)
 	if refused {
 		sh.n.readmitsRefused++
 	}
 	sh.applyEvictions(evs)
 	if ok {
-		sh.publish(st.doc, body, false, st.ver)
+		sh.publish(st.doc, body, false, ver)
 	}
 }
 
@@ -1385,16 +1393,16 @@ func (sh *shard) installFilter(st *docState) {
 // shard re-validates what still holds.
 func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	conn := sh.s.childConn(child)
-	if conn == nil || !sh.s.holdsCopy(doc) {
+	body, ver, held := sh.s.bodyOf(doc) // a handoff is not local demand
+	if conn == nil || !held || !versionOK(ver, 0, sh.mark(sh.state(doc))) {
 		return
 	}
 	sh.addTarget(doc, -rate)
 	sh.n.delegOut++
 	sh.dutyLedger(child)[doc] += rate // credited back if the child sheds or dies
-	body, _ := sh.s.bodyOf(doc)       // a handoff is not local demand
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypeDelegate, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: sh.state(doc).ver,
+		Doc: doc, Rate: rate, Body: body, DocVersion: ver,
 	})
 }
 

@@ -4,16 +4,20 @@ package server
 //
 // A write enters the tree at the origin (root) as a republish (new body,
 // new version) or an invalidate (version only) and diffuses down the same
-// filter/target edges the duty protocol maintains. Each node version-gates
-// the frame against its per-document high-water mark, so duplicates and
-// reordered stale frames are dropped, never applied. A copy-holding node
-// either swaps the new body into both tiers in place (republish) or drops
-// the stale body while KEEPING its admission filter, targets and duty
-// (invalidate) — requests then miss locally and travel upward through the
-// existing single-flight table, which acts as the subtree's lease: however
-// many clients storm a freshly invalidated document, one fetch per shard
-// travels toward the origin, and the response re-admits the fresh copy for
-// everyone coalesced behind it.
+// filter/target edges the duty protocol maintains. A copy carries its own
+// version — both tiers store it beside the body, and it labels every reply
+// — while each node keeps one write mark per document that only write
+// frames move (applyWrite): a frame above it advances it and diffuses on,
+// one at or below it is a duplicate, dropped and not forwarded. Responses,
+// tunnel replies and admissions never move the mark, so one that overtakes
+// a write never makes the write look stale. A node whose copy is older
+// than the write either swaps the new body into both tiers in place
+// (republish) or drops the stale body while KEEPING its admission filter,
+// targets and duty (invalidate) — requests then miss locally and travel
+// upward through the existing single-flight table, which acts as the
+// subtree's lease: however many clients storm a freshly invalidated
+// document, one fetch per shard travels toward the origin, and the
+// response re-admits the fresh copy for everyone coalesced behind it.
 //
 // Body frames ride only the edges the duty ledger says have copies below
 // them (the delegation edges); every other child gets a cheap
@@ -26,55 +30,64 @@ import (
 	"webwave/internal/netproto"
 )
 
-// handleRepublish applies one versioned body push: gate on the version,
-// refresh (origin or copy-holder) locally, diffuse down the tree.
+// handleRepublish applies one versioned body push and diffuses it down.
 func (sh *shard) handleRepublish(env *netproto.Envelope) {
-	doc, ver := env.Doc, env.DocVersion
-	st := sh.state(doc)
-	if !st.bumpVer(ver) {
-		sh.n.staleDrops++
-		return
-	}
-	sh.n.republishesIn++
 	var body []byte
 	if len(env.Body) > 0 {
 		body = env.Body // safe to retain: recycled envelopes drop, never reuse, Body
 	}
-	switch {
-	case sh.s.isRoot:
-		sh.originWrite(doc, body, ver)
-		sh.answerParked(st)
-	case sh.s.holdsCopy(doc):
-		if body == nil || !sh.refreshCopy(st, body, ver) {
-			// No body to install (or neither tier kept it): degrade to an
-			// invalidation so the stale copy never serves again.
-			sh.invalidateLocal(st)
-		}
+	if sh.applyWrite(env, body, &sh.n.republishesIn) {
+		sh.diffuseDown(env.Doc, env.DocVersion, body)
 	}
-	sh.diffuseDown(doc, ver, body)
 }
 
-// handleInvalidate applies one version-only write: gate, drop any local
-// stale copy (duty and filter stay), diffuse version-only frames down. At
-// the origin an injected invalidate may carry the new body — the root must
+// handleInvalidate applies one version-only write (the local copy drops;
+// duty and filter stay) and diffuses version-only frames down. At the
+// origin an injected invalidate may carry the new body — the root must
 // always serve the latest version — but it never travels further.
 func (sh *shard) handleInvalidate(env *netproto.Envelope) {
-	doc, ver := env.Doc, env.DocVersion
-	st := sh.state(doc)
-	if !st.bumpVer(ver) {
-		sh.n.staleDrops++
-		return
-	}
-	sh.n.invalidationsIn++
+	var body []byte
 	if sh.s.isRoot && len(env.Body) > 0 {
-		sh.originWrite(doc, env.Body, ver)
-	} else {
+		body = env.Body
+	}
+	if sh.applyWrite(env, body, &sh.n.invalidationsIn) {
+		sh.diffuseDown(env.Doc, env.DocVersion, nil)
+	}
+}
+
+// applyWrite is the write-frame gate, the only place a write mark moves. A
+// frame at or below the mark is a duplicate — this node already passed on
+// a write at least as new — counted as a stale drop; applyWrite reports
+// false and the frame goes no further. A frame above the mark advances it
+// and is brought to the local copy, counted in applied: the origin installs
+// body and answers the sessions parked for it; a node holding an older
+// copy swaps body into both tiers in place, keeping the document's filter,
+// targets and duty exactly as they were (a republish moves data, not
+// duty), or drops the copy if there is no body to install or neither tier
+// keeps it. A copy that already serves
+// the write (a response or tunnel reply brought it first) stays as it is,
+// a stale drop locally. Either way applyWrite reports true: the children
+// still need the write.
+func (sh *shard) applyWrite(env *netproto.Envelope, body []byte, applied *int64) bool {
+	st, ver := sh.state(env.Doc), env.DocVersion
+	if ver <= st.ver {
+		sh.n.staleDrops++
+		return false
+	}
+	st.ver = ver
+	switch cur, held := sh.s.copyVersion(st.doc); {
+	case sh.s.isRoot:
+		sh.originWrite(st.doc, body, ver)
+		sh.answerParked(st)
+	case !held:
+	case versionOK(cur, ver, 0):
+		sh.n.staleDrops++
+		return true
+	case body == nil || !sh.storeCopy(st, body, ver):
 		sh.invalidateLocal(st)
 	}
-	if sh.s.isRoot {
-		sh.answerParked(st)
-	}
-	sh.diffuseDown(doc, ver, nil)
+	*applied++
+	return true
 }
 
 // originWrite installs a new version at the home server: the pinned origin
@@ -93,39 +106,12 @@ func (sh *shard) originWrite(doc core.DocID, body []byte, ver uint64) {
 	sh.publish(doc, body, true, ver)
 }
 
-// refreshCopy swaps a republished body into both tiers in place, keeping
-// the document's filter, targets and duty exactly as they were — a
-// republish moves data, not duty. Reports whether at least one tier holds
-// the new body.
-func (sh *shard) refreshCopy(st *docState, body []byte, ver uint64) bool {
-	doc := st.doc
-	if sh.s.disk != nil {
-		// Disk bodies are immutable per version; replace, don't touch.
-		sh.s.disk.Delete(doc)
-		sh.diskWriteThrough(doc, body)
-	}
-	evs, inMem := sh.s.cache.PutVersion(doc, body, ver)
-	sh.applyEvictions(evs)
-	if inMem {
-		sh.publish(doc, body, false, ver)
-	} else {
-		// Memory refused the new body (it outgrew the budget): the fast path
-		// must not keep serving the old one.
-		sh.unpublish(st)
-	}
-	sh.journalVersion(st, ver)
-	return inMem || sh.s.diskHas(doc)
-}
-
 // invalidateLocal drops the stale body from both tiers while keeping the
 // document's admission filter, targets and duty. Requests now miss locally
 // and travel upward through the single-flight table — the lease — and the
 // response re-admits the fresh copy (maybeLeaseRefresh).
 func (sh *shard) invalidateLocal(st *docState) {
 	doc := st.doc
-	if !sh.s.holdsCopy(doc) {
-		return
-	}
 	sh.unpublish(st)
 	sh.s.cache.Delete(doc)
 	if sh.s.disk != nil {
@@ -167,7 +153,7 @@ func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 	if !st.stale || env.NotFound || len(env.Body) == 0 {
 		return
 	}
-	if env.DocVersion < st.ver {
+	if !versionOK(env.DocVersion, 0, sh.mark(st)) {
 		return // upstream served an older version: keep waiting for the write
 	}
 	if sh.admit(env.Doc, env.Body, env.DocVersion) {
@@ -177,25 +163,23 @@ func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 }
 
 // answerParked serves session requests parked at the root (sessionGate) for
-// a version that just arrived: once the high-water mark satisfies a
-// waiter's floor it is answered from the pinned origin copy — the origin is
-// never stale relative to itself, so the copy is stamped at the high-water
-// mark exactly like serveRequest does. Waiters demanding a still-newer
-// version stay parked for the next write (or the sweep's expiry).
+// a version that just arrived: a waiter the origin copy now satisfies is
+// answered from it, labelled with the copy's version. Waiters demanding a
+// still-newer version stay parked for the next write (or the sweep's
+// expiry).
 func (sh *shard) answerParked(st *docState) {
 	doc, fl := st.doc, st.flight
 	if fl == nil || len(fl.waiters) == 0 {
 		return
 	}
-	body, ok := sh.s.bodyOf(doc)
+	body, ver, ok := sh.s.bodyOf(doc)
 	if !ok {
 		return
 	}
-	ver := st.ver
 	var kept []waiter
 	out := netproto.GetEnvelope()
 	for _, w := range fl.waiters {
-		if w.minVer > ver {
+		if !versionOK(ver, w.minVer, sh.mark(st)) {
 			kept = append(kept, w)
 			continue
 		}
@@ -214,15 +198,4 @@ func (sh *shard) answerParked(st *docState) {
 		return
 	}
 	fl.waiters = kept
-}
-
-// journalVersion records the held copy's version, deduplicated per
-// version, so a warm restart recovers the version alongside the body.
-func (sh *shard) journalVersion(st *docState, ver uint64) {
-	j := sh.s.journal
-	if j == nil || ver == 0 || st.jVer == ver {
-		return
-	}
-	st.jVer = ver
-	_ = j.AppendVersion(st.doc, ver)
 }

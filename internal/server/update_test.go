@@ -197,7 +197,7 @@ func TestVersionGateDropsStaleWrites(t *testing.T) {
 	if sh.n.staleDrops != 1 || sh.n.republishesIn != 0 {
 		t.Fatalf("stale republish: drops=%d applied=%d, want 1/0", sh.n.staleDrops, sh.n.republishesIn)
 	}
-	if body, ok := s.cache.Peek("d"); !ok || string(body) != "v2" {
+	if body, _, ok := s.cache.Peek("d"); !ok || string(body) != "v2" {
 		t.Fatalf("held body = %q (%v) after stale republish, want v2 intact", body, ok)
 	}
 
