@@ -31,13 +31,12 @@ const Version2 = 2
 var ErrShortPayload = errors.New("netproto: truncated binary payload")
 
 // kind codes: the byte each Type travels as in a v2 frame. 0 is reserved so
-// a zeroed buffer never decodes as a valid kind. 16 and 17 carried the
-// retired promote/demote frames and stay unassigned, so a frame from an
-// older node is rejected rather than misread.
+// a zeroed buffer never decodes as a valid kind. Retired codes stay
+// unassigned, so a frame from an older node is rejected rather than
+// misread: 3 carried delegate_ack, 16 and 17 the promote/demote frames.
 var kindToCode = map[Type]byte{
 	TypeGossip:      1,
 	TypeDelegate:    2,
-	TypeDelegateAck: 3,
 	TypeShed:        4,
 	TypeRequest:     5,
 	TypeResponse:    6,
@@ -55,7 +54,7 @@ var kindToCode = map[Type]byte{
 }
 
 var codeToKind = [20]Type{
-	1: TypeGossip, 2: TypeDelegate, 3: TypeDelegateAck, 4: TypeShed,
+	1: TypeGossip, 2: TypeDelegate, 4: TypeShed,
 	5: TypeRequest, 6: TypeResponse, 7: TypeTunnelFetch, 8: TypeTunnelReply,
 	9: TypeStatsQuery, 10: TypeStatsReply, 11: TypeShutdown, 12: TypeEvict,
 	13: TypePing, 14: TypePong, 15: TypeReclaim,
@@ -128,7 +127,7 @@ func AppendEnvelopeV2(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendString(dst, string(env.Doc))
 		dst = appendBytes(dst, env.Body)
 		dst = binary.AppendUvarint(dst, env.DocVersion)
-	case TypeDelegate, TypeDelegateAck, TypeShed, TypeEvict, TypeReclaim,
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim,
 		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
 		dst = appendString(dst, string(env.Doc))
 		dst = appendFloat(dst, env.Rate)
@@ -219,7 +218,7 @@ func DecodePayload(env *Envelope, payload []byte, in *DocInterner) error {
 			env.Body = append(body, b...)
 		}
 		env.DocVersion = r.uvarint()
-	case TypeDelegate, TypeDelegateAck, TypeShed, TypeEvict, TypeReclaim,
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim,
 		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
 		env.Doc = in.Intern(r.bytes())
 		env.Rate = r.float()

@@ -16,7 +16,6 @@ func allKindEnvelopes() []*Envelope {
 	return []*Envelope{
 		{Kind: TypeGossip, From: 1, To: 2, Seq: 9, Load: 123.5},
 		{Kind: TypeDelegate, From: 0, To: 3, Seq: 10, Doc: "doc-1", Rate: 42.25, Body: []byte("payload")},
-		{Kind: TypeDelegateAck, From: 3, To: 0, Doc: "doc-1", Rate: 42.25},
 		{Kind: TypeShed, From: 5, To: 1, Doc: "d", Rate: 7},
 		{Kind: TypeEvict, From: 5, To: 1, Seq: 11, Doc: "d", Rate: 3.5},
 		{Kind: TypeRequest, From: -1, To: 4, Origin: 4, ReqID: 99, Hops: 2, Doc: "d"},
@@ -49,7 +48,7 @@ func allKindEnvelopes() []*Envelope {
 // header-only encoding and corrupt the stream.
 func TestAllKindsHaveBinaryEncoding(t *testing.T) {
 	kinds := []Type{
-		TypeGossip, TypeDelegate, TypeDelegateAck, TypeShed, TypeRequest,
+		TypeGossip, TypeDelegate, TypeShed, TypeRequest,
 		TypeResponse, TypeEvict, TypeTunnelFetch, TypeTunnelReply,
 		TypeStatsQuery, TypeStatsReply, TypeShutdown, TypePing, TypePong,
 		TypeReclaim, TypeRepublish, TypeInvalidate,
@@ -212,13 +211,14 @@ func TestBinaryDecodeRejectsGarbage(t *testing.T) {
 	if err := DecodePayload(env, append(append([]byte(nil), valid...), 0xAA), nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Unknown kind codes, including 16 and 17, retired with the
-	// promote/demote frames, on an otherwise valid delegate-family payload.
+	// Unknown kind codes, including the retired 3 (delegate_ack) and 16
+	// and 17 (promote/demote), on an otherwise valid delegate-family
+	// payload.
 	reclaim, err := AppendEnvelopeV2(nil, &Envelope{Kind: TypeReclaim, From: 4, Doc: "d", Rate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, code := range []byte{0xEE, 16, 17} {
+	for _, code := range []byte{0xEE, 3, 16, 17} {
 		bad := append([]byte(nil), reclaim...)
 		bad[1] = code
 		if err := DecodePayload(env, bad, nil); err == nil {

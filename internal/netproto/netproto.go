@@ -35,8 +35,6 @@ const (
 	// TypeDelegate hands part of a document's service duty (and, when
 	// needed, the document body) from a parent to a child.
 	TypeDelegate Type = "delegate"
-	// TypeDelegateAck reports how much of a delegation the child accepted.
-	TypeDelegateAck Type = "delegate_ack"
 	// TypeShed moves service duty from a child up to its parent.
 	TypeShed Type = "shed"
 	// TypeRequest is a client document request traveling toward the home

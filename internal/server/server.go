@@ -575,8 +575,8 @@ func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 			return
 		}
 		ch = sh.events
-	case netproto.TypeResponse, netproto.TypeDelegate, netproto.TypeDelegateAck,
-		netproto.TypeShed, netproto.TypeEvict, netproto.TypeReclaim,
+	case netproto.TypeResponse, netproto.TypeDelegate, netproto.TypeShed,
+		netproto.TypeEvict, netproto.TypeReclaim,
 		netproto.TypeTunnelFetch, netproto.TypeTunnelReply,
 		netproto.TypeRepublish, netproto.TypeInvalidate:
 		ch = s.shardFor(env.Doc).events
@@ -627,7 +627,9 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 // owning shard drains into its rate windows each tick, so diffusion sees
 // fast-path demand exactly like queued demand. On a BatchConn the reply is
 // buffered: the read loop's next Recv flushes it unless another request is
-// already waiting, so a pipelined batch's replies share one write.
+// already waiting, so a pipelined batch's replies share one write while
+// they fit in the connection's write buffer together (4 KiB on TCP; a
+// larger reply leaves at once, see transport.BatchConn).
 func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
 	e := sh.pub.get(h, env.Doc)
 	if e == nil || e.dead.Load() {
@@ -641,7 +643,7 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// refreshes or unpublishes it.
 		return false
 	}
-	if !e.always && e.credits.Add(-1) < 0 {
+	if !e.always && e.st.credits.Add(-1) < 0 {
 		return false
 	}
 	e.st.bumpFlow(env.From)

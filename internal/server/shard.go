@@ -66,44 +66,43 @@ func (ix *pubIndex) set(doc core.DocID, e *pubEntry) {
 }
 
 // pubEntry is one published copy of a document. The body is immutable; its
-// fast-path serves are counted on the document's record (st), which
-// outlives the entry.
+// fast-path serves are counted, and its admissions paid for, on the
+// document's record (st), which outlives the entry.
 type pubEntry struct {
 	body []byte
 	// version is the document version of body (0 = never republished),
 	// the label every fast-path reply carries.
 	version uint64
 	// always marks an origin (pinned) copy: admitted unconditionally. A
-	// delegated or tunneled copy instead spends credits.
+	// delegated or tunneled copy instead spends its record's credits.
 	always bool
 	// dead is set (possibly by another shard's Put displacing this copy)
 	// the moment the document leaves the store, so the fast path stops
 	// serving a stale body before the owning shard gets around to
 	// unpublishing.
 	dead atomic.Bool
-	// credits is a gated copy's one admission budget: the owning shard
-	// tops it up at the target rate (refreshEntryCredit); the fast path and
-	// the queued filter each spend one per serve, and a request finding it
-	// spent is forwarded.
-	credits atomic.Int64
-	st      *docState // the document's record, where the fast path counts
+	st   *docState // the document's record, where the fast path counts and spends
 
-	// Owner-loop bookkeeping, never read by the fast path.
-	slot     int       // position in shard.entries, -1 once out of the index
-	hot      bool      // on shard.hot
-	creditAt time.Time // credits accrue from here (zero = never earned)
+	slot int // owner loop only: position in shard.entries, -1 once out of the index
 }
 
 // docState is everything a shard keeps about one document, in one
 // pointer-stable record: created on the document's first event and never
-// freed, like the rate windows it holds. The fast-path counters live here
-// rather than on the published entry, so a serve counted through an entry
-// that was unpublished or replaced meanwhile still reaches the windows.
+// freed, like the rate windows it holds. The fast-path counters and the
+// admission budget live here rather than on the published entry, so a serve
+// counted through an entry that was unpublished or replaced meanwhile still
+// reaches the windows, and a spill, a readmit or a republish neither resets
+// nor refills the budget.
 type docState struct {
 	doc core.DocID
 	// served counts fast-path serves since the owner last drained them
 	// into its rate windows.
 	served atomic.Int64
+	// credits is the document's one admission budget, whichever tier holds
+	// its copy: the owner tops it up at the target rate (refreshCredit);
+	// the fast path and the queued filter each spend one per serve, and a
+	// request finding it spent is forwarded.
+	credits atomic.Int64
 	// flows counts fast-path arrivals per sender id (-1 = locally
 	// injected) since the last drain — the A_j^d accounting the diffusion
 	// protocol needs, kept even for requests that never touch a loop.
@@ -112,7 +111,9 @@ type docState struct {
 	// Owner loop only.
 	pub       *pubEntry  // the entry in the publication index, nil if none
 	target    float64    // serve duty
-	servedWin *docWindow // measured served rate; nil until served
+	creditAt  time.Time  // credits accrue from here (zero = never earned)
+	hot       bool       // on shard.hot
+	servedWin *docWindow // measured served rate, never read for admission; nil until served
 	flowWin   *docWindow // local demand (From -1); nil until requested
 	flight    *flight    // the upstream fetch requests coalesce behind
 	// ver is the write mark: the newest version a write frame brought here
@@ -269,14 +270,14 @@ type shard struct {
 	// what exists. entries mirrors the index as a flat list (this loop is
 	// its only writer); fastDrained counts the fast serves drained so far,
 	// so while nFastServed has not passed it no record has serves pending.
-	// hot lists the gated entries whose budget is below full (spent, or
-	// asked for, since it last was), live the docWindows counted into since
-	// they last read empty (all a rebuild of the snapshot's rate maps
-	// reads); targetsMoved and ratesAt say whether and when one is due
+	// hot lists the records whose budget is below full (spent, or asked
+	// for, since it last was), live the docWindows counted into since they
+	// last read empty (all a rebuild of the snapshot's rate maps reads);
+	// targetsMoved and ratesAt say whether and when one is due
 	// (publishSnap).
 	entries      []*pubEntry
 	fastDrained  int64
-	hot          []*pubEntry
+	hot          []*docState
 	live         []*docWindow
 	targetsMoved bool
 	ratesAt      time.Time
@@ -568,11 +569,9 @@ func (sh *shard) drain(st *docState) {
 	if n := st.served.Swap(0); n > 0 {
 		sh.fastDrained += n
 		sh.countServed(st, float64(n))
-		if e := st.pub; e != nil {
-			sh.markHot(e)
-			if !e.dead.Load() {
-				sh.s.cache.Get(st.doc) // one recency/frequency touch per active tick
-			}
+		sh.markHot(st)
+		if e := st.pub; e != nil && !e.dead.Load() {
+			sh.s.cache.Get(st.doc) // one recency/frequency touch per active tick
 		}
 	}
 	if fm := st.flows.Load(); fm != nil {
@@ -584,24 +583,24 @@ func (sh *shard) drain(st *docState) {
 	}
 }
 
-// markHot lists a gated entry for credit top-ups on the coming ticks.
-func (sh *shard) markHot(e *pubEntry) {
-	if !e.hot && !e.always {
-		e.hot = true
-		sh.hot = append(sh.hot, e)
+// markHot lists a record that spent credits for top-ups on the coming
+// ticks. Serves of an origin copy spend none.
+func (sh *shard) markHot(st *docState) {
+	if !st.hot && (st.pub == nil || !st.pub.always) {
+		st.hot = true
+		sh.hot = append(sh.hot, st)
 	}
 }
 
-// refreshHot tops up the credits of the hot entries and drops those that
-// left the index or whose budget is full: it stands until the next spend,
-// which lists them again.
+// refreshHot tops up the credits of the hot records and drops those whose
+// budget is full: it stands until the next spend, which lists them again.
 func (sh *shard) refreshHot() {
 	kept := sh.hot[:0]
-	for _, e := range sh.hot {
-		if e.slot >= 0 && !sh.refreshEntryCredit(e) {
-			kept = append(kept, e)
+	for _, st := range sh.hot {
+		if !sh.refreshCredit(st) {
+			kept = append(kept, st)
 		} else {
-			e.hot = false
+			st.hot = false
 		}
 	}
 	clear(sh.hot[len(kept):])
@@ -735,10 +734,9 @@ func (sh *shard) published(doc core.DocID) *pubEntry {
 }
 
 // publish installs (or refreshes) a document in the copy-on-write
-// publication index, stamping the copy's version for response frames, and
-// arms its fast-path budget for the target the document carries right now.
-// Owner loop only (single writer). Counts pending on the record are drained
-// first, listing the entry that earned them for its top-up.
+// publication index, stamping the copy's version for response frames. The
+// budget is the record's and is left as it stands. Owner loop only (single
+// writer). Counts pending on the record are drained first.
 func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
 	st := sh.state(doc)
 	sh.drain(st)
@@ -749,7 +747,6 @@ func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint6
 	st.pub = e
 	sh.entries = append(sh.entries, e)
 	sh.pub.set(doc, e)
-	sh.refreshEntryCredit(e)
 }
 
 // delist takes an entry that left the index out of the flat list.
@@ -830,15 +827,13 @@ func (sh *shard) flowWindow(from int, st *docState) *docWindow {
 }
 
 // addTarget moves doc's serve target by delta, never below zero, and
-// re-arms the copy's fast-path budget for the new figure instead of
-// leaving that to the next tick.
+// re-arms the document's budget for the new figure instead of leaving that
+// to the next tick.
 func (sh *shard) addTarget(doc core.DocID, delta float64) {
 	st := sh.state(doc)
 	st.target = max(st.target+delta, 0)
 	sh.noteTarget(st)
-	if st.pub != nil {
-		sh.refreshEntryCredit(st.pub)
-	}
+	sh.refreshCredit(st)
 }
 
 // noteTarget records a changed target for the snapshot and the journal.
@@ -890,20 +885,13 @@ func (sh *shard) handle(ev event) {
 		sh.s.gotDelegate.Store(true)
 		if env.Body != nil {
 			// A copy that does not fit under the byte budget is simply not
-			// admitted (no ack): the delegated flow keeps passing toward
-			// the home server and the parent reclaims it via claimPassing.
+			// admitted: the delegated flow keeps passing toward the home
+			// server and the parent reclaims it via claimPassing.
 			sh.admit(env.Doc, env.Body, env.DocVersion)
 		}
 		if sh.s.holdsCopy(env.Doc) {
-			sh.addTarget(env.Doc, env.Rate) // arm the fast path without waiting a tick
-			sh.sendOn(ev.conn, &netproto.Envelope{
-				Kind: netproto.TypeDelegateAck, From: sh.s.cfg.ID, To: env.From,
-				Doc: env.Doc, Rate: env.Rate,
-			})
+			sh.addTarget(env.Doc, env.Rate) // arm the budget without waiting a tick
 		}
-
-	case netproto.TypeDelegateAck:
-		// Accepted in full in this implementation; nothing to reconcile.
 
 	case netproto.TypeShed:
 		sh.n.shedIn++
@@ -952,9 +940,10 @@ func (sh *shard) handle(ev event) {
 
 	case netproto.TypeTunnelReply:
 		if env.Body != nil {
-			// The tunnel's pre-claim raised the target before the copy
-			// existed; publishing arms the fast path for it at once — the
-			// burst that triggered tunneling is happening right now.
+			// The tunnel's pre-claim raised the target, and armed the
+			// budget, before the copy existed; admitting it opens the fast
+			// path at once — the burst that triggered tunneling is
+			// happening right now.
 			sh.admit(env.Doc, env.Body, env.DocVersion)
 		}
 
@@ -966,33 +955,31 @@ func (sh *shard) handle(ev event) {
 	}
 }
 
-// refreshEntryCredit tops up one gated entry's admission budget at the
-// copy's target rate, for the time since credits were last earned (a
-// fraction of a credit carries to the next top-up). Unspent credits carry
-// over up to one gossip period's worth plus one, so neither a late tick nor
-// a burst of scrapes (each one a tick) admits more than the target; the one
-// also absorbs a serve racing the Load-then-Store. It reports whether the
-// budget is full, with nothing left to earn.
-func (sh *shard) refreshEntryCredit(e *pubEntry) (full bool) {
-	if e.always || e.dead.Load() {
-		return true
-	}
-	target := e.st.target
+// refreshCredit is the one top-up rule for a document's admission budget:
+// credits accrue at the target rate, on the loop's clock, for the time
+// since they were last earned (a fraction of a credit carries to the next
+// top-up). Unspent credits carry over up to one gossip period's worth plus
+// one, so neither a late tick nor a burst of scrapes (each one a tick)
+// admits more than the target; the one also absorbs a serve racing the
+// Load-then-Store. It reports whether the budget is full, with nothing left
+// to earn.
+func (sh *shard) refreshCredit(st *docState) (full bool) {
+	target := st.target
 	if target <= 0 {
-		e.credits.Store(0) // creditAt stays: a copy handed duty later is armed at once
+		st.credits.Store(0) // creditAt stays: a copy handed duty later is armed at once
 		return true
 	}
 	budget := int64(target*sh.s.cfg.GossipPeriod.Seconds()) + 1
-	have := max(e.credits.Load(), 0)
-	due := target * sh.now.Sub(e.creditAt).Seconds()
+	have := max(st.credits.Load(), 0)
+	due := target * sh.now.Sub(st.creditAt).Seconds()
 	if due >= float64(budget-have) {
-		e.creditAt = sh.now
-		e.credits.Store(budget)
+		st.creditAt = sh.now
+		st.credits.Store(budget)
 		return true
 	}
 	if n := int64(due); n > 0 {
-		e.creditAt = e.creditAt.Add(time.Duration(float64(n) / target * float64(time.Second)))
-		e.credits.Store(have + n)
+		st.creditAt = st.creditAt.Add(time.Duration(float64(n) / target * float64(time.Second)))
+		st.credits.Store(have + n)
 	}
 	return false
 }
@@ -1329,8 +1316,11 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 		}
 	}
 	if !held && !sh.s.isRoot {
-		// The filter extracted a document we no longer hold (install/evict
-		// race); keep the request moving toward the home server.
+		// The filter extracted a document we no longer hold (an invalidated
+		// copy awaiting its lease refresh, an install/evict race): refund
+		// the credit, which bought no serve, and keep the request moving
+		// toward the home server.
+		st.credits.Add(1)
 		sh.forwardUp(st, ev)
 		return
 	}
@@ -1369,21 +1359,16 @@ func (sh *shard) readmitFromDisk(st *docState, body []byte, ver uint64) {
 	}
 }
 
-// installFilter wires the admission decision for one cached document. A
-// live published copy spends the fast path's credits: one budget, so the
-// node serves its target and forwards the rest. A copy the fast path cannot
-// reach (disk-only, or dead) is extracted while its served rate lags the
-// target, read off the loop-owned clock: no timestamp per packet.
+// installFilter wires the paper's packet filter for one held document: a
+// request is extracted if it can spend a credit of the document's budget,
+// the one the fast path spends, and passed on otherwise — so the node
+// serves its target and forwards the rest, whichever tier holds the copy.
+// The record is listed hot exactly as a drained fast serve lists it, and
+// the next tick tops the budget up.
 func (sh *shard) installFilter(st *docState) {
 	sh.rt.Install(st.doc, router.FilterFunc(func(core.DocID) bool {
-		if e := st.pub; e != nil && !e.dead.Load() {
-			sh.markHot(e) // the next tick tops the budget up
-			return e.credits.Add(-1) >= 0
-		}
-		if st.servedWin == nil {
-			return st.target > 0
-		}
-		return st.servedWin.Rate(sh.now) < st.target
+		sh.markHot(st)
+		return st.credits.Add(-1) >= 0
 	}))
 }
 

@@ -103,9 +103,9 @@ func checkShardLists(t *testing.T, sh *shard) {
 	if indexed != len(sh.entries) {
 		t.Fatalf("flat list holds %d entries, the index %d", len(sh.entries), indexed)
 	}
-	for _, e := range sh.hot {
-		if !e.hot {
-			t.Fatalf("entry %s on the hot list without its flag", e.st.doc)
+	for _, st := range sh.hot {
+		if !st.hot {
+			t.Fatalf("record %s on the hot list without its flag", st.doc)
 		}
 	}
 	owned := make(map[*docWindow]bool)
@@ -286,8 +286,8 @@ func TestIdleTickDoesNothing(t *testing.T) {
 	const sentinel = 12345
 	var zero time.Time
 	for _, e := range sh.entries {
-		e.credits.Store(sentinel)
-		e.creditAt = zero
+		e.st.credits.Store(sentinel)
+		e.st.creditAt = zero
 	}
 	epoch := sh.snap.Load().epoch
 	allocs := testing.AllocsPerRun(100, func() {
@@ -298,7 +298,7 @@ func TestIdleTickDoesNothing(t *testing.T) {
 		t.Fatalf("an idle tick allocates %v times", allocs)
 	}
 	for _, e := range sh.entries {
-		if e.credits.Load() != sentinel || e.creditAt != zero {
+		if e.st.credits.Load() != sentinel || e.st.creditAt != zero {
 			t.Fatalf("an idle tick touched entry %s", e.st.doc)
 		}
 	}
@@ -339,46 +339,121 @@ func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 	}
 }
 
-// TestOneBudgetServesTheTarget: under demand at three times a gated copy's
+// TestOneBudgetServesTheTarget: under demand at three times a copy's
 // target, the node serves the target and forwards the surplus. The fast
-// path and the queued filter spend one budget refilled at the target rate,
-// so nearly every serve is a fast one, and a request the fast path declined
-// for a spent budget is forwarded by the queued path, never served.
+// path and the queued filter spend one budget, kept on the document's
+// record and refilled at the target rate, so a request is served exactly
+// when it finds a credit — whichever tier holds the copy, and across a
+// change of publication or of target:
+//   - memory: a published copy, served nearly all on the fast path;
+//   - disk: a copy too big for memory, served from disk by the queued path;
+//   - republish: a published copy unpublished mid-period (as a spill does),
+//     served by the queued path for a while, then republished mid-period by
+//     a write frame;
+//   - cut: a published copy whose target is halved by a shed at the start
+//     of a period.
+//
+// Every period after the first serves target × period ± 1, the total is
+// within one period's credit of target × T, and every request not served
+// was passed upward.
 func TestOneBudgetServesTheTarget(t *testing.T) {
 	const target, demand, periods = 200, 3, 200
-	s, docs := gatedShard(t, Config{GossipPeriod: 50 * time.Millisecond, Window: time.Second}, 1, target)
-	sh := s.shards[0]
-	e := sh.published(docs[0])
-	period := s.cfg.GossipPeriod
-	perPeriod := int(demand * target * period.Seconds())
-	var reqID uint64
-	for p := 0; p < periods; p++ {
-		for i := 0; i < perPeriod; i++ {
-			reqID++
-			spent := e.credits.Load() <= 0
-			queued := sh.n.served
-			if !request(s, docs[0], -1, reqID) && !spent {
-				t.Fatalf("period %d: the fast path declined with %d credits left", p, e.credits.Load())
+	runs := []struct {
+		name string
+		disk bool
+		// at runs before request i of period p; it returns the target in
+		// force from then on (0 = unchanged).
+		at func(sh *shard, doc core.DocID, p, i int) float64
+	}{
+		{name: "memory"},
+		{name: "disk", disk: true},
+		{name: "republish", at: func(sh *shard, doc core.DocID, p, i int) float64 {
+			switch {
+			case p == 50 && i == 15:
+				sh.unpublish(sh.state(doc))
+			case p == 120 && i == 15:
+				sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+					Kind: netproto.TypeRepublish, From: 0, To: 1, Doc: doc, Body: []byte("body-v1"), DocVersion: 1,
+				}})
+				if sh.published(doc) == nil {
+					t.Fatal("the republish did not publish the copy")
+				}
 			}
-			if sh.n.served != queued {
-				t.Fatalf("period %d: the queued path served a request the budget refused", p)
+			return 0
+		}},
+		{name: "cut", at: func(sh *shard, doc core.DocID, p, i int) float64 {
+			if p == 100 && i == 0 {
+				sh.handleCmd(event{cmd: cmdShed, doc: doc, rate: target / 2})
+				return target / 2
 			}
-		}
-		sh.now = sh.now.Add(period)
-		sh.tick(false)
+			return 0
+		}},
 	}
-	sh.tick(true)
-	c := sh.snap.Load().counters
-	window := float64(periods) * period.Seconds()
-	onePeriod := int64(target*period.Seconds()) + 1
-	if frac := float64(c.fastServed) / float64(c.served); frac < 0.99 {
-		t.Fatalf("fast serves %d of %d served (%.3f), want >= 0.99", c.fastServed, c.served, frac)
-	}
-	if lo, hi := int64(target*window)-onePeriod, int64(target*window)+onePeriod; c.served < lo || c.served > hi {
-		t.Fatalf("served %d over %.0f s at target %d, want %d..%d", c.served, window, target, lo, hi)
-	}
-	if passed := sh.n.forwarded + sh.n.coalesced; int64(reqID)-c.served != passed {
-		t.Fatalf("%d requests, %d served, %d passed upward: the surplus went missing", reqID, c.served, passed)
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			cfg := Config{NumShards: 1, CacheShards: 1, GossipPeriod: 50 * time.Millisecond, Window: time.Second}
+			if run.disk {
+				cfg.DataDir, cfg.CacheBudgetBytes = t.TempDir(), 2 // the body is 4 bytes
+			}
+			s := handServer(t, cfg)
+			t.Cleanup(s.Stop)
+			sh := s.shards[0]
+			doc := core.DocID("doc")
+			sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+				Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: doc, Rate: target, Body: []byte("body"),
+			}})
+			if published := sh.published(doc) != nil; published == run.disk || !s.holdsCopy(doc) {
+				t.Fatalf("after the delegation: published %v, held %v", published, s.holdsCopy(doc))
+			}
+			st := sh.state(doc)
+			period := s.cfg.GossipPeriod
+			perPeriod := int(demand * target * period.Seconds())
+			served := func() int64 { return sh.n.served + sh.nFastServed.Load() }
+			var reqID uint64
+			var want float64
+			cur := float64(target)
+			for p := 0; p < periods; p++ {
+				before := served()
+				for i := 0; i < perPeriod; i++ {
+					if run.at != nil {
+						if tg := run.at(sh, doc, p, i); tg != 0 {
+							cur = tg
+						}
+					}
+					reqID++
+					credit, published := st.credits.Load() > 0, sh.published(doc) != nil
+					was := served()
+					fast := request(s, doc, -1, reqID)
+					if got := served() - was; got > 1 || (got == 1) != credit {
+						t.Fatalf("period %d: request %d served %d times with a credit %v", p, i, got, credit)
+					}
+					if credit && published && !fast {
+						t.Fatalf("period %d: the fast path declined request %d with %d credits left", p, i, st.credits.Load())
+					}
+				}
+				want += cur * period.Seconds()
+				if got, tp := served()-before, cur*period.Seconds(); p > 0 && math.Abs(float64(got)-tp) > 1 {
+					t.Fatalf("period %d served %d, want %.0f ± 1", p, got, tp)
+				}
+				sh.now = sh.now.Add(period)
+				sh.tick(false)
+			}
+			sh.tick(true)
+			c := sh.snap.Load().counters
+			onePeriod := float64(target)*period.Seconds() + 1
+			if math.Abs(float64(c.served)-want) > onePeriod {
+				t.Fatalf("served %d over %d periods, want %.0f ± %.0f", c.served, periods, want, onePeriod)
+			}
+			if passed := sh.n.forwarded + sh.n.coalesced; int64(reqID)-c.served != passed {
+				t.Fatalf("%d requests, %d served, %d passed upward: the surplus went missing", reqID, c.served, passed)
+			}
+			switch frac := float64(c.fastServed) / float64(c.served); {
+			case run.disk && (c.fastServed != 0 || c.diskHits != c.served):
+				t.Fatalf("disk-resident copy: %d fast serves and %d disk hits of %d served", c.fastServed, c.diskHits, c.served)
+			case run.name == "memory" && frac < 0.99:
+				t.Fatalf("fast serves %d of %d served (%.3f), want >= 0.99", c.fastServed, c.served, frac)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -55,6 +57,16 @@ func deferPair(t *testing.T) (owner *tcpConn, counted *countingConn, peer net.Co
 
 func reply(id uint64) *netproto.Envelope {
 	return &netproto.Envelope{Kind: netproto.TypeResponse, ReqID: id, Doc: "d", Body: []byte("body")}
+}
+
+// replyBody is the size-byte body of the reply to request id: a pattern
+// that differs per request, so a byte from another frame cannot pass.
+func replyBody(id uint64, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(id*31 + uint64(i))
+	}
+	return b
 }
 
 func frame(t *testing.T, id uint64) []byte {
@@ -213,9 +225,18 @@ func TestOtherFlushesCarryDeferred(t *testing.T) {
 
 // TestDeferredRepliesUnderConcurrentFlushes: a Recv loop answering every
 // request with SendBuffered, while lanes and plain senders flush on the same
-// connection from other goroutines — every frame arrives whole, and every
-// reply arrives though the requester waits for each before sending the next.
+// connection from other goroutines — every frame arrives whole, every reply
+// body arrives byte for byte, and every reply arrives though the requester
+// waits for each before sending the next. A body larger than the write
+// buffer takes the paths that write at once — straight through, or split
+// across a flush — interleaved with the other goroutines' flushes.
 func TestDeferredRepliesUnderConcurrentFlushes(t *testing.T) {
+	for _, size := range []int{4, 4<<10 + 64} {
+		t.Run(fmt.Sprintf("body=%d", size), func(t *testing.T) { deferredUnderFlushes(t, size) })
+	}
+}
+
+func deferredUnderFlushes(t *testing.T, size int) {
 	owner, _, peer, peerR := deferPair(t)
 	go func() {
 		for {
@@ -223,7 +244,9 @@ func TestDeferredRepliesUnderConcurrentFlushes(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_ = owner.SendBuffered(reply(env.ReqID))
+			_ = owner.SendBuffered(&netproto.Envelope{
+				Kind: netproto.TypeResponse, ReqID: env.ReqID, Doc: "d", Body: replyBody(env.ReqID, size),
+			})
 			netproto.PutEnvelope(env)
 		}
 	}()
@@ -267,10 +290,52 @@ func TestDeferredRepliesUnderConcurrentFlushes(t *testing.T) {
 			if env.Kind != netproto.TypeResponse || env.ReqID != id {
 				t.Fatalf("got %v %d, want the reply to %d", env.Kind, env.ReqID, id)
 			}
+			if !bytes.Equal(env.Body, replyBody(id, size)) {
+				t.Fatalf("reply %d: body of %d bytes differs from the %d sent", id, len(env.Body), size)
+			}
 			break
 		}
 	}
 	close(stop)
 	owner.Close() // a sender blocked on a full socket fails out
 	wg.Wait()
+}
+
+// TestLargeDeferredFrameLeavesAtOnce: SendBuffered defers a frame only while
+// it fits in the write buffer's free space. A larger one is written at once:
+// into an empty buffer straight to the socket, into a non-empty one split —
+// the buffer filled with its head and flushed, its tail left deferred.
+func TestLargeDeferredFrameLeavesAtOnce(t *testing.T) {
+	owner, counted, peer, peerR := deferPair(t)
+	big := func(id uint64) *netproto.Envelope {
+		return &netproto.Envelope{Kind: netproto.TypeResponse, ReqID: id, Doc: "d", Body: replyBody(id, 4<<10+64)}
+	}
+	if err := owner.SendBuffered(big(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := counted.writes.Load(); n != 1 || owner.w.Buffered() != 0 {
+		t.Fatalf("into an empty buffer: %d writes, %d bytes left buffered, want 1 and 0", n, owner.w.Buffered())
+	}
+	if err := owner.SendBuffered(reply(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SendBuffered(big(3)); err != nil {
+		t.Fatal(err)
+	}
+	if n := counted.writes.Load(); n != 2 || owner.w.Buffered() == 0 {
+		t.Fatalf("into a non-empty buffer: %d writes, %d bytes left buffered, want 2 and the tail", n, owner.w.Buffered())
+	}
+	if err := owner.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, want := range []*netproto.Envelope{big(1), reply(2), big(3)} {
+		var env netproto.Envelope
+		if err := peerR.ReadInto(&env); err != nil {
+			t.Fatalf("peer waiting for frame %d: %v", want.ReqID, err)
+		}
+		if env.ReqID != want.ReqID || !bytes.Equal(env.Body, want.Body) {
+			t.Fatalf("peer got frame %d with a %d-byte body, want frame %d whole", env.ReqID, len(env.Body), want.ReqID)
+		}
+	}
 }

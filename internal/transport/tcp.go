@@ -177,7 +177,8 @@ func (t *tcpConn) Send(env *netproto.Envelope) error {
 // Before reading, Recv flushes the frames SendBuffered left in the write
 // buffer, unless a complete inbound frame is already buffered: that read
 // cannot block, and the caller is back before any wait. So the replies to
-// a pipelined batch of requests leave in one write.
+// a pipelined batch of requests leave in one write as long as they fit in
+// the 4 KiB write buffer together (see SendBuffered).
 func (t *tcpConn) Recv() (*netproto.Envelope, error) {
 	if t.deferred.Load() && !t.frameBuffered() {
 		_ = t.Flush() // a write error resurfaces on the next Send or Flush
@@ -207,11 +208,14 @@ func (t *tcpConn) frameBuffered() bool {
 
 func (t *tcpConn) Close() error { return t.c.Close() }
 
-// SendBuffered implements BatchConn: the frame is written to the
-// connection's buffer and goes out with the next Send, Flush or lane Flush
-// on the connection, at the latest when Recv would block. SendBuffered
-// stays out of the senders count — it never flushes, so it must not
-// suppress a concurrent Send's flush.
+// SendBuffered implements BatchConn: a frame that fits in the 4 KiB write
+// buffer's free space is copied there and goes out with the next Send,
+// Flush or lane Flush on the connection, at the latest when Recv would
+// block. A larger frame is not deferred: into an empty buffer it is written
+// straight to the socket; into a non-empty one it is split, its head
+// filling the buffer and leaving with it at once, its tail deferred.
+// SendBuffered stays out of the senders count — it never flushes on
+// purpose, so it must not suppress a concurrent Send's flush.
 func (t *tcpConn) SendBuffered(env *netproto.Envelope) error {
 	t.wm.Lock()
 	err := t.fw.WriteEnvelope(env)

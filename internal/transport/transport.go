@@ -40,8 +40,10 @@ type Conn interface {
 // per batch instead of per frame. A SendBuffered frame goes out with the
 // connection's next flush (Flush, a Send, a lane's Flush) and, at the
 // latest, before Recv blocks — so a goroutine that answers the frames its
-// own Recv loop reads may leave every reply to Recv, and the replies to a
-// pipelined batch share one write.
+// own Recv loop reads may leave every reply to Recv. Buffering is bounded
+// by the connection's write buffer: a frame too big for what is left of it
+// goes out at once, whole or in part, so the replies to a pipelined batch
+// share one write only while they fit in that buffer together.
 type BatchConn interface {
 	Conn
 	SendBuffered(env *netproto.Envelope) error
