@@ -79,7 +79,6 @@ func run(args []string) error {
 	cacheBudget := fs.Int64("cache-budget", 0, "override per-node cache budget, bytes (0 = scenario default)")
 	diskBudget := fs.Int64("disk-budget", 0, "restart/bigger-than-ram: per-node disk-tier budget, bytes (0 = scenario default)")
 	docBytes := fs.Int("doc-bytes", 0, "override document body size, bytes")
-	evictPolicy := fs.String("evict-policy", "", "live: eviction policy (lru, heat or gdsf)")
 	procs := fs.String("procs", "1,2,4,8", "core-scaling: comma-separated GOMAXPROCS sweep")
 	repeat := fs.Int("repeat", 1, "core-scaling: full-sweep repetitions, keeping the lowest efficiency per core count (baselines use 3)")
 	killFraction := fs.Float64("kill-fraction", 0, "chaos: fraction of interior nodes killed mid-run (0 = default 0.10)")
@@ -231,9 +230,6 @@ func run(args []string) error {
 	}
 	if *docBytes > 0 {
 		sp.DocBytes = *docBytes
-	}
-	if *evictPolicy != "" {
-		sp.EvictPolicy = *evictPolicy
 	}
 
 	var rep *workload.Report

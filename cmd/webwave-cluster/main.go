@@ -50,7 +50,6 @@ func run(args []string) error {
 	tunneling := fs.Bool("tunneling", true, "enable barrier tunneling")
 	cacheBudget := fs.Int64("cache-budget", 0, "per-server cache budget, bytes (0 = unlimited)")
 	cacheShards := fs.Int("cache-shards", 0, "cache store stripe count (0 = follow -shards)")
-	evictPolicy := fs.String("evict-policy", "", "eviction policy: lru (default), heat or gdsf")
 	dataDir := fs.String("data-dir", "", "disk-tier root (per-node subdirs for spilled bodies + recovery journal; empty = no disk tier)")
 	diskBudget := fs.Int64("disk-budget", 0, "per-server disk-tier budget, bytes (0 = unlimited; needs -data-dir)")
 	shards := fs.Int("shards", 0, "doc-sharded event loops per server (0 = GOMAXPROCS)")
@@ -76,7 +75,6 @@ func run(args []string) error {
 		Tunneling:        *tunneling,
 		CacheBudgetBytes: *cacheBudget,
 		CacheShards:      *cacheShards,
-		EvictPolicy:      *evictPolicy,
 		DataDir:          *dataDir,
 		DiskBudgetBytes:  *diskBudget,
 		NumShards:        *shards,

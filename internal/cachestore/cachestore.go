@@ -3,71 +3,42 @@
 // deployments are byte-budgeted, and *which* copies survive under memory
 // pressure decides how well the wave balances load once the hot set is
 // wider than the aggregate cache. The store is sharded (lock striping for
-// concurrent callers), enforces a byte budget incrementally (no O(n)
-// recomputation at scrape time), and supports three replacement policies:
+// concurrent callers) and enforces a byte budget incrementally (no O(n)
+// recomputation at scrape time).
 //
-//   - LRU evicts the least-recently-used document — the classic baseline.
-//   - Heat evicts the lowest request-rate-per-byte document, using a
-//     caller-supplied heat source (the server wires in its sliding rate
-//     windows) — the WebWave-native policy: the wave recedes from copies
-//     demand no longer flows through.
-//   - GDSF (Greedy-Dual-Size-Frequency) evicts the lowest
-//     clock+frequency/size priority with inflation-clock aging — the
-//     cost-aware CDN standard.
+// It has one replacement rule. In the paper a node holds a copy because the
+// copy carries serve duty on the routing tree, so each copy carries a rank —
+// the duty it serves, in req/s — that its owner pushes in: with every ranked
+// insert (PutVersion, Offer) and through SetRank whenever the duty moves.
+// A budgeted shard keeps its unpinned copies in a min-heap on rank per body
+// byte, and the copy at the top is the next victim; ties go to the copy
+// that has held its rank longest. Reads do not reorder anything. An
+// unbudgeted store keeps no order at all.
 //
 // Entries can be pinned: a home server pins the documents it publishes so
 // origin copies are immune to eviction regardless of pressure.
 //
 // A body that is already safe elsewhere (the server's disk tier) is Offered
-// rather than Put: when it would have to evict, its victims are the coldest
-// residents per byte whatever the policy, and it is admitted only if its
-// heat per byte is strictly above theirs, so a store in front of a slower
-// tier holds the hottest part of the working set instead of whatever was
-// read last.
+// rather than Put: when it would have to evict, it is admitted only if its
+// rank per byte is strictly above every victim's, so a store in front of a
+// slower tier holds the part of the working set that carries the most duty
+// instead of whatever was read last.
 //
-// Victim selection is deterministic (recency-list scan with strict-less
-// comparison, ties resolved toward the LRU end), so single-goroutine
-// callers — the server main loop, the fast-forward benchmark replayers —
-// get byte-identical behavior run over run.
+// Victim selection is deterministic (a total order on rank per byte and the
+// time the rank was set), so single-goroutine callers — the server main
+// loop, the fast-forward benchmark replayers — get byte-identical behavior
+// run over run.
 package cachestore
 
 import (
-	"fmt"
+	"container/heap"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"webwave/internal/core"
 )
-
-// Policy names a replacement policy.
-type Policy string
-
-// Replacement policies.
-const (
-	// LRU evicts the least-recently-used unpinned document.
-	LRU Policy = "lru"
-	// Heat evicts the unpinned document with the lowest request rate per
-	// byte, per the configured HeatOf source.
-	Heat Policy = "heat"
-	// GDSF evicts by Greedy-Dual-Size-Frequency priority
-	// (clock + hits/size), aging the shard clock to each victim's priority.
-	GDSF Policy = "gdsf"
-)
-
-// ParsePolicy converts a flag/spec string to a Policy ("" means LRU).
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "", LRU:
-		return LRU, nil
-	case Heat:
-		return Heat, nil
-	case GDSF:
-		return GDSF, nil
-	default:
-		return "", fmt.Errorf("cachestore: unknown policy %q (want lru, heat or gdsf)", s)
-	}
-}
 
 // Config parameterizes a Store.
 type Config struct {
@@ -77,17 +48,6 @@ type Config struct {
 	BudgetBytes int64
 	// Shards is the number of lock-striped segments; default 8.
 	Shards int
-	// Policy selects the replacement policy; default LRU.
-	Policy Policy
-	// HeatOf reports a document's current request rate (req/s) for the
-	// Heat policy and, under every policy, for Offer's victims and
-	// admission test. It is called during Put with a shard lock held; callers
-	// sharing the store across goroutines must supply a thread-safe
-	// implementation (the live server feeds it from atomic per-shard
-	// snapshots rather than loop-owned state). nil reads as zero heat
-	// (Heat degrades toward FIFO with LRU tie-breaking). Offer trusts the
-	// heat it last read for resident documents until HeatChanged is called.
-	HeatOf func(core.DocID) float64
 	// ShardOf optionally supplies each document's stripe (taken modulo
 	// Shards); nil uses the internal FNV hash. A caller that partitions its
 	// own per-document state — the server's doc-sharded event loops — can
@@ -95,16 +55,6 @@ type Config struct {
 	// fall in the caller's own partition (victim locality) whenever the
 	// stripe counts match.
 	ShardOf func(core.DocID) uint32
-}
-
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.Policy == "" {
-		c.Policy = LRU
-	}
-	return c
 }
 
 // Eviction records one document displaced by a Put.
@@ -122,41 +72,30 @@ type Stats struct {
 	Rejected     int64 // Puts refused (body larger than a shard budget)
 }
 
-// entry is one cached document, linked into its shard's recency list.
+// entry is one cached document.
 type entry struct {
-	doc        core.DocID
-	body       []byte
-	prev, next *entry
-	pinned     bool
-	doomed     bool    // picked by plan: victim passes over it
-	version    uint64  // document version of this copy (0 = never republished)
-	hits       int64   // Get count since insert (GDSF frequency)
-	pri        float64 // GDSF priority at last touch
+	doc     core.DocID
+	body    []byte
+	version uint64  // document version of this copy (0 = never republished)
+	pinned  bool    // budget-exempt and never a victim
+	rank    float64 // the serve duty its owner last pushed
+	perByte float64 // rank per body byte: the eviction order
+	since   uint64  // when rank was last set: ties evict the smaller
+	slot    int     // index in the shard's order, -1 when not in it
 }
 
 // shard is one lock-striped segment.
 type shard struct {
 	mu      sync.Mutex
 	entries map[core.DocID]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
+	order   order // the unpinned entries of a budgeted store, coldest first
+	clock   uint64
 	bytes   int64
-	clock   float64  // GDSF inflation clock
 	planned []*entry // plan's scratch, reused under mu
-
-	// The coldest evictable heat per byte the last gated plan found, valid
-	// while floorOK and the heat generation is still floorGen: an offer of
-	// at most floorSize bytes and no hotter than floor is refused without
-	// a scan. Any insert or refresh clears floorOK; a Delete can only raise
-	// the true floor, so it leaves it.
-	floor     float64
-	floorGen  uint64
-	floorSize int64
-	floorOK   bool
 }
 
 // Store is a sharded, byte-budgeted document cache. Safe for concurrent
-// use (subject to the HeatOf caveat in Config).
+// use.
 type Store struct {
 	cfg         Config
 	shardBudget int64
@@ -168,30 +107,25 @@ type Store struct {
 	hits, misses           atomic.Int64
 	evictions, evictedByte atomic.Int64
 	rejected               atomic.Int64
-	heatGen                atomic.Uint64 // bumped by HeatChanged
 }
 
 // New builds a Store from cfg.
 func New(cfg Config) *Store {
-	cfg = cfg.withDefaults()
+	if cfg.Shards <= 0 {
+		cfg.Shards = 8
+	}
 	s := &Store{cfg: cfg, shards: make([]shard, cfg.Shards)}
 	if cfg.BudgetBytes > 0 {
 		// Floor so the shard budgets never sum above the configured budget:
 		// the total-bytes invariant is strict. A budget smaller than the
 		// shard count still gets 1 byte per shard rather than unlimited.
-		s.shardBudget = cfg.BudgetBytes / int64(cfg.Shards)
-		if s.shardBudget < 1 {
-			s.shardBudget = 1
-		}
+		s.shardBudget = max(cfg.BudgetBytes/int64(cfg.Shards), 1)
 	}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[core.DocID]*entry, 16)
 	}
 	return s
 }
-
-// Policy returns the configured replacement policy.
-func (s *Store) Policy() Policy { return s.cfg.Policy }
 
 // BudgetBytes returns the configured byte budget (0 = unlimited).
 func (s *Store) BudgetBytes() int64 { return s.cfg.BudgetBytes }
@@ -208,28 +142,27 @@ func (s *Store) shardFor(doc core.DocID) *shard {
 	return &s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// Get returns the cached body and touches the entry (recency, frequency,
-// GDSF priority). The returned slice is the stored body; callers must
-// treat it as immutable.
+// Get returns the cached body. The returned slice is the stored body;
+// callers must treat it as immutable.
 func (s *Store) Get(doc core.DocID) ([]byte, bool) {
-	sh := s.shardFor(doc)
-	sh.mu.Lock()
-	e, ok := sh.entries[doc]
-	if !ok {
-		sh.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
-	}
-	sh.touch(e)
-	body := e.body
-	sh.mu.Unlock()
-	s.hits.Add(1)
-	return body, true
+	body, _, ok := s.GetVersion(doc)
+	return body, ok
 }
 
-// Peek returns the cached body and its version without touching recency
-// or frequency — for reads that should not look like demand (e.g. handing
-// a copy to a delegation message).
+// GetVersion is Get plus the copy's version number.
+func (s *Store) GetVersion(doc core.DocID) ([]byte, uint64, bool) {
+	body, ver, ok := s.Peek(doc)
+	if !ok {
+		s.misses.Add(1)
+		return nil, 0, false
+	}
+	s.hits.Add(1)
+	return body, ver, true
+}
+
+// Peek returns the cached body and its version without counting a hit or a
+// miss — for reads that are not demand (e.g. handing a copy to a delegation
+// message).
 func (s *Store) Peek(doc core.DocID) ([]byte, uint64, bool) {
 	sh := s.shardFor(doc)
 	sh.mu.Lock()
@@ -240,99 +173,81 @@ func (s *Store) Peek(doc core.DocID) ([]byte, uint64, bool) {
 	return nil, 0, false
 }
 
-// Contains reports presence without touching recency.
+// Contains reports presence.
 func (s *Store) Contains(doc core.DocID) bool {
-	sh := s.shardFor(doc)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[doc]
+	_, _, ok := s.Peek(doc)
 	return ok
 }
 
-// Put inserts or refreshes a document and returns any entries evicted to
-// make room. ok is false when the body cannot fit (larger than a shard's
-// budget, or everything else in the shard is pinned) — the document is NOT
-// cached in that case and the caller must not install admission state for
-// it. The entry just inserted is never its own victim.
+// Version reports the version of the cached copy. ok is false when the
+// document is not cached.
+func (s *Store) Version(doc core.DocID) (uint64, bool) {
+	_, ver, ok := s.Peek(doc)
+	return ver, ok
+}
+
+// Put inserts or refreshes a document at rank 0 and returns any entries
+// evicted to make room. ok is false when the body cannot fit (larger than a
+// shard's budget, or everything else in the shard is pinned) — the
+// document is NOT cached in that case and the caller must not install
+// admission state for it. The entry just inserted is never its own victim.
+// A refresh keeps the copy's version.
 func (s *Store) Put(doc core.DocID, body []byte) (evicted []Eviction, ok bool) {
-	evicted, ok, _ = s.put(doc, body, 0, 0)
+	evicted, ok, _ = s.put(doc, body, 0, 0, 0)
 	return evicted, ok
 }
 
-// PutVersion is Put for a specific document version: the copy is stored
-// with the given version number, refusing downgrades — a Put carrying a
-// version below an existing copy's is dropped (ok=false, nothing evicted),
-// so a delayed delegation can never roll a republished document back.
-func (s *Store) PutVersion(doc core.DocID, body []byte, version uint64) (evicted []Eviction, ok bool) {
-	evicted, ok, _ = s.put(doc, body, version, modeVersion)
+// PutVersion is Put for a specific document version, ranked by the serve
+// duty the copy carries: the copy is stored with the given version number,
+// refusing downgrades — a Put carrying a version below an existing copy's
+// is dropped (ok=false, nothing evicted), so a delayed delegation can never
+// roll a republished document back.
+func (s *Store) PutVersion(doc core.DocID, body []byte, version uint64, rank float64) (evicted []Eviction, ok bool) {
+	evicted, ok, _ = s.put(doc, body, version, rank, modeVersion)
 	return evicted, ok
 }
 
 // Offer is PutVersion for a body that is already safe elsewhere (the
 // server's disk tier), so the store may decline it. An offer that needs no
 // eviction — free room, an unlimited budget, a refresh of a resident copy —
-// is exactly PutVersion, and so is every offer when HeatOf is nil. One that
-// would have to evict picks its victims by heat per byte, coldest first,
-// under every policy — the policy's own victim (least recent, fewest hits)
-// can be a hot copy the fast path serves without touching the store, and
-// comparing against it would keep stale copies resident. The offer is
-// refused, evicting nothing, unless the document's HeatOf per byte is
-// strictly above every victim's; the test and the insert happen under one
-// shard lock. refused reports that refusal (ok is then false). It is not
-// counted in Stats: Rejected keeps meaning "cannot fit".
-func (s *Store) Offer(doc core.DocID, body []byte, version uint64) (evicted []Eviction, ok, refused bool) {
-	return s.put(doc, body, version, modeVersion|modeGate)
+// is exactly PutVersion. One that would have to evict is refused, evicting
+// nothing, unless its rank per byte is strictly above every victim's; the
+// test and the insert happen under one shard lock. refused reports that
+// refusal (ok is then false). It is not counted in Stats: Rejected keeps
+// meaning "cannot fit".
+func (s *Store) Offer(doc core.DocID, body []byte, version uint64, rank float64) (evicted []Eviction, ok, refused bool) {
+	return s.put(doc, body, version, rank, modeVersion|modeGate)
 }
 
-// HeatChanged tells the store that HeatOf may now answer differently for
-// resident documents. Most offers are refused, and each refusal would
-// otherwise rescan the shard's heat; instead a shard remembers its coldest
-// resident's heat and refuses an offer no hotter than that until the next
-// HeatChanged or a change to the shard's entries. A caller whose HeatOf
-// moves without calling HeatChanged has offers judged against stale heat.
-func (s *Store) HeatChanged() { s.heatGen.Add(1) }
+// SetRank moves a resident copy's rank — its owner's push when the duty the
+// copy carries changes. A rank equal to the current one leaves the copy's
+// place among its ties. No-op for absent or pinned documents, and free on
+// an unbudgeted store, which keeps no order.
+func (s *Store) SetRank(doc core.DocID, rank float64) {
+	if s.shardBudget == 0 {
+		return
+	}
+	sh := s.shardFor(doc)
+	sh.mu.Lock()
+	if e, ok := sh.entries[doc]; ok && e.slot >= 0 && e.rank != rank {
+		sh.rerank(e, rank)
+		heap.Fix(&sh.order, e.slot)
+	}
+	sh.mu.Unlock()
+}
 
 // Pin inserts a document immune to eviction — the home server's published
 // originals. Pinned entries count toward Bytes but are exempt from the
 // budget check: origin copies must exist for the protocol to be correct.
 func (s *Store) Pin(doc core.DocID, body []byte) {
-	s.put(doc, body, 0, modePin)
+	s.put(doc, body, 0, 0, modePin)
 }
 
 // PinVersion pins a specific version of a document — the origin's copy
 // after a republish. Downgrades are refused as in PutVersion.
 func (s *Store) PinVersion(doc core.DocID, body []byte, version uint64) bool {
-	_, ok, _ := s.put(doc, body, version, modePin|modeVersion)
+	_, ok, _ := s.put(doc, body, version, 0, modePin|modeVersion)
 	return ok
-}
-
-// Version reports the version of the cached copy, without touching
-// recency. ok is false when the document is not cached.
-func (s *Store) Version(doc core.DocID) (uint64, bool) {
-	sh := s.shardFor(doc)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.entries[doc]; ok {
-		return e.version, true
-	}
-	return 0, false
-}
-
-// GetVersion is Get plus the copy's version number.
-func (s *Store) GetVersion(doc core.DocID) ([]byte, uint64, bool) {
-	sh := s.shardFor(doc)
-	sh.mu.Lock()
-	e, ok := sh.entries[doc]
-	if !ok {
-		sh.mu.Unlock()
-		s.misses.Add(1)
-		return nil, 0, false
-	}
-	sh.touch(e)
-	body, ver := e.body, e.version
-	sh.mu.Unlock()
-	s.hits.Add(1)
-	return body, ver, true
 }
 
 // putMode selects what put does beyond a plain insert or refresh.
@@ -341,15 +256,15 @@ type putMode uint8
 const (
 	modePin     putMode = 1 << iota // budget-exempt and never a victim
 	modeVersion                     // set the copy's version, refusing downgrades
-	modeGate                        // Offer: an insert must be hotter than its victims
+	modeGate                        // Offer: an insert must outrank its victims
 )
 
-// put inserts or refreshes doc. With modeVersion the entry's version is set
-// (downgrades refused); without it a refresh keeps the existing version, so
-// unversioned callers cannot regress a versioned copy. Room is planned
-// before anything is evicted: a put that cannot fit, or an offer refused by
-// the gate (refused), leaves the shard exactly as it was.
-func (s *Store) put(doc core.DocID, body []byte, version uint64, mode putMode) (evs []Eviction, ok, refused bool) {
+// put inserts or refreshes doc at rank. With modeVersion the entry's
+// version is set (downgrades refused); without it a refresh keeps the
+// existing version, so unversioned callers cannot regress a versioned copy.
+// Room is planned before anything is evicted: a put that cannot fit, or an
+// offer refused by the gate (refused), leaves the shard exactly as it was.
+func (s *Store) put(doc core.DocID, body []byte, version uint64, rank float64, mode putMode) (evs []Eviction, ok, refused bool) {
 	pin := mode&modePin != 0
 	sh := s.shardFor(doc)
 	sh.mu.Lock()
@@ -363,89 +278,72 @@ func (s *Store) put(doc core.DocID, body []byte, version uint64, mode putMode) (
 		return nil, false, false
 	}
 
+	need := int64(len(body))
 	if found {
 		if mode&modeVersion != 0 && version < e.version {
 			return nil, false, false
 		}
-		delta := int64(len(body) - len(e.body))
-		if !pin && !e.pinned && s.shardBudget > 0 && delta > 0 && sh.bytes+delta > s.shardBudget {
-			// A refresh that would burst the budget evicts around itself; it
-			// is never gated, the copy is already resident.
-			plan, fits := sh.plan(s, delta, e, s.cfg.Policy)
+		need -= int64(len(e.body))
+		if e.slot >= 0 {
+			// Out of the order while it changes: never its own victim.
+			heap.Remove(&sh.order, e.slot)
+		}
+		pin = pin || e.pinned
+	}
+	if !pin && s.shardBudget > 0 && need > 0 && sh.bytes+need > s.shardBudget {
+		plan, fits := sh.plan(s, need)
+		// A refresh is never gated: the copy is already resident.
+		if !fits || !found && mode&modeGate != 0 && plan[len(plan)-1].perByte >= rank/max1(len(body)) {
+			sh.release()
+			if found {
+				heap.Push(&sh.order, e)
+			}
 			if !fits {
-				sh.release()
+				// Even every evictable entry would not make room (pinned
+				// bytes crowd the shard): refuse the insert.
 				s.rejected.Add(1)
 				return nil, false, false
 			}
-			evs = sh.evict(s, plan)
-		}
-		sh.floorOK = false
-		e.body = body
-		e.pinned = e.pinned || pin
-		if mode&modeVersion != 0 {
-			e.version = version
-		}
-		sh.bytes += delta
-		sh.touch(e)
-		s.addBytes(delta)
-		return evs, true, false
-	}
-
-	size := int64(len(body))
-	// GDSF prices the insert before its own evictions age the clock.
-	pri := sh.clock + 1/max1(float64(len(body)))
-	if !pin && s.shardBudget > 0 && sh.bytes+size > s.shardBudget {
-		gated := mode&modeGate != 0 && s.cfg.HeatOf != nil
-		rank := s.cfg.Policy
-		var gen uint64
-		var score float64
-		if gated {
-			rank = Heat
-			gen, score = s.heatGen.Load(), s.heatPerByte(doc, len(body))
-			if sh.floorOK && sh.floorGen == gen && size <= sh.floorSize && score <= sh.floor {
-				return nil, false, true
-			}
-		}
-		plan, fits := sh.plan(s, size, nil, rank)
-		if !fits {
-			// Even every evictable entry would not make room (pinned bytes
-			// crowd the shard): refuse the insert.
-			sh.release()
-			s.rejected.Add(1)
-			return nil, false, false
-		}
-		if gated {
-			// plan[0] is the coldest evictable entry.
-			sh.floor, sh.floorGen, sh.floorSize, sh.floorOK = s.heatPerByte(plan[0].doc, len(plan[0].body)), gen, size, true
-			if !s.colder(plan, score) {
-				sh.release()
-				return nil, false, true
-			}
+			return nil, false, true
 		}
 		evs = sh.evict(s, plan)
 	}
-	sh.floorOK = false
-	e = &entry{doc: doc, body: body, pinned: pin, version: version, pri: pri}
-	sh.entries[doc] = e
-	sh.pushFront(e)
-	sh.bytes += size
-	s.addBytes(size)
+	if !found {
+		e = &entry{doc: doc, slot: -1}
+		sh.entries[doc] = e
+	}
+	e.body, e.pinned = body, pin
+	if mode&modeVersion != 0 {
+		e.version = version
+	}
+	sh.bytes += need
+	s.addBytes(need)
+	if !pin && s.shardBudget > 0 {
+		sh.rerank(e, rank)
+		heap.Push(&sh.order, e)
+	}
 	return evs, true, false
 }
 
-// plan picks, in rank's eviction order, the unpinned entries (never keep)
-// whose removal lets need more bytes fit under the shard budget, and
-// reports whether they do. Nothing leaves yet: each pick is marked so victim
-// moves on to the next, until evict carries the plan out or release drops it.
-func (sh *shard) plan(s *Store, need int64, keep *entry, rank Policy) (plan []*entry, fits bool) {
+// rerank sets e's rank and recomputes its place for its body; a new rank,
+// or a new entry, is stamped now. The caller restores the order.
+func (sh *shard) rerank(e *entry, rank float64) {
+	if e.since == 0 || e.rank != rank {
+		sh.clock++
+		e.since = sh.clock
+	}
+	e.rank, e.perByte = rank, rank/max1(len(e.body))
+}
+
+// plan takes, coldest first, the entries whose removal lets need more
+// bytes fit under the shard budget out of the order, and reports whether
+// they do. Nothing leaves the shard yet: evict carries the plan out, or
+// release puts it back.
+func (sh *shard) plan(s *Store, need int64) (plan []*entry, fits bool) {
 	plan = sh.planned[:0]
 	free := s.shardBudget - sh.bytes
-	for free < need {
-		v := sh.victim(s, keep, rank)
-		if v == nil {
-			break
-		}
-		v.doomed = true
+	for free < need && sh.order.Len() > 0 {
+		v := heap.Pop(&sh.order).(*entry)
 		plan = append(plan, v)
 		free += int64(len(v.body))
 	}
@@ -458,16 +356,8 @@ func (sh *shard) evict(s *Store, plan []*entry) []Eviction {
 	evs := make([]Eviction, 0, len(plan))
 	for _, v := range plan {
 		size := int64(len(v.body))
-		sh.unlink(v)
 		delete(sh.entries, v.doc)
 		sh.bytes -= size
-		if s.cfg.Policy == GDSF {
-			// Dual aging: future inserts compete against the pressure level
-			// at which this victim fell out. An Offer's victim, picked by
-			// heat, can sit above an entry a later Put evicts, so the clock
-			// only ever rises.
-			sh.clock = max(sh.clock, v.pri)
-		}
 		evs = append(evs, Eviction{Doc: v.doc, Bytes: int(size)})
 		s.bytes.Add(-size)
 		s.evictions.Add(1)
@@ -477,73 +367,12 @@ func (sh *shard) evict(s *Store, plan []*entry) []Eviction {
 	return evs
 }
 
-// release drops a plan that is not carried out.
+// release puts back a plan that is not carried out.
 func (sh *shard) release() {
 	for _, v := range sh.planned {
-		v.doomed = false
+		heap.Push(&sh.order, v)
 	}
 	clear(sh.planned)
-}
-
-// victim picks the next entry to evict under rank (the configured policy,
-// or Heat for an Offer), deterministically: the recency list is scanned
-// from the LRU end with a strict-less comparison, so ties resolve toward
-// least recently used.
-func (sh *shard) victim(s *Store, keep *entry, rank Policy) *entry {
-	switch rank {
-	case Heat:
-		var best *entry
-		bestScore := 0.0
-		for e := sh.tail; e != nil; e = e.prev {
-			if e.pinned || e.doomed || e == keep {
-				continue
-			}
-			score := s.heatPerByte(e.doc, len(e.body))
-			if best == nil || score < bestScore {
-				best, bestScore = e, score
-			}
-		}
-		return best
-	case GDSF:
-		var best *entry
-		bestPri := 0.0
-		for e := sh.tail; e != nil; e = e.prev {
-			if e.pinned || e.doomed || e == keep {
-				continue
-			}
-			if best == nil || e.pri < bestPri {
-				best, bestPri = e, e.pri
-			}
-		}
-		return best
-	default: // LRU
-		for e := sh.tail; e != nil; e = e.prev {
-			if !e.pinned && !e.doomed && e != keep {
-				return e
-			}
-		}
-		return nil
-	}
-}
-
-// heatPerByte is a document's HeatOf per body byte (zero without a heat
-// source): the Heat policy's rank and Offer's admission test.
-func (s *Store) heatPerByte(doc core.DocID, size int) float64 {
-	if s.cfg.HeatOf == nil {
-		return 0
-	}
-	return s.cfg.HeatOf(doc) / max1(float64(size))
-}
-
-// colder reports whether every victim of a plan is strictly colder per
-// byte than score.
-func (s *Store) colder(plan []*entry, score float64) bool {
-	for _, v := range plan {
-		if s.heatPerByte(v.doc, len(v.body)) >= score {
-			return false
-		}
-	}
-	return true
 }
 
 // Delete removes a document (pinned or not) and returns whether it was
@@ -557,7 +386,9 @@ func (s *Store) Delete(doc core.DocID) bool {
 		return false
 	}
 	size := int64(len(e.body))
-	sh.unlink(e)
+	if e.slot >= 0 {
+		heap.Remove(&sh.order, e.slot)
+	}
 	delete(sh.entries, doc)
 	sh.bytes -= size
 	sh.mu.Unlock()
@@ -594,30 +425,18 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// ForEach visits every cached document (shards in index order, each shard
-// from most to least recently used) until fn returns false. fn must not
-// call back into the store.
-func (s *Store) ForEach(fn func(doc core.DocID, size int) bool) {
+// Docs returns the cached ids, sorted.
+func (s *Store) Docs() []core.DocID {
+	out := make([]core.DocID, 0, 16)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for e := sh.head; e != nil; e = e.next {
-			if !fn(e.doc, len(e.body)) {
-				sh.mu.Unlock()
-				return
-			}
+		for d := range sh.entries {
+			out = append(out, d)
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// Docs returns the cached ids in ForEach order.
-func (s *Store) Docs() []core.DocID {
-	out := make([]core.DocID, 0, 16)
-	s.ForEach(func(d core.DocID, _ int) bool {
-		out = append(out, d)
-		return true
-	})
+	slices.Sort(out)
 	return out
 }
 
@@ -634,47 +453,33 @@ func (s *Store) addBytes(delta int64) {
 	}
 }
 
-// touch marks an entry used: recency front, frequency bump, GDSF priority
-// refresh.
-func (sh *shard) touch(e *entry) {
-	e.hits++
-	e.pri = sh.clock + float64(1+e.hits)/max1(float64(len(e.body)))
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
+// order is a shard's eviction order, a container/heap min-heap on
+// (perByte, since) that keeps each entry's slot current.
+type order []*entry
+
+func (o order) Len() int { return len(o) }
+func (o order) Less(i, j int) bool {
+	a, b := o[i], o[j]
+	return a.perByte < b.perByte || a.perByte == b.perByte && a.since < b.since
+}
+func (o order) Swap(i, j int) {
+	o[i], o[j] = o[j], o[i]
+	o[i].slot, o[j].slot = i, j
+}
+func (o *order) Push(x any) {
+	e := x.(*entry)
+	e.slot = len(*o)
+	*o = append(*o, e)
+}
+func (o *order) Pop() any {
+	old := *o
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*o = old[:len(old)-1]
+	e.slot = -1
+	return e
 }
 
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func max1(x float64) float64 {
-	if x < 1 {
-		return 1
-	}
-	return x
+func max1(n int) float64 {
+	return float64(max(n, 1))
 }

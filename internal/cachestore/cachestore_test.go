@@ -12,41 +12,46 @@ import (
 
 func body(n int) []byte { return make([]byte, n) }
 
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Policy
-		err  bool
-	}{
-		{"", LRU, false},
-		{"lru", LRU, false},
-		{"heat", Heat, false},
-		{"gdsf", GDSF, false},
-		{"mru", "", true},
-	} {
-		got, err := ParsePolicy(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParsePolicy(%q) err = %v", tc.in, err)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParsePolicy(%q) = %q, want %q", tc.in, got, tc.want)
-		}
+// recount sums the bodies a store holds, reading each with Peek.
+func recount(s *Store) int64 {
+	var total int64
+	for _, d := range s.Docs() {
+		b, _, _ := s.Peek(d)
+		total += int64(len(b))
+	}
+	return total
+}
+
+// readPatterns are the read histories the retired replacement policies
+// ranked copies by, each played against the one rule: lru reads a copy once,
+// so it is the latest read; gdsf reads it five times, so it is the most
+// read; heat does not read it. Reads move nothing in the order, so a test
+// run under every pattern expects the same victims from the same ranks.
+var readPatterns = []struct {
+	name  string
+	reads int
+}{{"lru", 1}, {"heat", 0}, {"gdsf", 5}}
+
+// read gets doc n times.
+func read(s *Store, doc core.DocID, n int) {
+	for range n {
+		s.Get(doc)
 	}
 }
 
 func TestBudgetNeverExceeded(t *testing.T) {
 	const budget = 1 << 12
-	for _, pol := range []Policy{LRU, Heat, GDSF} {
-		t.Run(string(pol), func(t *testing.T) {
-			s := New(Config{BudgetBytes: budget, Shards: 4, Policy: pol,
-				HeatOf: func(core.DocID) float64 { return 1 }})
+	for _, p := range readPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			s := New(Config{BudgetBytes: budget, Shards: 4})
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 500; i++ {
 				doc := core.DocID(fmt.Sprintf("d%03d", rng.Intn(64)))
-				s.Put(doc, body(64+rng.Intn(512)))
+				s.PutVersion(doc, body(64+rng.Intn(512)), 0, float64(rng.Intn(4)))
 				if b := s.Bytes(); b > budget {
 					t.Fatalf("op %d: bytes %d exceed budget %d", i, b, budget)
 				}
+				read(s, core.DocID(fmt.Sprintf("d%03d", rng.Intn(64))), p.reads)
 			}
 			if s.MaxBytes() > budget {
 				t.Fatalf("high-water %d exceeds budget %d", s.MaxBytes(), budget)
@@ -55,21 +60,23 @@ func TestBudgetNeverExceeded(t *testing.T) {
 				t.Fatalf("expected eviction churn, got none (stats %+v)", st)
 			}
 			// Incremental accounting agrees with a full recount.
-			var total int64
-			s.ForEach(func(_ core.DocID, size int) bool { total += int64(size); return true })
-			if total != s.Bytes() {
+			if total := recount(s); total != s.Bytes() {
 				t.Fatalf("recount %d != incremental %d", total, s.Bytes())
 			}
 		})
 	}
 }
 
+// TestUnlimitedBudget: an unbudgeted store admits everything and keeps no
+// eviction order, so ranking its copies costs nothing.
 func TestUnlimitedBudget(t *testing.T) {
 	s := New(Config{})
 	for i := 0; i < 100; i++ {
-		if _, ok := s.Put(core.DocID(fmt.Sprintf("d%d", i)), body(1024)); !ok {
+		doc := core.DocID(fmt.Sprintf("d%d", i))
+		if _, ok := s.PutVersion(doc, body(1024), 0, float64(i)); !ok {
 			t.Fatalf("unlimited store rejected put %d", i)
 		}
+		s.SetRank(doc, 1)
 	}
 	if s.Len() != 100 || s.Bytes() != 100*1024 {
 		t.Fatalf("len=%d bytes=%d, want 100 / %d", s.Len(), s.Bytes(), 100*1024)
@@ -77,29 +84,40 @@ func TestUnlimitedBudget(t *testing.T) {
 	if st := s.Stats(); st.Evictions != 0 {
 		t.Fatalf("unlimited store evicted: %+v", st)
 	}
+	for i := range s.shards {
+		if n := s.shards[i].order.Len(); n != 0 {
+			t.Fatalf("shard %d keeps an order of %d entries", i, n)
+		}
+	}
 }
 
-func TestLRUVictimOrder(t *testing.T) {
-	// One shard so the recency order is global. Budget fits 3 of 4 docs.
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: LRU})
-	s.Put("a", body(100))
-	s.Put("b", body(100))
-	s.Put("c", body(100))
-	s.Get("a") // a most recent; b is now LRU
-	evs, ok := s.Put("d", body(100))
-	if !ok || len(evs) != 1 || evs[0].Doc != "b" {
-		t.Fatalf("want eviction of b, got %v ok=%v", evs, ok)
+// TestTiesEvictTheLongestHeldRank: among copies of one rank per byte the
+// victim is the one that has held its rank longest. Moving a rank restamps
+// the copy; pushing the rank it already has does not.
+func TestTiesEvictTheLongestHeldRank(t *testing.T) {
+	s := New(Config{BudgetBytes: 300, Shards: 1})
+	for _, d := range []core.DocID{"a", "b", "c"} {
+		s.PutVersion(d, body(100), 1, 1)
+	}
+	s.SetRank("a", 2)
+	s.SetRank("a", 1) // back to the tie, now its newest member
+	s.SetRank("b", 1) // unchanged: b keeps its place
+	s.Get("b")        // reads do not reorder
+	for _, want := range []core.DocID{"b", "c", "a"} {
+		evs, ok := s.PutVersion(core.DocID("new-"+want), body(100), 1, 5)
+		if !ok || len(evs) != 1 || evs[0].Doc != want {
+			t.Fatalf("want eviction of %s, got %v ok=%v", want, evs, ok)
+		}
 	}
 }
 
 func TestHeatEvictsColdestPerByte(t *testing.T) {
-	heat := map[core.DocID]float64{"hot": 100, "warm": 10, "cold": 1}
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: Heat,
-		HeatOf: func(d core.DocID) float64 { return heat[d] }})
-	s.Put("cold", body(100))
-	s.Put("hot", body(100))
-	s.Put("warm", body(100))
-	s.Get("cold") // recency would keep cold; heat must not
+	s := New(Config{BudgetBytes: 300, Shards: 1})
+	s.PutVersion("cold", body(100), 0, 100)
+	s.PutVersion("hot", body(100), 0, 100)
+	s.PutVersion("warm", body(100), 0, 10)
+	s.SetRank("cold", 1) // the owner's push moves cold below warm
+	s.Get("cold")        // a read must not keep it
 	evs, ok := s.Put("new", body(100))
 	if !ok || len(evs) != 1 || evs[0].Doc != "cold" {
 		t.Fatalf("want eviction of cold, got %v ok=%v", evs, ok)
@@ -107,39 +125,18 @@ func TestHeatEvictsColdestPerByte(t *testing.T) {
 }
 
 func TestHeatPerByteNormalization(t *testing.T) {
-	// big has 4x the heat but 8x the size of small: worse rate-per-byte.
-	heat := map[core.DocID]float64{"big": 40, "small": 10}
-	s := New(Config{BudgetBytes: 1000, Shards: 1, Policy: Heat,
-		HeatOf: func(d core.DocID) float64 { return heat[d] }})
-	s.Put("big", body(800))
-	s.Put("small", body(100))
+	// big has 4x the rank but 8x the size of small: worse rank-per-byte.
+	s := New(Config{BudgetBytes: 1000, Shards: 1})
+	s.PutVersion("big", body(800), 0, 40)
+	s.PutVersion("small", body(100), 0, 10)
 	evs, ok := s.Put("new", body(200))
 	if !ok || len(evs) != 1 || evs[0].Doc != "big" {
-		t.Fatalf("want eviction of big (lowest heat/byte), got %v ok=%v", evs, ok)
-	}
-}
-
-func TestGDSFFrequencyWins(t *testing.T) {
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: GDSF})
-	s.Put("freq", body(100))
-	s.Put("once", body(100))
-	s.Put("twice", body(100))
-	for i := 0; i < 8; i++ {
-		s.Get("freq")
-	}
-	s.Get("twice")
-	s.Get("once")
-	evs, ok := s.Put("new", body(100))
-	if !ok || len(evs) != 1 {
-		t.Fatalf("want one eviction, got %v ok=%v", evs, ok)
-	}
-	if evs[0].Doc == "freq" {
-		t.Fatalf("GDSF evicted the most frequent doc")
+		t.Fatalf("want eviction of big (lowest rank/byte), got %v ok=%v", evs, ok)
 	}
 }
 
 func TestPinImmunity(t *testing.T) {
-	s := New(Config{BudgetBytes: 200, Shards: 1, Policy: LRU})
+	s := New(Config{BudgetBytes: 200, Shards: 1})
 	s.Pin("origin", body(150))
 	// Only 50 budget bytes left; a 100-byte doc cannot fit and must be
 	// rejected rather than displace the pinned origin.
@@ -181,7 +178,7 @@ func TestOversizeBodyRejected(t *testing.T) {
 }
 
 func TestOversizePutRejectedWithoutEvicting(t *testing.T) {
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: LRU})
+	s := New(Config{BudgetBytes: 300, Shards: 1})
 	s.Put("a", body(100))
 	s.Put("b", body(100))
 	// A new body that can never fit must be rejected up front: evicting
@@ -200,7 +197,7 @@ func TestOversizePutRejectedWithoutEvicting(t *testing.T) {
 }
 
 func TestOversizeRefreshRejectedWithoutEvicting(t *testing.T) {
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: LRU})
+	s := New(Config{BudgetBytes: 300, Shards: 1})
 	s.Put("a", body(100))
 	s.Put("b", body(100))
 	// Refreshing a to a body that can never fit must reject up front, not
@@ -244,7 +241,7 @@ func TestRefreshAdjustsBytes(t *testing.T) {
 }
 
 func TestRefreshGrowEvictsOthers(t *testing.T) {
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: LRU})
+	s := New(Config{BudgetBytes: 300, Shards: 1})
 	s.Put("a", body(100))
 	s.Put("b", body(100))
 	s.Put("c", body(100))
@@ -270,56 +267,52 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestPeekDoesNotTouch: Peek counts no hit and moves nothing.
 func TestPeekDoesNotTouch(t *testing.T) {
-	s := New(Config{BudgetBytes: 200, Shards: 1, Policy: LRU})
+	s := New(Config{BudgetBytes: 200, Shards: 1})
 	s.Put("a", body(100))
 	s.Put("b", body(100))
-	s.Peek("a") // must NOT move a to the front
+	s.Peek("a")
 	evs, ok := s.Put("c", body(100))
 	if !ok || len(evs) != 1 || evs[0].Doc != "a" {
-		t.Fatalf("peek changed recency: evs=%v ok=%v", evs, ok)
+		t.Fatalf("peek changed the order: evs=%v ok=%v", evs, ok)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("peek counted: %+v", st)
 	}
 }
 
 func TestDeterministicVictims(t *testing.T) {
-	run := func(pol Policy) []core.DocID {
-		s := New(Config{BudgetBytes: 2048, Shards: 4, Policy: pol,
-			HeatOf: func(d core.DocID) float64 { return float64(len(d)) }})
+	run := func() []core.DocID {
+		s := New(Config{BudgetBytes: 2048, Shards: 4})
 		rng := rand.New(rand.NewSource(7))
 		var evictedOrder []core.DocID
 		for i := 0; i < 300; i++ {
 			doc := core.DocID(fmt.Sprintf("doc-%0*d", 1+rng.Intn(4), rng.Intn(40)))
 			if rng.Intn(3) == 0 {
-				s.Get(doc)
+				s.SetRank(doc, float64(rng.Intn(5)))
 				continue
 			}
-			evs, _ := s.Put(doc, body(64+rng.Intn(256)))
+			evs, _ := s.PutVersion(doc, body(64+rng.Intn(256)), 0, float64(rng.Intn(5)))
 			for _, ev := range evs {
 				evictedOrder = append(evictedOrder, ev.Doc)
 			}
 		}
 		return evictedOrder
 	}
-	for _, pol := range []Policy{LRU, Heat, GDSF} {
-		a, b := run(pol), run(pol)
-		if len(a) != len(b) {
-			t.Fatalf("%s: eviction streams differ in length (%d vs %d)", pol, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: eviction %d differs: %q vs %q", pol, i, a[i], b[i])
-			}
-		}
+	a, b := run(), run()
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("eviction streams differ or are empty:\n%v\n%v", a, b)
 	}
 }
 
-// TestConcurrentBudgetAccounting hammers one store from many goroutines
-// and verifies the incremental byte accounting and the budget invariant
-// survive concurrent batch drains.
+// TestConcurrentBudgetAccounting hammers one store from many goroutines —
+// inserts, reads, deletes, and rank pushes into stripes other goroutines
+// evict from — and verifies the incremental byte accounting and the budget
+// invariant survive.
 func TestConcurrentBudgetAccounting(t *testing.T) {
 	const budget = 64 << 10
-	s := New(Config{BudgetBytes: budget, Shards: 8, Policy: Heat,
-		HeatOf: func(d core.DocID) float64 { return float64(len(d)) }})
+	s := New(Config{BudgetBytes: budget, Shards: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -328,13 +321,15 @@ func TestConcurrentBudgetAccounting(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 2000; i++ {
 				doc := core.DocID(fmt.Sprintf("d%03d", rng.Intn(256)))
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					s.Get(doc)
 				case 1:
 					s.Delete(doc)
+				case 2:
+					s.SetRank(doc, float64(rng.Intn(8)))
 				default:
-					s.Put(doc, body(64+rng.Intn(1024)))
+					s.PutVersion(doc, body(64+rng.Intn(1024)), 0, float64(rng.Intn(8)))
 				}
 			}
 		}(g)
@@ -343,9 +338,7 @@ func TestConcurrentBudgetAccounting(t *testing.T) {
 	if b := s.Bytes(); b > budget {
 		t.Fatalf("bytes %d exceed budget %d after concurrent churn", b, budget)
 	}
-	var total int64
-	s.ForEach(func(_ core.DocID, size int) bool { total += int64(size); return true })
-	if total != s.Bytes() {
+	if total := recount(s); total != s.Bytes() {
 		t.Fatalf("recount %d != incremental %d", total, s.Bytes())
 	}
 	if s.MaxBytes() > budget {
@@ -353,31 +346,29 @@ func TestConcurrentBudgetAccounting(t *testing.T) {
 	}
 }
 
-var policies = []Policy{LRU, Heat, GDSF}
-
-// offerStore returns a one-shard store of policy pol with a 300-byte budget
-// holding a, b and c (100 bytes each), ranked by the shared heat map.
-func offerStore(pol Policy, heat map[core.DocID]float64) *Store {
-	s := New(Config{BudgetBytes: 300, Shards: 1, Policy: pol,
-		HeatOf: func(d core.DocID) float64 { return heat[d] }})
-	for _, d := range []core.DocID{"a", "b", "c"} {
-		s.PutVersion(d, body(100), 1)
-	}
+// offerStore returns a one-shard store with a 300-byte budget holding a, b
+// and c (100 bytes each) at the given ranks.
+func offerStore(ra, rb, rc float64) *Store {
+	s := New(Config{BudgetBytes: 300, Shards: 1})
+	s.PutVersion("a", body(100), 1, ra)
+	s.PutVersion("b", body(100), 1, rb)
+	s.PutVersion("c", body(100), 1, rc)
 	return s
 }
 
-// TestOfferRefusedEvictsNothing: an offer not strictly hotter than its
-// victim — colder, or tied — is refused and leaves the store as it was:
-// residents, bytes, high-water mark, counters, and the victim the next
-// insert picks.
+// TestOfferRefusedEvictsNothing: an offer not strictly above its victim —
+// colder, or tied — is refused and leaves the store as it was: residents,
+// bytes, high-water mark, counters, and the victim the next insert picks.
+// The candidate's heat is its rank, a resident's duty plus served rate.
 func TestOfferRefusedEvictsNothing(t *testing.T) {
-	for _, pol := range policies {
-		for _, candHeat := range []float64{1, 5} { // colder; tied with every resident
-			t.Run(fmt.Sprintf("%s/heat=%v", pol, candHeat), func(t *testing.T) {
-				heat := map[core.DocID]float64{"a": 5, "b": 5, "c": 5, "new": candHeat}
-				s, twin := offerStore(pol, heat), offerStore(pol, heat)
+	for _, p := range readPatterns {
+		for _, heat := range []float64{1, 5} { // colder; tied with every resident
+			t.Run(fmt.Sprintf("%s/heat=%v", p.name, heat), func(t *testing.T) {
+				s, twin := offerStore(5, 5, 5), offerStore(5, 5, 5)
+				read(s, "a", p.reads) // a, the longest held, is the next victim
+				read(twin, "a", p.reads)
 				bytes, maxBytes, st := s.Bytes(), s.MaxBytes(), s.Stats()
-				if evs, ok, refused := s.Offer("new", body(100), 1); ok || !refused || evs != nil {
+				if evs, ok, refused := s.Offer("new", body(100), 1, heat); ok || !refused || evs != nil {
 					t.Fatalf("Offer = %v ok=%v refused=%v, want refused evicting nothing", evs, ok, refused)
 				}
 				if s.Contains("new") || s.Len() != 3 || s.Bytes() != bytes || s.MaxBytes() != maxBytes || s.Stats() != st {
@@ -393,16 +384,15 @@ func TestOfferRefusedEvictsNothing(t *testing.T) {
 	}
 }
 
-// TestOfferEvictsTheColdest: a candidate strictly hotter than its victim
-// evicts the coldest resident per byte under every policy, not the policy's
-// own victim: after a read of a, LRU and GDSF would both evict b.
+// TestOfferEvictsTheColdest: a candidate strictly above its victim evicts
+// the lowest-ranked resident per byte, however recently or often it was
+// read.
 func TestOfferEvictsTheColdest(t *testing.T) {
-	for _, pol := range policies {
-		t.Run(string(pol), func(t *testing.T) {
-			heat := map[core.DocID]float64{"a": 3, "b": 2, "c": 1, "new": 4}
-			s := offerStore(pol, heat)
-			s.Get("a")
-			evs, ok, refused := s.Offer("new", body(100), 1)
+	for _, p := range readPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			s := offerStore(3, 2, 1)
+			read(s, "c", p.reads)
+			evs, ok, refused := s.Offer("new", body(100), 1, 4)
 			if want := []Eviction{{Doc: "c", Bytes: 100}}; !ok || refused || !reflect.DeepEqual(evs, want) {
 				t.Fatalf("Offer = %v ok=%v refused=%v, want admitted evicting %v", evs, ok, refused, want)
 			}
@@ -411,55 +401,33 @@ func TestOfferEvictsTheColdest(t *testing.T) {
 }
 
 // TestOfferMustBeatEveryVictim: an insert that needs two victims' room is
-// admitted only when it is hotter per byte than both.
+// admitted only when it ranks above both per byte.
 func TestOfferMustBeatEveryVictim(t *testing.T) {
-	heat := map[core.DocID]float64{"a": 1, "b": 50, "c": 30, "big": 20} // per byte: 0.01, 0.5, 0.3, 0.1
-	s := offerStore(LRU, heat)                                          // plan for 200 bytes: a, then c
-	if evs, ok, refused := s.Offer("big", body(200), 1); ok || !refused || evs != nil || s.Len() != 3 {
+	s := offerStore(1, 50, 30) // per byte: 0.01, 0.5, 0.3; plan for 200 bytes: a, then c
+	if evs, ok, refused := s.Offer("big", body(200), 1, 20); ok || !refused || evs != nil || s.Len() != 3 {
 		t.Fatalf("Offer = %v ok=%v refused=%v len %d, want refused with a, b, c kept", evs, ok, refused, s.Len())
 	}
-	heat["big"] = 70
-	evs, ok, _ := s.Offer("big", body(200), 1)
+	evs, ok, _ := s.Offer("big", body(200), 1, 70)
 	if !ok || len(evs) != 2 || evs[0].Doc != "a" || evs[1].Doc != "c" || !s.Contains("b") {
 		t.Fatalf("Offer = %v ok=%v, want a and c evicted, b kept", evs, ok)
 	}
 }
 
-// TestGDSFClockNeverFallsAfterOffer: an Offer's victim is picked by heat
-// and can carry a higher GDSF priority than the entry a later Put evicts;
-// the inflation clock must not fall back when that one leaves.
-func TestGDSFClockNeverFallsAfterOffer(t *testing.T) {
-	heat := map[core.DocID]float64{"a": 0, "b": 5, "c": 5, "new": 10}
-	s := offerStore(GDSF, heat)
-	for i := 0; i < 5; i++ {
-		s.Get("a") // a: coldest by heat, highest priority
-	}
-	if evs, ok, _ := s.Offer("new", body(100), 1); !ok || len(evs) != 1 || evs[0].Doc != "a" {
-		t.Fatalf("Offer = %v ok=%v, want a evicted", evs, ok)
-	}
-	clock := s.shards[0].clock
-	if evs, _ := s.Put("x", body(100)); len(evs) != 1 || evs[0].Doc == "a" {
-		t.Fatalf("Put evicted %v", evs)
-	}
-	if got := s.shards[0].clock; got < clock {
-		t.Fatalf("GDSF clock fell from %v to %v", clock, got)
-	}
-}
-
 // TestOfferNeverGatesWhatNeedsNoEviction: an insert that fits and a refresh
-// of a resident copy are admitted however cold (a growing refresh still
-// evicts around itself, as PutVersion does).
+// of a resident copy are admitted however low their rank (a growing
+// refresh still evicts around itself, as PutVersion does).
 func TestOfferNeverGatesWhatNeedsNoEviction(t *testing.T) {
-	for _, pol := range policies {
-		t.Run(string(pol), func(t *testing.T) {
-			heat := map[core.DocID]float64{"a": 5, "b": 5}
-			s := New(Config{BudgetBytes: 300, Shards: 1, Policy: pol, HeatOf: func(d core.DocID) float64 { return heat[d] }})
-			s.PutVersion("a", body(100), 1)
-			s.PutVersion("b", body(100), 1)
-			if _, ok, refused := s.Offer("cold", body(100), 1); !ok || refused {
+	for _, p := range readPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			s := New(Config{BudgetBytes: 300, Shards: 1})
+			s.PutVersion("a", body(100), 1, 5)
+			s.PutVersion("b", body(100), 1, 5)
+			read(s, "a", p.reads)
+			if _, ok, refused := s.Offer("cold", body(100), 1, 0); !ok || refused {
 				t.Fatalf("an offer that fits: ok=%v refused=%v", ok, refused)
 			}
-			if evs, ok, refused := s.Offer("cold", body(150), 2); !ok || refused || len(evs) != 1 {
+			read(s, "cold", p.reads)
+			if evs, ok, refused := s.Offer("cold", body(150), 2, 0); !ok || refused || len(evs) != 1 {
 				t.Fatalf("a growing refresh: evs=%v ok=%v refused=%v, want one eviction", evs, ok, refused)
 			}
 		})
@@ -469,16 +437,17 @@ func TestOfferNeverGatesWhatNeedsNoEviction(t *testing.T) {
 // TestOfferNeverEvictsPinned: pinned entries are never victims, and an
 // offer with only pinned bytes in its way is rejected, evicting nothing.
 func TestOfferNeverEvictsPinned(t *testing.T) {
-	for _, pol := range policies {
-		t.Run(string(pol), func(t *testing.T) {
-			heat := map[core.DocID]float64{"pin": 0, "a": 10, "x": 20, "y": 1000}
-			s := New(Config{BudgetBytes: 200, Shards: 1, Policy: pol, HeatOf: func(d core.DocID) float64 { return heat[d] }})
+	for _, p := range readPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			s := New(Config{BudgetBytes: 200, Shards: 1})
 			s.Pin("pin", body(100))
-			s.PutVersion("a", body(100), 1)
-			if evs, ok, refused := s.Offer("x", body(100), 1); !ok || refused || len(evs) != 1 || evs[0].Doc != "a" {
+			s.PutVersion("a", body(100), 1, 10)
+			read(s, "a", p.reads)
+			if evs, ok, refused := s.Offer("x", body(100), 1, 20); !ok || refused || len(evs) != 1 || evs[0].Doc != "a" {
 				t.Fatalf("Offer x = %v ok=%v refused=%v, want a evicted, the pin kept", evs, ok, refused)
 			}
-			if evs, ok, refused := s.Offer("y", body(200), 1); ok || refused || evs != nil {
+			read(s, "x", p.reads)
+			if evs, ok, refused := s.Offer("y", body(200), 1, 1000); ok || refused || evs != nil {
 				t.Fatalf("Offer y = %v ok=%v refused=%v, want rejected evicting nothing", evs, ok, refused)
 			}
 			if !s.Contains("pin") || !s.Contains("x") || s.Stats().Rejected != 1 {
@@ -488,92 +457,249 @@ func TestOfferNeverEvictsPinned(t *testing.T) {
 	}
 }
 
-// TestOfferFloorMatchesAFullScan: a store told of every heat change through
-// HeatChanged decides each offer exactly as one that rescans every time,
-// across inserts, refreshes, pins, deletes and reads, while asking HeatOf
-// less often.
-func TestOfferFloorMatchesAFullScan(t *testing.T) {
-	for _, pol := range policies {
-		t.Run(string(pol), func(t *testing.T) {
-			heat := make(map[core.DocID]float64)
-			calls := [2]int{}
-			stores := [2]*Store{}
-			for i := range stores {
-				stores[i] = New(Config{BudgetBytes: 1200, Shards: 2, Policy: pol,
-					HeatOf: func(d core.DocID) float64 { calls[i]++; return heat[d] }})
+// refEntry and refStore are the oracle TestOfferFloorMatchesAFullScan
+// holds the store to: the same rules over plain maps, finding each victim
+// by rescanning a shard for the lowest (rank per byte, rank age).
+type refEntry struct {
+	size          int
+	version       uint64
+	pinned        bool
+	rank, perByte float64
+	since         uint64
+}
+
+type refStore struct {
+	budget         int64 // per shard
+	shardOf        func(core.DocID) uint32
+	shards         []map[core.DocID]*refEntry
+	bytes          []int64
+	clock          uint64
+	total, maxSeen int64
+	stats          Stats
+}
+
+func newRefStore(cfg Config) *refStore {
+	r := &refStore{budget: cfg.BudgetBytes / int64(cfg.Shards), shardOf: cfg.ShardOf, bytes: make([]int64, cfg.Shards)}
+	for range cfg.Shards {
+		r.shards = append(r.shards, map[core.DocID]*refEntry{})
+	}
+	return r
+}
+
+func (r *refStore) shard(doc core.DocID) int { return int(r.shardOf(doc) % uint32(len(r.shards))) }
+
+func (r *refStore) rerank(e *refEntry, rank float64) {
+	r.clock++
+	e.rank, e.since, e.perByte = rank, r.clock, rank/max1(e.size)
+}
+
+func (r *refStore) grow(i int, delta int64) {
+	r.bytes[i] += delta
+	r.total += delta
+	r.maxSeen = max(r.maxSeen, r.total)
+}
+
+// coldest rescans shard i for the lowest unpinned entry not in skip.
+func (r *refStore) coldest(i int, skip map[core.DocID]bool) (core.DocID, *refEntry) {
+	var best core.DocID
+	var be *refEntry
+	for d, e := range r.shards[i] {
+		if e.pinned || skip[d] {
+			continue
+		}
+		if be == nil || e.perByte < be.perByte || e.perByte == be.perByte && e.since < be.since {
+			best, be = d, e
+		}
+	}
+	return best, be
+}
+
+func (r *refStore) put(doc core.DocID, size int, version uint64, rank float64, mode putMode) (evs []Eviction, ok, refused bool) {
+	i := r.shard(doc)
+	e, found := r.shards[i][doc]
+	pin := mode&modePin != 0
+	if !pin && int64(size) > r.budget && !(found && e.pinned) {
+		r.stats.Rejected++
+		return nil, false, false
+	}
+	need := int64(size)
+	if found {
+		if mode&modeVersion != 0 && version < e.version {
+			return nil, false, false
+		}
+		need -= int64(e.size)
+		pin = pin || e.pinned
+	}
+	if !pin && need > 0 && r.bytes[i]+need > r.budget {
+		skip := map[core.DocID]bool{doc: true}
+		var plan []core.DocID
+		free := r.budget - r.bytes[i]
+		for free < need {
+			d, v := r.coldest(i, skip)
+			if v == nil {
+				r.stats.Rejected++
+				return nil, false, false
 			}
-			cached, scanned := stores[0], stores[1]
+			if !found && mode&modeGate != 0 && v.perByte >= rank/max1(size) {
+				refused = true
+			}
+			skip[d] = true
+			plan = append(plan, d)
+			free += int64(v.size)
+		}
+		if refused {
+			return nil, false, true
+		}
+		for _, d := range plan {
+			v := r.shards[i][d]
+			delete(r.shards[i], d)
+			r.grow(i, -int64(v.size))
+			r.stats.Evictions++
+			r.stats.EvictedBytes += int64(v.size)
+			evs = append(evs, Eviction{Doc: d, Bytes: v.size})
+		}
+	}
+	if !found {
+		e = &refEntry{}
+		r.shards[i][doc] = e
+	}
+	e.size, e.pinned = size, pin
+	if mode&modeVersion != 0 {
+		e.version = version
+	}
+	r.grow(i, need)
+	if !pin && (!found || e.rank != rank) {
+		r.rerank(e, rank)
+	} else if !pin {
+		e.perByte = rank / max1(size)
+	}
+	return evs, true, false
+}
+
+func (r *refStore) setRank(doc core.DocID, rank float64) {
+	if e, ok := r.shards[r.shard(doc)][doc]; ok && !e.pinned && e.rank != rank {
+		r.rerank(e, rank)
+	}
+}
+
+func (r *refStore) del(doc core.DocID) bool {
+	i := r.shard(doc)
+	e, ok := r.shards[i][doc]
+	if ok {
+		delete(r.shards[i], doc)
+		r.grow(i, -int64(e.size))
+	}
+	return ok
+}
+
+func (r *refStore) get(doc core.DocID) bool {
+	_, ok := r.shards[r.shard(doc)][doc]
+	if ok {
+		r.stats.Hits++
+	} else {
+		r.stats.Misses++
+	}
+	return ok
+}
+
+func (r *refStore) pinnedBytes() int64 {
+	var n int64
+	for _, m := range r.shards {
+		for _, e := range m {
+			if e.pinned {
+				n += int64(e.size)
+			}
+		}
+	}
+	return n
+}
+
+// TestOfferFloorMatchesAFullScan: across seeded random inserts, offers,
+// rank pushes, pins, deletes and reads, the store's heap finds the same floor
+// under each offer — the same victims in the same order — and refuses and
+// rejects the same inserts as an oracle that rescans for the lowest (rank
+// per byte, rank age) on every call; bytes, high-water mark and counters
+// agree, and unpinned bytes never exceed the budget. Small integer ranks
+// over four body sizes make ties — equal rank per byte — common. Each read
+// pattern sets how many times a read op gets its document.
+func TestOfferFloorMatchesAFullScan(t *testing.T) {
+	for _, p := range readPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := Config{BudgetBytes: 1200, Shards: 2, ShardOf: func(d core.DocID) uint32 { return uint32(d[len(d)-1]) }}
+			s, ref := New(cfg), newRefStore(cfg)
 			rng := rand.New(rand.NewSource(5))
-			for i := 0; i < 4000; i++ {
+			var evictions, refusals int
+			for i := 0; i < 20000; i++ {
 				doc := core.DocID(fmt.Sprintf("d%02d", rng.Intn(40)))
-				b, v := body(50+50*rng.Intn(4)), uint64(1+rng.Intn(3))
-				scanned.HeatChanged() // the floor never outlives one offer
+				size, v, rank := 50+50*rng.Intn(4), uint64(1+rng.Intn(3)), float64(rng.Intn(8))
 				var got, want []any
 				switch op := rng.Intn(20); {
-				case op < 12:
-					evs1, ok1, r1 := cached.Offer(doc, b, v)
-					evs2, ok2, r2 := scanned.Offer(doc, b, v)
+				case op < 8:
+					evs1, ok1, r1 := s.Offer(doc, body(size), v, rank)
+					evs2, ok2, r2 := ref.put(doc, size, v, rank, modeVersion|modeGate)
 					got, want = []any{evs1, ok1, r1}, []any{evs2, ok2, r2}
-				case op < 14:
-					evs1, ok1 := cached.PutVersion(doc, b, v)
-					evs2, ok2 := scanned.PutVersion(doc, b, v)
-					got, want = []any{evs1, ok1}, []any{evs2, ok2}
-				case op < 15:
-					if rng.Intn(4) == 0 {
-						cached.Pin(doc, b)
-						scanned.Pin(doc, b)
-					} else {
-						got, want = []any{cached.Delete(doc)}, []any{scanned.Delete(doc)}
+					evictions += len(evs2)
+					if r2 {
+						refusals++
 					}
+				case op < 11:
+					evs1, ok1 := s.PutVersion(doc, body(size), v, rank)
+					evs2, ok2, _ := ref.put(doc, size, v, rank, modeVersion)
+					got, want = []any{evs1, ok1}, []any{evs2, ok2}
+					evictions += len(evs2)
+				case op < 12:
+					evs1, ok1 := s.Put(doc, body(size))
+					evs2, ok2, _ := ref.put(doc, size, 0, 0, 0)
+					got, want = []any{evs1, ok1}, []any{evs2, ok2}
+				case op < 16:
+					s.SetRank(doc, rank)
+					ref.setRank(doc, rank)
 				case op < 17:
-					cached.Get(doc)
-					scanned.Get(doc)
+					if rng.Intn(4) == 0 {
+						s.Pin(doc, body(size))
+						ref.put(doc, size, 0, 0, modePin)
+					} else {
+						got, want = []any{s.Delete(doc)}, []any{ref.del(doc)}
+					}
 				default:
-					heat[doc] = float64(rng.Intn(8))
-					cached.HeatChanged()
+					for range p.reads {
+						_, ok := s.Get(doc)
+						got, want = append(got, ok), append(want, ref.get(doc))
+					}
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d on %s: floor %v, full scan %v", i, doc, got, want)
+					t.Fatalf("op %d on %s: heap %v, full scan %v", i, doc, got, want)
+				}
+				if s.Bytes() != ref.total || s.MaxBytes() != ref.maxSeen || s.Stats() != ref.stats {
+					t.Fatalf("op %d: bytes %d/%d max %d/%d stats %+v/%+v", i, s.Bytes(), ref.total, s.MaxBytes(), ref.maxSeen, s.Stats(), ref.stats)
+				}
+				if over := s.Bytes() - ref.pinnedBytes(); over > cfg.BudgetBytes {
+					t.Fatalf("op %d: %d unpinned bytes over a %d budget", i, over, cfg.BudgetBytes)
 				}
 			}
-			if !reflect.DeepEqual(cached.Docs(), scanned.Docs()) || cached.Stats() != scanned.Stats() {
-				t.Fatal("stores diverged")
-			}
-			if calls[0] >= calls[1] {
-				t.Fatalf("HeatOf called %d times with the floor, %d without", calls[0], calls[1])
+			if evictions < 100 || refusals < 100 {
+				t.Fatalf("%d evictions, %d refusals: the run never pressed the order", evictions, refusals)
 			}
 		})
 	}
 }
 
-// TestOfferIsPutVersionWithoutAGate: with an unlimited budget, or with no
-// heat source, Offer behaves exactly like PutVersion.
+// TestOfferIsPutVersionWithoutAGate: with an unlimited budget there is
+// nothing to gate, and Offer behaves exactly like PutVersion.
 func TestOfferIsPutVersionWithoutAGate(t *testing.T) {
-	for _, pol := range policies {
-		for _, cfg := range []Config{
-			{Shards: 2, Policy: pol, HeatOf: func(d core.DocID) float64 { return float64(len(d)) }},
-			{BudgetBytes: 2048, Shards: 2, Policy: pol},
-		} {
-			offered, put := New(cfg), New(cfg)
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; i < 500; i++ {
-				doc := core.DocID(fmt.Sprintf("d%02d", rng.Intn(32)))
-				if rng.Intn(4) == 0 {
-					offered.Get(doc)
-					put.Get(doc)
-					continue
-				}
-				b, v := body(64+rng.Intn(256)), uint64(rng.Intn(4))
-				evs1, ok1, refused := offered.Offer(doc, b, v)
-				evs2, ok2 := put.PutVersion(doc, b, v)
-				if refused || ok1 != ok2 || !reflect.DeepEqual(evs1, evs2) {
-					t.Fatalf("%s budget %d op %d: Offer %v/%v/%v, PutVersion %v/%v", pol, cfg.BudgetBytes, i, evs1, ok1, refused, evs2, ok2)
-				}
-			}
-			if !reflect.DeepEqual(offered.Docs(), put.Docs()) || offered.Bytes() != put.Bytes() || offered.Stats() != put.Stats() {
-				t.Fatalf("%s budget %d: stores diverged", pol, cfg.BudgetBytes)
-			}
+	offered, put := New(Config{Shards: 2}), New(Config{Shards: 2})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		doc := core.DocID(fmt.Sprintf("d%02d", rng.Intn(32)))
+		b, v, rank := body(64+rng.Intn(256)), uint64(rng.Intn(4)), float64(rng.Intn(4))
+		evs1, ok1, refused := offered.Offer(doc, b, v, rank)
+		evs2, ok2 := put.PutVersion(doc, b, v, rank)
+		if refused || ok1 != ok2 || !reflect.DeepEqual(evs1, evs2) {
+			t.Fatalf("op %d: Offer %v/%v/%v, PutVersion %v/%v", i, evs1, ok1, refused, evs2, ok2)
 		}
+	}
+	if !reflect.DeepEqual(offered.Docs(), put.Docs()) || offered.Bytes() != put.Bytes() || offered.Stats() != put.Stats() {
+		t.Fatal("stores diverged")
 	}
 }
 
@@ -582,25 +708,25 @@ func TestOfferIsPutVersionWithoutAGate(t *testing.T) {
 // refreshes.
 func TestVersionedCopies(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if _, ok := s.PutVersion("d", body(10), 3); !ok {
+	if _, ok := s.PutVersion("d", body(10), 3, 0); !ok {
 		t.Fatal("versioned insert refused")
 	}
 	if v, ok := s.Version("d"); !ok || v != 3 {
 		t.Fatalf("Version = %d,%v want 3,true", v, ok)
 	}
 	// Downgrade refused, copy untouched.
-	if _, ok := s.PutVersion("d", body(20), 2); ok {
+	if _, ok := s.PutVersion("d", body(20), 2, 0); ok {
 		t.Fatal("downgrade accepted")
 	}
 	if b, v, ok := s.GetVersion("d"); !ok || v != 3 || len(b) != 10 {
 		t.Fatalf("after downgrade: len=%d v=%d ok=%v", len(b), v, ok)
 	}
 	// Same-version refresh allowed (idempotent re-admit).
-	if _, ok := s.PutVersion("d", body(12), 3); !ok {
+	if _, ok := s.PutVersion("d", body(12), 3, 0); !ok {
 		t.Fatal("same-version refresh refused")
 	}
 	// Upgrade advances.
-	if _, ok := s.PutVersion("d", body(11), 7); !ok {
+	if _, ok := s.PutVersion("d", body(11), 7, 0); !ok {
 		t.Fatal("upgrade refused")
 	}
 	if v, _ := s.Version("d"); v != 7 {

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 	"webwave/internal/server"
@@ -59,9 +58,6 @@ type Config struct {
 	// CacheShards is each server's cache-store stripe count (default: the
 	// server's NumShards, keeping evictions local to the owning shard).
 	CacheShards int
-	// EvictPolicy selects the replacement policy (cachestore.LRU, Heat or
-	// GDSF; empty = LRU).
-	EvictPolicy cachestore.Policy
 
 	// NumShards is each server's doc-sharded event loop count (0 =
 	// GOMAXPROCS); MaxBatch bounds events drained per loop iteration
@@ -182,7 +178,6 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 			Network:          netw,
 			CacheBudgetBytes: cfg.CacheBudgetBytes,
 			CacheShards:      cfg.CacheShards,
-			EvictPolicy:      cfg.EvictPolicy,
 			NumShards:        cfg.NumShards,
 			MaxBatch:         cfg.MaxBatch,
 			QueueDepth:       cfg.QueueDepth,

@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/server"
 	"webwave/internal/transport"
@@ -81,7 +80,6 @@ func RunNode(args []string, stderr io.Writer) error {
 	maxBatch := fs.Int("max-batch", 0, "events per loop iteration (0 = default)")
 	queueDepth := fs.Int("queue-depth", 0, "per-loop queue capacity (0 = default)")
 	cacheBudget := fs.Int64("cache-budget", 0, "cache byte budget (0 = unlimited)")
-	evictPolicy := fs.String("evict-policy", "", "eviction policy: lru (default), heat or gdsf")
 	dataDir := fs.String("data-dir", "", "disk-tier root for this node (enables warm re-exec recovery)")
 	diskBudget := fs.Int64("disk-budget", 0, "disk-tier byte budget (0 = unlimited)")
 	tunneling := fs.Bool("tunneling", true, "enable barrier tunneling")
@@ -116,7 +114,6 @@ func RunNode(args []string, stderr io.Writer) error {
 		MaxBatch:         *maxBatch,
 		QueueDepth:       *queueDepth,
 		CacheBudgetBytes: *cacheBudget,
-		EvictPolicy:      cachestore.Policy(*evictPolicy),
 		DataDir:          *dataDir,
 		DiskBudgetBytes:  *diskBudget,
 		Tunneling:        *tunneling,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"webwave/internal/baseline"
-	"webwave/internal/cachestore"
 	"webwave/internal/cluster"
 	"webwave/internal/core"
 	"webwave/internal/fold"
@@ -150,10 +149,9 @@ type LiveConfig struct {
 	Tunneling bool
 
 	// CacheBudgetBytes bounds each server's cached bytes (0 = unlimited);
-	// CacheShards and EvictPolicy tune the store (see internal/cachestore).
+	// CacheShards stripes the store (see internal/cachestore).
 	CacheBudgetBytes int64
 	CacheShards      int
-	EvictPolicy      string
 
 	// DataDir non-empty adds the disk tier: per-node subdirectories holding
 	// spilled bodies plus a recovery journal (see internal/diskstore).
@@ -223,10 +221,6 @@ func RunLiveCluster(cfg LiveConfig) (*LiveResult, error) {
 	for _, d := range demand.Docs {
 		docs[d.ID] = []byte("webwave document body: " + string(d.ID))
 	}
-	evictPolicy, err := cachestore.ParsePolicy(cfg.EvictPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("live: %w", err)
-	}
 	c, err := cluster.New(cfg.Tree, docs, cluster.Config{
 		GossipPeriod:     20 * time.Millisecond,
 		DiffusionPeriod:  40 * time.Millisecond,
@@ -234,7 +228,6 @@ func RunLiveCluster(cfg LiveConfig) (*LiveResult, error) {
 		Tunneling:        cfg.Tunneling,
 		CacheBudgetBytes: cfg.CacheBudgetBytes,
 		CacheShards:      cfg.CacheShards,
-		EvictPolicy:      evictPolicy,
 		DataDir:          cfg.DataDir,
 		DiskBudgetBytes:  cfg.DiskBudgetBytes,
 		NumShards:        cfg.NumShards,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 	"webwave/internal/transport"
@@ -204,11 +203,12 @@ func BenchmarkResidentDocBytes(b *testing.B) {
 // BenchmarkDiskHitServe measures one queued request answered from the disk
 // tier, end to end on the shard loop: the memory miss, the disk read, the
 // offer back to memory and the response. Memory holds two of sixteen
-// documents, and the store ranks by the benchmark's own heat, so each offer
-// lands on a known side of the gate. In /refused requests go round-robin
-// over the fourteen others and the two residents are hotter: every offer is
-// refused. In /readmit requests go round-robin over all sixteen and the
-// requested document is the hot one: every offer re-admits it and evicts a
+// documents, and the benchmark pushes the ranks itself, so each offer lands
+// on a known side of the gate. In /refused requests go round-robin over the
+// fourteen others and the two residents rank higher: every offer is
+// refused. In /readmit requests go round-robin over all sixteen, every
+// document carries a target and a copy is pushed down to rank 0 once
+// served: every offer re-admits the requested document and evicts a
 // resident (unpublish of the victim, publish of the body).
 func BenchmarkDiskHitServe(b *testing.B) {
 	for _, readmit := range []bool{false, true} {
@@ -226,17 +226,11 @@ func benchDiskHit(b *testing.B, readmit bool) {
 		ID: 0, ParentID: -1, NumShards: 1, CacheShards: 1,
 		CacheBudgetBytes: 2 * docBytes,
 		DataDir:          b.TempDir(),
+		// No rebuild of the rate maps within a run: the served rates would
+		// move the ranks this benchmark sets.
+		DiffusionPeriod: time.Hour,
 	})
 	b.Cleanup(s.Stop) // closes the journal and the retained body descriptors
-	var asked core.DocID
-	resident := make(map[core.DocID]bool)
-	s.cache = cachestore.New(cachestore.Config{BudgetBytes: 2 * docBytes, Shards: 1,
-		HeatOf: func(d core.DocID) float64 {
-			if d == asked || !readmit && resident[d] {
-				return 1
-			}
-			return 0
-		}})
 	sh := s.shards[0]
 	sh.now = time.Now()
 	ids := make([]core.DocID, docs)
@@ -245,11 +239,19 @@ func benchDiskHit(b *testing.B, readmit bool) {
 		if !sh.admit(ids[i], make([]byte, docBytes), 0) {
 			b.Fatalf("admit %s refused", ids[i])
 		}
+		if readmit {
+			sh.addTarget(ids[i], 1)
+		}
 	}
-	asked = ids[0] // the requested document is never a candidate victim
-	for _, d := range s.cache.Docs() {
-		resident[d] = true
+	resident := s.cache.Docs()
+	for _, d := range resident {
+		if readmit {
+			s.cache.SetRank(d, 0)
+		} else {
+			s.cache.SetRank(d, 1)
+		}
 	}
+	sh.ratesAt = sh.now // as if the rate maps were just rebuilt: the next rebuild is an hour out
 	cycle := ids
 	if !readmit {
 		cycle = ids[:docs-len(resident)] // the last two admitted stay resident
@@ -261,9 +263,11 @@ func benchDiskHit(b *testing.B, readmit bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Doc, env.ReqID = cycle[i%len(cycle)], uint64(i+1)
-		asked = env.Doc
 		sh.now = sh.now.Add(50 * time.Microsecond)
 		sh.handle(ev)
+		if readmit {
+			s.cache.SetRank(env.Doc, 0)
+		}
 		if i%512 == 511 {
 			sh.tick(false) // the loop's own timer: drain, credits, journal
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 	"webwave/internal/transport"
@@ -67,7 +66,7 @@ func TestEvictionTearsDownFilter(t *testing.T) {
 	startServer(t, Config{
 		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root",
 		Network:          netw,
-		CacheBudgetBytes: 16, CacheShards: 1, EvictPolicy: cachestore.LRU,
+		CacheBudgetBytes: 16, CacheShards: 1,
 	})
 
 	conn := dial(t, netw, "child")
@@ -173,7 +172,7 @@ func TestSingleFlightRacesEviction(t *testing.T) {
 	startServer(t, Config{
 		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent",
 		Network:          netw,
-		CacheBudgetBytes: 16, CacheShards: 1, EvictPolicy: cachestore.LRU,
+		CacheBudgetBytes: 16, CacheShards: 1,
 		// A long gossip period keeps the flight-retry horizon far away so
 		// every request below coalesces behind the first leader.
 		GossipPeriod: 2 * time.Second,
@@ -313,7 +312,7 @@ func TestBudgetAccountingUnderConcurrentDrains(t *testing.T) {
 	startServer(t, Config{
 		ID: 0, Addr: "root", ParentID: -1, Network: netw,
 		Docs:             map[core.DocID][]byte{"home": []byte("origin-doc")},
-		CacheBudgetBytes: budget, CacheShards: 4, EvictPolicy: cachestore.Heat,
+		CacheBudgetBytes: budget, CacheShards: 4,
 	})
 
 	var wg sync.WaitGroup
@@ -387,4 +386,34 @@ func contains(ds []core.DocID, want core.DocID) bool {
 		}
 	}
 	return false
+}
+
+// TestPutEvictsTheLeastDuty: memory holds two delegated copies, x carrying
+// the lower target. x is then served, so it is the one read last. A third
+// delegation must evict x, the copy carrying the least duty — not y, the
+// least recently read — and hand x's duty back.
+func TestPutEvictsTheLeastDuty(t *testing.T) {
+	const size = 100
+	s := handServer(t, Config{NumShards: 1, CacheShards: 1, CacheBudgetBytes: 2 * size})
+	t.Cleanup(s.Stop)
+	sh := s.shards[0]
+	delegate := func(doc core.DocID, rate float64) {
+		sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+			Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: doc, Rate: rate, Body: make([]byte, size),
+		}})
+	}
+	delegate("x", 10)
+	delegate("y", 100)
+	if !request(s, "x", -1, 1) {
+		t.Fatal("x not served on the fast path")
+	}
+	sh.now = sh.now.Add(s.cfg.GossipPeriod)
+	sh.tick(false)
+	delegate("z", 50)
+	if s.cache.Contains("x") || !s.cache.Contains("y") || !s.cache.Contains("z") {
+		t.Fatalf("memory holds %v, want y and z", s.cache.Docs())
+	}
+	if tgt := sh.state("x").target; tgt != 0 {
+		t.Fatalf("evicted x kept target %v", tgt)
+	}
 }

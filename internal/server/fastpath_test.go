@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 )
@@ -131,7 +130,7 @@ func raceEvictRepublish(t *testing.T, shards int) {
 		Docs:    map[core.DocID][]byte{"home": []byte("pinned")},
 		Network: netw,
 		// Room for ~3 of the 40 delegated docs: every admit evicts.
-		CacheBudgetBytes: 64, CacheShards: 1, EvictPolicy: cachestore.LRU,
+		CacheBudgetBytes: 64, CacheShards: 1,
 		NumShards:    shards,
 		GossipPeriod: 5 * time.Millisecond, // fast ticks: credits keep refreshing
 	})

@@ -75,7 +75,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		sh := s.shardFor(doc)
 		rec := sh.state(doc)
 		rec.ver = ver
-		evs, inMem := s.cache.PutVersion(doc, body, ver)
+		evs, inMem := s.cache.PutVersion(doc, body, ver, sh.rank(rec))
 		sh.applyEvictions(evs) // earlier-recovered docs may spill back to disk-only
 		sh.installFilter(rec)
 		if st.Rate > 0 {

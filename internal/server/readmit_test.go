@@ -4,37 +4,42 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
 )
 
-// TestDiskHitsDoNotThrashMemory: with a disk tier, memory is a heat-gated
+// TestDiskHitsDoNotThrashMemory: with a disk tier, memory is a duty-gated
 // cache of disk. One shard holds sixteen documents, four fit in memory, and
 // demand is skewed onto four of them. Re-admitting every disk hit evicted a
 // copy per hit; with the gate, once the rate windows have seen the demand,
 // a disk hit of a cold document evicts nothing, and the four hot documents
 // are the ones resident and published. Then demand leaves two of them for
 // two cold ones, and those take memory over within a few diffusion periods
-// while the two that stayed hot stay resident. The fast path serves the
-// resident copies without touching the store, so a gate that compared
-// against the policy's own victim (least recent, fewest hits) would weigh
-// a newcomer against a copy that is still hot and keep the stale ones.
+// while the two that stayed hot stay resident. Every copy carries the same
+// target, so only the served half of a rank tells hot from cold: a rank of
+// target alone would tie every offer and refuse them all.
+//
+// It runs under three demand patterns, each named for the retired
+// replacement policy whose signal it turns against the hot set: lru reads
+// the cold documents last in every round, so they are always the latest
+// read; gdsf opens with a Window in which the cold documents are the hot
+// ones, so they keep the most reads; heat shuffles every round. Memory
+// follows duty alone, so all three end the same.
 func TestDiskHitsDoNotThrashMemory(t *testing.T) {
-	for _, pol := range []cachestore.Policy{cachestore.LRU, cachestore.Heat, cachestore.GDSF} {
-		t.Run(string(pol), func(t *testing.T) { diskHitsDoNotThrash(t, pol) })
+	for _, pattern := range []string{"lru", "heat", "gdsf"} {
+		t.Run(pattern, func(t *testing.T) { diskHitsDoNotThrash(t, pattern) })
 	}
 }
 
-func diskHitsDoNotThrash(t *testing.T, pol cachestore.Policy) {
+func diskHitsDoNotThrash(t *testing.T, pattern string) {
 	const n, k, size = 16, 4, 100
 	s := handServer(t, Config{
 		NumShards: 1, CacheShards: 1,
 		CacheBudgetBytes: k * size,
-		EvictPolicy:      pol,
 		DataDir:          t.TempDir(),
 		GossipPeriod:     10 * time.Millisecond, DiffusionPeriod: 20 * time.Millisecond,
 		Window: 80 * time.Millisecond,
@@ -56,16 +61,25 @@ func diskHitsDoNotThrash(t *testing.T, pol cachestore.Policy) {
 	rng := rand.New(rand.NewSource(1))
 	var asked uint64
 	// round is one gossip period of demand — eight requests for each hot
-	// document and one for every other, in random order — then the tick.
+	// document and one for every other, in random order (under lru the
+	// cold documents' requests come last) — then the tick.
 	round := func(hot []core.DocID) {
-		reqs := append([]core.DocID(nil), docs...)
+		var reqs, last []core.DocID
+		for _, doc := range docs {
+			if pattern == "lru" && !slices.Contains(hot, doc) {
+				last = append(last, doc)
+			} else {
+				reqs = append(reqs, doc)
+			}
+		}
 		for _, doc := range hot {
 			for i := 1; i < 8; i++ {
 				reqs = append(reqs, doc)
 			}
 		}
 		rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-		for _, doc := range reqs {
+		rng.Shuffle(len(last), func(i, j int) { last[i], last[j] = last[j], last[i] })
+		for _, doc := range append(reqs, last...) {
 			asked++
 			env := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 1, ReqID: asked, Doc: doc}
 			if !s.tryFastServe(sh, shardHash(doc), env, conn) {
@@ -86,6 +100,11 @@ func diskHitsDoNotThrash(t *testing.T, pol cachestore.Policy) {
 
 	hot := docs[:k]
 	rounds := int(2 * s.cfg.Window / s.cfg.GossipPeriod)
+	if pattern == "gdsf" {
+		for i := 0; i < rounds/2; i++ {
+			round(docs[k:])
+		}
+	}
 	for i := 0; i < rounds; i++ {
 		round(hot)
 	}
@@ -121,10 +140,11 @@ func diskHitsDoNotThrash(t *testing.T, pol cachestore.Policy) {
 
 // TestDiskHitGateSeesHeatMove: memory holds one document. While a is hot,
 // b's offers are refused; once demand moves to b — at half a's old rate — b
-// takes memory over within a Window and a diffusion period. The store
-// remembers its coldest resident's heat so that most refusals skip a scan;
-// a server that did not tell it when the rate maps move would keep weighing
-// b against a's old heat and refuse it for good.
+// takes memory over within a Window and a diffusion period. The store only
+// knows the ranks its owner pushes, and a and b carry the same target: a
+// server that did not push the served rates each rebuild of its rate maps
+// reads would weigh every offer against a resident ranked by its target
+// alone, refusing ties for good or admitting b while a is still hot.
 func TestDiskHitGateSeesHeatMove(t *testing.T) {
 	const size = 100
 	s := handServer(t, Config{

@@ -128,22 +128,21 @@ type Config struct {
 	QueueDepth int
 
 	// CacheBudgetBytes bounds the bytes of cached document bodies (0 =
-	// unlimited, the paper's idealized assumption). Documents homed at
-	// this server are pinned and exempt: origin copies must survive any
-	// pressure. When a delegated or tunneled copy is displaced, the server
-	// tears down the document's admission filter (requests resume flowing
-	// toward the home server) and hints the eviction to its parent so the
-	// abandoned serve duty is absorbed by a surviving copy upstream.
+	// unlimited, the paper's idealized assumption). Under pressure memory
+	// displaces the copy carrying the least serve duty per byte — its
+	// target plus its measured served rate, which each shard pushes into
+	// the store as it moves. Documents homed at this server are pinned and
+	// exempt: origin copies must survive any pressure. When a delegated or
+	// tunneled copy is displaced, the server tears down the document's
+	// admission filter (requests resume flowing toward the home server)
+	// and hints the eviction to its parent so the abandoned serve duty is
+	// absorbed by a surviving copy upstream.
 	CacheBudgetBytes int64
 	// CacheShards is the cache store's lock-stripe count (default
 	// NumShards). The store's striping is aligned with the server's shard
 	// hash, so when the counts match a Put's evictions always fall in the
 	// putting shard's own slice (victim locality).
 	CacheShards int
-	// EvictPolicy selects the replacement policy: cachestore.LRU (default),
-	// cachestore.Heat (evict the lowest request-rate-per-byte copy, rates
-	// read from this server's sliding windows), or cachestore.GDSF.
-	EvictPolicy cachestore.Policy
 
 	// DataDir enables the disk persistence tier: evicted-but-warm bodies
 	// spill to DataDir/bodies under DiskBudgetBytes, and an append-only
@@ -365,10 +364,6 @@ func New(cfg Config) (*Server, error) {
 	if !isRoot && cfg.ParentAddr == "" {
 		return nil, fmt.Errorf("server %d: non-root without parent address", cfg.ID)
 	}
-	policy, err := cachestore.ParsePolicy(string(cfg.EvictPolicy))
-	if err != nil {
-		return nil, fmt.Errorf("server %d: %w", cfg.ID, err)
-	}
 	s := &Server{
 		cfg:     cfg,
 		isRoot:  isRoot,
@@ -384,15 +379,10 @@ func New(cfg Config) (*Server, error) {
 	s.cache = cachestore.New(cachestore.Config{
 		BudgetBytes: cfg.CacheBudgetBytes,
 		Shards:      cfg.CacheShards,
-		Policy:      policy,
 		// Align the store's striping with the server's shard hash: when
 		// CacheShards == NumShards a Put's evictions are always documents
 		// of the putting shard.
 		ShardOf: shardHash,
-		// Heat is the serve duty the copy carries (measured served rate
-		// plus intended target), read from the owning shard's atomic
-		// snapshot mailbox — safe from whichever shard loop is Putting.
-		HeatOf: s.docHeat,
 	})
 	if isRoot {
 		for id, body := range cfg.Docs {
@@ -431,21 +421,6 @@ func (s *Server) shardIndex(doc core.DocID) int {
 }
 
 func (s *Server) shardFor(doc core.DocID) *shard { return s.shards[s.shardIndex(doc)] }
-
-// docHeat ranks a held copy for eviction by the serve duty it carries: the
-// measured served rate plus the intended target (so a freshly delegated
-// copy with no serve history yet is not evicted on arrival). Pass-through
-// flow is deliberately excluded — requests that stream through but are
-// served elsewhere must not make a bystander copy look hot. The figures
-// come from the owning shard's snapshot mailbox, which makes the readout
-// safe from any shard loop. Under the Heat policy with a byte budget shards
-// rebuild the maps every tick they moved, so they are at most one tick
-// stale; otherwise — the disk tier's re-admission gate under LRU or GDSF —
-// they are rebuilt once per DiffusionPeriod and can be that old.
-func (s *Server) docHeat(doc core.DocID) float64 {
-	snap := s.shardFor(doc).snap.Load()
-	return snap.targets[doc] + snap.served[doc]
-}
 
 // Start begins listening and, for non-root servers, connects to the parent.
 // It returns once the server is operational. When the parent cannot be

@@ -114,8 +114,11 @@ type docState struct {
 	creditAt  time.Time  // credits accrue from here (zero = never earned)
 	hot       bool       // on shard.hot
 	servedWin *docWindow // measured served rate, never read for admission; nil until served
-	flowWin   *docWindow // local demand (From -1); nil until requested
-	flight    *flight    // the upstream fetch requests coalesce behind
+	// servedRate is servedWin's rate as the last rebuild of the snapshot's
+	// rate maps read it: the served half of the copy's rank (rank).
+	servedRate float64
+	flowWin    *docWindow // local demand (From -1); nil until requested
+	flight     *flight    // the upstream fetch requests coalesce behind
 	// ver is the write mark: the newest version a write frame brought here
 	// (after a warm restart, the recovered copy's). Only applyWrite moves
 	// it. It never labels a reply: a copy carries its own version.
@@ -562,17 +565,12 @@ func (sh *shard) tick(scrape bool) {
 	sh.publishSnap(fast, scrape)
 }
 
-// drain folds one record's pending fast-path counts into the windows. A
-// drained serve of a published copy also touches the store once, keeping
-// recency-based eviction policies aware that the document is hot.
+// drain folds one record's pending fast-path counts into the windows.
 func (sh *shard) drain(st *docState) {
 	if n := st.served.Swap(0); n > 0 {
 		sh.fastDrained += n
 		sh.countServed(st, float64(n))
 		sh.markHot(st)
-		if e := st.pub; e != nil && !e.dead.Load() {
-			sh.s.cache.Get(st.doc) // one recency/frequency touch per active tick
-		}
 	}
 	if fm := st.flows.Load(); fm != nil {
 		for from, c := range *fm {
@@ -611,14 +609,12 @@ func (sh *shard) refreshHot() {
 // moved since the last one (a scrape always gets a new epoch). fast is the
 // cumulative fast-serve count captured before the preceding drain. Load,
 // counters and filter state are read every tick; the per-document maps are
-// carried over unless a consumer needs them fresh — a scrape, the Heat
-// policy's evictions (every tick), or diffusion, once per DiffusionPeriod —
-// and something in them can have moved: a target changed, or a window
-// holds (or in the maps being carried still held) counts. The disk tier's
-// re-admission gate also reads docHeat but makes do with the diffusion
-// cadence: its rate windows span a whole Window, so a fresher copy of them
-// moves little. A rebuild tells the cache (HeatChanged), which otherwise
-// refuses offers against the resident heat it last read.
+// carried over unless a consumer needs them fresh — a scrape, or
+// diffusion, once per DiffusionPeriod — and something in them can have
+// moved: a target changed, or a window holds (or in the maps being carried
+// still held) counts. The cache ranks copies by the served rates a rebuild
+// reads (buildRates) and makes do with this cadence: the rate windows span
+// a whole Window, so a fresher reading of them moves little.
 func (sh *shard) publishSnap(fast int64, scrape bool) {
 	now, cfg := sh.now, &sh.s.cfg
 	snap := shardSnap{
@@ -631,9 +627,8 @@ func (sh *shard) publishSnap(fast int64, scrape bool) {
 	snap.counters.fastServed = fast
 	prev := sh.snap.Load()
 	snap.installed, snap.targets, snap.served, snap.flows = prev.installed, prev.targets, prev.served, prev.flows
-	heatRanked := cfg.EvictPolicy == cachestore.Heat && cfg.CacheBudgetBytes > 0
 	// Half a tick of slack keeps timer jitter from stretching the cadence.
-	wanted := scrape || heatRanked || now.Sub(sh.ratesAt) >= cfg.DiffusionPeriod-cfg.GossipPeriod/2
+	wanted := scrape || now.Sub(sh.ratesAt) >= cfg.DiffusionPeriod-cfg.GossipPeriod/2
 	rebuilt := wanted && (sh.targetsMoved || len(sh.live)+len(prev.served)+len(prev.flows) > 0)
 	if rebuilt {
 		sh.buildRates(&snap)
@@ -648,16 +643,11 @@ func (sh *shard) publishSnap(fast int64, scrape bool) {
 	out := new(shardSnap) // allocated only here, so an unchanged tick allocates nothing
 	*out = snap
 	sh.snap.Store(out)
-	if rebuilt {
-		// After the Store: an offer that sees the new generation reads the
-		// new maps.
-		sh.s.cache.HeatChanged()
-	}
 }
 
 // buildRates fills snap's per-document maps from the live windows and, if
-// they moved, the targets, and drops the windows that have emptied from the
-// live list.
+// they moved, the targets, pushes each copy's new served rate into its rank,
+// and drops the windows that have emptied from the live list.
 func (sh *shard) buildRates(snap *shardSnap) {
 	sh.ratesAt = sh.now
 	if sh.targetsMoved {
@@ -675,6 +665,9 @@ func (sh *shard) buildRates(snap *shardSnap) {
 	kept := sh.live[:0]
 	for _, w := range sh.live {
 		r := w.Rate(sh.now)
+		if w.from == servedRate {
+			sh.pushServed(w, r)
+		}
 		if r <= 0 {
 			w.live = false
 			continue
@@ -694,6 +687,23 @@ func (sh *shard) buildRates(snap *shardSnap) {
 	clear(sh.live[len(kept):])
 	sh.live = kept
 }
+
+// pushServed moves a copy's rank to the served rate a rebuild read from its
+// window. A window dropDuty let go of no longer speaks for the record.
+func (sh *shard) pushServed(w *docWindow, r float64) {
+	if st := sh.docs[w.doc]; st != nil && st.servedWin == w && st.servedRate != r {
+		st.servedRate = r
+		sh.s.cache.SetRank(st.doc, sh.rank(st))
+	}
+}
+
+// rank is the serve duty a held copy carries, the order memory evicts by:
+// its target plus its measured served rate (so a freshly delegated copy
+// with no serve history yet is not evicted on arrival, and among copies of
+// one target the busier stays). Pass-through flow is deliberately
+// excluded — requests that stream through but are served elsewhere must
+// not make a bystander copy look hot.
+func (sh *shard) rank(st *docState) float64 { return st.target + st.servedRate }
 
 // drainEvicted applies eviction cleanups posted by other shards' Puts.
 func (sh *shard) drainEvicted() {
@@ -836,9 +846,11 @@ func (sh *shard) addTarget(doc core.DocID, delta float64) {
 	sh.refreshCredit(st)
 }
 
-// noteTarget records a changed target for the snapshot and the journal.
+// noteTarget records a changed target for the snapshot and the journal,
+// and pushes it into the copy's rank.
 func (sh *shard) noteTarget(st *docState) {
 	sh.targetsMoved = true
+	sh.s.cache.SetRank(st.doc, sh.rank(st))
 	if sh.s.journal != nil {
 		sh.jMoved = append(sh.jMoved, st)
 	}
@@ -848,7 +860,7 @@ func (sh *shard) noteTarget(st *docState) {
 // gone — and returns the target it carried.
 func (sh *shard) dropDuty(st *docState) float64 {
 	residual := st.target
-	st.target = 0
+	st.target, st.servedRate = 0, 0
 	sh.noteTarget(st)
 	if st.servedWin != nil {
 		st.servedWin.Clear() // may still sit on the live list
@@ -1233,7 +1245,7 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 func (sh *shard) storeCopy(st *docState, body []byte, ver uint64) bool {
 	doc := st.doc
 	sh.diskWriteThrough(doc, body, ver)
-	evs, inMem := sh.s.cache.PutVersion(doc, body, ver)
+	evs, inMem := sh.s.cache.PutVersion(doc, body, ver, sh.rank(st))
 	sh.applyEvictions(evs)
 	if inMem {
 		sh.publish(doc, body, false, ver)
@@ -1339,17 +1351,17 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 
 // readmitFromDisk offers a disk-served body, at its version, back to
 // memory so later requests take the fast path. With a disk tier, memory is
-// a heat-gated cache of disk: the store takes the body when it fits, or
-// when its docHeat per byte is strictly above that of the coldest copies it
+// a duty-gated cache of disk: the store takes the body when it fits, or
+// when its rank per byte is strictly above that of the coldest copies it
 // would evict. Re-admitting on every hit would make memory hold whatever
-// was read last, each hit evicting (and unpublishing) another copy. docHeat
-// outside the Heat policy is up to one DiffusionPeriod old (see docHeat),
-// so a document that just turned hot can be refused for that long. A
-// refused or oversized body stays disk-resident and keeps being served from
-// there. No journal traffic: the document was already journaled as
-// admitted.
+// was read last, each hit evicting (and unpublishing) another copy. The
+// served half of a rank is as old as the last rebuild of the rate maps, up
+// to one DiffusionPeriod, so a document that just turned hot can be refused
+// for that long. A refused or oversized body stays disk-resident and keeps
+// being served from there. No journal traffic: the document was already
+// journaled as admitted.
 func (sh *shard) readmitFromDisk(st *docState, body []byte, ver uint64) {
-	evs, ok, refused := sh.s.cache.Offer(st.doc, body, ver)
+	evs, ok, refused := sh.s.cache.Offer(st.doc, body, ver, sh.rank(st))
 	if refused {
 		sh.n.readmitsRefused++
 	}

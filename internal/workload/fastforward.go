@@ -30,14 +30,15 @@ const (
 	// PolicyPathLRU fills an LRU cache at every node on the request path
 	// (classic en-route / CDN caching) and serves at the first hit.
 	PolicyPathLRU Policy = "path-lru"
-	// PolicyBoundedLRU / PolicyBoundedHeat / PolicyBoundedGDSF run WebWave
-	// placement over byte-budgeted cachestores, one per non-home node:
-	// the fluid protocol decides where copies should live, the store's
-	// eviction policy decides which survive the budget, and a request is
-	// served en route only where the copy actually survived.
-	PolicyBoundedLRU  Policy = "webwave-lru"
+	// PolicyBoundedHeat / PolicyBoundedLRU run WebWave placement over a
+	// byte-budgeted store at every non-home node: the fluid protocol
+	// decides where copies should live, the store decides which survive the
+	// budget, and a request is served en route only where the copy actually
+	// survived. Heat is the live server's store, each copy ranked by the
+	// rate it serves; LRU is a least-recently-used cache of budget /
+	// DocBytes slots, the classic baseline.
 	PolicyBoundedHeat Policy = "webwave-heat"
-	PolicyBoundedGDSF Policy = "webwave-gdsf"
+	PolicyBoundedLRU  Policy = "webwave-lru"
 )
 
 // DefaultPolicies returns the policies RunFast compares for a spec:
@@ -45,7 +46,7 @@ const (
 // slots, and the eviction-policy shoot-out when it bounds cache bytes.
 func DefaultPolicies(sp Spec) []Policy {
 	if sp.CacheBudgetBytes > 0 {
-		return []Policy{PolicyBoundedHeat, PolicyBoundedLRU, PolicyBoundedGDSF, PolicyNoCache}
+		return []Policy{PolicyBoundedHeat, PolicyBoundedLRU, PolicyNoCache}
 	}
 	ps := []Policy{PolicyWebWave, PolicyNoCache}
 	if sp.CacheCap > 0 {
@@ -167,23 +168,23 @@ func (r *webwaveReplayer) place(req trace.Request, down []bool, rng *rand.Rand) 
 
 // ---------------------------------------------------------------------------
 
-// boundedReplayer layers byte-budgeted cachestores over the fluid WebWave
+// boundedReplayer layers byte-budgeted stores over the fluid WebWave
 // placement: windowTick installs copies where the protocol placed them
-// (bounded by budget, displacing per the eviction policy), and a request
-// is served en route only where its copy actually survived — a placement
-// the wave intended but eviction destroyed counts as a store miss and the
+// (bounded by budget, displacing per the store's rule), and a request is
+// served en route only where its copy actually survived — a placement the
+// wave intended but eviction destroyed counts as a store miss and the
 // request keeps climbing toward the home server.
 type boundedReplayer struct {
 	*webwaveReplayer
-	policy cachestore.Policy
-	stores []*cachestore.Store // nil at the home node
-	flow   [][]float64         // node × doc demand rate for the current window
+	lru    bool                // LRU slots instead of ranked stores
+	stores []*cachestore.Store // heat: nil at the home node
+	caches []*lru.Cache        // lru: nil at the home node
 	body   []byte              // shared dummy body, len = Spec.DocBytes
 
 	servedBelow, servedRoot int64
 }
 
-func newBoundedReplayer(sp Spec, t *tree.Tree, tr *Trace, policy cachestore.Policy) (*boundedReplayer, error) {
+func newBoundedReplayer(sp Spec, t *tree.Tree, tr *Trace, useLRU bool) (*boundedReplayer, error) {
 	// Align the fluid guidance with the byte capacity: the protocol
 	// simulator bounds copies per node at budget/doc-size slots, so its
 	// placement is one the stores could in principle hold in full.
@@ -195,58 +196,71 @@ func newBoundedReplayer(sp Spec, t *tree.Tree, tr *Trace, policy cachestore.Poli
 	}
 	r := &boundedReplayer{
 		webwaveReplayer: ww,
-		policy:          policy,
+		lru:             useLRU,
 		stores:          make([]*cachestore.Store, t.Len()),
-		flow:            make([][]float64, t.Len()),
+		caches:          make([]*lru.Cache, t.Len()),
 		body:            make([]byte, sp.DocBytes),
 	}
 	for v := range r.stores {
-		if v == t.Root() {
-			continue // the home serves from pinned originals, not a budget
+		switch {
+		case v == t.Root(): // the home serves from pinned originals, not a budget
+		case useLRU:
+			r.caches[v] = lru.New(guided.CacheCap)
+		default:
+			r.stores[v] = cachestore.New(cachestore.Config{BudgetBytes: sp.CacheBudgetBytes, Shards: sp.CacheShards})
 		}
-		v := v
-		r.flow[v] = make([]float64, len(tr.DocWeights))
-		r.stores[v] = cachestore.New(cachestore.Config{
-			BudgetBytes: sp.CacheBudgetBytes,
-			Shards:      sp.CacheShards,
-			Policy:      policy,
-			HeatOf: func(doc core.DocID) float64 {
-				if j, ok := r.docIndex[doc]; ok {
-					return r.flow[v][j]
-				}
-				return 0
-			},
-		})
 	}
 	return r, nil
 }
 
-func (r *boundedReplayer) name() string { return "webwave-" + string(r.policy) }
+func (r *boundedReplayer) name() string { return "webwave-" + r.policy() }
+
+func (r *boundedReplayer) policy() string {
+	if r.lru {
+		return "lru"
+	}
+	return "heat"
+}
 
 func (r *boundedReplayer) windowTick(t float64) {
 	r.webwaveReplayer.windowTick(t)
-	for v := range r.stores {
-		if r.stores[v] == nil {
+	docs := r.demand.Docs
+	for v, st := range r.stores {
+		if c := r.caches[v]; c != nil {
+			for j, d := range docs {
+				if r.ds.ServeRate(v, j) > 0 && !c.Contains(d.ID) {
+					c.Put(d.ID, r.body)
+				}
+			}
 			continue
 		}
-		// Refresh the heat source first so evictions triggered by this
-		// window's installs see this window's rates. Heat is the rate the
-		// copy *serves*, not total passing flow: a document whose requests
-		// stream through but are served elsewhere must look cold here, or
-		// eviction keeps busy-path bystanders over working copies.
-		for j := range r.flow[v] {
-			r.flow[v][j] = r.ds.ServeRate(v, j)
+		if st == nil {
+			continue
 		}
-		for j := range r.flow[v] {
-			if r.ds.ServeRate(v, j) <= 0 {
-				continue
-			}
-			doc := DocID(j)
-			if !r.stores[v].Contains(doc) {
-				r.stores[v].Put(doc, r.body)
+		// Rank every copy first so evictions triggered by this window's
+		// installs see this window's rates. The rank is the rate the copy
+		// *serves*, not total passing flow: a document whose requests
+		// stream through but are served elsewhere must rank low here, or
+		// eviction keeps busy-path bystanders over working copies.
+		for j, d := range docs {
+			st.SetRank(d.ID, r.ds.ServeRate(v, j))
+		}
+		for j, d := range docs {
+			if rate := r.ds.ServeRate(v, j); rate > 0 && !st.Contains(d.ID) {
+				st.PutVersion(d.ID, r.body, 0, rate)
 			}
 		}
 	}
+}
+
+// hit reports whether node v's store still holds doc, counting the lookup.
+func (r *boundedReplayer) hit(v int, doc core.DocID) bool {
+	if c := r.caches[v]; c != nil {
+		_, ok := c.Get(doc)
+		return ok
+	}
+	_, ok := r.stores[v].Get(doc)
+	return ok
 }
 
 func (r *boundedReplayer) place(req trace.Request, down []bool, rng *rand.Rand) (int, int, bool) {
@@ -271,7 +285,7 @@ func (r *boundedReplayer) place(req trace.Request, down []bool, rng *rand.Rand) 
 		if tot := serve + fwd; tot > 0 && rng.Float64() < serve/tot {
 			// The wave wants this node to serve; it can only if the copy
 			// survived the byte budget.
-			if _, hit := r.stores[v].Get(req.Doc); hit {
+			if r.hit(v, req.Doc) {
 				r.servedBelow++
 				return v, hops, true
 			}
@@ -285,25 +299,29 @@ func (r *boundedReplayer) place(req trace.Request, down []bool, rng *rand.Rand) 
 // cacheResult aggregates the run's cache-pressure outcome.
 func (r *boundedReplayer) cacheResult() *CacheResult {
 	cr := &CacheResult{
-		Policy:      string(r.policy),
+		Policy:      r.policy(),
 		BudgetBytes: r.sp.CacheBudgetBytes,
 		DocBytes:    r.sp.DocBytes,
 	}
-	for _, st := range r.stores {
-		if st == nil {
+	for v, st := range r.stores {
+		var s cachestore.Stats
+		var maxBytes int64
+		switch c := r.caches[v]; {
+		case c != nil:
+			s.Hits, s.Misses, s.Evictions = c.Stats()
+			s.EvictedBytes = s.Evictions * int64(r.sp.DocBytes)
+			maxBytes = int64(c.Len() * r.sp.DocBytes) // nothing leaves but to make room: Len never falls
+		case st != nil:
+			s, maxBytes = st.Stats(), st.MaxBytes()
+		default:
 			continue
 		}
-		s := st.Stats()
 		cr.StoreHits += s.Hits
 		cr.StoreMisses += s.Misses
 		cr.Evictions += s.Evictions
 		cr.EvictedBytes += s.EvictedBytes
-		if st.MaxBytes() > cr.MaxNodeBytes {
-			cr.MaxNodeBytes = st.MaxBytes()
-		}
-		if st.MaxBytes() > r.sp.CacheBudgetBytes {
-			cr.OverBudget = true
-		}
+		cr.MaxNodeBytes = max(cr.MaxNodeBytes, maxBytes)
+		cr.OverBudget = cr.OverBudget || maxBytes > r.sp.CacheBudgetBytes
 	}
 	if total := r.servedBelow + r.servedRoot; total > 0 {
 		cr.HitRate = round6(float64(r.servedBelow) / float64(total))
@@ -423,12 +441,11 @@ func RunFastPolicies(sp Spec, seed int64, policies []Policy) (*Report, error) {
 			rp = &noCacheReplayer{t: t}
 		case PolicyPathLRU:
 			rp = newPathLRUReplayer(sp, t)
-		case PolicyBoundedLRU, PolicyBoundedHeat, PolicyBoundedGDSF:
+		case PolicyBoundedLRU, PolicyBoundedHeat:
 			if sp.CacheBudgetBytes <= 0 {
 				return nil, fmt.Errorf("workload: policy %q needs cache_budget_bytes", p)
 			}
-			pol := cachestore.Policy(string(p)[len("webwave-"):])
-			rp, err = newBoundedReplayer(sp, t, tr, pol)
+			rp, err = newBoundedReplayer(sp, t, tr, p == PolicyBoundedLRU)
 			if err != nil {
 				return nil, err
 			}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"webwave/internal/cachestore"
 	"webwave/internal/cluster"
 	"webwave/internal/core"
 	"webwave/internal/gateway"
@@ -114,9 +113,9 @@ type NodeStat struct {
 // report's cache-pressure summary. The home node is excluded from budget
 // accounting (its originals are pinned); HitRate is the share of serves
 // that happened below it.
-func liveCacheResult(sp Spec, policy string, root int, nodes []NodeStat) *CacheResult {
+func liveCacheResult(sp Spec, root int, nodes []NodeStat) *CacheResult {
 	cr := &CacheResult{
-		Policy:      policy,
+		Policy:      "heat", // a live server evicts the copy with the least duty per byte
 		BudgetBytes: sp.CacheBudgetBytes,
 		DocBytes:    sp.DocBytes,
 	}
@@ -178,10 +177,6 @@ func RunLive(sp Spec, seed int64, opt LiveOptions) (*Report, error) {
 			docs[id] = []byte("webwave live document " + string(id))
 		}
 	}
-	evictPolicy, err := cachestore.ParsePolicy(sp.EvictPolicy)
-	if err != nil {
-		return nil, err
-	}
 	ccfg := cluster.Config{
 		GossipPeriod:     opt.GossipPeriod,
 		DiffusionPeriod:  opt.DiffusionPeriod,
@@ -189,7 +184,6 @@ func RunLive(sp Spec, seed int64, opt LiveOptions) (*Report, error) {
 		Tunneling:        sp.Tunneling,
 		CacheBudgetBytes: sp.CacheBudgetBytes,
 		CacheShards:      sp.CacheShards,
-		EvictPolicy:      evictPolicy,
 		NumShards:        opt.NumShards,
 		MaxBatch:         opt.MaxBatch,
 		QueueDepth:       opt.QueueDepth,
@@ -326,7 +320,7 @@ func RunLive(sp Spec, seed int64, opt LiveOptions) (*Report, error) {
 		}
 		sort.Slice(sys.Nodes, func(i, j int) bool { return sys.Nodes[i].Node < sys.Nodes[j].Node })
 		if sp.CacheBudgetBytes > 0 {
-			sys.Cache = liveCacheResult(sp, string(evictPolicy), t.Root(), sys.Nodes)
+			sys.Cache = liveCacheResult(sp, t.Root(), sys.Nodes)
 		}
 	}
 	rep.Systems = append(rep.Systems, sys)

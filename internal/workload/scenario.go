@@ -75,8 +75,8 @@ func Scenarios() []Spec {
 		{
 			// Byte-budgeted caches under a hot set wider than the aggregate
 			// budget, with a diurnal shift that keeps rotating which
-			// documents are hot — sustained eviction churn. Compares
-			// eviction policies (heat-per-byte vs LRU vs GDSF) on hit rate,
+			// documents are hot — sustained eviction churn. Compares the
+			// live store's rule (served rate per byte) with LRU on hit rate,
 			// origin offload and Jain fairness over the identical trace.
 			Name:             "cache-pressure",
 			Nodes:            31,

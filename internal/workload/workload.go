@@ -22,8 +22,6 @@ package workload
 
 import (
 	"fmt"
-
-	"webwave/internal/cachestore"
 )
 
 // Popularity selects the document-popularity model.
@@ -157,10 +155,9 @@ type Spec struct {
 	// is set, every non-home node runs a byte-budgeted cachestore and the
 	// fast runner compares eviction policies on the identical trace; the
 	// live runner plumbs the budget into the real servers.
-	CacheBudgetBytes int64  `json:"cache_budget_bytes,omitempty"` // per node, 0 = unlimited
-	DocBytes         int    `json:"doc_bytes,omitempty"`          // body size per document (default 4096)
-	CacheShards      int    `json:"cache_shards,omitempty"`       // store stripes (default 1 in fast mode)
-	EvictPolicy      string `json:"evict_policy,omitempty"`       // lru | heat | gdsf (live mode / single-policy runs)
+	CacheBudgetBytes int64 `json:"cache_budget_bytes,omitempty"` // per node, 0 = unlimited
+	DocBytes         int   `json:"doc_bytes,omitempty"`          // body size per document (default 4096)
+	CacheShards      int   `json:"cache_shards,omitempty"`       // store stripes (default 1 in fast mode)
 
 	// Service/latency model (fast-forward mode).
 	HopDelay     float64 `json:"hop_delay"`     // one-way per-edge delay, seconds
@@ -283,9 +280,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: hotset size %d > num docs %d", s.HotsetSize, s.NumDocs)
 	}
 	if s.CacheBudgetBytes > 0 {
-		if _, err := cachestore.ParsePolicy(s.EvictPolicy); err != nil {
-			return err
-		}
 		shards := int64(s.CacheShards)
 		if shards <= 0 {
 			shards = 1 // tolerate un-defaulted specs instead of dividing by zero
