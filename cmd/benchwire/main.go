@@ -1,7 +1,7 @@
 // Command benchwire turns `go test -bench -benchmem` output into the
 // machine-readable BENCH_wire.json artifact and enforces the allocation
 // regression gate: any benchmark whose allocs/op grew to more than 2x its
-// committed baseline (or above 1 when the baseline is allocation-free)
+// committed baseline (or above 0 when the baseline is allocation-free)
 // fails the run. CI runs it via `make bench-micro` so the hot path's
 // ns/op and allocs/op trajectory is recorded on every push.
 //
@@ -164,10 +164,9 @@ func gate(rep *Report, baselinePath string) error {
 			continue
 		}
 		checked++
+		// Allocation-free paths may not silently start allocating: 2x of a
+		// zero baseline is zero, so any allocation fails it.
 		limit := 2 * b.AllocsOp
-		if b.AllocsOp == 0 {
-			limit = 1 // allocation-free paths may not silently start allocating
-		}
 		if cur.AllocsOp > limit {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %.0f allocs/op vs baseline %.0f (limit %.0f)",

@@ -57,10 +57,13 @@ func TestGate(t *testing.T) {
 		t.Errorf("clean run failed the gate: %v", err)
 	}
 
-	// A zero-baseline benchmark that starts allocating must fail.
-	rep.Benchmarks[0].AllocsOp = 2
-	if err := gate(rep, path); err == nil {
-		t.Error("0 -> 2 allocs/op regression passed the gate")
+	// A zero-baseline benchmark that starts allocating must fail, by one
+	// allocation as much as by two.
+	for _, n := range []float64{1, 2} {
+		rep.Benchmarks[0].AllocsOp = n
+		if err := gate(rep, path); err == nil {
+			t.Errorf("0 -> %.0f allocs/op regression passed the gate", n)
+		}
 	}
 	rep.Benchmarks[0].AllocsOp = 0
 

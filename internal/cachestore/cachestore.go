@@ -31,6 +31,7 @@
 package cachestore
 
 import (
+	"bytes"
 	"container/heap"
 	"hash/fnv"
 	"slices"
@@ -215,6 +216,10 @@ func (s *Store) PutVersion(doc core.DocID, body []byte, version uint64, rank flo
 // test and the insert happen under one shard lock. refused reports that
 // refusal (ok is then false). It is not counted in Stats: Rejected keeps
 // meaning "cannot fit".
+//
+// The body is lent, not handed over: the caller may overwrite it once
+// Offer returns. A stored offer keeps its own copy, made only then (Peek
+// returns it); an offer that stores nothing copies nothing.
 func (s *Store) Offer(doc core.DocID, body []byte, version uint64, rank float64) (evicted []Eviction, ok, refused bool) {
 	return s.put(doc, body, version, rank, modeVersion|modeGate)
 }
@@ -256,7 +261,7 @@ type putMode uint8
 const (
 	modePin     putMode = 1 << iota // budget-exempt and never a victim
 	modeVersion                     // set the copy's version, refusing downgrades
-	modeGate                        // Offer: an insert must outrank its victims
+	modeGate                        // Offer: an insert must outrank its victims; the body is lent
 )
 
 // put inserts or refreshes doc at rank. With modeVersion the entry's
@@ -311,6 +316,9 @@ func (s *Store) put(doc core.DocID, body []byte, version uint64, rank float64, m
 	if !found {
 		e = &entry{doc: doc, slot: -1}
 		sh.entries[doc] = e
+	}
+	if mode&modeGate != 0 {
+		body = bytes.Clone(body) // Offer's body is lent
 	}
 	e.body, e.pinned = body, pin
 	if mode&modeVersion != 0 {

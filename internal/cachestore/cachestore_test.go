@@ -1,6 +1,7 @@
 package cachestore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -381,6 +382,25 @@ func TestOfferRefusedEvictsNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOfferKeepsItsOwnCopy: an offered body is lent. A stored offer keeps
+// a copy of its own, so the caller overwriting the slice afterwards changes
+// nothing memory holds; a refused offer copies nothing.
+func TestOfferKeepsItsOwnCopy(t *testing.T) {
+	s := offerStore(5, 5, 5)
+	lent := bytes.Repeat([]byte("x"), 100)
+	if _, ok, _ := s.Offer("new", lent, 1, 1000); !ok {
+		t.Fatal("an offer above every victim was not stored")
+	}
+	copy(lent, bytes.Repeat([]byte("y"), 100))
+	if got, _, _ := s.Peek("new"); !bytes.Equal(got, bytes.Repeat([]byte("x"), 100)) {
+		t.Fatalf("the stored offer reads %q after the caller reused its slice", got)
+	}
+	cold := offerStore(5, 5, 5)
+	if allocs := testing.AllocsPerRun(20, func() { cold.Offer("cold", lent, 1, 1) }); allocs != 0 || cold.Contains("cold") {
+		t.Fatalf("a refused offer: %v allocs, stored=%v; want 0 and not stored", allocs, cold.Contains("cold"))
 	}
 }
 

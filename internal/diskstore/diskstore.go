@@ -21,8 +21,11 @@
 // Reads are the server's majority serve path once the working set
 // outgrows memory, so an entry keeps its file descriptor: Put retains the
 // one it wrote through, a body found by the Open scan opens on its first
-// read, and every later read is a single pread into an exact-size buffer.
-// At most maxOpenBodies descriptors are held per store.
+// read, and every later read is a single pread. GetVersion and Peek read
+// into a fresh exact-size buffer the caller keeps; GetVersionInto and
+// PeekInto read into a buffer the caller lends and reuses, so a reader
+// that only sends the body on allocates nothing. At most maxOpenBodies
+// descriptors are held per store.
 package diskstore
 
 import (
@@ -292,13 +295,20 @@ func (s *Store) Get(doc core.DocID) ([]byte, bool) {
 	return body, ok
 }
 
-// GetVersion reads a body and its version, refreshing its recency. A
-// missing or unreadable file drops the stale index entry and reports a
-// miss.
+// GetVersion reads a body and its version into a new buffer; see
+// GetVersionInto.
 func (s *Store) GetVersion(doc core.DocID) ([]byte, uint64, bool) {
+	return s.GetVersionInto(doc, nil)
+}
+
+// GetVersionInto reads a body and its version into dst, refreshing its
+// recency, and returns dst resliced to the body — or a new buffer when dst
+// is nil or too short for it. A missing or unreadable file drops the stale
+// index entry and reports a miss.
+func (s *Store) GetVersionInto(doc core.DocID, dst []byte) ([]byte, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	body, e := s.read(doc)
+	body, e := s.read(doc, dst)
 	if e == nil {
 		s.misses++
 		return nil, 0, false
@@ -308,23 +318,29 @@ func (s *Store) GetVersion(doc core.DocID) ([]byte, uint64, bool) {
 	return body, e.ver, true
 }
 
-// Peek reads a body and its version without touching recency or hit
-// counters — copy transfers (delegation bodies, recovery) are not demand.
+// Peek reads a body and its version into a new buffer; see PeekInto.
 func (s *Store) Peek(doc core.DocID) ([]byte, uint64, bool) {
+	return s.PeekInto(doc, nil)
+}
+
+// PeekInto is GetVersionInto without touching recency or hit counters —
+// copy transfers (delegation bodies, recovery) are not demand.
+func (s *Store) PeekInto(doc core.DocID, dst []byte) ([]byte, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	body, e := s.read(doc)
+	body, e := s.read(doc, dst)
 	if e == nil {
 		return nil, 0, false
 	}
 	return body, e.ver, true
 }
 
-// read returns doc's body and entry, or a nil entry on a miss: one pread
-// on the retained descriptor, opened first if the entry holds none. An
-// entry whose file cannot be opened or read in full is dropped. Caller
-// holds the mutex.
-func (s *Store) read(doc core.DocID) ([]byte, *entry) {
+// read returns doc's body, read into dst when it has the capacity (else
+// into a new exact-size buffer), and its entry, or a nil entry on a miss:
+// one pread on the retained descriptor, opened first if the entry holds
+// none. An entry whose file cannot be opened or read in full is dropped.
+// Caller holds the mutex.
+func (s *Store) read(doc core.DocID, dst []byte) ([]byte, *entry) {
 	e := s.entries[doc]
 	if e == nil || s.closed {
 		return nil, nil
@@ -337,7 +353,12 @@ func (s *Store) read(doc core.DocID) ([]byte, *entry) {
 		s.removeEntry(e)
 		return nil, nil
 	}
-	body := make([]byte, e.size)
+	var body []byte
+	if dst != nil && int64(cap(dst)) >= e.size {
+		body = dst[:e.size]
+	} else {
+		body = make([]byte, e.size) // never nil: an empty body is still a body
+	}
 	if _, err := e.f.ReadAt(body, 0); err != nil {
 		s.removeEntry(e)
 		return nil, nil

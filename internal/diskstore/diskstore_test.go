@@ -482,10 +482,108 @@ func TestCloseReleasesEveryDescriptor(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess runs Get, Peek, Put and Delete over a small id space
-// and a tight budget from several goroutines: run under -race it pins the
-// locking around the retained descriptors, and a hit must always carry the
-// one body its id can have.
+// sameBuffer reports whether a and b share their first byte of backing
+// array.
+func sameBuffer(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// TestReadIntoReusesTheBuffer: a read into a buffer with room allocates
+// nothing and returns that buffer holding the body; a read into one too
+// short (or nil) returns a new exact-size buffer and leaves dst alone.
+func TestReadIntoReusesTheBuffer(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.PutVersion("a", body(100, 'a'), 3)
+	s.PutVersion("b", body(40, 'b'), 1)
+
+	dst := make([]byte, 7, 128)
+	for _, read := range []struct {
+		name string
+		fn   func(core.DocID, []byte) ([]byte, uint64, bool)
+	}{{"GetVersionInto", s.GetVersionInto}, {"PeekInto", s.PeekInto}} {
+		got, ver, ok := read.fn("a", dst)
+		if !ok || ver != 3 || string(got) != string(body(100, 'a')) || !sameBuffer(got, dst) {
+			t.Fatalf("%s(a) into 128 bytes = %d bytes at version %d, ok=%v, in dst=%v; want dst holding version 3",
+				read.name, len(got), ver, ok, sameBuffer(got, dst))
+		}
+		if allocs := testing.AllocsPerRun(50, func() { read.fn("b", dst) }); allocs != 0 {
+			t.Fatalf("%s into a buffer with room: %v allocs per read, want 0", read.name, allocs)
+		}
+		short := make([]byte, 0, 99)
+		got, _, ok = read.fn("a", short)
+		if !ok || len(got) != 100 || cap(got) != 100 || string(got) != string(body(100, 'a')) || len(short) != 0 {
+			t.Fatalf("%s(a) into 99 bytes = len %d cap %d, ok=%v; want a new exact-size buffer", read.name, len(got), cap(got), ok)
+		}
+		if got, _, ok = read.fn("a", nil); !ok || len(got) != 100 {
+			t.Fatalf("%s(a) into nil = %d bytes, ok=%v", read.name, len(got), ok)
+		}
+	}
+}
+
+// TestReadIntoMatchesGetVersion drives two stores through the same Puts
+// and reads, one reading with GetVersion and Peek, the other with
+// GetVersionInto and PeekInto through one reused buffer: every read
+// returns the same body, version and verdict, the hit and miss counters
+// agree, and so does the eviction order recency left behind.
+func TestReadIntoMatchesGetVersion(t *testing.T) {
+	open := func() *Store {
+		s, err := Open(Config{Dir: t.TempDir(), BudgetBytes: 4 * 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	fresh, into := open(), open()
+	var buf []byte
+	id := func(i int) core.DocID { return core.DocID(fmt.Sprintf("d%d", i)) }
+	for i := 0; i < 300; i++ {
+		d := (i * 5) % 7
+		size := 32 + 8*d
+		switch i % 3 {
+		case 0:
+			evA, okA := fresh.PutVersion(id(d), body(size, byte(d)), uint64(i))
+			evB, okB := into.PutVersion(id(d), body(size, byte(d)), uint64(i))
+			if okA != okB || fmt.Sprint(evA) != fmt.Sprint(evB) {
+				t.Fatalf("step %d: Put(%s) = %v %v on one store, %v %v on the other", i, id(d), evA, okA, evB, okB)
+			}
+		case 1:
+			a, va, okA := fresh.GetVersion(id(d))
+			b, vb, okB := into.GetVersionInto(id(d), buf)
+			if okA != okB || va != vb || string(a) != string(b) {
+				t.Fatalf("step %d: GetVersion(%s) = %d bytes v%d %v, GetVersionInto = %d bytes v%d %v",
+					i, id(d), len(a), va, okA, len(b), vb, okB)
+			}
+			if okB {
+				buf = b
+			}
+		case 2:
+			a, va, okA := fresh.Peek(id(d))
+			b, vb, okB := into.PeekInto(id(d), buf)
+			if okA != okB || va != vb || string(a) != string(b) {
+				t.Fatalf("step %d: Peek(%s) = %d bytes v%d %v, PeekInto = %d bytes v%d %v",
+					i, id(d), len(a), va, okA, len(b), vb, okB)
+			}
+		}
+	}
+	a, b := fresh.StatsSnapshot(), into.StatsSnapshot()
+	if a != b {
+		t.Fatalf("stats diverged:\n read fresh %+v\n read into %+v", a, b)
+	}
+	if a.Hits == 0 || a.Misses == 0 || a.Evictions == 0 {
+		t.Fatalf("the run never hit, missed and evicted: %+v", a)
+	}
+}
+
+// TestConcurrentAccess runs Get, Peek, Put, Delete and the read-into forms
+// over a small id space and a tight budget from several goroutines, each
+// reading into a buffer of its own as a server shard does: run under -race
+// it pins the locking around the retained descriptors, and a hit must
+// always carry the one body its id can have.
 func TestConcurrentAccess(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), BudgetBytes: 6 * 128})
 	if err != nil {
@@ -499,9 +597,10 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 400; i++ {
+			var buf []byte
+			for i := 0; i < 600; i++ {
 				d := (i*7 + g*3) % ids
-				switch (i + g) % 4 {
+				switch (i + g) % 6 {
 				case 0:
 					s.Put(id(d), body(128, byte(d)))
 				case 1:
@@ -513,6 +612,18 @@ func TestConcurrentAccess(t *testing.T) {
 				case 3:
 					if got, _, ok := s.Peek(id(d)); ok && string(got) != string(body(128, byte(d))) {
 						t.Errorf("Peek(%d) returned a foreign or torn body", d)
+					}
+				case 4:
+					if got, _, ok := s.GetVersionInto(id(d), buf); ok {
+						if buf = got; string(got) != string(body(128, byte(d))) {
+							t.Errorf("GetVersionInto(%d) returned a foreign or torn body", d)
+						}
+					}
+				case 5:
+					if got, _, ok := s.PeekInto(id(d), buf); ok {
+						if buf = got; string(got) != string(body(128, byte(d))) {
+							t.Errorf("PeekInto(%d) returned a foreign or torn body", d)
+						}
 					}
 				}
 			}

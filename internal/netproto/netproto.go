@@ -109,6 +109,11 @@ type Envelope struct {
 	Doc  core.DocID `json:"doc,omitempty"`
 	Rate float64    `json:"rate,omitempty"`
 	Body []byte     `json:"body,omitempty"`
+	// BodyLent marks a Body that stays valid only until Send or
+	// SendBuffered returns (a server's reusable disk-read buffer): a
+	// transport that keeps the envelope past the call copies the body.
+	// Unmarked bodies are immutable. Not encoded on the wire.
+	BodyLent bool `json:"-"`
 	// DocVersion is the document's version number: the superseding version
 	// on republish/invalidate frames, the version of the copy handed over
 	// on delegate/tunnel frames, and the version of the copy that

@@ -16,6 +16,12 @@ package server
 //     only if it is hotter than what it would evict (readmitFromDisk).
 //     Only when BOTH tiers lose the body does the old teardown (duty
 //     hinted upstream) run.
+//   - A disk read allocates nothing: each shard reads every disk body it
+//     serves or hands over into one loop-owned buffer (readDisk) and lends
+//     it to the send, marked BodyLent, so a transport that keeps the frame
+//     copies the body. Memory, which keeps a readmitted body, stores its
+//     own copy (cachestore.Offer); warm recovery keeps what it reads, so
+//     it reads into fresh buffers (Peek).
 //   - On restart, New replays the journal against the surviving body
 //     files, re-admits what fits in memory (the rest stays disk-resident)
 //     at the version its file names, restores each document's target and
@@ -116,25 +122,40 @@ func (s *Server) diskHas(doc core.DocID) bool {
 	return s.disk != nil && s.disk.Contains(doc)
 }
 
-// diskGet reads a body and its version from the disk tier, counting a hit
-// and refreshing its recency.
-func (s *Server) diskGet(doc core.DocID) ([]byte, uint64, bool) {
-	if s.disk == nil {
+// maxDiskBuf bounds the disk-read buffer a shard keeps between reads; a
+// body larger than it is read into a buffer of its own, left for the GC.
+const maxDiskBuf = 64 << 10
+
+// readDisk reads doc's body and its version from the disk tier into the
+// shard's buffer. demand counts the hit and refreshes recency (a request);
+// a copy handoff passes false. The body is lent: it is valid only until
+// this loop's next disk read, so a caller sends it marked BodyLent, or
+// Offers it, and keeps no reference.
+func (sh *shard) readDisk(doc core.DocID, demand bool) ([]byte, uint64, bool) {
+	d := sh.s.disk
+	if d == nil {
 		return nil, 0, false
 	}
-	return s.disk.GetVersion(doc)
+	read := d.PeekInto
+	if demand {
+		read = d.GetVersionInto
+	}
+	body, ver, ok := read(doc, sh.diskBuf)
+	if ok && cap(body) <= maxDiskBuf {
+		sh.diskBuf = body
+	}
+	return body, ver, ok
 }
 
 // bodyOf returns a held body and its version from whichever tier has it,
-// with Peek semantics in both — copy handoffs are not demand.
-func (s *Server) bodyOf(doc core.DocID) ([]byte, uint64, bool) {
-	if body, ver, ok := s.cache.Peek(doc); ok {
-		return body, ver, true
+// with Peek semantics in both — copy handoffs are not demand. lent reports
+// a disk body, read into the shard's buffer (readDisk).
+func (sh *shard) bodyOf(doc core.DocID) (body []byte, ver uint64, lent, ok bool) {
+	if body, ver, ok = sh.s.cache.Peek(doc); ok {
+		return body, ver, false, true
 	}
-	if s.disk == nil {
-		return nil, 0, false
-	}
-	return s.disk.Peek(doc)
+	body, ver, ok = sh.readDisk(doc, false)
+	return body, ver, ok, ok
 }
 
 // copyVersion reports the version of the copy either tier holds, without

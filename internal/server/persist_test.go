@@ -135,7 +135,7 @@ func TestRecoveryKeepsOverflowOnDisk(t *testing.T) {
 		if !s.holdsCopy(doc) {
 			t.Fatalf("recovered doc %q not held in any tier", doc)
 		}
-		if body, _, ok := s.bodyOf(doc); !ok || len(body) != len(big) {
+		if body, _, _, ok := s.shardFor(doc).bodyOf(doc); !ok || len(body) != len(big) {
 			t.Fatalf("recovered doc %q unservable: %d bytes, ok=%v", doc, len(body), ok)
 		}
 	}

@@ -321,7 +321,8 @@ type Server struct {
 	isRoot bool
 
 	// cache is shared by all shards (internally striped, aligned with the
-	// server's shard hash). Bodies are immutable by convention.
+	// server's shard hash). The bodies it holds are immutable, so a send
+	// of one goes unmarked (never BodyLent).
 	cache *cachestore.Store
 
 	// disk and journal form the persistence tier (nil with DataDir unset);

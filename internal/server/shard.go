@@ -264,6 +264,10 @@ type shard struct {
 
 	jMoved []*docState // targets moved since the last journalTick (disk tier only)
 
+	// diskBuf is the loop's disk-read buffer: every disk body this loop
+	// serves or hands over is read into it and lent to the send (readDisk).
+	diskBuf []byte
+
 	// Lock-free surfaces.
 	pub         pubIndex                  // publication index (single writer: this loop)
 	snap        atomic.Pointer[shardSnap] // epoch-stamped mailbox
@@ -942,11 +946,11 @@ func (sh *shard) handle(ev event) {
 		// the copy goes unanswered — shipping an older copy across the
 		// barrier would plant exactly the stale body the token exists to
 		// bypass.
-		body, ver, ok := sh.s.bodyOf(env.Doc)
+		body, ver, lent, ok := sh.bodyOf(env.Doc)
 		if ok && versionOK(ver, env.MinVersion, sh.mark(sh.state(env.Doc))) {
 			sh.sendOn(ev.conn, &netproto.Envelope{
 				Kind: netproto.TypeTunnelReply, From: sh.s.cfg.ID, To: env.From,
-				Doc: env.Doc, Body: body, DocVersion: ver,
+				Doc: env.Doc, Body: body, BodyLent: lent, DocVersion: ver,
 			})
 		}
 
@@ -1318,8 +1322,10 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 func (sh *shard) serveRequest(st *docState, ev event) {
 	env := ev.env
 	body, ver, held := sh.s.cache.GetVersion(env.Doc)
+	lent := false
 	if !held {
-		if body, ver, held = sh.s.diskGet(env.Doc); held {
+		if body, ver, held = sh.readDisk(env.Doc, true); held {
+			lent = true
 			// Disk-tier hit: serve the spilled copy and offer it back to
 			// memory, which takes it only if it is hotter than what it would
 			// evict (the disk copy stays either way, so demotion is free).
@@ -1343,7 +1349,7 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 		Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: env.Origin,
 		Doc: env.Doc, Origin: env.Origin, ReqID: env.ReqID,
 		ServedBy: sh.s.cfg.ID, Hops: env.Hops,
-		Body: body, NotFound: !held, DocVersion: ver,
+		Body: body, BodyLent: lent, NotFound: !held, DocVersion: ver,
 	}
 	sh.sendOn(ev.conn, resp)
 	netproto.PutEnvelope(resp)
@@ -1359,14 +1365,18 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 // to one DiffusionPeriod, so a document that just turned hot can be refused
 // for that long. A refused or oversized body stays disk-resident and keeps
 // being served from there. No journal traffic: the document was already
-// journaled as admitted.
+// journaled as admitted. The body is the shard's lent disk buffer: memory
+// stores its own copy, and that copy is what gets published.
 func (sh *shard) readmitFromDisk(st *docState, body []byte, ver uint64) {
 	evs, ok, refused := sh.s.cache.Offer(st.doc, body, ver, sh.rank(st))
 	if refused {
 		sh.n.readmitsRefused++
 	}
 	sh.applyEvictions(evs)
-	if ok {
+	if !ok {
+		return
+	}
+	if body, ver, ok = sh.s.cache.Peek(st.doc); ok {
 		sh.publish(st.doc, body, false, ver)
 	}
 }
@@ -1390,7 +1400,7 @@ func (sh *shard) installFilter(st *docState) {
 // shard re-validates what still holds.
 func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	conn := sh.s.childConn(child)
-	body, ver, held := sh.s.bodyOf(doc) // a handoff is not local demand
+	body, ver, lent, held := sh.bodyOf(doc) // a handoff is not local demand
 	if conn == nil || !held || !versionOK(ver, 0, sh.mark(sh.state(doc))) {
 		return
 	}
@@ -1399,7 +1409,7 @@ func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	sh.dutyLedger(child)[doc] += rate // credited back if the child sheds or dies
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypeDelegate, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: ver,
+		Doc: doc, Rate: rate, Body: body, BodyLent: lent, DocVersion: ver,
 	})
 }
 

@@ -172,7 +172,7 @@ func (sh *shard) answerParked(st *docState) {
 	if fl == nil || len(fl.waiters) == 0 {
 		return
 	}
-	body, ver, ok := sh.s.bodyOf(doc)
+	body, ver, lent, ok := sh.bodyOf(doc)
 	if !ok {
 		return
 	}
@@ -188,7 +188,7 @@ func (sh *shard) answerParked(st *docState) {
 		*out = netproto.Envelope{
 			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
 			Doc: doc, Origin: w.origin, ReqID: w.reqID,
-			ServedBy: sh.s.cfg.ID, Body: body, DocVersion: ver,
+			ServedBy: sh.s.cfg.ID, Body: body, BodyLent: lent, DocVersion: ver,
 		}
 		sh.sendOn(w.conn, out)
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -270,7 +269,6 @@ func (t *tcpConn) Lane(i int) BatchLane {
 		t.lanes = make(map[int]*tcpLane, 8)
 	}
 	ln = &tcpLane{t: t}
-	ln.fw = netproto.NewFrameWriter(&ln.buf)
 	t.lanes[i] = ln
 	return ln
 }
@@ -286,16 +284,17 @@ const maxLaneBuf = 256 << 10
 type tcpLane struct {
 	t  *tcpConn
 	mu sync.Mutex
-	// buf accumulates encoded frames between flushes; fw encodes into it.
-	buf bytes.Buffer
-	fw  *netproto.FrameWriter
+	// buf accumulates encoded frames between flushes.
+	buf []byte
 }
 
-// SendBuffered implements BatchLane: encode into the lane's private buffer,
-// no connection lock taken.
+// SendBuffered implements BatchLane: encode straight into the lane's
+// private buffer, no connection lock taken. The body is copied once, so a
+// lent body may be overwritten as soon as this returns.
 func (l *tcpLane) SendBuffered(env *netproto.Envelope) error {
 	l.mu.Lock()
-	err := l.fw.WriteEnvelope(env)
+	var err error
+	l.buf, err = netproto.AppendFrameV2(l.buf, env) // on error, buf is as it was
 	l.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("transport: tcp lane send: %w", err)
@@ -308,20 +307,20 @@ func (l *tcpLane) SendBuffered(env *netproto.Envelope) error {
 func (l *tcpLane) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.buf.Len() == 0 {
+	if len(l.buf) == 0 {
 		return nil
 	}
 	t := l.t
 	t.wm.Lock()
-	_, err := t.w.Write(l.buf.Bytes())
+	_, err := t.w.Write(l.buf)
 	if err == nil {
 		err = t.flushLocked()
 	}
 	t.wm.Unlock()
-	if l.buf.Cap() > maxLaneBuf {
-		l.buf = bytes.Buffer{} // fw writes through the pointer; same address
+	if cap(l.buf) > maxLaneBuf {
+		l.buf = nil
 	} else {
-		l.buf.Reset()
+		l.buf = l.buf[:0]
 	}
 	if err != nil {
 		if errors.Is(err, net.ErrClosed) {

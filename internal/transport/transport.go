@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -23,7 +24,9 @@ var ErrUnknownAddr = errors.New("transport: unknown address")
 type Conn interface {
 	// Send transmits one envelope. It is safe for concurrent use; the
 	// envelope is copied or serialized before Send returns, so the caller
-	// may reuse it.
+	// may reuse it. A body marked BodyLent is copied or serialized too, so
+	// the caller may overwrite it once Send returns; an unmarked body is
+	// immutable and may be handed to the peer as it is.
 	Send(env *netproto.Envelope) error
 	// Recv blocks for the next envelope. It returns ErrClosed once the
 	// connection is closed and drained. The caller owns the returned
@@ -35,7 +38,8 @@ type Conn interface {
 }
 
 // BatchConn is implemented by connections that can buffer writes for an
-// explicit flush, letting a serial sender (a server's main loop emitting
+// explicit flush (under Send's contract: a lent body may be overwritten
+// once SendBuffered returns), letting a serial sender (a server's main loop emitting
 // many frames per event batch) pay one flush — and on TCP one syscall —
 // per batch instead of per frame. A SendBuffered frame goes out with the
 // connection's next flush (Flush, a Send, a lane's Flush) and, at the
@@ -271,11 +275,15 @@ func (c *memConn) Send(env *netproto.Envelope) error {
 		return nil // dropped in transit
 	}
 	// The fast lane for in-memory links: no marshaling, just a shallow
-	// envelope copy (Body bytes are immutable by convention) drawn from the
-	// shared pool so receivers that release consumed envelopes make the
-	// per-message allocation disappear.
+	// envelope copy drawn from the shared pool so receivers that release
+	// consumed envelopes make the per-message allocation disappear. An
+	// unmarked body is immutable and shared; a marked (lent) body is
+	// copied, since the sender overwrites it once Send returns.
 	cp := netproto.GetEnvelope()
 	*cp = *env
+	if cp.BodyLent {
+		cp.Body, cp.BodyLent = bytes.Clone(cp.Body), false
+	}
 	delay := c.opts.Latency
 	if c.opts.Jitter > 0 {
 		delay += time.Duration(c.rng.Float64() * float64(c.opts.Jitter))

@@ -321,3 +321,61 @@ func TestTCPRecvRejectsJSONFrame(t *testing.T) {
 		t.Fatalf("Recv of a JSON frame = %+v, %v; want a decode error", env, err)
 	}
 }
+
+// TestLentBodySurvivesReuse: a body marked BodyLent may be overwritten as
+// soon as Send returns, so the frame the peer reads carries the bytes as
+// they were at the call — on the memory network's direct and delayed
+// hand-overs, and on TCP's Send and lane paths. An unmarked body is
+// immutable, and the memory network hands it across without a copy.
+func TestLentBodySurvivesReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		netw Network
+		addr string
+		lane bool
+	}{
+		{"memory", NewMemoryNetwork(MemoryOptions{}), "lent", false},
+		{"memory-delayed", NewMemoryNetwork(MemoryOptions{Latency: time.Millisecond}), "lent", false},
+		{"tcp", TCPNetwork{}, "127.0.0.1:0", false},
+		{"tcp-lane", TCPNetwork{}, "127.0.0.1:0", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server, cleanup := pair(t, tc.netw, tc.addr)
+			defer cleanup()
+			buf := []byte("first")
+			for _, want := range []string{"first", "again"} {
+				copy(buf, want)
+				env := &netproto.Envelope{Kind: netproto.TypeTunnelReply, Doc: "d", Body: buf, BodyLent: true}
+				var err error
+				if tc.lane {
+					ln := client.(LaneConn).Lane(0)
+					if err = ln.SendBuffered(env); err == nil {
+						err = ln.Flush()
+					}
+				} else {
+					err = client.Send(env)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(buf, "XXXXX") // the sender's next read reuses the buffer
+				got, err := server.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got.Body) != want || got.BodyLent {
+					t.Fatalf("received %q (lent=%v), want %q as sent", got.Body, got.BodyLent, want)
+				}
+			}
+		})
+	}
+	client, server, cleanup := pair(t, NewMemoryNetwork(MemoryOptions{}), "shared")
+	defer cleanup()
+	owned := []byte("immutable")
+	if err := client.Send(&netproto.Envelope{Kind: netproto.TypeTunnelReply, Doc: "d", Body: owned}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := server.Recv(); err != nil || &got.Body[0] != &owned[0] {
+		t.Fatalf("an unmarked body was copied on the memory network (err %v)", err)
+	}
+}
