@@ -263,14 +263,17 @@ bench-session-baseline:
 	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 \
 		-json bench/BENCH_session_baseline.json
 
-# fuzz-smoke runs two fuzzers for a bounded slice of CI time: the wire-codec
-# round trip (every frame kind, re-encode byte equality, agreement with the
-# JSON oracle) and the journal replay (arbitrary bytes never refuse a start,
-# and the replayed state survives compaction and a reopen).
+# fuzz-smoke runs three fuzzers for a bounded slice of CI time: the
+# wire-codec round trip (every frame kind, re-encode byte equality, agreement
+# with the JSON oracle), the journal replay (arbitrary bytes never refuse a
+# start, and the replayed state survives compaction and a reopen) and the
+# gateway's one-document session-floor scanner (it reads what ParseSession
+# reads, for any header and document).
 # Corpus finds land in the package's testdata/fuzz and should be committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/diskstore/
+	$(GO) test -run '^$$' -fuzz FuzzSessionFloor -fuzztime 10s ./internal/gateway/
 
 # swarm-bins builds the two binaries the multi-process scenario needs: the
 # node binary every swarm process execs, and the runner that spawns them.

@@ -306,7 +306,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the request: any node holding an older copy bypasses it, so a client
 	// that threads the header returned by its PUT through this GET reads
 	// its own write through any edge.
-	minVer := ParseSession(r.Header.Get(SessionHeader))[core.DocID(name)]
+	minVer := sessionFloor(r.Header.Get(SessionHeader), core.DocID(name))
 
 	origin := g.cfg.Origin(r)
 	start := time.Now()

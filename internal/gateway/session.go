@@ -9,6 +9,7 @@ package gateway
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -64,6 +65,43 @@ func ParseSession(h string) map[core.DocID]uint64 {
 		}
 	}
 	return m
+}
+
+// sessionFloor returns doc's floor in the session header value h — exactly
+// ParseSession(h)[doc] — without splitting the token or building a map: a
+// read needs one document's floor, and a session soon names many. It
+// allocates nothing.
+func sessionFloor(h string, doc core.DocID) uint64 {
+	var floor uint64
+	for h != "" && doc != "" {
+		pair, rest, _ := strings.Cut(h, ",")
+		h = rest
+		eq := strings.LastIndexByte(pair, '=')
+		if eq <= 0 || strings.TrimSpace(pair[:eq]) != string(doc) {
+			continue
+		}
+		if ver, ok := parseVersion(strings.TrimSpace(pair[eq+1:])); ok {
+			floor = max(floor, ver)
+		}
+	}
+	return floor
+}
+
+// parseVersion is strconv.ParseUint(s, 10, 64) without the error value a
+// malformed pair would allocate.
+func parseVersion(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }
 
 // FormatSession encodes version floors as a session header value, sorted by

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -50,6 +51,74 @@ func TestParseFormatSession(t *testing.T) {
 	if FormatSession(nil) != "" {
 		t.Error("FormatSession(nil) must be empty")
 	}
+}
+
+// sessionHeaders are session header values covering what a token can look
+// like: well formed, spaced, repeated documents (the highest floor wins),
+// malformed pairs, zero and overflowing versions, '=' inside an id.
+var sessionHeaders = []string{
+	"",
+	"a=3",
+	"a=3,b=7",
+	" a = 3 , b = 7 ",
+	"a=3,a=5,a=4",
+	"junk,=4,a=,a=x,b=0,c=2",
+	"k=v=9",
+	"a=0",
+	"a=+3,a=-1,a=0x10,a=1_0,a= 2 ",
+	"a=18446744073709551615,b=18446744073709551616",
+	",,a=1,,",
+	"a=3,",
+	"\ta=6\n",
+	" =4,a b=5",
+}
+
+// TestSessionFloorMatchesParseSession: the one-document scanner the read
+// path uses reads exactly what ParseSession's map holds for every document
+// a header names, and for one it does not.
+func TestSessionFloorMatchesParseSession(t *testing.T) {
+	for _, h := range sessionHeaders {
+		docs := []core.DocID{"", "a", "b", "c", "k", "k=v", "a b", "z", " a"}
+		for d := range ParseSession(h) {
+			docs = append(docs, d)
+		}
+		for _, d := range docs {
+			if got, want := sessionFloor(h, d), ParseSession(h)[d]; got != want {
+				t.Errorf("sessionFloor(%q, %q) = %d, ParseSession reads %d", h, d, got, want)
+			}
+		}
+	}
+}
+
+// TestSessionFloorAllocatesNothing pins the read path's session lookup to
+// zero allocations, on a token naming many documents as on a damaged one.
+func TestSessionFloorAllocatesNothing(t *testing.T) {
+	m := make(map[core.DocID]uint64, 48)
+	for i := range 48 {
+		m[core.DocID(fmt.Sprintf("doc-%02d", i))] = uint64(1000 + i)
+	}
+	for _, h := range []string{FormatSession(m), "junk,=4,doc-07=x,doc-07=99999999999999999999"} {
+		var floor uint64
+		if n := testing.AllocsPerRun(100, func() { floor = sessionFloor(h, "doc-07") }); n != 0 {
+			t.Errorf("sessionFloor on %.20q... allocates %v times per call, want 0", h, n)
+		}
+		if floor != ParseSession(h)["doc-07"] {
+			t.Errorf("sessionFloor = %d, want %d", floor, ParseSession(h)["doc-07"])
+		}
+	}
+}
+
+// FuzzSessionFloor: for any header and document, the scanner reads what
+// ParseSession's map holds.
+func FuzzSessionFloor(f *testing.F) {
+	for _, h := range sessionHeaders {
+		f.Add(h, "a")
+	}
+	f.Fuzz(func(t *testing.T, h, doc string) {
+		if got, want := sessionFloor(h, core.DocID(doc)), ParseSession(h)[core.DocID(doc)]; got != want {
+			t.Fatalf("sessionFloor(%q, %q) = %d, ParseSession reads %d", h, doc, got, want)
+		}
+	})
 }
 
 // TestGatewaySessionWriteThenRead drives the full HTTP session flow: PUT a

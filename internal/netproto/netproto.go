@@ -249,9 +249,9 @@ type Stats struct {
 	StaleDrops      int64 `json:"stale_drops,omitempty"`
 	LeaseRefreshes  int64 `json:"lease_refreshes,omitempty"`
 	// SessionRefreshes counts requests whose session token demanded a newer
-	// version than the local copy held: each bypassed the copy and rode the
-	// subtree lease upward (or parked at the root) instead of being served
-	// stale.
+	// version than the local copy held: each was held back instead of being
+	// served stale, waiting for the write that set its floor or sent upward
+	// through the subtree lease.
 	SessionRefreshes int64 `json:"session_refreshes,omitempty"`
 }
 

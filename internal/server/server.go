@@ -279,15 +279,17 @@ type pendingEntry struct {
 	minVer uint64
 }
 
-// waiter is a request coalesced behind an identical in-flight fetch.
+// waiter is a request held on a document's record: coalesced behind an
+// in-flight fetch (flight) or waiting for a write (docState.waiting).
 // minVer is the session's version floor (0 = any): a response older than it
-// must not answer this waiter — the waiter re-arms as a fresh flight
-// instead (refetchUnsatisfied).
+// must not answer this waiter — the waiter goes upward again instead
+// (fetchUp). hops is the request's hop count on arrival.
 type waiter struct {
 	origin int
 	reqID  uint64
 	conn   transport.Conn
 	minVer uint64
+	hops   int
 }
 
 // flight tracks one upstream fetch for an uncached document; concurrent
@@ -613,10 +615,10 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 	}
 	if !versionOK(e.version, env.MinVersion, 0) {
 		// The session has seen a newer version than this copy: decline
-		// before spending a credit so the queued path can gate the request
-		// upward (sessionGate) instead of serving it stale. A published copy
-		// is never below the write mark: a write that moves the mark
-		// refreshes or unpublishes it.
+		// before spending a credit so the queued path can hold the request
+		// for the write (sessionGate) instead of serving it stale. A
+		// published copy is never below the write mark: a write that moves
+		// the mark refreshes or unpublishes it.
 		return false
 	}
 	if !e.always && e.st.credits.Add(-1) < 0 {

@@ -1,10 +1,11 @@
 package server
 
 // Single-threaded tests for the session-token gating paths: the fast-path
-// decline, root-side parking (sessionGate / answerParked), the non-root
-// bypass-and-forward branch, and the re-arm of waiters a too-old response
-// could not satisfy (refetchUnsatisfied). The cluster harness exercises the
-// same machinery end to end; these pin the per-branch behavior.
+// decline, the root's waiting reads (sessionGate / releaseWaiting), the
+// upward fetch of reads a write could not answer, and the re-arm of waiters
+// a too-old response could not satisfy (fetchUp). The cluster harness
+// exercises the same machinery end to end; these pin the per-branch
+// behavior. wait_test.go covers waiting at the other nodes.
 
 import (
 	"testing"
@@ -31,10 +32,11 @@ func (c *sinkConn) Recv() (*netproto.Envelope, error) { return nil, transport.Er
 func (c *sinkConn) Close() error                      { return nil }
 
 // TestSessionGateParksAtRoot drives the root's shard loop single-threaded:
-// a request whose floor exceeds the high-water mark must park rather than
-// serve stale, each landing write answers exactly the waiters it satisfies,
-// and a floor on a document that was never published escapes to NotFound
-// instead of parking forever.
+// a request whose floor exceeds the origin copy must wait rather than serve
+// stale, each landing write answers exactly the waiters it satisfies, a
+// waiting read outlives the flight-retry horizon (the root has nowhere to
+// send it) and is dropped only after PendingTTL, and a floor on a document
+// that was never published escapes to NotFound instead of waiting forever.
 func TestSessionGateParksAtRoot(t *testing.T) {
 	s, err := New(Config{
 		ID: 0, Addr: "root", ParentID: -1,
@@ -62,7 +64,7 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 		t.Fatal("fast path declined a floor-less request for a published doc")
 	}
 
-	// Queued path: floors above the high-water mark park as flight waiters.
+	// Queued path: floors above the origin copy wait on the record.
 	c1, c2 := &sinkConn{}, &sinkConn{}
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 0, Doc: "d", Origin: 9, ReqID: 2, MinVersion: 1,
@@ -73,8 +75,8 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	if sh.n.sessionRefreshes != 2 {
 		t.Fatalf("session refreshes = %d, want 2", sh.n.sessionRefreshes)
 	}
-	if fl := sh.state("d").flight; fl == nil || len(fl.waiters) != 2 {
-		t.Fatalf("parked flight = %+v, want 2 waiters", fl)
+	if st := sh.state("d"); len(st.waiting) != 2 || st.flight != nil {
+		t.Fatalf("waiting = %+v, flight = %+v; want 2 waiting reads and no flight", st.waiting, st.flight)
 	}
 	if len(c1.sent) != 0 || len(c2.sent) != 0 {
 		t.Fatal("a parked request was answered before its version landed")
@@ -97,15 +99,34 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	}
 
 	// A body-carrying invalidate at the origin is version 2 landing: the
-	// remaining waiter is answered and the flight retires.
+	// remaining waiter is answered and the record leaves the waiting list.
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeInvalidate, From: -1, To: 0, Doc: "d", DocVersion: 2, Body: []byte("b2"),
 	}, conn: nopConn{}})
 	if len(c2.sent) != 1 || c2.sent[0].DocVersion != 2 || string(c2.sent[0].Body) != "b2" {
 		t.Fatalf("floor-2 responses = %+v, want one at version 2", c2.sent)
 	}
-	if sh.state("d").flight != nil {
-		t.Fatal("flight not retired after all waiters were answered")
+	sh.tick(false)
+	if st := sh.state("d"); len(st.waiting) != 0 || st.onWaits || len(sh.waits) != 0 {
+		t.Fatalf("waiting = %+v, listed = %v; want the answered reads gone and the record delisted", st.waiting, st.onWaits)
+	}
+
+	// A floor the root never sees written waits past the flight-retry
+	// horizon — there is no upward step to take — and is dropped, unanswered,
+	// once it has waited PendingTTL.
+	c4 := &sinkConn{}
+	sh.handle(event{env: &netproto.Envelope{
+		Kind: netproto.TypeRequest, From: -1, To: 0, Doc: "d", Origin: 9, ReqID: 5, MinVersion: 9,
+	}, conn: c4})
+	sh.now = sh.now.Add(2 * sh.flightRetry)
+	sh.tick(false)
+	if st := sh.state("d"); len(st.waiting) != 1 || len(c4.sent) != 0 || len(sh.pending) != 0 {
+		t.Fatalf("after the retry horizon: waiting %d, answers %d, pending %d; want 1/0/0", len(st.waiting), len(c4.sent), len(sh.pending))
+	}
+	sh.now = sh.now.Add(s.cfg.PendingTTL)
+	sh.tick(false)
+	if st := sh.state("d"); len(st.waiting) != 0 || st.onWaits || len(c4.sent) != 0 {
+		t.Fatalf("after PendingTTL: waiting %d, listed %v, answers %d; want the read dropped", len(st.waiting), st.onWaits, len(c4.sent))
 	}
 
 	// A floor on a document the root never published cannot land: the gate
@@ -120,10 +141,11 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 }
 
 // TestSessionGateBypassesStaleCopyAndRefetches drives a non-root shard: a
-// floored request must bypass (not drop) the held copy and ride upward, a
-// second floored session coalesces behind the flight, and a response too
-// old for a coalesced floor re-arms it as a fresh flight carrying the
-// group's floor instead of answering it stale.
+// floored read waits for its write instead of bypassing the held copy; a
+// version-only write drops the copy and sends the read upward — orphaned
+// here, held for replay with its floor — a later floored miss coalesces
+// behind that fetch, and a response too old for the coalesced floor re-arms
+// it as a fresh fetch carrying its floor instead of answering it stale.
 func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	s, err := New(Config{
 		ID: 1, Addr: "x", ParentID: 0, ParentAddr: "p",
@@ -138,29 +160,34 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 		t.Fatal("admit failed")
 	}
 
-	// A floor above the held version bypasses the copy: the body is marked
-	// stale (token-less readers keep being served from it) and the request
-	// travels upward — orphaned here (no parent link), parked for replay
-	// with its floor preserved.
+	// A floor above the write mark waits on the record: nothing travels,
+	// and the copy keeps serving token-less readers.
 	lead := &sinkConn{}
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 1, Doc: "d", Origin: 7, ReqID: 1, MinVersion: 2,
 	}, conn: lead})
-	if sh.n.sessionRefreshes != 1 {
-		t.Fatalf("session refreshes = %d, want 1", sh.n.sessionRefreshes)
+	if sh.n.sessionRefreshes != 1 || len(sh.state("d").waiting) != 1 {
+		t.Fatalf("session refreshes = %d, waiting = %d; want 1/1", sh.n.sessionRefreshes, len(sh.state("d").waiting))
 	}
-	if !sh.state("d").stale {
-		t.Fatal("gate did not mark the bypassed copy stale")
-	}
-	if !s.cache.Contains("d") {
-		t.Fatal("gate dropped the copy instead of marking it stale")
-	}
-	pe, ok := sh.pending[pendingKey{origin: 7, reqID: 1}]
-	if !ok || pe.minVer != 2 {
-		t.Fatalf("pending entry = %+v (%v), want minVer 2 preserved", pe, ok)
+	if len(sh.pending) != 0 || sh.state("d").flight != nil || sh.state("d").stale || !s.cache.Contains("d") {
+		t.Fatal("a waiting read went upward or disturbed the held copy")
 	}
 
-	// A second gated session coalesces behind the flight with its own floor.
+	// Version 2 arrives as a version-only frame: the copy drops and the
+	// waiting read goes upward with its floor preserved.
+	sh.handle(event{env: &netproto.Envelope{
+		Kind: netproto.TypeInvalidate, From: 0, To: 1, Doc: "d", DocVersion: 2,
+	}, conn: nopConn{}})
+	if !sh.state("d").stale || s.cache.Contains("d") {
+		t.Fatal("the version-only write did not drop the copy")
+	}
+	pe, ok := sh.pending[pendingKey{origin: 7, reqID: 1}]
+	if !ok || pe.minVer != 2 || len(sh.state("d").waiting) != 0 {
+		t.Fatalf("pending entry = %+v (%v), want minVer 2 preserved and nothing left waiting", pe, ok)
+	}
+
+	// A second session, floor 3, misses the dropped copy and coalesces
+	// behind the flight with its own floor.
 	w2 := &sinkConn{}
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 1, Doc: "d", Origin: 7, ReqID: 2, MinVersion: 3,

@@ -119,6 +119,14 @@ type docState struct {
 	servedRate float64
 	flowWin    *docWindow // local demand (From -1); nil until requested
 	flight     *flight    // the upstream fetch requests coalesce behind
+	// waiting holds the session reads whose floor is above the write mark,
+	// waiting for the write that set it (sessionGate) apart from flight, so
+	// no other read waits behind them. They share one deadline, counted
+	// from waitAt, when the first of them began. applyWrite and the tick's
+	// deadline release them (releaseWaiting).
+	waiting []waiter
+	waitAt  time.Time
+	onWaits bool // on shard.waits
 	// ver is the write mark: the newest version a write frame brought here
 	// (after a warm restart, the recovered copy's). Only applyWrite moves
 	// it. It never labels a reply: a copy carries its own version.
@@ -134,8 +142,8 @@ type docState struct {
 	// it.
 	jTarget  float64
 	admitted bool
-	// stale marks a body dropped by an invalidation (or bypassed by a
-	// session floor) while its filter and duty stayed — cleared when a
+	// stale marks a body dropped by an invalidation (or bypassed upward by
+	// a session floor) while its filter and duty stayed — cleared when a
 	// passing response re-admits the fresh copy (the lease refresh).
 	stale bool
 }
@@ -281,10 +289,12 @@ type shard struct {
 	// for, since it last was), live the docWindows counted into since they
 	// last read empty (all a rebuild of the snapshot's rate maps reads);
 	// targetsMoved and ratesAt say whether and when one is due
-	// (publishSnap).
+	// (publishSnap); waits lists the records with session reads waiting
+	// (expireWaits).
 	entries      []*pubEntry
 	fastDrained  int64
 	hot          []*docState
+	waits        []*docState
 	live         []*docWindow
 	targetsMoved bool
 	ratesAt      time.Time
@@ -561,6 +571,7 @@ func (sh *shard) tick(scrape bool) {
 		}
 	}
 	sh.refreshHot()
+	sh.expireWaits()
 	sh.journalTick()
 	if sh.now.Sub(sh.lastSweep) >= max(sh.s.cfg.PendingTTL/2, 10*time.Millisecond) {
 		sh.lastSweep = sh.now
@@ -1013,15 +1024,22 @@ func (sh *shard) handleConnClosed(conn transport.Conn) {
 	}
 	for _, st := range sh.docs {
 		if fl := st.flight; fl != nil {
-			kept := fl.waiters[:0]
-			for _, w := range fl.waiters {
-				if w.conn != conn {
-					kept = append(kept, w)
-				}
-			}
-			fl.waiters = kept
+			fl.waiters = dropConn(fl.waiters, conn)
+		}
+		st.waiting = dropConn(st.waiting, conn)
+	}
+}
+
+// dropConn filters out, in place, the waiters answered on conn.
+func dropConn(ws []waiter, conn transport.Conn) []waiter {
+	kept := ws[:0]
+	for _, w := range ws {
+		if w.conn != conn {
+			kept = append(kept, w)
 		}
 	}
+	clear(ws[len(kept):])
+	return kept
 }
 
 // sweepStale expires pending routes and in-flight fetches older than
@@ -1070,31 +1088,104 @@ func (sh *shard) handleRequest(ev event) {
 }
 
 // sessionGate handles a request the held copy may not answer (versionOK
-// failed: the session token demands a newer version, or a write superseded
-// the copy): serving it would violate read-my-writes, so the request
-// bypasses it and rides the subtree-lease single-flight upward instead —
-// the held body is marked stale (kept serving token-less readers) so the
-// passing response re-admits the fresh copy through maybeLeaseRefresh, the
-// same repair path invalidation uses. At the root there is no upward edge;
-// the write that minted the token is still in flight toward us, so the
-// request parks as a flight waiter until the version lands (answerParked)
-// or the pending sweep expires it (a token claiming a version that never
-// arrives).
+// failed): serving it would break read-my-writes. A floor above the write
+// mark names a write this node has not applied yet. Writes start at the
+// root and diffuseDown sends each down every tree edge, so it is already on
+// its way: the request waits on the record for it, at the root as at any
+// other node, and applyWrite releases it (releaseWaiting). A floor at or
+// below the mark means a write already superseded the copy: the request
+// bypasses it upward through the single-flight, the copy marked stale so
+// the passing response re-admits the fresh one (maybeLeaseRefresh). The
+// root has no upward edge, so there every gated read waits.
 func (sh *shard) sessionGate(st *docState, ev event) {
 	env := ev.env
 	sh.n.sessionRefreshes++
-	if sh.s.isRoot {
-		if st.flight == nil {
-			st.flight = &flight{at: sh.now}
-		}
-		fl := st.flight
-		fl.waiters = append(fl.waiters, waiter{
-			origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion,
-		})
+	if env.MinVersion <= st.ver && !sh.s.isRoot {
+		st.stale = true
+		sh.forwardUp(st, ev)
 		return
 	}
-	st.stale = true
-	sh.forwardUp(st, ev)
+	if len(st.waiting) == 0 {
+		st.waitAt = sh.now
+	}
+	st.waiting = append(st.waiting, waiter{
+		origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion, hops: env.Hops,
+	})
+	if !st.onWaits {
+		st.onWaits = true
+		sh.waits = append(sh.waits, st)
+	}
+}
+
+// releaseWaiting answers or sends on the session reads waiting on st, after
+// a write (applyWrite) or at their deadline (expired). A read the held copy
+// now satisfies is served from it, through the document's filter like any
+// queued read (the root always serves). A read whose floor is still above
+// the mark keeps waiting for its own write until the deadline. The rest go
+// upward as one fetch carrying the group's highest floor (fetchUp): the
+// write came as a version-only frame, the store refused its body, the
+// filter passed the read on, or the write never came (an orphaned or
+// partitioned node). The root has no upward step: there an unsatisfied
+// read keeps waiting, and at its deadline it is dropped.
+func (sh *shard) releaseWaiting(st *docState, expired bool) {
+	if len(st.waiting) == 0 {
+		return
+	}
+	doc, root := st.doc, sh.s.isRoot
+	body, ver, lent, held := sh.bodyOf(doc)
+	kept, up := st.waiting[:0], []waiter(nil)
+	out := netproto.GetEnvelope()
+	for _, w := range st.waiting {
+		switch {
+		case held && versionOK(ver, w.minVer, sh.mark(st)) && (root || sh.rt.Classify(doc) == router.Extract):
+			sh.n.served++
+			sh.countServed(st, 1)
+			*out = netproto.Envelope{
+				Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
+				Doc: doc, Origin: w.origin, ReqID: w.reqID, ServedBy: sh.s.cfg.ID, Hops: w.hops,
+				Body: body, BodyLent: lent, DocVersion: ver,
+			}
+			sh.sendOn(w.conn, out)
+		case !expired && (root || w.minVer > st.ver):
+			kept = append(kept, w)
+		case !root:
+			if held && ver < w.minVer {
+				st.stale = true // bypassed: the passing response re-admits the fresh copy
+			}
+			up = append(up, w)
+		}
+	}
+	netproto.PutEnvelope(out)
+	clear(st.waiting[len(kept):])
+	st.waiting = kept
+	if len(up) > 0 {
+		sh.fetchUp(st, up)
+	}
+}
+
+// expireWaits releases the session reads whose write has not come within
+// the flight-retry horizon (releaseWaiting) and delists the records with
+// none left waiting, the way refreshHot keeps the hot list. The root, which
+// has nowhere to send them, holds them for PendingTTL, like any routing
+// state whose answer never comes.
+func (sh *shard) expireWaits() {
+	deadline := sh.flightRetry
+	if sh.s.isRoot {
+		deadline = sh.s.cfg.PendingTTL
+	}
+	kept := sh.waits[:0]
+	for _, st := range sh.waits {
+		if len(st.waiting) > 0 && sh.now.Sub(st.waitAt) >= deadline {
+			sh.releaseWaiting(st, true)
+		}
+		if len(st.waiting) == 0 {
+			st.onWaits = false
+			continue
+		}
+		kept = append(kept, st)
+	}
+	clear(sh.waits[len(kept):])
+	sh.waits = kept
 }
 
 // forwardUp relays a request toward the home server, remembering which
@@ -1114,7 +1205,7 @@ func (sh *shard) forwardUp(st *docState, ev event) {
 	env := ev.env
 	fl := st.flight
 	if fl != nil && sh.now.Sub(fl.at) < sh.flightRetry {
-		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion})
+		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion, hops: env.Hops})
 		sh.n.coalesced++
 		return
 	}
@@ -1143,9 +1234,9 @@ func (sh *shard) forwardUp(st *docState, ev event) {
 // fetch that produced it. Waiters whose session floor exceeds the
 // response's version must not be answered with it (a token-less leader's
 // fetch can resolve to a copy older than what a coalesced session has
-// already seen); they re-arm as a fresh flight instead. The write mark does
-// not disqualify a relayed reply: it is the best upstream had, labelled
-// with its own version.
+// already seen); they go upward again as one fetch (fetchUp). The write
+// mark does not disqualify a relayed reply: it is the best upstream had,
+// labelled with its own version.
 func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope) {
 	if len(fl.waiters) == 0 {
 		return
@@ -1168,32 +1259,34 @@ func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope
 	}
 	netproto.PutEnvelope(out)
 	if len(unsatisfied) > 0 {
-		sh.refetchUnsatisfied(st, unsatisfied)
+		sh.fetchUp(st, unsatisfied)
 	}
 }
 
-// refetchUnsatisfied re-arms session waiters a too-old response could not
-// answer: they become a fresh flight whose first waiter leads a new fetch
-// upward carrying the group's highest version floor — ancestors gate on it
-// recursively, so the routed response is guaranteed to satisfy everyone
-// left behind it. At the root there is nowhere to forward; the group stays
-// parked until the claimed write lands (answerParked) or the sweep expires
-// the flight.
-func (sh *shard) refetchUnsatisfied(st *docState, ws []waiter) {
-	doc := st.doc
-	fl := &flight{at: sh.now, waiters: ws}
-	st.flight = fl
-	if sh.s.isRoot {
-		return
-	}
+// fetchUp sends a group of reads upward as one fetch: the first leads it,
+// carrying the group's highest floor — ancestors gate on that floor, so the
+// response satisfies every read in the group — and the rest wait on the
+// document's flight for that response. It serves both the waiters a
+// too-old response could not answer (answerWaiters) and the session reads
+// released from waiting (releaseWaiting). While orphaned the lead is held
+// as a pending entry and replayed by parentRestored.
+func (sh *shard) fetchUp(st *docState, ws []waiter) {
 	lead := ws[0]
-	fl.waiters = ws[1:]
-	var maxVer uint64
+	var floor uint64
 	for _, w := range ws {
-		maxVer = max(maxVer, w.minVer)
+		floor = max(floor, w.minVer)
 	}
+	fl := st.flight
+	if fl == nil {
+		fl = &flight{}
+		st.flight = fl
+	}
+	fl.at = sh.now
+	fl.waiters = append(fl.waiters, ws[1:]...)
 	sh.n.forwarded++
-	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{conn: lead.conn, at: sh.now, doc: doc, minVer: maxVer}
+	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{
+		conn: lead.conn, at: sh.now, doc: st.doc, hops: lead.hops, minVer: floor,
+	}
 	pl := sh.s.parentLink()
 	if pl == nil {
 		return // orphaned: replayed by parentRestored
@@ -1201,7 +1294,7 @@ func (sh *shard) refetchUnsatisfied(st *docState, ws []waiter) {
 	fwd := netproto.GetEnvelope()
 	*fwd = netproto.Envelope{
 		Kind: netproto.TypeRequest, From: sh.s.cfg.ID, To: pl.id,
-		Doc: doc, Origin: lead.origin, ReqID: lead.reqID, MinVersion: maxVer,
+		Doc: st.doc, Origin: lead.origin, ReqID: lead.reqID, Hops: lead.hops + 1, MinVersion: floor,
 	}
 	sh.sendOn(pl.conn, fwd)
 	netproto.PutEnvelope(fwd)

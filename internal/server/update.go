@@ -24,6 +24,15 @@ package server
 // version-only invalidate and forwards it on, so deeper copies the ledger
 // cannot see (tunneled ones, for instance) still converge — they drop to
 // stale and lease-refresh on the next demand.
+//
+// A session read whose floor is above the write mark names a write this
+// node has not applied yet, already on its way down. It waits on the
+// document's record (sessionGate) rather than racing the write upward, and
+// applyWrite releases it: answered from the copy the write installed, or
+// sent upward as one fetch carrying the group's highest floor when the
+// node could not keep the write's body (releaseWaiting). A write that does
+// not come within the flight-retry horizon releases the reads upward from
+// the tick (expireWaits).
 
 import (
 	"webwave/internal/core"
@@ -60,13 +69,13 @@ func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 // a write at least as new — counted as a stale drop; applyWrite reports
 // false and the frame goes no further. A frame above the mark advances it
 // and is brought to the local copy, counted in applied: the origin installs
-// body and answers the sessions parked for it; a node holding an older
-// copy swaps body into both tiers in place, keeping the document's filter,
-// targets and duty exactly as they were (a republish moves data, not
-// duty), or drops the copy if there is no body to install or neither tier
-// keeps it. A copy that already serves
-// the write (a response or tunnel reply brought it first) stays as it is,
-// a stale drop locally. Either way applyWrite reports true: the children
+// body; a node holding an older copy swaps body into both tiers in place,
+// keeping the document's filter, targets and duty exactly as they were (a
+// republish moves data, not duty), or drops the copy if there is no body
+// to install or neither tier keeps it. A copy that already serves the write
+// (a response or tunnel reply brought it first) stays as it is, a stale
+// drop locally. Either way the session reads waiting for the write are
+// released (releaseWaiting) and applyWrite reports true: the children
 // still need the write.
 func (sh *shard) applyWrite(env *netproto.Envelope, body []byte, applied *int64) bool {
 	st, ver := sh.state(env.Doc), env.DocVersion
@@ -75,10 +84,10 @@ func (sh *shard) applyWrite(env *netproto.Envelope, body []byte, applied *int64)
 		return false
 	}
 	st.ver = ver
+	defer sh.releaseWaiting(st, false)
 	switch cur, held := sh.s.copyVersion(st.doc); {
 	case sh.s.isRoot:
 		sh.originWrite(st.doc, body, ver)
-		sh.answerParked(st)
 	case !held:
 	case versionOK(cur, ver, 0):
 		sh.n.staleDrops++
@@ -160,42 +169,4 @@ func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 		st.stale = false
 		sh.n.leaseRefreshes++
 	}
-}
-
-// answerParked serves session requests parked at the root (sessionGate) for
-// a version that just arrived: a waiter the origin copy now satisfies is
-// answered from it, labelled with the copy's version. Waiters demanding a
-// still-newer version stay parked for the next write (or the sweep's
-// expiry).
-func (sh *shard) answerParked(st *docState) {
-	doc, fl := st.doc, st.flight
-	if fl == nil || len(fl.waiters) == 0 {
-		return
-	}
-	body, ver, lent, ok := sh.bodyOf(doc)
-	if !ok {
-		return
-	}
-	var kept []waiter
-	out := netproto.GetEnvelope()
-	for _, w := range fl.waiters {
-		if !versionOK(ver, w.minVer, sh.mark(st)) {
-			kept = append(kept, w)
-			continue
-		}
-		sh.n.served++
-		sh.countServed(st, 1)
-		*out = netproto.Envelope{
-			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
-			Doc: doc, Origin: w.origin, ReqID: w.reqID,
-			ServedBy: sh.s.cfg.ID, Body: body, BodyLent: lent, DocVersion: ver,
-		}
-		sh.sendOn(w.conn, out)
-	}
-	netproto.PutEnvelope(out)
-	if len(kept) == 0 {
-		st.flight = nil
-		return
-	}
-	fl.waiters = kept
 }
