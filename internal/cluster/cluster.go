@@ -193,7 +193,6 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 		} else {
 			scfg.ParentID = t.Parent(v)
 			scfg.ParentAddr = c.addrs[t.Parent(v)]
-			scfg.HomeAddr = c.addrs[t.Root()]
 			if recovery {
 				// Failover candidates: parent first (a healed or restarted
 				// parent is always preferred), then each farther ancestor.

@@ -67,7 +67,6 @@ func RunNode(args []string, stderr io.Writer) error {
 	addr := fs.String("addr", "", "listen address (host:port; required)")
 	parentID := fs.Int("parent-id", -1, "parent node id (-1 = root)")
 	parentAddr := fs.String("parent-addr", "", "parent listen address (non-root)")
-	homeAddr := fs.String("home-addr", "", "root listen address (tunneling target)")
 	ancestors := fs.String("ancestors", "", "comma-separated failover candidates, nearest first")
 	docs := fs.Int("docs", 0, "root only: publish the deterministic swarm catalog of this size")
 	docBytes := fs.Int("doc-bytes", 512, "root only: body bytes per catalog document")
@@ -104,7 +103,6 @@ func RunNode(args []string, stderr io.Writer) error {
 		Addr:             *addr,
 		ParentID:         *parentID,
 		ParentAddr:       *parentAddr,
-		HomeAddr:         *homeAddr,
 		GossipPeriod:     *gossip,
 		DiffusionPeriod:  *diffusion,
 		Window:           *window,

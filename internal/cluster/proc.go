@@ -309,7 +309,6 @@ func (p *ProcCluster) nodeArgv(v int, addrs []string) []string {
 		argv = append(argv,
 			"-parent-id", strconv.Itoa(parent),
 			"-parent-addr", addrs[parent],
-			"-home-addr", addrs[p.t.Root()],
 		)
 		anc := ""
 		for a := parent; a >= 0; a = p.t.Parent(a) {

@@ -33,29 +33,28 @@ var ErrShortPayload = errors.New("netproto: truncated binary payload")
 // kind codes: the byte each Type travels as in a v2 frame. 0 is reserved so
 // a zeroed buffer never decodes as a valid kind. Retired codes stay
 // unassigned, so a frame from an older node is rejected rather than
-// misread: 3 carried delegate_ack, 16 and 17 the promote/demote frames.
+// misread: 3 carried delegate_ack, 7 and 8 tunnel_fetch and tunnel_reply,
+// 16 and 17 the promote/demote frames.
 var kindToCode = map[Type]byte{
-	TypeGossip:      1,
-	TypeDelegate:    2,
-	TypeShed:        4,
-	TypeRequest:     5,
-	TypeResponse:    6,
-	TypeTunnelFetch: 7,
-	TypeTunnelReply: 8,
-	TypeStatsQuery:  9,
-	TypeStatsReply:  10,
-	TypeShutdown:    11,
-	TypeEvict:       12,
-	TypePing:        13,
-	TypePong:        14,
-	TypeReclaim:     15,
-	TypeRepublish:   18,
-	TypeInvalidate:  19,
+	TypeGossip:     1,
+	TypeDelegate:   2,
+	TypeShed:       4,
+	TypeRequest:    5,
+	TypeResponse:   6,
+	TypeStatsQuery: 9,
+	TypeStatsReply: 10,
+	TypeShutdown:   11,
+	TypeEvict:      12,
+	TypePing:       13,
+	TypePong:       14,
+	TypeReclaim:    15,
+	TypeRepublish:  18,
+	TypeInvalidate: 19,
 }
 
 var codeToKind = [20]Type{
 	1: TypeGossip, 2: TypeDelegate, 4: TypeShed,
-	5: TypeRequest, 6: TypeResponse, 7: TypeTunnelFetch, 8: TypeTunnelReply,
+	5: TypeRequest, 6: TypeResponse,
 	9: TypeStatsQuery, 10: TypeStatsReply, 11: TypeShutdown, 12: TypeEvict,
 	13: TypePing, 14: TypePong, 15: TypeReclaim,
 	18: TypeRepublish, 19: TypeInvalidate,
@@ -127,20 +126,11 @@ func AppendEnvelopeV2(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendString(dst, string(env.Doc))
 		dst = appendBytes(dst, env.Body)
 		dst = binary.AppendUvarint(dst, env.DocVersion)
-	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim,
-		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeRepublish, TypeInvalidate:
 		dst = appendString(dst, string(env.Doc))
 		dst = appendFloat(dst, env.Rate)
 		dst = appendBytes(dst, env.Body)
 		dst = binary.AppendUvarint(dst, env.DocVersion)
-		if env.Kind == TypeTunnelFetch {
-			// MinVersion trails the shared delegate-family layout on
-			// tunnel_fetch only — the one family member that carries a
-			// session's version floor across a barrier. The decoder demands
-			// it, so both sides change together (same discipline as the
-			// trailing DocVersion).
-			dst = binary.AppendUvarint(dst, env.MinVersion)
-		}
 	case TypeStatsQuery, TypeShutdown, TypePing, TypePong:
 		// Header only.
 	case TypeStatsReply:
@@ -218,17 +208,13 @@ func DecodePayload(env *Envelope, payload []byte, in *DocInterner) error {
 			env.Body = append(body, b...)
 		}
 		env.DocVersion = r.uvarint()
-	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim,
-		TypeTunnelFetch, TypeTunnelReply, TypeRepublish, TypeInvalidate:
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeRepublish, TypeInvalidate:
 		env.Doc = in.Intern(r.bytes())
 		env.Rate = r.float()
 		if b := r.bytes(); len(b) > 0 {
 			env.Body = append(body, b...)
 		}
 		env.DocVersion = r.uvarint()
-		if env.Kind == TypeTunnelFetch {
-			env.MinVersion = r.uvarint()
-		}
 	case TypeStatsQuery, TypeShutdown, TypePing, TypePong:
 		// Header only.
 	case TypeStatsReply:

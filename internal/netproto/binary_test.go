@@ -22,9 +22,6 @@ func allKindEnvelopes() []*Envelope {
 		{Kind: TypeRequest, From: -1, To: 4, Origin: 4, ReqID: 102, Hops: 1, Doc: "d", MinVersion: 5},
 		{Kind: TypeResponse, From: 2, To: 4, Origin: 4, ReqID: 99, ServedBy: 2, Hops: 3, Doc: "d", Body: []byte("b")},
 		{Kind: TypeResponse, From: 2, To: 4, Origin: 4, ReqID: 100, ServedBy: 0, NotFound: true, Doc: "missing"},
-		{Kind: TypeTunnelFetch, From: 6, Doc: "d3"},
-		{Kind: TypeTunnelFetch, From: 6, Doc: "d3", MinVersion: 9},
-		{Kind: TypeTunnelReply, From: 0, To: 6, Doc: "d3", Body: []byte("b")},
 		{Kind: TypeStatsQuery, From: -1, To: 1},
 		{Kind: TypeStatsReply, From: 1, Stats: &Stats{
 			Node: 1, Load: 55.5, Served: 100, Forwarded: 20,
@@ -49,7 +46,7 @@ func allKindEnvelopes() []*Envelope {
 func TestAllKindsHaveBinaryEncoding(t *testing.T) {
 	kinds := []Type{
 		TypeGossip, TypeDelegate, TypeShed, TypeRequest,
-		TypeResponse, TypeEvict, TypeTunnelFetch, TypeTunnelReply,
+		TypeResponse, TypeEvict,
 		TypeStatsQuery, TypeStatsReply, TypeShutdown, TypePing, TypePong,
 		TypeReclaim, TypeRepublish, TypeInvalidate,
 	}
@@ -211,14 +208,14 @@ func TestBinaryDecodeRejectsGarbage(t *testing.T) {
 	if err := DecodePayload(env, append(append([]byte(nil), valid...), 0xAA), nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Unknown kind codes, including the retired 3 (delegate_ack) and 16
-	// and 17 (promote/demote), on an otherwise valid delegate-family
-	// payload.
+	// Unknown kind codes, including the retired 3 (delegate_ack), 7 and 8
+	// (tunnel_fetch/tunnel_reply) and 16 and 17 (promote/demote), on an
+	// otherwise valid delegate-family payload.
 	reclaim, err := AppendEnvelopeV2(nil, &Envelope{Kind: TypeReclaim, From: 4, Doc: "d", Rate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, code := range []byte{0xEE, 3, 16, 17} {
+	for _, code := range []byte{0xEE, 3, 7, 8, 16, 17} {
 		bad := append([]byte(nil), reclaim...)
 		bad[1] = code
 		if err := DecodePayload(env, bad, nil); err == nil {

@@ -42,20 +42,33 @@ func FuzzReadFrame(f *testing.F) {
 	corrupt := append([]byte(nil), binFrame...)
 	corrupt[5] = 0xEE // kind code byte
 	f.Add(corrupt)
-	// Session-token seeds: MinVersion-bearing request and tunnel_fetch
-	// frames (the trailing-uvarint layouts), each beside its JSON form.
-	for i, env := range []*Envelope{
-		{Kind: TypeRequest, From: -1, To: 3, Origin: 3, ReqID: 8, Doc: "d", MinVersion: 42},
-		{Kind: TypeTunnelFetch, From: 6, To: 0, Doc: "d", MinVersion: 7},
-	} {
-		f.Add(jsonSeeds[1+i])
-		v2Frame, err := AppendFrameV2(nil, env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v2Frame)
-		f.Add(v2Frame[:len(v2Frame)-1]) // trailing MinVersion truncated away
+	// Session-token seed: a MinVersion-bearing request (the trailing-uvarint
+	// layout) beside its JSON form.
+	f.Add(jsonSeeds[1])
+	v2Frame, err := AppendFrameV2(nil, &Envelope{
+		Kind: TypeRequest, From: -1, To: 3, Origin: 3, ReqID: 8, Doc: "d", MinVersion: 42,
+	})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(v2Frame)
+	f.Add(v2Frame[:len(v2Frame)-1]) // trailing MinVersion truncated away
+	// Retired tunnel frames as an older node wrote them, beside the JSON
+	// form: tunnel_fetch (code 7, the delegate-family layout plus a
+	// trailing MinVersion) and tunnel_reply (code 8, the plain layout).
+	// The decoder must reject both.
+	f.Add(jsonSeeds[2])
+	family, err := AppendFrameV2(nil, &Envelope{Kind: TypeDelegate, From: 6, To: 0, Doc: "d"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fetch := binary.AppendUvarint(append([]byte(nil), family...), 7)
+	binary.BigEndian.PutUint32(fetch, uint32(len(fetch)-4))
+	fetch[5] = 7
+	f.Add(fetch)
+	reply := append([]byte(nil), family...)
+	reply[5] = 8
+	f.Add(reply)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env := GetEnvelope()
@@ -65,6 +78,9 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if data[4] != Version2 {
 			t.Fatalf("accepted a payload starting with %#x", data[4])
+		}
+		if code := data[5]; code == 7 || code == 8 {
+			t.Fatalf("accepted the retired kind code %d", code)
 		}
 		// Anything decoded must re-encode.
 		if _, err := AppendFrameV2(nil, env); err != nil {

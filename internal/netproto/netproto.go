@@ -1,7 +1,7 @@
 // Package netproto defines the wire protocol spoken by live WebWave cache
 // servers: load gossip, delegation of document service duty down the tree,
-// shedding up the tree, client request packets, tunnel fetches across
-// potential barriers, and a stats scrape for the harness.
+// shedding up the tree, client request packets, version-carrying writes,
+// and a stats scrape for the harness.
 //
 // Messages travel as length-prefixed frames whose payload is the compact
 // binary form of binary.go (protocol v2); its high-frequency kinds encode
@@ -48,11 +48,6 @@ const (
 	// into its own target when it caches the document (the wave recedes to
 	// the surviving copies) and ignores otherwise.
 	TypeEvict Type = "evict"
-	// TypeTunnelFetch asks the home server directly for a document copy —
-	// the Section 5.2 recovery across a potential barrier.
-	TypeTunnelFetch Type = "tunnel_fetch"
-	// TypeTunnelReply carries the tunneled document body.
-	TypeTunnelReply Type = "tunnel_reply"
 	// TypeStatsQuery and TypeStatsReply let the harness scrape metrics.
 	TypeStatsQuery Type = "stats_query"
 	TypeStatsReply Type = "stats_reply"
@@ -105,7 +100,7 @@ type Envelope struct {
 	// Gossip.
 	Load float64 `json:"load,omitempty"`
 
-	// Delegation / shedding / tunneling.
+	// Delegation / shedding / writes.
 	Doc  core.DocID `json:"doc,omitempty"`
 	Rate float64    `json:"rate,omitempty"`
 	Body []byte     `json:"body,omitempty"`
@@ -116,7 +111,7 @@ type Envelope struct {
 	BodyLent bool `json:"-"`
 	// DocVersion is the document's version number: the superseding version
 	// on republish/invalidate frames, the version of the copy handed over
-	// on delegate/tunnel frames, and the version of the copy that
+	// on delegate frames, and the version of the copy that
 	// answered on responses (so clients can measure staleness). 0 means the
 	// document has never been republished.
 	DocVersion uint64 `json:"doc_version,omitempty"`
@@ -127,8 +122,7 @@ type Envelope struct {
 	// MinVersion is the oldest document version the requesting session will
 	// accept (read-my-writes session tokens): a node holding an older copy
 	// must bypass it and refresh through the tree instead of serving it.
-	// 0 — the default — accepts any version. Rides request and tunnel_fetch
-	// frames.
+	// 0 — the default — accepts any version. Rides request frames only.
 	MinVersion uint64 `json:"min_version,omitempty"`
 	// ServedBy is set on responses: the node that served the request.
 	ServedBy int `json:"served_by,omitempty"`

@@ -79,7 +79,7 @@ func BenchmarkFastPathServe(b *testing.B) {
 // forward a request upstream (pending entry, single-flight leader) and
 // route its response back down.
 func BenchmarkForwardAndRespond(b *testing.B) {
-	s := benchServer(b, Config{ID: 1, ParentID: 0, ParentAddr: "parent", HomeAddr: "parent"})
+	s := benchServer(b, Config{ID: 1, ParentID: 0, ParentAddr: "parent"})
 	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})
 	req := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 1, Doc: "d"}
 	resp := &netproto.Envelope{Kind: netproto.TypeResponse, From: 0, Origin: 1, Doc: "d", ServedBy: 0, Hops: 1, Body: []byte("x")}

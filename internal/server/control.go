@@ -311,6 +311,7 @@ func (c *control) installParent(id int, conn transport.Conn) {
 	s := c.s
 	c.failoverOn.Store(false)
 	if s.isRoot || s.parentLink() != nil {
+		s.untrack(conn)
 		conn.Close() // stale hand-off: a parent is already live
 		return
 	}
@@ -590,11 +591,14 @@ func (c *control) claimPassing(want float64, snaps []*shardSnap) float64 {
 	return claimed
 }
 
-// tunnel fetches the hottest forwarded-but-uncached document straight from
-// the home server (Section 5.2).
+// tunnel adopts the hottest forwarded-but-uncached document (Section 5.2):
+// its requests pass through here right now, so the body passes back down
+// within one round trip. The pre-claim raises the target and marks the
+// document for adoption; the next response for it admits the copy through
+// the lease-refresh path (maybeLeaseRefresh).
 func (c *control) tunnel(load float64, snaps []*shardSnap) {
 	s := c.s
-	if s.cfg.HomeAddr == "" || s.isRoot {
+	if s.isRoot {
 		return
 	}
 	var best core.DocID
@@ -611,15 +615,7 @@ func (c *control) tunnel(load float64, snaps []*shardSnap) {
 	if bestFlow <= 0 {
 		return
 	}
-	conn, err := transport.DialOn(s.cfg.Network, s.cfg.Addr, s.cfg.HomeAddr)
-	if err != nil {
-		return
-	}
 	c.nTunnels++
-	c.sendOn(conn, &netproto.Envelope{
-		Kind: netproto.TypeTunnelFetch, From: s.cfg.ID, Doc: best,
-	})
-	s.readLoop(conn)
 	// Pre-claim a share of the stream we already forward.
 	deficit := (c.parentLoad - load) / 2
 	claim := bestFlow

@@ -49,7 +49,7 @@ func TestOrphanServesAndQueuesThenRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	startServer(t, Config{
-		ID: 2, Addr: "leaf", ParentID: 1, ParentAddr: "mid", HomeAddr: "root",
+		ID: 2, Addr: "leaf", ParentID: 1, ParentAddr: "mid",
 		AncestorAddrs: []string{"mid"}, // only the parent itself: stays orphaned while it is down
 		Network:       netw,
 		GossipPeriod:  15 * time.Millisecond,
@@ -133,7 +133,7 @@ func TestFailoverReclaimThenAbsorbConservesDuty(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf, err := New(Config{
-		ID: 2, Addr: "leaf", ParentID: 1, ParentAddr: "mid", HomeAddr: rootAddr,
+		ID: 2, Addr: "leaf", ParentID: 1, ParentAddr: "mid",
 		AncestorAddrs: []string{"mid", rootAddr},
 		Network:       netw,
 		GossipPeriod:  15 * time.Millisecond,

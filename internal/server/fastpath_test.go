@@ -325,7 +325,7 @@ func TestFastPathFallbackOnAdmission(t *testing.T) {
 		Network: netw,
 	})
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root",
 		Network: netw,
 		// Long window: the small delegated target saturates quickly and
 		// stays saturated for the rest of the test.

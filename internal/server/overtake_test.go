@@ -105,19 +105,20 @@ func TestResponseOvertakesRepublish(t *testing.T) {
 	}
 }
 
-// TestTunnelReplyOvertakesRepublish: a version-2 tunnel reply installs the
-// body before the version-2 republish arrives. The republish finds the
-// copy already current — a stale drop locally — but still travels on to
-// the children.
-func TestTunnelReplyOvertakesRepublish(t *testing.T) {
-	s, sh, kid2 := overtakeNode(t, false)
-	sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
-		Kind: netproto.TypeTunnelReply, From: 0, To: 1, Doc: "d", DocVersion: 2, Body: []byte("body-v2"),
-	}})
-	wantServed(t, s, 1, 2, 2)
+// TestTunnelAdoptedCopyOvertakesRepublish: a tunnel adopts the version-2
+// copy passing down before the version-2 republish arrives. The republish
+// finds the copy already current — a stale drop locally — but still
+// travels on to the children.
+func TestTunnelAdoptedCopyOvertakesRepublish(t *testing.T) {
+	s, sh, _ := tunnelNode(t)
+	kid2 := &sinkConn{}
+	s.children.Store(&childView{conns: map[int]transport.Conn{2: kid2, 3: nopConn{}}})
+	read(s, "d", 1, 0)
+	pass(sh, 1, 2, "body-v")
+	wantServed(t, s, 2, 2, 2)
 	republish(sh, 2)
 	wantWrite(t, kid2, 2)
-	wantServed(t, s, 2, 2, 2)
+	wantServed(t, s, 3, 2, 2)
 	if sh.n.staleDrops != 1 || sh.n.republishesIn != 0 {
 		t.Fatalf("stale drops %d, republishes applied %d; want 1/0", sh.n.staleDrops, sh.n.republishesIn)
 	}

@@ -100,7 +100,7 @@ func TestPendingSweptOnConnClose(t *testing.T) {
 	netw := newTestNetwork()
 	newFakeParent(t, netw, "parent")
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent", HomeAddr: "parent",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent",
 		Network: netw,
 	})
 
@@ -129,7 +129,7 @@ func TestJSONFrameRetiresConnection(t *testing.T) {
 	netw := transport.TCPNetwork{}
 	parentAddr := newFakeParent(t, netw, "127.0.0.1:0").listener.Addr()
 	child := startServer(t, Config{
-		ID: 1, Addr: "127.0.0.1:0", ParentID: 0, ParentAddr: parentAddr, HomeAddr: parentAddr,
+		ID: 1, Addr: "127.0.0.1:0", ParentID: 0, ParentAddr: parentAddr,
 		Network: netw,
 	})
 	peer, err := net.Dial("tcp", child.Addr())
@@ -163,7 +163,7 @@ func TestPendingExpires(t *testing.T) {
 	netw := newTestNetwork()
 	newFakeParent(t, netw, "parent")
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent", HomeAddr: "parent",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent",
 		Network:    netw,
 		PendingTTL: 80 * time.Millisecond,
 	})
@@ -184,7 +184,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	netw := newTestNetwork()
 	fp := newFakeParent(t, netw, "parent")
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent", HomeAddr: "parent",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "parent",
 		// A long gossip period keeps the flight-retry horizon far away, so
 		// every follower coalesces rather than re-leading.
 		GossipPeriod: time.Second,

@@ -3,8 +3,9 @@
 // forwarded rates over sliding windows, gossips load to its tree neighbors,
 // delegates document service duty down the tree, sheds it up, claims
 // passing request flow when under-loaded, and tunnels across potential
-// barriers — the full protocol of the paper's Sections 3–5 over real
-// message passing (in-memory or TCP transports).
+// barriers by adopting the next copy passing down — the full protocol of
+// the paper's Sections 3–5 over real message passing (in-memory or TCP
+// transports).
 //
 // Unlike the fluid simulators (internal/wave, internal/docwave), nothing
 // here conserves load by construction: requests physically travel up the
@@ -57,7 +58,6 @@ type Config struct {
 
 	ParentID   int    // -1 for the home server
 	ParentAddr string // empty for the home server
-	HomeAddr   string // the root's address (tunneling target)
 
 	// AncestorAddrs is the failover candidate list a non-root node walks
 	// when its parent link dies: typically [parent, grandparent, ..., root].
@@ -133,7 +133,7 @@ type Config struct {
 	// target plus its measured served rate, which each shard pushes into
 	// the store as it moves. Documents homed at this server are pinned and
 	// exempt: origin copies must survive any pressure. When a delegated or
-	// tunneled copy is displaced, the server tears down the document's
+	// adopted copy is displaced, the server tears down the document's
 	// admission filter (requests resume flowing toward the home server)
 	// and hints the eviction to its parent so the abandoned serve duty is
 	// absorbed by a surviving copy upstream.
@@ -242,8 +242,8 @@ const (
 	// since.
 	cmdClaim
 	// cmdPreclaim is cmdClaim without the cached check: the tunnel path
-	// claims a share of a stream for a copy that is still in flight from
-	// the home server.
+	// claims a share of a stream for a copy it does not hold yet, and marks
+	// the document so the next response passing down adopts the body.
 	cmdPreclaim
 	// cmdChildGone tells shards a child link died: its flow windows drop and
 	// the delegated duty recorded in the child's ledger is re-absorbed into
@@ -503,17 +503,18 @@ func (s *Server) Start() error {
 // the owning shard or the control loop. When the read side ends it posts a
 // close notification to every loop so each can sweep the routing state
 // (pending responses, single-flight waiters, child registration) tied to
-// the connection.
+// the connection, and drops the connection from s.conns.
 func (s *Server) readLoop(conn transport.Conn) {
 	s.connsMu.Lock()
 	s.conns = append(s.conns, conn)
 	s.connsMu.Unlock()
 	// Stop sweeps s.conns once, after closing s.stopped. A conn registered
-	// after that sweep (accept or tunnel dial racing with shutdown) would
-	// never be closed and its Recv below would block forever, wedging
-	// Stop's wg.Wait. The append above is serialized with the sweep by
-	// connsMu, so observing s.stopped closed here means the sweep may have
-	// already run: close the conn ourselves (double-close is safe).
+	// after that sweep (an accept or a failover hand-off racing with
+	// shutdown) would never be closed and its Recv below would block
+	// forever, wedging Stop's wg.Wait. The append above is serialized with
+	// the sweep by connsMu, so observing s.stopped closed here means the
+	// sweep may have already run: close the conn ourselves (double-close is
+	// safe).
 	select {
 	case <-s.stopped:
 		conn.Close()
@@ -525,6 +526,10 @@ func (s *Server) readLoop(conn transport.Conn) {
 		for {
 			env, err := conn.Recv()
 			if err != nil {
+				// Untracked, the conn is no longer closed by Stop's sweep:
+				// close it now, or its socket lingers until collected.
+				s.untrack(conn)
+				conn.Close()
 				closed := event{conn: conn, closed: true}
 				s.post(s.events, closed)
 				for _, sh := range s.shards {
@@ -535,6 +540,22 @@ func (s *Server) readLoop(conn transport.Conn) {
 			s.dispatch(env, conn)
 		}
 	}()
+}
+
+// untrack drops every registration of conn from s.conns (a failover
+// hand-off registers its conn twice), so a closed connection's buffers are
+// not kept until Stop.
+func (s *Server) untrack(conn transport.Conn) {
+	s.connsMu.Lock()
+	defer s.connsMu.Unlock()
+	for i := len(s.conns) - 1; i >= 0; i-- {
+		if s.conns[i] == conn {
+			last := len(s.conns) - 1
+			s.conns[i] = s.conns[last]
+			s.conns[last] = nil
+			s.conns = s.conns[:last]
+		}
+	}
 }
 
 // dispatch routes one inbound envelope: cached request hits are served on
@@ -555,7 +576,6 @@ func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 		ch = sh.events
 	case netproto.TypeResponse, netproto.TypeDelegate, netproto.TypeShed,
 		netproto.TypeEvict, netproto.TypeReclaim,
-		netproto.TypeTunnelFetch, netproto.TypeTunnelReply,
 		netproto.TypeRepublish, netproto.TypeInvalidate:
 		ch = s.shardFor(env.Doc).events
 	}

@@ -104,7 +104,7 @@ func TestChildForwardsToParent(t *testing.T) {
 		Network: netw,
 	})
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root",
 		Network: netw,
 	})
 	conn := dial(t, netw, "child")
@@ -168,7 +168,7 @@ func TestDelegationMovesServiceDown(t *testing.T) {
 		Window:          200 * time.Millisecond,
 	})
 	startServer(t, Config{
-		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "child", ParentID: 0, ParentAddr: "root",
 		Network:         netw,
 		GossipPeriod:    10 * time.Millisecond,
 		DiffusionPeriod: 20 * time.Millisecond,
@@ -202,8 +202,8 @@ func TestTunnelingAcrossLiveBarrier(t *testing.T) {
 	// Chain root(0) <- parent(1) <- child(2). The parent is kept busy with
 	// its own hot document dP (delegated down from the home), while the
 	// child's document dC flows through to the home. The parent never has
-	// dC duty to delegate, so the under-loaded child must tunnel dC
-	// straight from the home and start serving it locally.
+	// dC duty to delegate, so the under-loaded child must tunnel: adopt the
+	// dC copy passing down to it and start serving it locally.
 	netw := newTestNetwork()
 	period := 15 * time.Millisecond
 	common := func(cfg Config) Config {
@@ -220,10 +220,10 @@ func TestTunnelingAcrossLiveBarrier(t *testing.T) {
 		Docs: map[core.DocID][]byte{"dP": []byte("hot"), "dC": []byte("cold")},
 	}))
 	startServer(t, common(Config{
-		ID: 1, Addr: "parent", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "parent", ParentID: 0, ParentAddr: "root",
 	}))
 	childSrv := startServer(t, common(Config{
-		ID: 2, Addr: "child", ParentID: 1, ParentAddr: "parent", HomeAddr: "root",
+		ID: 2, Addr: "child", ParentID: 1, ParentAddr: "parent",
 	}))
 	_ = childSrv
 
@@ -254,8 +254,8 @@ func TestTunnelingAcrossLiveBarrier(t *testing.T) {
 		}
 	}()
 
-	// Wait for the child to acquire dC — via tunnel (or, if dynamics allow,
-	// a delegation that reached it).
+	// Wait for the child to acquire dC — by adoption (or, if dynamics
+	// allow, a delegation that reached it).
 	statsConn := dial(t, netw, "child")
 	deadline := time.Now().Add(8 * time.Second)
 	for time.Now().Before(deadline) {
@@ -299,19 +299,45 @@ func TestStopIdempotent(t *testing.T) {
 	s.Stop() // second call must be safe
 }
 
-func TestTunnelFetchServedByHome(t *testing.T) {
+// TestClosedConnsAreDropped: a connection whose read side ends leaves the
+// server's connection list, so a node that clients, gateways or restarted
+// children keep reconnecting to does not hold every closed connection's
+// buffers until Stop.
+func TestClosedConnsAreDropped(t *testing.T) {
 	netw := newTestNetwork()
-	startServer(t, Config{
+	s := startServer(t, Config{
 		ID: 0, Addr: "root", ParentID: -1,
-		Docs:    map[core.DocID][]byte{"d": []byte("tunnel-me")},
+		Docs:    map[core.DocID][]byte{"d": []byte("body")},
 		Network: netw,
 	})
-	conn := dial(t, netw, "root")
-	if err := conn.Send(&netproto.Envelope{Kind: netproto.TypeTunnelFetch, From: 9, Doc: "d"}); err != nil {
-		t.Fatal(err)
+	tracked := func() int {
+		s.connsMu.Lock()
+		defer s.connsMu.Unlock()
+		return len(s.conns)
 	}
-	reply := recvKind(t, conn, netproto.TypeTunnelReply, 2*time.Second)
-	if string(reply.Body) != "tunnel-me" {
-		t.Errorf("tunnel body = %q", reply.Body)
+	base := tracked()
+	conns := make([]transport.Conn, 64)
+	for i := range conns {
+		conns[i] = dial(t, netw, "root")
+		// A round trip proves the server's read loop for it is running.
+		if err := conns[i].Send(&netproto.Envelope{
+			Kind: netproto.TypeRequest, From: -1, Origin: 5, ReqID: uint64(i), Doc: "d",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		recvKind(t, conns[i], netproto.TypeResponse, 2*time.Second)
+	}
+	if n := tracked(); n != base+len(conns) {
+		t.Fatalf("%d connections tracked with %d open, want %d", n, len(conns), base+len(conns))
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for tracked() != base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := tracked(); n != base {
+		t.Fatalf("%d connections still tracked after all %d closed, want %d", n, len(conns), base)
 	}
 }

@@ -74,7 +74,7 @@ type pubEntry struct {
 	// the label every fast-path reply carries.
 	version uint64
 	// always marks an origin (pinned) copy: admitted unconditionally. A
-	// delegated or tunneled copy instead spends its record's credits.
+	// delegated or adopted copy instead spends its record's credits.
 	always bool
 	// dead is set (possibly by another shard's Put displacing this copy)
 	// the moment the document leaves the store, so the fast path stops
@@ -143,8 +143,9 @@ type docState struct {
 	jTarget  float64
 	admitted bool
 	// stale marks a body dropped by an invalidation (or bypassed upward by
-	// a session floor) while its filter and duty stayed — cleared when a
-	// passing response re-admits the fresh copy (the lease refresh).
+	// a session floor) while its filter and duty stayed, or a document a
+	// tunnel pre-claimed before holding it — cleared when a passing
+	// response admits the fresh copy (the lease refresh).
 	stale bool
 }
 
@@ -407,7 +408,13 @@ func (sh *shard) handleCmd(ev event) {
 		}
 		sh.addTarget(ev.doc, ev.rate) // arm the fast path without waiting a tick
 	case cmdPreclaim:
-		sh.addTarget(ev.doc, ev.rate) // tunneled copy still in flight: no cached check
+		// A tunnel: raise the target before the copy exists (no cached
+		// check), and mark the document so the next response passing
+		// through adopts its body (maybeLeaseRefresh).
+		sh.addTarget(ev.doc, ev.rate)
+		if !sh.s.holdsCopy(ev.doc) {
+			sh.state(ev.doc).stale = true
+		}
 	case cmdChildGone:
 		for _, w := range sh.childFlow[ev.child] {
 			w.Clear() // may still sit on the live list
@@ -486,7 +493,7 @@ func (sh *shard) parentRestored() {
 			st.flight.at = sh.now
 		}
 		// Duty stranded while orphaned: re-absorb what we meanwhile hold
-		// again (a tunneled copy, say), hint the rest across the repaired
+		// again (an adopted copy, say), hint the rest across the repaired
 		// edge.
 		if rate := st.stranded; rate > 0 {
 			st.stranded = 0
@@ -950,30 +957,6 @@ func (sh *shard) handle(ev event) {
 		sh.n.reclaimedDuty += env.Rate
 		sh.dutyLedger(env.From)[env.Doc] += env.Rate
 
-	case netproto.TypeTunnelFetch:
-		// Only the home can answer authoritatively. Peek: a tunnel fetch
-		// is a copy transfer, not local demand, so it must not refresh
-		// recency or frequency. A fetch carrying a session floor newer than
-		// the copy goes unanswered — shipping an older copy across the
-		// barrier would plant exactly the stale body the token exists to
-		// bypass.
-		body, ver, lent, ok := sh.bodyOf(env.Doc)
-		if ok && versionOK(ver, env.MinVersion, sh.mark(sh.state(env.Doc))) {
-			sh.sendOn(ev.conn, &netproto.Envelope{
-				Kind: netproto.TypeTunnelReply, From: sh.s.cfg.ID, To: env.From,
-				Doc: env.Doc, Body: body, BodyLent: lent, DocVersion: ver,
-			})
-		}
-
-	case netproto.TypeTunnelReply:
-		if env.Body != nil {
-			// The tunnel's pre-claim raised the target, and armed the
-			// budget, before the copy existed; admitting it opens the fast
-			// path at once — the burst that triggered tunneling is
-			// happening right now.
-			sh.admit(env.Doc, env.Body, env.DocVersion)
-		}
-
 	case netproto.TypeRepublish:
 		sh.handleRepublish(env)
 
@@ -1314,7 +1297,7 @@ func (sh *shard) fetchUp(st *docState, ws []waiter) {
 func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 	st := sh.state(doc)
 	if cur, _ := sh.s.copyVersion(doc); !versionOK(ver, cur, sh.mark(st)) {
-		// A stale body (a delegation or tunnel reply that raced a
+		// A stale body (a delegation or passing response that raced a
 		// republish, or older than the copy held here): refuse it —
 		// admitting it would roll the document back. An admit moves no
 		// mark; the body carries its version into the tiers.

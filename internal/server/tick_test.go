@@ -21,7 +21,7 @@ import (
 // children 2 and 3) whose links all discard what they are sent.
 func handServer(tb testing.TB, cfg Config) *Server {
 	tb.Helper()
-	cfg.ID, cfg.ParentID, cfg.ParentAddr, cfg.HomeAddr = 1, 0, "parent", "parent"
+	cfg.ID, cfg.ParentID, cfg.ParentAddr = 1, 0, "parent"
 	s := benchServer(tb, cfg)
 	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})
 	s.children.Store(&childView{conns: map[int]transport.Conn{2: nopConn{}, 3: nopConn{}}})

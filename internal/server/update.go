@@ -8,9 +8,9 @@ package server
 // version — both tiers store it beside the body, and it labels every reply
 // — while each node keeps one write mark per document that only write
 // frames move (applyWrite): a frame above it advances it and diffuses on,
-// one at or below it is a duplicate, dropped and not forwarded. Responses,
-// tunnel replies and admissions never move the mark, so one that overtakes
-// a write never makes the write look stale. A node whose copy is older
+// one at or below it is a duplicate, dropped and not forwarded. Responses
+// and admissions never move the mark, so one that overtakes a write never
+// makes the write look stale. A node whose copy is older
 // than the write either swaps the new body into both tiers in place
 // (republish) or drops the stale body while KEEPING its admission filter,
 // targets and duty (invalidate) — requests then miss locally and travel
@@ -22,8 +22,8 @@ package server
 // Body frames ride only the edges the duty ledger says have copies below
 // them (the delegation edges); every other child gets a cheap
 // version-only invalidate and forwards it on, so deeper copies the ledger
-// cannot see (tunneled ones, for instance) still converge — they drop to
-// stale and lease-refresh on the next demand.
+// cannot see (adopted by a tunnel, for instance) still converge — they
+// drop to stale and lease-refresh on the next demand.
 //
 // A session read whose floor is above the write mark names a write this
 // node has not applied yet, already on its way down. It waits on the
@@ -73,7 +73,7 @@ func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 // keeping the document's filter, targets and duty exactly as they were (a
 // republish moves data, not duty), or drops the copy if there is no body
 // to install or neither tier keeps it. A copy that already serves the write
-// (a response or tunnel reply brought it first) stays as it is, a stale
+// (a passing response brought it first) stays as it is, a stale
 // drop locally. Either way the session reads waiting for the write are
 // released (releaseWaiting) and applyWrite reports true: the children
 // still need the write.
@@ -157,7 +157,8 @@ func (sh *shard) diffuseDown(doc core.DocID, ver uint64, body []byte) {
 // maybeLeaseRefresh re-admits a stale copy from a response passing through:
 // the single-flight fetch that produced it is the subtree's lease, so the
 // refreshed copy costs the origin one fetch however many clients stormed
-// the document here.
+// the document here. A tunnel's pre-claim marks a document it does not hold
+// yet the same way, so this is also where a tunnel adopts its copy.
 func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 	if !st.stale || env.NotFound || len(env.Body) == 0 {
 		return

@@ -22,7 +22,7 @@ func TestInvalidateDropsCopyThenLeaseRefreshes(t *testing.T) {
 		GossipPeriod: 15 * time.Millisecond,
 	})
 	startServer(t, Config{
-		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root",
 		Network:      netw,
 		GossipPeriod: 15 * time.Millisecond,
 	})
@@ -105,7 +105,7 @@ func TestRepublishPushesBodyAlongDutyEdge(t *testing.T) {
 		GossipPeriod: 15 * time.Millisecond,
 	})
 	startServer(t, Config{
-		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root",
 		Network:      netw,
 		GossipPeriod: 15 * time.Millisecond,
 	})
@@ -258,7 +258,7 @@ func TestWarmRestartRecoversVersions(t *testing.T) {
 		ID: 0, Addr: "root", ParentID: -1, Network: netw,
 	})
 	cfg := Config{
-		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		ID: 1, Addr: "leaf", ParentID: 0, ParentAddr: "root",
 		Network: netw, DataDir: dir,
 	}
 	s, err := New(cfg)

@@ -345,7 +345,7 @@ func TestLentBodySurvivesReuse(t *testing.T) {
 			buf := []byte("first")
 			for _, want := range []string{"first", "again"} {
 				copy(buf, want)
-				env := &netproto.Envelope{Kind: netproto.TypeTunnelReply, Doc: "d", Body: buf, BodyLent: true}
+				env := &netproto.Envelope{Kind: netproto.TypeResponse, Doc: "d", Body: buf, BodyLent: true}
 				var err error
 				if tc.lane {
 					ln := client.(LaneConn).Lane(0)
@@ -372,7 +372,7 @@ func TestLentBodySurvivesReuse(t *testing.T) {
 	client, server, cleanup := pair(t, NewMemoryNetwork(MemoryOptions{}), "shared")
 	defer cleanup()
 	owned := []byte("immutable")
-	if err := client.Send(&netproto.Envelope{Kind: netproto.TypeTunnelReply, Doc: "d", Body: owned}); err != nil {
+	if err := client.Send(&netproto.Envelope{Kind: netproto.TypeResponse, Doc: "d", Body: owned}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := server.Recv(); err != nil || &got.Body[0] != &owned[0] {
