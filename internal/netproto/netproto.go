@@ -174,8 +174,8 @@ type Stats struct {
 	// FastServed counts requests answered on the lock-free read fast path
 	// (connection goroutine, publication-index hit) — a subset of Served.
 	FastServed int64 `json:"fast_served,omitempty"`
-	// PendingLen is the size of the response-routing table at snapshot
-	// time (in-flight forwarded requests not yet answered or expired).
+	// PendingLen counts the reads held at snapshot time: on a document's
+	// flight, waiting for its upstream answer, or waiting for a write.
 	PendingLen int `json:"pending_len,omitempty"`
 	// Cache pressure counters: the configured byte budget (0 = unlimited),
 	// documents displaced by eviction, the bytes they held, and the

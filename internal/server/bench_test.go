@@ -76,8 +76,9 @@ func BenchmarkFastPathServe(b *testing.B) {
 }
 
 // BenchmarkForwardAndRespond measures the relay path on an interior node:
-// forward a request upstream (pending entry, single-flight leader) and
-// route its response back down.
+// hold a read on its document's flight, send the fetch upstream, and answer
+// the read from the response. The flight is allocated on the document's
+// first forward and reused, so the steady state allocates nothing.
 func BenchmarkForwardAndRespond(b *testing.B) {
 	s := benchServer(b, Config{ID: 1, ParentID: 0, ParentAddr: "parent"})
 	s.parent.Store(&parentLink{id: 0, conn: nopConn{}})

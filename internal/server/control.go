@@ -306,7 +306,7 @@ func (c *control) parentLost(pl *parentLink) {
 // installParent wires a handshaken ancestor connection in as the new
 // parent: the link goes live for the shards, the node re-identifies itself
 // (the ancestor registers it as a child on the gossip), and every shard
-// replays its held duty (reclaim) and unanswered upward requests.
+// replays its held duty (reclaim) and one fetch per flight holding reads.
 func (c *control) installParent(id int, conn transport.Conn) {
 	s := c.s
 	c.failoverOn.Store(false)
@@ -323,7 +323,7 @@ func (c *control) installParent(id int, conn transport.Conn) {
 	c.gossipTo(id, conn, sumLoad(c.snaps()), true)
 	for _, sh := range s.shards {
 		// Blocking post, like cmdChildGone: losing this command would strand
-		// the shard's queued upward flow until its pending TTL.
+		// the reads the shard holds for upstream until PendingTTL drops them.
 		s.post(sh.events, event{cmd: cmdParentRestored})
 	}
 }
@@ -681,7 +681,7 @@ func (c *control) snapshot() *netproto.Stats {
 		// Snapshot-carried (not a live atomic), so a scrape never reports
 		// more fast serves than the Served it sits inside.
 		st.FastServed += sn.counters.fastServed
-		st.PendingLen += sn.pendingLen
+		st.PendingLen += sn.held
 		for d, t := range sn.targets {
 			st.Targets[d] = t
 		}

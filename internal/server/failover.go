@@ -2,8 +2,8 @@ package server
 
 // Parent failover: when a non-root node loses its parent link it enters a
 // degraded "orphan" mode — it keeps serving every document it holds from
-// the lock-free fast path and the shard loops, and it parks upward flow in
-// its pending/single-flight tables instead of sending it into a dead link —
+// the lock-free fast path and the shard loops, and it holds upward reads on
+// their documents' flights instead of sending them into a dead link —
 // while a single background goroutine walks Config.AncestorAddrs looking
 // for a live ancestor to re-attach to.
 //
@@ -13,8 +13,8 @@ package server
 // names the responder, sparing the config an id list — proves the edge
 // carries frames both ways. The handshaken connection is handed to the
 // control loop (cmdParentUp), which installs it, re-identifies the node to
-// its new parent, and has every shard replay its queued requests and
-// re-announce its held duty with reclaim frames.
+// its new parent, and has every shard send one fetch per flight holding
+// reads and re-announce its held duty with reclaim frames.
 
 import (
 	"time"

@@ -88,7 +88,7 @@ func TestOrphanServesAndQueuesThenRejoins(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitStats(t, netw, "leaf", "parked pending entry", func(st *netproto.Stats) bool {
+	waitStats(t, netw, "leaf", "held read", func(st *netproto.Stats) bool {
 		return st.PendingLen >= 1
 	})
 

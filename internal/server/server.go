@@ -14,8 +14,8 @@
 // or stale messages degrade balance, never correctness.
 //
 // The runtime is built for multi-core throughput. Per-document protocol
-// state — admission filters, serve targets, rate windows, response routing,
-// single-flight tables — is partitioned by hash(doc) across NumShards
+// state — admission filters, serve targets, rate windows, the reads held
+// for upstream answers — is partitioned by hash(doc) across NumShards
 // independent shard loops with no cross-shard locking; a separate control
 // loop owns gossip, diffusion and tunneling, exchanging aggregate heat and
 // duty with the shards through epoch-stamped snapshot mailboxes
@@ -109,10 +109,10 @@ type Config struct {
 	DiffusionPeriod time.Duration // default 100ms
 	Window          time.Duration // rate-estimation window, default 1s
 
-	// PendingTTL bounds how long response-routing state for a forwarded
-	// request (and any single-flight waiters coalesced behind it) is kept
-	// when no response arrives; stale entries are swept so lost responses
-	// and vanished clients do not leak memory. Default 30s.
+	// PendingTTL bounds how long a shard holds a read it cannot answer yet,
+	// counted from the read's arrival: a read no response for its document
+	// answered within it is dropped, so lost responses do not leak memory.
+	// At the root, a read waiting for a write is held as long. Default 30s.
 	PendingTTL time.Duration
 
 	// NumShards is the number of independent doc-sharded event loops
@@ -253,48 +253,32 @@ const (
 	// an ancestor answered the handshake; conn and child carry the new link.
 	cmdParentUp
 	// cmdParentRestored tells shards a new parent link is live: each shard
-	// replays its unanswered pending requests upward (their previous leaders
-	// died with the old link) and re-announces its held duty via reclaim.
+	// sends one fetch per flight upward (the fetches before it died with the
+	// old link) and re-announces its held duty via reclaim.
 	cmdParentRestored
 )
 
-// pendingKey identifies an in-flight request for response routing.
-type pendingKey struct {
-	origin int
-	reqID  uint64
-}
-
-// pendingEntry remembers where to route a response and when the request
-// was forwarded, so stale entries can be expired. doc and hops keep enough
-// of the original request to replay it after a parent failover (the
-// forwarded copy died with the old link).
-type pendingEntry struct {
-	conn transport.Conn
-	at   time.Time
-	doc  core.DocID
-	hops int
-	// minVer is the forwarded request's session floor, kept so a failover
-	// replay (parentRestored) re-sends the request with the same guarantee
-	// instead of silently dropping it.
-	minVer uint64
-}
-
-// waiter is a request held on a document's record: coalesced behind an
-// in-flight fetch (flight) or waiting for a write (docState.waiting).
-// minVer is the session's version floor (0 = any): a response older than it
-// must not answer this waiter — the waiter goes upward again instead
-// (fetchUp). hops is the request's hop count on arrival.
+// waiter is a read held on a document's record: on its flight, for the
+// document's upstream answer, or waiting for a write (docState.waiting).
+// origin and reqID name the read, conn is where its answer goes, and hops is
+// its hop count on arrival, at its arrival time (the tick's sweep drops it
+// PendingTTL later). minVer is the session's version floor (0 = any): a
+// response older than it must not answer this read, which stays held for
+// the next fetch instead.
 type waiter struct {
 	origin int
 	reqID  uint64
 	conn   transport.Conn
 	minVer uint64
 	hops   int
+	at     time.Time
 }
 
-// flight tracks one upstream fetch for an uncached document; concurrent
-// requests for the same document ride along as waiters instead of each
-// traveling up the tree.
+// flight holds the reads waiting for a document's upstream answer, the one
+// that led the fetch included; any response for the document answers them.
+// at is when the last fetch for them went up. A document's flight is
+// allocated on its first forward and reused until the tick's sweep finds
+// it empty and frees it: an empty one has no fetch to wait for.
 type flight struct {
 	at      time.Time
 	waiters []waiter
@@ -501,9 +485,9 @@ func (s *Server) Start() error {
 // readLoop pumps a connection: requests hitting the publication index are
 // served right here (the lock-free fast path); everything else is routed to
 // the owning shard or the control loop. When the read side ends it posts a
-// close notification to every loop so each can sweep the routing state
-// (pending responses, single-flight waiters, child registration) tied to
-// the connection, and drops the connection from s.conns.
+// close notification to every loop so each can sweep the state tied to the
+// connection (the reads its shards hold, child registration), and drops the
+// connection from s.conns.
 func (s *Server) readLoop(conn transport.Conn) {
 	s.connsMu.Lock()
 	s.conns = append(s.conns, conn)

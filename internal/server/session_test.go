@@ -2,8 +2,8 @@ package server
 
 // Single-threaded tests for the session-token gating paths: the fast-path
 // decline, the root's waiting reads (sessionGate / releaseWaiting), the
-// upward fetch of reads a write could not answer, and the re-arm of waiters
-// a too-old response could not satisfy (fetchUp). The cluster harness
+// upward fetch of reads a write could not answer, and the reads a too-old
+// response could not satisfy, held for the next fetch. The cluster harness
 // exercises the same machinery end to end; these pin the per-branch
 // behavior. wait_test.go covers waiting at the other nodes.
 
@@ -120,8 +120,8 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 	}, conn: c4})
 	sh.now = sh.now.Add(2 * sh.flightRetry)
 	sh.tick(false)
-	if st := sh.state("d"); len(st.waiting) != 1 || len(c4.sent) != 0 || len(sh.pending) != 0 {
-		t.Fatalf("after the retry horizon: waiting %d, answers %d, pending %d; want 1/0/0", len(st.waiting), len(c4.sent), len(sh.pending))
+	if st := sh.state("d"); len(st.waiting) != 1 || len(c4.sent) != 0 || st.flight != nil {
+		t.Fatalf("after the retry horizon: waiting %d, answers %d, flight %+v; want 1/0/none", len(st.waiting), len(c4.sent), st.flight)
 	}
 	sh.now = sh.now.Add(s.cfg.PendingTTL)
 	sh.tick(false)
@@ -143,9 +143,9 @@ func TestSessionGateParksAtRoot(t *testing.T) {
 // TestSessionGateBypassesStaleCopyAndRefetches drives a non-root shard: a
 // floored read waits for its write instead of bypassing the held copy; a
 // version-only write drops the copy and sends the read upward — orphaned
-// here, held for replay with its floor — a later floored miss coalesces
-// behind that fetch, and a response too old for the coalesced floor re-arms
-// it as a fresh fetch carrying its floor instead of answering it stale.
+// here, held for replay with its floor — a later floored miss joins that
+// flight, and a response too old for its floor leaves it held for the next
+// fetch, sent at once with its floor, instead of answering it stale.
 func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	s, err := New(Config{
 		ID: 1, Addr: "x", ParentID: 0, ParentAddr: "p",
@@ -169,7 +169,7 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if sh.n.sessionRefreshes != 1 || len(sh.state("d").waiting) != 1 {
 		t.Fatalf("session refreshes = %d, waiting = %d; want 1/1", sh.n.sessionRefreshes, len(sh.state("d").waiting))
 	}
-	if len(sh.pending) != 0 || sh.state("d").flight != nil || sh.state("d").stale || !s.cache.Contains("d") {
+	if len(onFlight(sh, "d")) != 0 || sh.state("d").stale || !s.cache.Contains("d") {
 		t.Fatal("a waiting read went upward or disturbed the held copy")
 	}
 
@@ -181,24 +181,26 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if !sh.state("d").stale || s.cache.Contains("d") {
 		t.Fatal("the version-only write did not drop the copy")
 	}
-	pe, ok := sh.pending[pendingKey{origin: 7, reqID: 1}]
-	if !ok || pe.minVer != 2 || len(sh.state("d").waiting) != 0 {
-		t.Fatalf("pending entry = %+v (%v), want minVer 2 preserved and nothing left waiting", pe, ok)
+	if fl := onFlight(sh, "d"); len(fl) != 1 || fl[0].reqID != 1 || fl[0].minVer != 2 || len(sh.state("d").waiting) != 0 {
+		t.Fatalf("flight = %+v, want read 1 held with floor 2 and nothing left waiting", fl)
 	}
 
-	// A second session, floor 3, misses the dropped copy and coalesces
-	// behind the flight with its own floor.
+	// A second session, floor 3, misses the dropped copy and joins the
+	// flight with its own floor.
 	w2 := &sinkConn{}
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: 1, Doc: "d", Origin: 7, ReqID: 2, MinVersion: 3,
 	}, conn: w2})
-	if fl := sh.state("d").flight; fl == nil || len(fl.waiters) != 1 || fl.waiters[0].minVer != 3 {
-		t.Fatalf("coalesced flight = %+v, want one waiter with floor 3", fl)
+	if fl := onFlight(sh, "d"); len(fl) != 2 || fl[1].reqID != 2 || fl[1].minVer != 3 {
+		t.Fatalf("flight = %+v, want read 2 held beside read 1 with floor 3", fl)
 	}
 
-	// The response lands at version 2: it routes to the leader and lease-
-	// refreshes the stale copy, but must NOT answer the floor-3 waiter —
-	// that one re-arms as a fresh flight carrying its floor.
+	// The response lands at version 2: it answers the leader and lease-
+	// refreshes the stale copy, but must NOT answer the floor-3 read — that
+	// one stays held, and the next fetch, carrying its floor, goes up at
+	// once.
+	up := &sinkConn{}
+	s.parent.Store(&parentLink{id: 0, conn: up})
 	sh.handle(event{env: &netproto.Envelope{
 		Kind: netproto.TypeResponse, From: 0, To: 1, Doc: "d", Origin: 7, ReqID: 1,
 		DocVersion: 2, Body: []byte("b2"),
@@ -216,11 +218,15 @@ func TestSessionGateBypassesStaleCopyAndRefetches(t *testing.T) {
 	if body, _, held := s.cache.Peek("d"); !held || string(body) != "b2" {
 		t.Fatalf("held body = %q (%v) after refresh, want b2", body, held)
 	}
-	if sh.state("d").flight == nil {
-		t.Fatal("unsatisfied waiter was not re-armed as a fresh flight")
+	if fl := onFlight(sh, "d"); len(fl) != 1 || fl[0].reqID != 2 || fl[0].minVer != 3 {
+		t.Fatalf("flight = %+v, want the floor-3 read still held", fl)
 	}
-	pe, ok = sh.pending[pendingKey{origin: 7, reqID: 2}]
-	if !ok || pe.minVer != 3 {
-		t.Fatalf("re-armed pending entry = %+v (%v), want the group floor 3", pe, ok)
+	if reqs := requestsUp(up); len(reqs) != 1 || reqs[0].ReqID != 2 || reqs[0].MinVersion != 3 || sh.n.forwarded != 2 {
+		t.Fatalf("fetch = %+v (forwarded %d), want request 2 with floor 3 sent as the response landed", reqs, sh.n.forwarded)
+	}
+	// A failover replays the held fetch, floor intact.
+	sh.parentRestored()
+	if reqs := requestsUp(up); len(reqs) != 2 || reqs[1].ReqID != 2 || reqs[1].MinVersion != 3 {
+		t.Fatalf("fetches = %+v, want request 2 with the group floor 3 replayed", reqs)
 	}
 }

@@ -118,14 +118,13 @@ type docState struct {
 	// rate maps read it: the served half of the copy's rank (rank).
 	servedRate float64
 	flowWin    *docWindow // local demand (From -1); nil until requested
-	flight     *flight    // the upstream fetch requests coalesce behind
+	flight     *flight    // reads held for the upstream answer; nil until the first forward
 	// waiting holds the session reads whose floor is above the write mark,
 	// waiting for the write that set it (sessionGate) apart from flight, so
 	// no other read waits behind them. They share one deadline, counted
-	// from waitAt, when the first of them began. applyWrite and the tick's
-	// deadline release them (releaseWaiting).
+	// from the first one's arrival. applyWrite and the tick's deadline
+	// release them (releaseWaiting).
 	waiting []waiter
-	waitAt  time.Time
 	onWaits bool // on shard.waits
 	// ver is the write mark: the newest version a write frame brought here
 	// (after a warm restart, the recovered copy's). Only applyWrite moves
@@ -204,9 +203,9 @@ type shardSnap struct {
 	// epoch increments per publication. Every stats scrape publishes, so an
 	// epoch frozen across scrapes means a shard loop too wedged to answer
 	// one — the scrape exposes it per shard so exactly that is observable.
-	epoch      uint64
-	load       float64 // served req/s over the window, fast path included
-	pendingLen int
+	epoch uint64
+	load  float64 // served req/s over the window, fast path included
+	held  int     // reads the shard holds (sweepHeld), scraped as PendingLen
 
 	// Per-document figures, zero entries omitted (readers index the maps,
 	// and a missing key reads as zero).
@@ -259,12 +258,9 @@ type shard struct {
 	// child dies the ledger is what the node re-absorbs, so the wave does
 	// not silently lose the dead subtree's share.
 	childDuty   map[int]map[core.DocID]float64
-	pending     map[pendingKey]pendingEntry
 	flightRetry time.Duration
 	batch       []event
 	laneSender
-
-	lastSweep time.Time
 
 	// n counts what this loop did (exported via snapshots). n.served holds
 	// the queued serves only and n.fastServed stays zero here: a snapshot
@@ -290,8 +286,8 @@ type shard struct {
 	// for, since it last was), live the docWindows counted into since they
 	// last read empty (all a rebuild of the snapshot's rate maps reads);
 	// targetsMoved and ratesAt say whether and when one is due
-	// (publishSnap); waits lists the records with session reads waiting
-	// (expireWaits).
+	// (publishSnap); waits lists the records holding reads, on a flight or
+	// waiting for a write (sweepHeld).
 	entries      []*pubEntry
 	fastDrained  int64
 	hot          []*docState
@@ -315,7 +311,6 @@ func newShard(s *Server, idx int) *shard {
 		docs:        make(map[core.DocID]*docState, 16),
 		childFlow:   make(map[int]map[core.DocID]*docWindow, 8),
 		childDuty:   make(map[int]map[core.DocID]float64, 8),
-		pending:     make(map[pendingKey]pendingEntry, 64),
 		batch:       make([]event, 0, cfg.MaxBatch),
 		totalServed: newRateWindow(cfg.Window, rateBuckets),
 		laneSender:  laneSender{s: s, lane: idx},
@@ -472,9 +467,9 @@ func (sh *shard) hintUp(doc core.DocID, rate float64) {
 
 // parentRestored replays this shard's state onto a freshly failed-over
 // parent link: one reclaim frame per held target (so the new parent's duty
-// ledger mirrors what actually lives below the repaired edge), then every
-// unanswered pending request (their forwarded copies died with the old
-// link; responses still route back by (origin, reqID)).
+// ledger mirrors what actually lives below the repaired edge), then one
+// fetch per flight holding reads (the fetches before it died with the old
+// link; the response answers the flight by document).
 func (sh *shard) parentRestored() {
 	pl := sh.s.parentLink()
 	if pl == nil {
@@ -486,11 +481,6 @@ func (sh *shard) parentRestored() {
 				Kind: netproto.TypeReclaim, From: sh.s.cfg.ID, To: pl.id,
 				Doc: doc, Rate: st.target,
 			})
-		}
-		// Flights stay armed so new arrivals keep coalescing behind the
-		// replays below instead of each traveling upstream.
-		if st.flight != nil {
-			st.flight.at = sh.now
 		}
 		// Duty stranded while orphaned: re-absorb what we meanwhile hold
 		// again (an adopted copy, say), hint the rest across the repaired
@@ -505,18 +495,11 @@ func (sh *shard) parentRestored() {
 			}
 		}
 	}
-	fwd := netproto.GetEnvelope()
-	for key, pe := range sh.pending {
-		*fwd = netproto.Envelope{
-			Kind: netproto.TypeRequest, From: sh.s.cfg.ID, To: pl.id,
-			Doc: pe.doc, Origin: key.origin, ReqID: key.reqID, Hops: pe.hops + 1,
-			MinVersion: pe.minVer,
+	for _, st := range sh.waits {
+		if fl := st.flight; fl != nil && len(fl.waiters) > 0 {
+			sh.fetch(st, fl.waiters[0])
 		}
-		sh.sendOn(pl.conn, fwd)
-		pe.at = sh.now // restart the TTL clock from the replay
-		sh.pending[key] = pe
 	}
-	netproto.PutEnvelope(fwd)
 }
 
 // dutyLedger returns (creating if needed) the delegated-duty ledger for one
@@ -546,10 +529,10 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 
 // tick is the shard's periodic self-maintenance, driven by its own timer
 // every gossip period (and by cmdSnap for scrapes): fold fast-path activity
-// into the rate windows, top up admission credits, sweep stale routing
-// state, publish what moved to the snapshot mailbox. Each step reads only
-// what changed since the last tick, and a shard with nothing pending and
-// every window empty does no per-entry work and allocates nothing.
+// into the rate windows, top up admission credits, sweep the held reads,
+// publish what moved to the snapshot mailbox. Each step reads only what
+// changed since the last tick, and a shard with nothing pending and every
+// window empty does no per-entry work and allocates nothing.
 func (sh *shard) tick(scrape bool) {
 	// Read the cumulative fast-serve counter before the drain: every serve
 	// it covers bumped its record's counter first (program order, seq-cst
@@ -578,13 +561,9 @@ func (sh *shard) tick(scrape bool) {
 		}
 	}
 	sh.refreshHot()
-	sh.expireWaits()
+	held := sh.sweepHeld()
 	sh.journalTick()
-	if sh.now.Sub(sh.lastSweep) >= max(sh.s.cfg.PendingTTL/2, 10*time.Millisecond) {
-		sh.lastSweep = sh.now
-		sh.sweepStale()
-	}
-	sh.publishSnap(fast, scrape)
+	sh.publishSnap(fast, held, scrape)
 }
 
 // drain folds one record's pending fast-path counts into the windows.
@@ -629,21 +608,22 @@ func (sh *shard) refreshHot() {
 
 // publishSnap stores a new snapshot in the mailbox if any figure in it
 // moved since the last one (a scrape always gets a new epoch). fast is the
-// cumulative fast-serve count captured before the preceding drain. Load,
-// counters and filter state are read every tick; the per-document maps are
-// carried over unless a consumer needs them fresh — a scrape, or
-// diffusion, once per DiffusionPeriod — and something in them can have
-// moved: a target changed, or a window holds (or in the maps being carried
-// still held) counts. The cache ranks copies by the served rates a rebuild
-// reads (buildRates) and makes do with this cadence: the rate windows span
-// a whole Window, so a fresher reading of them moves little.
-func (sh *shard) publishSnap(fast int64, scrape bool) {
+// cumulative fast-serve count captured before the preceding drain, held the
+// count of reads the shard holds (sweepHeld). Load, counters and filter
+// state are read every tick; the per-document maps are carried over unless
+// a consumer needs them fresh — a scrape, or diffusion, once per
+// DiffusionPeriod — and something in them can have moved: a target
+// changed, or a window holds (or in the maps being carried still held)
+// counts. The cache ranks copies by the served rates a rebuild reads
+// (buildRates) and makes do with this cadence: the rate windows span a
+// whole Window, so a fresher reading of them moves little.
+func (sh *shard) publishSnap(fast int64, held int, scrape bool) {
 	now, cfg := sh.now, &sh.s.cfg
 	snap := shardSnap{
-		load:       sh.totalServed.Rate(now),
-		pendingLen: len(sh.pending),
-		filter:     sh.rt.Stats(),
-		counters:   sh.n,
+		load:     sh.totalServed.Rate(now),
+		held:     held,
+		filter:   sh.rt.Stats(),
+		counters: sh.n,
 	}
 	snap.counters.served += fast
 	snap.counters.fastServed = fast
@@ -654,7 +634,7 @@ func (sh *shard) publishSnap(fast int64, scrape bool) {
 	rebuilt := wanted && (sh.targetsMoved || len(sh.live)+len(prev.served)+len(prev.flows) > 0)
 	if rebuilt {
 		sh.buildRates(&snap)
-	} else if !scrape && snap.load == prev.load && snap.pendingLen == prev.pendingLen &&
+	} else if !scrape && snap.load == prev.load && snap.held == prev.held &&
 		snap.filter == prev.filter && snap.counters == prev.counters {
 		return // the mailbox already says all of this
 	}
@@ -901,16 +881,8 @@ func (sh *shard) handle(ev event) {
 		// A response moves no version: one that overtakes a write must not
 		// make the write look stale.
 		st := sh.state(env.Doc)
-		key := pendingKey{origin: env.Origin, reqID: env.ReqID}
-		if pe, ok := sh.pending[key]; ok {
-			delete(sh.pending, key)
-			sh.sendOn(pe.conn, env)
-		}
-		// Any response carrying this document also answers the requests
-		// coalesced behind the in-flight fetch.
-		if fl := st.flight; fl != nil {
-			st.flight = nil
-			sh.answerWaiters(st, fl, env)
+		if fl := st.flight; fl != nil && len(fl.waiters) > 0 {
+			sh.answerFlight(st, env)
 		}
 		sh.maybeLeaseRefresh(st, env)
 
@@ -994,18 +966,11 @@ func (sh *shard) refreshCredit(st *docState) (full bool) {
 	return false
 }
 
-// handleConnClosed sweeps per-connection routing state when a link dies:
-// pending response routes and coalesced waiters pointing at the dead
-// connection are dropped (entries for requests whose client went away must
-// not live forever). Child registration is control-loop state; the control
-// loop additionally posts cmdChildGone so the flow windows drop.
+// handleConnClosed drops the reads held for a connection that died: their
+// answers have nowhere to go. Child registration is control-loop state; the
+// control loop additionally posts cmdChildGone so the flow windows drop.
 func (sh *shard) handleConnClosed(conn transport.Conn) {
-	for key, pe := range sh.pending {
-		if pe.conn == conn {
-			delete(sh.pending, key)
-		}
-	}
-	for _, st := range sh.docs {
+	for _, st := range sh.waits {
 		if fl := st.flight; fl != nil {
 			fl.waiters = dropConn(fl.waiters, conn)
 		}
@@ -1023,23 +988,6 @@ func dropConn(ws []waiter, conn transport.Conn) []waiter {
 	}
 	clear(ws[len(kept):])
 	return kept
-}
-
-// sweepStale expires pending routes and in-flight fetches older than
-// PendingTTL — responses that will never come (message loss, dead
-// subtrees) must not pin table entries forever.
-func (sh *shard) sweepStale() {
-	ttl := sh.s.cfg.PendingTTL
-	for key, pe := range sh.pending {
-		if sh.now.Sub(pe.at) > ttl {
-			delete(sh.pending, key)
-		}
-	}
-	for _, st := range sh.docs {
-		if st.flight != nil && sh.now.Sub(st.flight.at) > ttl {
-			st.flight = nil
-		}
-	}
 }
 
 // handleRequest implements the queued data path: the shard's router
@@ -1067,7 +1015,22 @@ func (sh *shard) handleRequest(ev event) {
 		sh.serveRequest(st, ev)
 		return
 	}
-	sh.forwardUp(st, ev)
+	sh.forwardUp(st, sh.readOf(ev))
+}
+
+// readOf is the read a request event holds while it waits on a record.
+func (sh *shard) readOf(ev event) waiter {
+	env := ev.env
+	return waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion, hops: env.Hops, at: sh.now}
+}
+
+// listHeld puts a record that just took a read onto shard.waits, where the
+// tick's sweep finds it (sweepHeld).
+func (sh *shard) listHeld(st *docState) {
+	if !st.onWaits {
+		st.onWaits = true
+		sh.waits = append(sh.waits, st)
+	}
 }
 
 // sessionGate handles a request the held copy may not answer (versionOK
@@ -1077,7 +1040,7 @@ func (sh *shard) handleRequest(ev event) {
 // its way: the request waits on the record for it, at the root as at any
 // other node, and applyWrite releases it (releaseWaiting). A floor at or
 // below the mark means a write already superseded the copy: the request
-// bypasses it upward through the single-flight, the copy marked stale so
+// bypasses it upward on the document's flight, the copy marked stale so
 // the passing response re-admits the fresh one (maybeLeaseRefresh). The
 // root has no upward edge, so there every gated read waits.
 func (sh *shard) sessionGate(st *docState, ev event) {
@@ -1085,19 +1048,11 @@ func (sh *shard) sessionGate(st *docState, ev event) {
 	sh.n.sessionRefreshes++
 	if env.MinVersion <= st.ver && !sh.s.isRoot {
 		st.stale = true
-		sh.forwardUp(st, ev)
+		sh.forwardUp(st, sh.readOf(ev))
 		return
 	}
-	if len(st.waiting) == 0 {
-		st.waitAt = sh.now
-	}
-	st.waiting = append(st.waiting, waiter{
-		origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion, hops: env.Hops,
-	})
-	if !st.onWaits {
-		st.onWaits = true
-		sh.waits = append(sh.waits, st)
-	}
+	st.waiting = append(st.waiting, sh.readOf(ev))
+	sh.listHeld(st)
 }
 
 // releaseWaiting answers or sends on the session reads waiting on st, after
@@ -1105,11 +1060,11 @@ func (sh *shard) sessionGate(st *docState, ev event) {
 // now satisfies is served from it, through the document's filter like any
 // queued read (the root always serves). A read whose floor is still above
 // the mark keeps waiting for its own write until the deadline. The rest go
-// upward as one fetch carrying the group's highest floor (fetchUp): the
-// write came as a version-only frame, the store refused its body, the
-// filter passed the read on, or the write never came (an orphaned or
-// partitioned node). The root has no upward step: there an unsatisfied
-// read keeps waiting, and at its deadline it is dropped.
+// upward together on the document's flight (forwardUp): the write came as
+// a version-only frame, the store refused its body, the filter passed the
+// read on, or the write never came (an orphaned or partitioned node). The
+// root has no upward step: there an unsatisfied read keeps waiting, and at
+// its deadline it is dropped.
 func (sh *shard) releaseWaiting(st *docState, expired bool) {
 	if len(st.waiting) == 0 {
 		return
@@ -1142,137 +1097,86 @@ func (sh *shard) releaseWaiting(st *docState, expired bool) {
 	clear(st.waiting[len(kept):])
 	st.waiting = kept
 	if len(up) > 0 {
-		sh.fetchUp(st, up)
+		sh.forwardUp(st, up...)
 	}
 }
 
-// expireWaits releases the session reads whose write has not come within
-// the flight-retry horizon (releaseWaiting) and delists the records with
-// none left waiting, the way refreshHot keeps the hot list. The root, which
-// has nowhere to send them, holds them for PendingTTL, like any routing
-// state whose answer never comes.
-func (sh *shard) expireWaits() {
+// sweepHeld is the tick's pass over the records holding reads: it releases
+// session reads whose write has not come within the flight-retry horizon
+// (PendingTTL at the root, which has nowhere to send them), drops each read
+// on a flight that arrived more than PendingTTL ago, however many fetches
+// went up for it since (a lost message, a dead subtree), delists the
+// records left holding none, freeing their flights, and returns the count.
+func (sh *shard) sweepHeld() (held int) {
+	ttl := sh.s.cfg.PendingTTL
 	deadline := sh.flightRetry
 	if sh.s.isRoot {
-		deadline = sh.s.cfg.PendingTTL
+		deadline = ttl
 	}
 	kept := sh.waits[:0]
 	for _, st := range sh.waits {
-		if len(st.waiting) > 0 && sh.now.Sub(st.waitAt) >= deadline {
-			sh.releaseWaiting(st, true)
+		if len(st.waiting) > 0 && sh.now.Sub(st.waiting[0].at) >= deadline {
+			sh.releaseWaiting(st, true) // may hold reads on st's flight; st stays listed
 		}
-		if len(st.waiting) == 0 {
-			st.onWaits = false
+		n := len(st.waiting)
+		if fl := st.flight; fl != nil {
+			live := fl.waiters[:0]
+			for _, w := range fl.waiters {
+				if sh.now.Sub(w.at) <= ttl {
+					live = append(live, w)
+				}
+			}
+			clear(fl.waiters[len(live):])
+			fl.waiters = live
+			n += len(live)
+		}
+		if n == 0 {
+			st.onWaits, st.flight = false, nil
 			continue
 		}
+		held += n
 		kept = append(kept, st)
 	}
 	clear(sh.waits[len(kept):])
 	sh.waits = kept
+	return held
 }
 
-// forwardUp relays a request toward the home server, remembering which
-// connection to route the response back on. Concurrent requests for the
-// same uncached document collapse into the existing in-flight fetch: they
-// are parked as waiters and answered from its response instead of each
-// traveling upstream (single-flight). A flight whose leader has gone
-// unanswered past the retry horizon (a lost message, a healed partition)
-// stops absorbing requests: the next one travels upstream as a fresh
-// leader, keeping the accumulated waiters eligible for its response.
-//
-// While orphaned (no parent link), the request is parked — pending entry
-// and flight created, nothing sent — and replayed by parentRestored once a
-// failover lands, so losing a parent delays queued upward flow instead of
-// dropping it.
-func (sh *shard) forwardUp(st *docState, ev event) {
-	env := ev.env
+// forwardUp holds reads on the document's flight, where any response for
+// the document answers them, and sends a fetch led by the first of them
+// unless one went up within the retry horizon (single-flight): past it, a
+// lost message or a healed partition, a fresh fetch goes. While orphaned
+// parentRestored sends the fetch once a failover lands.
+func (sh *shard) forwardUp(st *docState, ws ...waiter) {
 	fl := st.flight
-	if fl != nil && sh.now.Sub(fl.at) < sh.flightRetry {
-		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion, hops: env.Hops})
-		sh.n.coalesced++
-		return
-	}
 	if fl == nil {
 		fl = &flight{}
 		st.flight = fl
 	}
-	fl.at = sh.now
-	sh.n.forwarded++
-	key := pendingKey{origin: env.Origin, reqID: env.ReqID}
-	sh.pending[key] = pendingEntry{conn: ev.conn, at: sh.now, doc: env.Doc, hops: env.Hops, minVer: env.MinVersion}
-	pl := sh.s.parentLink()
-	if pl == nil {
-		return // orphaned: queued for replay
-	}
-	fwd := netproto.GetEnvelope()
-	*fwd = *env
-	fwd.From = sh.s.cfg.ID
-	fwd.To = pl.id
-	fwd.Hops = env.Hops + 1
-	sh.sendOn(pl.conn, fwd)
-	netproto.PutEnvelope(fwd)
-}
-
-// answerWaiters fans a response out to every request coalesced behind the
-// fetch that produced it. Waiters whose session floor exceeds the
-// response's version must not be answered with it (a token-less leader's
-// fetch can resolve to a copy older than what a coalesced session has
-// already seen); they go upward again as one fetch (fetchUp). The write
-// mark does not disqualify a relayed reply: it is the best upstream had,
-// labelled with its own version.
-func (sh *shard) answerWaiters(st *docState, fl *flight, resp *netproto.Envelope) {
-	if len(fl.waiters) == 0 {
+	inFlight := len(fl.waiters) > 0 && sh.now.Sub(fl.at) < sh.flightRetry
+	fl.waiters = append(fl.waiters, ws...)
+	sh.listHeld(st)
+	if inFlight {
+		sh.n.coalesced += int64(len(ws))
 		return
 	}
-	var unsatisfied []waiter
-	out := netproto.GetEnvelope()
-	for _, w := range fl.waiters {
-		if !resp.NotFound && !versionOK(resp.DocVersion, w.minVer, 0) {
-			unsatisfied = append(unsatisfied, w)
-			continue
-		}
-		*out = netproto.Envelope{
-			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
-			Doc: resp.Doc, Origin: w.origin, ReqID: w.reqID,
-			ServedBy: resp.ServedBy, Hops: resp.Hops,
-			Body: resp.Body, NotFound: resp.NotFound,
-			DocVersion: resp.DocVersion,
-		}
-		sh.sendOn(w.conn, out)
-	}
-	netproto.PutEnvelope(out)
-	if len(unsatisfied) > 0 {
-		sh.fetchUp(st, unsatisfied)
-	}
+	sh.fetch(st, ws[0])
 }
 
-// fetchUp sends a group of reads upward as one fetch: the first leads it,
-// carrying the group's highest floor — ancestors gate on that floor, so the
-// response satisfies every read in the group — and the rest wait on the
-// document's flight for that response. It serves both the waiters a
-// too-old response could not answer (answerWaiters) and the session reads
-// released from waiting (releaseWaiting). While orphaned the lead is held
-// as a pending entry and replayed by parentRestored.
-func (sh *shard) fetchUp(st *docState, ws []waiter) {
-	lead := ws[0]
+// fetch sends one request upward for the reads held on st's flight, in
+// lead's name and with their highest floor, which ancestors gate on, so
+// its response satisfies every one of them.
+func (sh *shard) fetch(st *docState, lead waiter) {
+	fl := st.flight
+	fl.at = sh.now
+	sh.n.forwarded++
+	pl := sh.s.parentLink()
+	if pl == nil {
+		return // orphaned: sent by parentRestored
+	}
 	var floor uint64
-	for _, w := range ws {
+	for _, w := range fl.waiters {
 		floor = max(floor, w.minVer)
-	}
-	fl := st.flight
-	if fl == nil {
-		fl = &flight{}
-		st.flight = fl
-	}
-	fl.at = sh.now
-	fl.waiters = append(fl.waiters, ws[1:]...)
-	sh.n.forwarded++
-	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{
-		conn: lead.conn, at: sh.now, doc: st.doc, hops: lead.hops, minVer: floor,
-	}
-	pl := sh.s.parentLink()
-	if pl == nil {
-		return // orphaned: replayed by parentRestored
 	}
 	fwd := netproto.GetEnvelope()
 	*fwd = netproto.Envelope{
@@ -1281,6 +1185,49 @@ func (sh *shard) fetchUp(st *docState, ws []waiter) {
 	}
 	sh.sendOn(pl.conn, fwd)
 	netproto.PutEnvelope(fwd)
+}
+
+// answerFlight answers the reads on st's flight that a response for the
+// document satisfies (the write mark does not disqualify a relayed reply);
+// a read whose floor is above its version stays held for the next fetch,
+// sent at once. An answer counts its read's own hops: those it arrived with
+// plus the response's above the read the fetch was named for, or the
+// response's alone if that read has left.
+func (sh *shard) answerFlight(st *docState, resp *netproto.Envelope) {
+	fl := st.flight
+	above, named := 0, false
+	for _, w := range fl.waiters {
+		if w.origin == resp.Origin && w.reqID == resp.ReqID {
+			above, named = resp.Hops-w.hops, true
+			break
+		}
+	}
+	kept := fl.waiters[:0]
+	out := netproto.GetEnvelope()
+	for _, w := range fl.waiters {
+		if !resp.NotFound && !versionOK(resp.DocVersion, w.minVer, 0) {
+			kept = append(kept, w)
+			continue
+		}
+		hops := resp.Hops
+		if named {
+			hops = w.hops + above
+		}
+		*out = netproto.Envelope{
+			Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: w.origin,
+			Doc: resp.Doc, Origin: w.origin, ReqID: w.reqID,
+			ServedBy: resp.ServedBy, Hops: hops,
+			Body: resp.Body, NotFound: resp.NotFound,
+			DocVersion: resp.DocVersion,
+		}
+		sh.sendOn(w.conn, out)
+	}
+	netproto.PutEnvelope(out)
+	clear(fl.waiters[len(kept):])
+	fl.waiters = kept
+	if len(kept) > 0 {
+		sh.fetch(st, kept[0])
+	}
 }
 
 // admit caches a document copy under the byte budget and wires the
@@ -1415,7 +1362,7 @@ func (sh *shard) serveRequest(st *docState, ev event) {
 		// the credit, which bought no serve, and keep the request moving
 		// toward the home server.
 		st.credits.Add(1)
-		sh.forwardUp(st, ev)
+		sh.forwardUp(st, sh.readOf(ev))
 		return
 	}
 	sh.n.served++

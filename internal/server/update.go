@@ -14,7 +14,7 @@ package server
 // than the write either swaps the new body into both tiers in place
 // (republish) or drops the stale body while KEEPING its admission filter,
 // targets and duty (invalidate) — requests then miss locally and travel
-// upward through the existing single-flight table, which acts as the
+// upward on the document's flight (single-flight), which acts as the
 // subtree's lease: however many clients storm a freshly invalidated
 // document, one fetch per shard travels toward the origin, and the
 // response re-admits the fresh copy for everyone coalesced behind it.
@@ -32,7 +32,7 @@ package server
 // sent upward as one fetch carrying the group's highest floor when the
 // node could not keep the write's body (releaseWaiting). A write that does
 // not come within the flight-retry horizon releases the reads upward from
-// the tick (expireWaits).
+// the tick (sweepHeld).
 
 import (
 	"webwave/internal/core"
@@ -117,7 +117,7 @@ func (sh *shard) originWrite(doc core.DocID, body []byte, ver uint64) {
 
 // invalidateLocal drops the stale body from both tiers while keeping the
 // document's admission filter, targets and duty. Requests now miss locally
-// and travel upward through the single-flight table — the lease — and the
+// and travel upward on the document's flight — the lease — and the
 // response re-admits the fresh copy (maybeLeaseRefresh).
 func (sh *shard) invalidateLocal(st *docState) {
 	doc := st.doc

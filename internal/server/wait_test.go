@@ -17,17 +17,11 @@ import (
 	"webwave/internal/netproto"
 )
 
-// waitNode returns a hand-driven interior node (id 1 under parent 0, with
-// children 2 and 3) whose parent link records what it is sent, holding "d"
-// at version 1 with duty enough that its filter extracts every read here.
+// waitNode returns a flightNode (pending_test.go) holding "d" at version 1
+// with duty enough that its filter extracts every read here.
 func waitNode(t *testing.T, cfg Config) (*Server, *shard, *sinkConn) {
 	t.Helper()
-	cfg.NumShards = 1
-	s := handServer(t, cfg)
-	t.Cleanup(s.Stop)
-	up := &sinkConn{}
-	s.parent.Store(&parentLink{id: 0, conn: up})
-	sh := s.shards[0]
+	s, sh, up := flightNode(t, cfg)
 	delegateCopy(sh, "d", 1)
 	return s, sh, up
 }
@@ -40,13 +34,20 @@ func delegateCopy(sh *shard, doc core.DocID, ver uint64) {
 	}})
 }
 
-// read sends a request for doc with the given session floor the way
-// dispatch does — the fast path first, the shard queue when it declines —
-// and returns the connection its answer would go back on.
+// read sends a local client's request for doc with the given session floor
+// (forward).
 func read(s *Server, doc core.DocID, reqID, floor uint64) *sinkConn {
+	return forward(s, doc, -1, reqID, 1, floor)
+}
+
+// forward sends a request for doc from sender from (-1 = a local client)
+// that arrived with the given hop count and session floor, the way dispatch
+// does — the fast path first, the shard queue when it declines — and
+// returns the connection its answer would go back on.
+func forward(s *Server, doc core.DocID, from int, reqID uint64, hops int, floor uint64) *sinkConn {
 	c := &sinkConn{}
 	env := &netproto.Envelope{
-		Kind: netproto.TypeRequest, From: -1, Origin: 9, ReqID: reqID, Doc: doc, MinVersion: floor, Hops: 1,
+		Kind: netproto.TypeRequest, From: from, Origin: 9, ReqID: reqID, Doc: doc, Hops: hops, MinVersion: floor,
 	}
 	sh := s.shardFor(doc)
 	if !s.tryFastServe(sh, shardHash(doc), env, c) {
@@ -111,7 +112,7 @@ func TestWaitingReadAnsweredByRepublish(t *testing.T) {
 	if n := len(up.sent); n != 0 {
 		t.Fatalf("%d frames went upward, want none", n)
 	}
-	if sh.n.forwarded != 0 || len(sh.pending) != 0 || st.flight != nil {
+	if sh.n.forwarded != 0 || len(onFlight(sh, "d")) != 0 {
 		t.Fatal("the answered read left upward routing state behind")
 	}
 	sh.tick(false)
@@ -152,8 +153,8 @@ func TestVersionOnlyWriteSendsWaitingReadsUp(t *testing.T) {
 	if len(st.waiting) != 1 || st.waiting[0].minVer != 4 {
 		t.Fatalf("still waiting = %+v, want the floor-4 read alone", st.waiting)
 	}
-	if st.flight == nil || len(st.flight.waiters) != 1 || st.flight.waiters[0].reqID != 2 {
-		t.Fatalf("flight = %+v, want request 2 riding the fetch", st.flight)
+	if fl := onFlight(sh, "d"); len(fl) != 2 || fl[0].reqID != 1 || fl[1].reqID != 2 {
+		t.Fatalf("flight = %+v, want requests 1 and 2 held for the fetch", fl)
 	}
 	sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
 		Kind: netproto.TypeResponse, From: 0, To: 1, Doc: "d", Origin: 9, ReqID: 1,
@@ -191,8 +192,8 @@ func TestWaitingReadsGoUpAtTheDeadline(t *testing.T) {
 		t.Fatalf("upward requests = %+v, want one fetch with floor 5", reqs)
 	}
 	st := sh.state("d")
-	if len(st.waiting) != 0 || st.onWaits || !st.stale {
-		t.Fatalf("waiting %d, listed %v, stale %v; want the reads gone upward and the copy stale", len(st.waiting), st.onWaits, st.stale)
+	if fl := onFlight(sh, "d"); len(st.waiting) != 0 || len(fl) != 2 || !st.stale {
+		t.Fatalf("waiting %d, flight %+v, stale %v; want both reads on the flight and the copy stale", len(st.waiting), fl, st.stale)
 	}
 	sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
 		Kind: netproto.TypeResponse, From: 0, To: 1, Doc: "d", Origin: 9, ReqID: 1,
@@ -201,11 +202,15 @@ func TestWaitingReadsGoUpAtTheDeadline(t *testing.T) {
 	if sh.n.leaseRefreshes != 1 || st.stale {
 		t.Fatalf("lease refreshes %d, stale %v; want the response to refresh the copy", sh.n.leaseRefreshes, st.stale)
 	}
+	if n := heldLen(sh); n != 0 || st.onWaits {
+		t.Fatalf("%d held, listed %v after the response; want the record delisted", n, st.onWaits)
+	}
 }
 
 // TestOrphanedWaitingReadsReplay: on an orphaned node the deadline's fetch
-// has no edge to travel; it is held as a pending entry with the group's
-// floor and replayed by parentRestored once a parent link is back.
+// has no edge to travel; the group stays held on the document's flight and
+// parentRestored sends its fetch, with the group's floor, once a parent link
+// is back.
 func TestOrphanedWaitingReadsReplay(t *testing.T) {
 	s, sh, _ := waitNode(t, Config{})
 	s.parent.Store(nil)
@@ -213,9 +218,9 @@ func TestOrphanedWaitingReadsReplay(t *testing.T) {
 	read(s, "d", 2, 3)
 	sh.now = sh.now.Add(sh.flightRetry)
 	sh.tick(false)
-	pe, ok := sh.pending[pendingKey{origin: 9, reqID: 1}]
-	if !ok || pe.minVer != 3 || len(sh.state("d").waiting) != 0 {
-		t.Fatalf("pending entry = %+v (%v), want the fetch held with floor 3", pe, ok)
+	fl := onFlight(sh, "d")
+	if len(fl) != 2 || fl[0].reqID != 1 || fl[0].minVer != 2 || fl[1].reqID != 2 || fl[1].minVer != 3 || len(sh.state("d").waiting) != 0 {
+		t.Fatalf("flight = %+v, want reads 1 and 2 held with floors 2 and 3", fl)
 	}
 	up := &sinkConn{}
 	s.parent.Store(&parentLink{id: 0, conn: up})
