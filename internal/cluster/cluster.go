@@ -41,9 +41,8 @@ type Config struct {
 	DiffusionPeriod time.Duration
 	Window          time.Duration
 
-	Tunneling       bool
-	BarrierPatience int
-	Alpha           float64 // 0 = per-node 1/(degree+1)
+	Tunneling bool
+	Alpha     float64 // 0 = per-node 1/(degree+1)
 
 	// CacheBudgetBytes bounds every server's cached bytes (0 = unlimited).
 	// The home server's published documents are pinned and exempt.
@@ -173,7 +172,6 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 			DiffusionPeriod:  cfg.DiffusionPeriod,
 			Window:           cfg.Window,
 			Tunneling:        cfg.Tunneling,
-			BarrierPatience:  cfg.BarrierPatience,
 			Alpha:            cfg.Alpha,
 			Network:          netw,
 			CacheBudgetBytes: cfg.CacheBudgetBytes,

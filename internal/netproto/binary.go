@@ -50,14 +50,15 @@ var kindToCode = map[Type]byte{
 	TypeReclaim:    15,
 	TypeRepublish:  18,
 	TypeInvalidate: 19,
+	TypeClaim:      20,
 }
 
-var codeToKind = [20]Type{
+var codeToKind = [21]Type{
 	1: TypeGossip, 2: TypeDelegate, 4: TypeShed,
 	5: TypeRequest, 6: TypeResponse,
 	9: TypeStatsQuery, 10: TypeStatsReply, 11: TypeShutdown, 12: TypeEvict,
 	13: TypePing, 14: TypePong, 15: TypeReclaim,
-	18: TypeRepublish, 19: TypeInvalidate,
+	18: TypeRepublish, 19: TypeInvalidate, 20: TypeClaim,
 }
 
 // DocInterner de-duplicates document-id strings seen by a decoder so the
@@ -126,7 +127,7 @@ func AppendEnvelopeV2(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendString(dst, string(env.Doc))
 		dst = appendBytes(dst, env.Body)
 		dst = binary.AppendUvarint(dst, env.DocVersion)
-	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeRepublish, TypeInvalidate:
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeClaim, TypeRepublish, TypeInvalidate:
 		dst = appendString(dst, string(env.Doc))
 		dst = appendFloat(dst, env.Rate)
 		dst = appendBytes(dst, env.Body)
@@ -208,7 +209,7 @@ func DecodePayload(env *Envelope, payload []byte, in *DocInterner) error {
 			env.Body = append(body, b...)
 		}
 		env.DocVersion = r.uvarint()
-	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeRepublish, TypeInvalidate:
+	case TypeDelegate, TypeShed, TypeEvict, TypeReclaim, TypeClaim, TypeRepublish, TypeInvalidate:
 		env.Doc = in.Intern(r.bytes())
 		env.Rate = r.float()
 		if b := r.bytes(); len(b) > 0 {

@@ -34,6 +34,7 @@ func allKindEnvelopes() []*Envelope {
 		{Kind: TypePing, From: 4, To: 1, Seq: 12},
 		{Kind: TypePong, From: 1, To: 4, Seq: 13},
 		{Kind: TypeReclaim, From: 4, To: 0, Seq: 14, Doc: "d", Rate: 12.5},
+		{Kind: TypeClaim, From: 4, To: 0, Seq: 15, Doc: "d", Rate: 3.25},
 		{Kind: TypeRepublish, From: 0, To: 5, Seq: 17, Doc: "hot", Body: []byte("v2 body"), DocVersion: 2},
 		{Kind: TypeInvalidate, From: 0, To: 5, Seq: 18, Doc: "hot", DocVersion: 7},
 		{Kind: TypeResponse, From: 2, To: 4, Origin: 4, ReqID: 101, ServedBy: 2, Hops: 1, Doc: "hot", Body: []byte("v2 body"), DocVersion: 2},
@@ -48,7 +49,7 @@ func TestAllKindsHaveBinaryEncoding(t *testing.T) {
 		TypeGossip, TypeDelegate, TypeShed, TypeRequest,
 		TypeResponse, TypeEvict,
 		TypeStatsQuery, TypeStatsReply, TypeShutdown, TypePing, TypePong,
-		TypeReclaim, TypeRepublish, TypeInvalidate,
+		TypeReclaim, TypeClaim, TypeRepublish, TypeInvalidate,
 	}
 	for _, k := range kinds {
 		code, ok := kindToCode[k]

@@ -69,6 +69,13 @@ func FuzzReadFrame(f *testing.F) {
 	reply := append([]byte(nil), family...)
 	reply[5] = 8
 	f.Add(reply)
+	// A claim (code 20, the delegate-family layout) and its truncation.
+	claim, err := AppendFrameV2(nil, &Envelope{Kind: TypeClaim, From: 6, To: 0, Doc: "d", Rate: 2.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(claim)
+	f.Add(claim[:len(claim)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env := GetEnvelope()

@@ -69,6 +69,10 @@ const (
 	// same bookkeeping the evict-hint path feeds — so a later loss of this
 	// child re-absorbs exactly the duty that actually lives below the edge.
 	TypeReclaim Type = "reclaim"
+	// TypeClaim tells a parent the sender claimed passing flow for Doc at
+	// Rate, holding the copy or not. The parent credits its per-child duty
+	// ledger as for a reclaim, but counts no reclaimed duty.
+	TypeClaim Type = "claim"
 	// TypeRepublish pushes a new version of a mutable document down the
 	// tree: DocVersion is the new monotonically increasing version number
 	// and Body the replacement bytes. A copy-holder that sees a higher
@@ -152,7 +156,7 @@ type Stats struct {
 	DelegationsOut int64                  `json:"delegations_out"`
 	ShedsIn        int64                  `json:"sheds_in"`
 	ShedsOut       int64                  `json:"sheds_out"`
-	Tunnels        int64                  `json:"tunnels"`
+	Tunnels        int64                  `json:"tunnels"` // claims that marked a document not held for adoption
 	FilterStats    FilterStats            `json:"filter_stats"`
 	// QueueLen is the server's inbound event backlog at snapshot time —
 	// the sum over every shard loop's queue plus the control loop's — and

@@ -16,8 +16,8 @@ import (
 )
 
 // control is the server's control loop: it owns the neighborhood — gossip
-// timers and load figures, child registration, diffusion and tunneling
-// decisions, stats scrapes — while the shard loops own per-document state.
+// timers and load figures, child registration, diffusion decisions, stats
+// scrapes — while the shard loops own per-document state.
 // It never reads shard state directly: decisions are computed from the
 // shards' epoch-stamped snapshot mailboxes and applied by posting commands
 // into the shard queues, so the two layers share nothing but atomics.
@@ -28,9 +28,8 @@ type control struct {
 	childLoad   map[int]float64
 	parentLoad  float64
 	parentKnown bool
-	underFor    int // consecutive under-loaded periods with no delegation
 
-	nGossip, nTunnels int64
+	nGossip int64
 
 	// sent is the load figure last gossiped to each neighbor and when
 	// (gossipTo). moved (a neighbor gossiped) and stepEpochs (each shard's
@@ -468,21 +467,9 @@ func (c *control) doDiffusion() {
 	}
 
 	// Claim passing flow when under-loaded (the "handle it if your rate is
-	// smaller than it should be" rule), and evaluate the tunneling trigger.
+	// smaller than it should be" rule).
 	if c.parentKnown && load < c.parentLoad {
-		want := a * (c.parentLoad - load)
-		claimed := c.claimPassing(want, snaps)
-		if gotDelegate || claimed > 0 {
-			c.underFor = 0
-		} else {
-			c.underFor++
-			if s.cfg.Tunneling && c.underFor >= s.cfg.BarrierPatience {
-				c.tunnel(load, snaps)
-				c.underFor = 0
-			}
-		}
-	} else {
-		c.underFor = 0
+		c.claimPassing(a*(c.parentLoad-load), snaps)
 	}
 }
 
@@ -554,10 +541,12 @@ func (c *control) shedUp(want float64, snaps []*shardSnap) {
 	}
 }
 
-// claimPassing raises targets on cached documents whose requests still flow
+// claimPassing raises targets on documents whose requests still flow
 // through this node, up to `want`; the upstream copies lose that flow
-// automatically. Returns the amount claimed.
-func (c *control) claimPassing(want float64, snaps []*shardSnap) float64 {
+// automatically. When tunneling (Section 5.2), a document this node holds
+// no copy of is claimed too: the shard marks it, and the next response
+// passing down brings the copy (cmdClaim).
+func (c *control) claimPassing(want float64, snaps []*shardSnap) {
 	claimed := 0.0
 	for _, sn := range snaps {
 		// Union of docs with observed flow, totaled across senders.
@@ -570,9 +559,9 @@ func (c *control) claimPassing(want float64, snaps []*shardSnap) float64 {
 		}
 		for doc, flow := range flowOf {
 			if claimed >= want {
-				return claimed
+				return
 			}
-			if !c.s.holdsCopy(doc) {
+			if !c.s.cfg.Tunneling && !c.s.holdsCopy(doc) {
 				continue
 			}
 			spare := flow - sn.served[doc]
@@ -588,43 +577,6 @@ func (c *control) claimPassing(want float64, snaps []*shardSnap) float64 {
 			}
 		}
 	}
-	return claimed
-}
-
-// tunnel adopts the hottest forwarded-but-uncached document (Section 5.2):
-// its requests pass through here right now, so the body passes back down
-// within one round trip. The pre-claim raises the target and marks the
-// document for adoption; the next response for it admits the copy through
-// the lease-refresh path (maybeLeaseRefresh).
-func (c *control) tunnel(load float64, snaps []*shardSnap) {
-	s := c.s
-	if s.isRoot {
-		return
-	}
-	var best core.DocID
-	bestFlow := 0.0
-	for _, sn := range snaps {
-		for _, flows := range sn.flows {
-			for doc, r := range flows {
-				if r > bestFlow && !s.holdsCopy(doc) {
-					best, bestFlow = doc, r
-				}
-			}
-		}
-	}
-	if bestFlow <= 0 {
-		return
-	}
-	c.nTunnels++
-	// Pre-claim a share of the stream we already forward.
-	deficit := (c.parentLoad - load) / 2
-	claim := bestFlow
-	if claim > deficit {
-		claim = deficit
-	}
-	if claim > 0 {
-		s.tryPost(s.shardFor(best).events, event{cmd: cmdPreclaim, doc: best, rate: claim})
-	}
 }
 
 // snapshot assembles the stats scrape. Counters come from synchronous
@@ -638,7 +590,6 @@ func (c *control) snapshot() *netproto.Stats {
 		Node:       s.cfg.ID,
 		Targets:    make(map[core.DocID]float64, 16),
 		GossipSent: c.nGossip,
-		Tunnels:    c.nTunnels,
 		// Maintained incrementally by the store — no per-scrape walk over
 		// every cached body.
 		CacheBytes:       s.cache.Bytes(),
@@ -668,6 +619,7 @@ func (c *control) snapshot() *netproto.Stats {
 		st.DelegationsOut += sn.counters.delegOut
 		st.ShedsIn += sn.counters.shedIn
 		st.ShedsOut += sn.counters.shedOut
+		st.Tunnels += sn.counters.tunnels
 		st.EvictHintsIn += sn.counters.evictHintsIn
 		st.ReclaimedDuty += sn.counters.reclaimedDuty
 		st.AbsorbedDuty += sn.counters.absorbedDuty

@@ -105,10 +105,10 @@ func TestResponseOvertakesRepublish(t *testing.T) {
 	}
 }
 
-// TestTunnelAdoptedCopyOvertakesRepublish: a tunnel adopts the version-2
-// copy passing down before the version-2 republish arrives. The republish
-// finds the copy already current — a stale drop locally — but still
-// travels on to the children.
+// TestTunnelAdoptedCopyOvertakesRepublish: a claim on a document not held
+// adopts the version-2 copy passing down before the version-2 republish
+// arrives. The republish finds the copy already current — a stale drop
+// locally — but still travels on to the children.
 func TestTunnelAdoptedCopyOvertakesRepublish(t *testing.T) {
 	s, sh, _ := tunnelNode(t)
 	kid2 := &sinkConn{}

@@ -1,11 +1,11 @@
 // Package server implements a live WebWave cache server: a multi-core node
 // that serves document requests, measures its load and the per-child
 // forwarded rates over sliding windows, gossips load to its tree neighbors,
-// delegates document service duty down the tree, sheds it up, claims
-// passing request flow when under-loaded, and tunnels across potential
-// barriers by adopting the next copy passing down — the full protocol of
-// the paper's Sections 3–5 over real message passing (in-memory or TCP
-// transports).
+// delegates document service duty down the tree, sheds it up, and claims
+// passing request flow when under-loaded — for a document it holds no copy
+// of too, tunneling across potential barriers by adopting the next copy
+// passing down — the full protocol of the paper's Sections 3–5 over real
+// message passing (in-memory or TCP transports).
 //
 // Unlike the fluid simulators (internal/wave, internal/docwave), nothing
 // here conserves load by construction: requests physically travel up the
@@ -17,9 +17,9 @@
 // state — admission filters, serve targets, rate windows, the reads held
 // for upstream answers — is partitioned by hash(doc) across NumShards
 // independent shard loops with no cross-shard locking; a separate control
-// loop owns gossip, diffusion and tunneling, exchanging aggregate heat and
-// duty with the shards through epoch-stamped snapshot mailboxes
-// (atomic.Pointer) instead of shared maps. On top of that sits a lock-free
+// loop owns gossip and diffusion, exchanging aggregate heat and duty with
+// the shards through epoch-stamped snapshot mailboxes (atomic.Pointer)
+// instead of shared maps. On top of that sits a lock-free
 // read fast path: each connection's read goroutine consults a copy-on-write
 // publication index and serves cached hits in place — zero event-loop hops —
 // falling back to the owning shard's queue only on a miss, a rate-limited
@@ -155,10 +155,9 @@ type Config struct {
 	// Ignored when DataDir is empty.
 	DiskBudgetBytes int64
 
-	// BarrierPatience is the number of diffusion periods a node stays
-	// under-loaded with no delegation before tunneling (paper: > 2).
-	BarrierPatience int
-	Tunneling       bool
+	// Tunneling lets a node claim passing flow for documents it holds no
+	// copy of (Section 5.2): the next response passing down is adopted.
+	Tunneling bool
 
 	Network transport.Network
 }
@@ -175,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PendingTTL <= 0 {
 		c.PendingTTL = 30 * time.Second
-	}
-	if c.BarrierPatience <= 0 {
-		c.BarrierPatience = 3
 	}
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 3
@@ -237,14 +233,9 @@ const (
 	// cmdShed moves `rate` duty for `doc` up to the parent.
 	cmdShed
 	// cmdClaim raises the local serve target for `doc` by `rate` (claiming
-	// passing flow). Applied only while the copy is still cached — the
-	// decision came from a snapshot and the copy may have been evicted
-	// since.
+	// passing flow) and tells the parent (claim). A document not held is
+	// marked so the next response passing down adopts its body.
 	cmdClaim
-	// cmdPreclaim is cmdClaim without the cached check: the tunnel path
-	// claims a share of a stream for a copy it does not hold yet, and marks
-	// the document so the next response passing down adopts the body.
-	cmdPreclaim
 	// cmdChildGone tells shards a child link died: its flow windows drop and
 	// the delegated duty recorded in the child's ledger is re-absorbed into
 	// this node's own targets (or hinted upward when the copy is gone).
@@ -559,7 +550,7 @@ func (s *Server) dispatch(env *netproto.Envelope, conn transport.Conn) {
 		}
 		ch = sh.events
 	case netproto.TypeResponse, netproto.TypeDelegate, netproto.TypeShed,
-		netproto.TypeEvict, netproto.TypeReclaim,
+		netproto.TypeEvict, netproto.TypeReclaim, netproto.TypeClaim,
 		netproto.TypeRepublish, netproto.TypeInvalidate:
 		ch = s.shardFor(env.Doc).events
 	}

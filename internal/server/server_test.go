@@ -212,7 +212,6 @@ func TestTunnelingAcrossLiveBarrier(t *testing.T) {
 		cfg.Window = 250 * time.Millisecond
 		cfg.Network = netw
 		cfg.Tunneling = true
-		cfg.BarrierPatience = 3
 		return cfg
 	}
 	startServer(t, common(Config{

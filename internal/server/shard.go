@@ -142,9 +142,9 @@ type docState struct {
 	jTarget  float64
 	admitted bool
 	// stale marks a body dropped by an invalidation (or bypassed upward by
-	// a session floor) while its filter and duty stayed, or a document a
-	// tunnel pre-claimed before holding it — cleared when a passing
-	// response admits the fresh copy (the lease refresh).
+	// a session floor) while its filter and duty stayed, or a document
+	// claimed before holding it: the next passing response is admitted
+	// (maybeLeaseRefresh). Any admission clears it (admit).
 	stale bool
 }
 
@@ -234,7 +234,7 @@ type shardCounters struct {
 	diskHits, readmitsRefused          int64
 	republishesIn, invalidationsIn     int64
 	staleDrops, leaseRefreshes         int64
-	sessionRefreshes                   int64
+	sessionRefreshes, tunnels          int64
 	reclaimedDuty, absorbedDuty        float64
 }
 
@@ -395,21 +395,7 @@ func (sh *shard) handleCmd(ev event) {
 	case cmdShed:
 		sh.shedOut(ev.doc, ev.rate)
 	case cmdClaim:
-		// The claim was computed from a snapshot; re-validate like
-		// delegateOut does, so a copy evicted in between does not get a
-		// phantom target resurrected for it.
-		if !sh.s.holdsCopy(ev.doc) {
-			return
-		}
-		sh.addTarget(ev.doc, ev.rate) // arm the fast path without waiting a tick
-	case cmdPreclaim:
-		// A tunnel: raise the target before the copy exists (no cached
-		// check), and mark the document so the next response passing
-		// through adopts its body (maybeLeaseRefresh).
-		sh.addTarget(ev.doc, ev.rate)
-		if !sh.s.holdsCopy(ev.doc) {
-			sh.state(ev.doc).stale = true
-		}
+		sh.claim(ev.doc, ev.rate)
 	case cmdChildGone:
 		for _, w := range sh.childFlow[ev.child] {
 			w.Clear() // may still sit on the live list
@@ -418,6 +404,30 @@ func (sh *shard) handleCmd(ev event) {
 		sh.absorbChildDuty(ev.child)
 	case cmdParentRestored:
 		sh.parentRestored()
+	}
+}
+
+// claim applies one claimPassing decision and tells the parent, whose duty
+// ledger then sends write bodies down to the claimed copy. A document not
+// held is a tunnel: marked stale, it adopts the next response passing down
+// (maybeLeaseRefresh). The claim is dropped if the document is already
+// marked, or if the node does not tunnel and its copy went since the
+// snapshot.
+func (sh *shard) claim(doc core.DocID, rate float64) {
+	st := sh.state(doc)
+	if !sh.s.holdsCopy(doc) {
+		if st.stale || !sh.s.cfg.Tunneling {
+			return
+		}
+		st.stale = true
+		sh.n.tunnels++
+	}
+	sh.addTarget(doc, rate)
+	if pl := sh.s.parentLink(); pl != nil {
+		sh.sendOn(pl.conn, &netproto.Envelope{
+			Kind: netproto.TypeClaim, From: sh.s.cfg.ID, To: pl.id,
+			Doc: doc, Rate: rate,
+		})
 	}
 }
 
@@ -920,13 +930,14 @@ func (sh *shard) handle(ev event) {
 			sh.addTarget(env.Doc, env.Rate)
 		}
 
-	case netproto.TypeReclaim:
-		// An orphan that failed over to this node re-announces duty it is
-		// still carrying. Credit the child's ledger — the same bookkeeping
-		// the evict-hint path debits — so a later loss of this child
-		// re-absorbs exactly what lives below the repaired edge. The duty
-		// itself stays at the child; nothing is added to our own targets.
-		sh.n.reclaimedDuty += env.Rate
+	case netproto.TypeReclaim, netproto.TypeClaim:
+		// A child re-announces duty after failing over here (reclaim) or
+		// claimed passing flow (claim). Credit its ledger — sheds and evict
+		// hints debit it — so writes send it bodies (diffuseDown) and its
+		// loss re-absorbs what lives below it. The duty stays at the child.
+		if env.Kind == netproto.TypeReclaim {
+			sh.n.reclaimedDuty += env.Rate
+		}
 		sh.dutyLedger(env.From)[env.Doc] += env.Rate
 
 	case netproto.TypeRepublish:
@@ -1254,6 +1265,7 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 	if !sh.storeCopy(st, body, ver) {
 		return false
 	}
+	st.stale = false // the fresh copy is here: no passing response need bring it
 	// Disk-only is still admitted: the node accepts the copy and its duty,
 	// which is what lets a corpus larger than RAM keep serving below the
 	// home server. The read path serves it from disk until a hit re-admits

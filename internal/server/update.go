@@ -20,10 +20,10 @@ package server
 // response re-admits the fresh copy for everyone coalesced behind it.
 //
 // Body frames ride only the edges the duty ledger says have copies below
-// them (the delegation edges); every other child gets a cheap
-// version-only invalidate and forwards it on, so deeper copies the ledger
-// cannot see (adopted by a tunnel, for instance) still converge — they
-// drop to stale and lease-refresh on the next demand.
+// them (delegated, claimed or reclaimed duty); every other child gets a
+// cheap version-only invalidate and forwards it on, so a copy the ledger
+// cannot see (its duty shed back to zero, say) still converges — it
+// drops to stale and lease-refreshes on the next demand.
 //
 // A session read whose floor is above the write mark names a write this
 // node has not applied yet, already on its way down. It waits on the
@@ -133,10 +133,10 @@ func (sh *shard) invalidateLocal(st *docState) {
 }
 
 // diffuseDown forwards a write down every child edge. Children whose duty
-// ledger shows delegated duty for doc likely hold a copy below them, so
-// they get the full republish (body included); the rest get a version-only
-// invalidate — any deeper copy the ledger cannot see drops to stale and
-// lease-refreshes on its next demand.
+// ledger shows duty for doc (delegated, claimed or reclaimed) likely hold a
+// copy below them, so they get the full republish (body included); the
+// rest get a version-only invalidate — any deeper copy the ledger cannot
+// see drops to stale and lease-refreshes on its next demand.
 func (sh *shard) diffuseDown(doc core.DocID, ver uint64, body []byte) {
 	cv := sh.s.children.Load()
 	out := netproto.GetEnvelope()
@@ -157,8 +157,8 @@ func (sh *shard) diffuseDown(doc core.DocID, ver uint64, body []byte) {
 // maybeLeaseRefresh re-admits a stale copy from a response passing through:
 // the single-flight fetch that produced it is the subtree's lease, so the
 // refreshed copy costs the origin one fetch however many clients stormed
-// the document here. A tunnel's pre-claim marks a document it does not hold
-// yet the same way, so this is also where a tunnel adopts its copy.
+// the document here. A claim on a document not held yet marks it the same
+// way, so this is also where a tunnel adopts its copy.
 func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 	if !st.stale || env.NotFound || len(env.Body) == 0 {
 		return
@@ -167,7 +167,6 @@ func (sh *shard) maybeLeaseRefresh(st *docState, env *netproto.Envelope) {
 		return // upstream served an older version: keep waiting for the write
 	}
 	if sh.admit(env.Doc, env.Body, env.DocVersion) {
-		st.stale = false
 		sh.n.leaseRefreshes++
 	}
 }
