@@ -122,15 +122,16 @@ bench-smoke:
 		-n 15 -rate 100 -json $(BENCH_JSON)
 
 # bench-micro runs the hot-path micro-benchmarks (wire codec, server
-# handlers, transport round trips) with -benchmem, records ns/op and
-# allocs/op into $(BENCH_WIRE_JSON), and fails on a >2x allocs/op
-# regression against the committed baseline (bench/BENCH_wire_baseline.json).
+# handlers, transport round trips, the HTTP gateway) with -benchmem,
+# records ns/op and allocs/op into $(BENCH_WIRE_JSON), and fails on a >2x
+# allocs/op regression against the committed baseline
+# (bench/BENCH_wire_baseline.json).
 # BenchmarkResidentDocBytes rides along ungated: its figure is the shard's
 # heap per resident document (bytes/doc), printed in bench-micro.out.
 bench-micro:
 	$(GO) test -run 'TestNothing^' -bench . -benchmem -benchtime $(BENCHTIME) \
 		./internal/netproto/ ./internal/server/ ./internal/transport/ \
-		> bench-micro.out || { cat bench-micro.out; exit 1; }
+		./internal/gateway/ > bench-micro.out || { cat bench-micro.out; exit 1; }
 	@cat bench-micro.out
 	$(GO) run ./cmd/benchwire -in bench-micro.out \
 		-baseline bench/BENCH_wire_baseline.json -out $(BENCH_WIRE_JSON)

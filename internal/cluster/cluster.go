@@ -136,7 +136,8 @@ type sentInfo struct {
 }
 
 // New starts one server per tree node (parents before children, so child
-// dials succeed) and opens an injection connection to every node.
+// dials succeed) and attaches an in-process injection connection to every
+// node (see Attach).
 func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error) {
 	netw := cfg.Network
 	if netw == nil {
@@ -216,17 +217,8 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 		// rebinds exactly where the ancestors expect the node.
 		scfg.Addr = srv.Addr()
 		c.scfgs[v] = scfg
-	}
-
-	// One injection conn per node, with a response-collector goroutine.
-	for v := 0; v < t.Len(); v++ {
-		conn, err := netw.Dial(c.addrs[v])
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("cluster: dial injector %d: %w", v, err)
-		}
-		c.injectConns[v] = conn
-		go c.collect(conn)
+		c.injectConns[v] = srv.Attach()
+		go c.collect(c.injectConns[v])
 	}
 	return c, nil
 }
@@ -353,6 +345,17 @@ func (c *Cluster) Addr(v int) string {
 // Network returns the transport the cluster runs on.
 func (c *Cluster) Network() transport.Network { return c.net }
 
+// Attach opens an in-process connection into node v (server.Attach) for a
+// caller in the cluster's process. It fails for a node out of range or dead.
+func (c *Cluster) Attach(v int) (transport.Conn, error) {
+	c.regMu.Lock()
+	defer c.regMu.Unlock()
+	if v < 0 || v >= len(c.servers) || c.dead[v] {
+		return nil, fmt.Errorf("cluster: node %d out of range or down", v)
+	}
+	return c.servers[v].Attach(), nil
+}
+
 // Tree returns the routing tree the cluster was built on.
 func (c *Cluster) Tree() *tree.Tree { return c.t }
 
@@ -395,53 +398,38 @@ func (c *Cluster) ServedVector() core.Vector {
 // the harness can observe a cluster mid-failure.
 func (c *Cluster) Stats() ([]*netproto.Stats, error) {
 	out := make([]*netproto.Stats, c.t.Len())
-	for v := 0; v < c.t.Len(); v++ {
-		if c.NodeDead(v) {
-			continue
+	for v := range out {
+		st, err := c.scrape(v)
+		// A node killed mid-scrape leaves its entry nil, not a failed scrape.
+		if err != nil && !c.NodeDead(v) {
+			return nil, err
 		}
-		// A node can be killed between the liveness check and any step of
-		// the scrape; re-checking on error keeps a racing kill a skipped
-		// entry instead of failing the whole scrape.
-		deadRace := func(err error) bool { return err != nil && c.NodeDead(v) }
-		conn, err := c.net.Dial(c.addrs[v])
-		if deadRace(err) {
-			continue
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stats dial %d: %w", v, err)
-		}
-		err = conn.Send(&netproto.Envelope{Kind: netproto.TypeStatsQuery, From: -1, To: v})
-		if err != nil {
-			conn.Close()
-			if deadRace(err) {
-				continue
-			}
-			return nil, fmt.Errorf("cluster: stats query %d: %w", v, err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			env, err := conn.Recv()
-			if err != nil {
-				conn.Close()
-				if deadRace(err) {
-					break
-				}
-				return nil, fmt.Errorf("cluster: stats reply %d: %w", v, err)
-			}
-			if env.Kind == netproto.TypeStatsReply && env.Stats != nil {
-				out[v] = env.Stats // keep Stats; the envelope shell recycles
-				netproto.PutEnvelope(env)
-				break
-			}
-			netproto.PutEnvelope(env)
-			if time.Now().After(deadline) {
-				conn.Close()
-				return nil, fmt.Errorf("cluster: stats reply %d: timeout", v)
-			}
-		}
-		conn.Close()
+		out[v] = st
 	}
 	return out, nil
+}
+
+// scrape asks node v for its stats over a connection attached for it.
+func (c *Cluster) scrape(v int) (*netproto.Stats, error) {
+	conn, err := c.Attach(v)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if err := conn.Send(&netproto.Envelope{Kind: netproto.TypeStatsQuery, From: -1, To: v}); err != nil {
+		return nil, fmt.Errorf("cluster: stats query %d: %w", v, err)
+	}
+	for {
+		env, err := conn.Recv()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: stats reply %d: %w", v, err)
+		}
+		kind, st := env.Kind, env.Stats
+		netproto.PutEnvelope(env) // keep Stats; the envelope shell recycles
+		if kind == netproto.TypeStatsReply && st != nil {
+			return st, nil
+		}
+	}
 }
 
 // Loads returns the per-node served rate (requests/second over each
@@ -549,7 +537,7 @@ func (c *Cluster) KillNode(v int) bool {
 // re-attached elsewhere. With Config.DataDir set the restart is warm: the
 // node replays its journal against the surviving body files and comes up
 // holding (and re-announcing) what it held when it was killed, instead of
-// an empty cache. The injection connection is re-dialed so traffic can
+// an empty cache. A fresh injection connection is attached so traffic can
 // enter at the node again.
 func (c *Cluster) RestartNode(v int) error {
 	if v < 0 || v >= len(c.servers) {
@@ -570,11 +558,7 @@ func (c *Cluster) RestartNode(v int) error {
 		srv.Stop() // release the journal and the bodies warm recovery opened
 		return fmt.Errorf("cluster: restart node %d: %w", v, err)
 	}
-	conn, err := c.net.Dial(srv.Addr())
-	if err != nil {
-		srv.Stop()
-		return fmt.Errorf("cluster: restart node %d: dial injector: %w", v, err)
-	}
+	conn := srv.Attach()
 	c.regMu.Lock()
 	c.servers[v] = srv
 	c.dead[v] = false

@@ -1,7 +1,8 @@
 // Package gateway fronts a live WebWave cluster with a plain HTTP document
 // service: GET /docs/<name> injects a request packet at a tree node and
 // returns the document body that comes back, with headers reporting which
-// cache server answered and how far the request traveled.
+// cache server answered and how far the request traveled. It runs in the
+// process of the nodes it fronts and enters them with no socket between.
 //
 // This is the adoption path for the library — a browser-facing edge that
 // publishes a WebWave tree as an ordinary web service — and it doubles as
@@ -28,17 +29,16 @@ import (
 const DefaultTimeout = 5 * time.Second
 
 // reqIDBase offsets gateway request ids above the cluster harness's
-// sequential ids so the two can share a tree without colliding in the
-// servers' pending-response tables.
+// sequential ids: a node names a read it holds by (Origin, ReqID) for hop
+// attribution (answerFlight), so injector and gateway must not collide.
 const reqIDBase = uint64(1) << 62
 
 // Backend is the slice of a live cluster the gateway needs. Implemented by
 // *cluster.Cluster.
 type Backend interface {
-	// Addr returns node v's transport address ("" when out of range).
-	Addr(v int) string
-	// Network returns the transport to dial servers on.
-	Network() transport.Network
+	// Attach opens an in-process connection into tree node v; it fails
+	// for a node out of range or down.
+	Attach(v int) (transport.Conn, error)
 }
 
 // OriginPicker chooses which tree node a client's request enters at — the
@@ -170,8 +170,12 @@ func (g *Gateway) Close() {
 	g.conns = make(map[int]*originConn)
 }
 
-// errClosed reports a gateway shut down mid-request.
-var errClosed = errors.New("gateway: closed")
+var (
+	// errClosed reports a gateway shut down mid-request.
+	errClosed = errors.New("gateway: closed")
+	// errTimeout reports a tree that did not answer within Config.Timeout.
+	errTimeout = errors.New("gateway: timed out")
+)
 
 // originConnFor returns (creating on demand) the pooled connection for an
 // entry node and starts its response collector.
@@ -184,13 +188,9 @@ func (g *Gateway) originConnFor(origin int) (*originConn, error) {
 	if oc, ok := g.conns[origin]; ok && !oc.isDead() {
 		return oc, nil
 	}
-	addr := g.backend.Addr(origin)
-	if addr == "" {
-		return nil, fmt.Errorf("gateway: origin %d out of range", origin)
-	}
-	conn, err := g.backend.Network().Dial(addr)
+	conn, err := g.backend.Attach(origin)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: dial origin %d: %w", origin, err)
+		return nil, fmt.Errorf("gateway: origin %d: %w", origin, err)
 	}
 	oc := &originConn{conn: conn, pending: make(map[uint64]chan *netproto.Envelope)}
 	g.conns[origin] = oc
@@ -255,14 +255,19 @@ func (g *Gateway) fetch(origin int, doc core.DocID, minVer uint64, timeout time.
 	oc.pending[id] = ch
 	oc.mu.Unlock()
 
-	err = oc.conn.Send(&netproto.Envelope{
+	req := netproto.GetEnvelope()
+	*req = netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: origin,
 		Origin: origin, ReqID: id, Doc: doc, MinVersion: minVer,
-	})
+	}
+	err = oc.conn.Send(req) // Send copies req
+	netproto.PutEnvelope(req)
 	if err != nil {
 		oc.mu.Lock()
 		delete(oc.pending, id)
+		oc.dead = true // the node is gone: attach afresh, without waiting for collect
 		oc.mu.Unlock()
+		oc.conn.Close()
 		return nil, fmt.Errorf("gateway: send: %w", err)
 	}
 
@@ -278,7 +283,7 @@ func (g *Gateway) fetch(origin int, doc core.DocID, minVer uint64, timeout time.
 		oc.mu.Lock()
 		delete(oc.pending, id)
 		oc.mu.Unlock()
-		return nil, fmt.Errorf("gateway: request for %q timed out after %v", doc, timeout)
+		return nil, fmt.Errorf("%w: request for %q after %v", errTimeout, doc, timeout)
 	}
 }
 
@@ -326,7 +331,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errClosed):
 		http.Error(w, "gateway shutting down", http.StatusBadGateway)
 		return
-	case strings.Contains(err.Error(), "timed out"):
+	case errors.Is(err, errTimeout):
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return
 	default:

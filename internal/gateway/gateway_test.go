@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,8 @@ import (
 
 	"webwave/internal/cluster"
 	"webwave/internal/core"
+	"webwave/internal/netproto"
+	"webwave/internal/transport"
 	"webwave/internal/tree"
 )
 
@@ -237,5 +241,69 @@ func TestHashOriginStableAndInRange(t *testing.T) {
 	}
 	if HashOrigin(nil)(req) != 0 {
 		t.Error("empty HashOrigin should fall back to node 0")
+	}
+}
+
+// attachLog records the connections a gateway attaches successfully.
+type attachLog struct {
+	*cluster.Cluster
+	conns []transport.Conn
+}
+
+func (b *attachLog) Attach(v int) (transport.Conn, error) {
+	conn, err := b.Cluster.Attach(v)
+	if err == nil {
+		b.conns = append(b.conns, conn)
+	}
+	return conn, err
+}
+
+// TestGatewayReattachesAcrossKill: the pooled connection into an origin
+// dies with its node. While the node is down a GET there is a 502; once it
+// is restarted the next GET attaches afresh and is served. Close closes
+// what the gateway attached, and Close and Stop leave no goroutine of
+// either behind.
+func TestGatewayReattachesAcrossKill(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := cluster.New(tree.MustFromParents([]int{tree.NoParent, 0}),
+		map[core.DocID][]byte{"d": []byte("body")}, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &attachLog{Cluster: c}
+	gw := New(b, Config{Origin: FixedOrigin(1)})
+	get := func(want, wantAttached int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/docs/d", nil))
+		if w.Code != want || len(b.conns) != wantAttached {
+			t.Fatalf("GET: status %d after %d attaches, want %d after %d", w.Code, len(b.conns), want, wantAttached)
+		}
+	}
+	get(http.StatusOK, 1)
+	if !c.KillNode(1) {
+		t.Fatal("KillNode(1) killed nothing")
+	}
+	get(http.StatusBadGateway, 1)
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	get(http.StatusOK, 2)
+
+	gw.Close()
+	for i, conn := range b.conns {
+		if err := conn.Send(&netproto.Envelope{Kind: netproto.TypeRequest, Doc: "d"}); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("attached conn %d still open after Close (Send: %v)", i, err)
+		}
+	}
+	c.Stop()
+	// The collectors and read loops end as their connections close: yield
+	// until they have returned.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines before the cluster, %d after Close and Stop", base, n)
 	}
 }

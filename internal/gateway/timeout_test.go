@@ -1,60 +1,38 @@
 package gateway
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
+	"webwave/internal/netproto"
 	"webwave/internal/transport"
 )
 
-// silentBackend implements Backend with a listener that accepts
-// connections and never answers — the pathological tree for timeout
-// handling.
-type silentBackend struct {
-	net  *transport.MemoryNetwork
-	addr string
-}
+// silentBackend implements Backend with a node that reads requests and
+// answers none — the pathological tree for timeout handling.
+type silentBackend struct{}
 
-func newSilentBackend(t *testing.T) *silentBackend {
-	t.Helper()
-	n := transport.NewMemoryNetwork(transport.MemoryOptions{})
-	l, err := n.Listen("silent")
-	if err != nil {
-		t.Fatal(err)
+func (silentBackend) Attach(v int) (transport.Conn, error) {
+	if v != 0 {
+		return nil, fmt.Errorf("node %d out of range", v)
 	}
-	t.Cleanup(func() { l.Close() })
+	client, node := transport.Pipe()
 	go func() {
 		for {
-			conn, err := l.Accept()
-			if err != nil {
+			if _, err := node.Recv(); err != nil {
 				return
 			}
-			// Swallow the connection: read requests, answer nothing.
-			go func() {
-				for {
-					if _, err := conn.Recv(); err != nil {
-						return
-					}
-				}
-			}()
 		}
 	}()
-	return &silentBackend{net: n, addr: "silent"}
+	return client, nil
 }
-
-func (b *silentBackend) Addr(v int) string {
-	if v != 0 {
-		return ""
-	}
-	return b.addr
-}
-
-func (b *silentBackend) Network() transport.Network { return b.net }
 
 func TestGatewayTimesOutOnSilentTree(t *testing.T) {
-	gw := New(newSilentBackend(t), Config{Timeout: 50 * time.Millisecond})
+	gw := New(silentBackend{}, Config{Timeout: 50 * time.Millisecond})
 	defer gw.Close()
 	srv := httptest.NewServer(gw)
 	defer srv.Close()
@@ -83,5 +61,52 @@ func TestGatewayTimesOutOnSilentTree(t *testing.T) {
 	oc.mu.Unlock()
 	if pending != 0 {
 		t.Errorf("%d pending entries leaked after timeout", pending)
+	}
+}
+
+// deadConn is a connection whose peer is gone but whose collector has not
+// noticed yet: Send fails, Recv blocks until Close.
+type deadConn struct {
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *deadConn) Send(*netproto.Envelope) error { return transport.ErrClosed }
+func (c *deadConn) Recv() (*netproto.Envelope, error) {
+	<-c.closed
+	return nil, transport.ErrClosed
+}
+func (c *deadConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// deadBackend hands out deadConns and keeps them.
+type deadBackend struct{ conns []*deadConn }
+
+func (b *deadBackend) Attach(int) (transport.Conn, error) {
+	b.conns = append(b.conns, &deadConn{closed: make(chan struct{})})
+	return b.conns[len(b.conns)-1], nil
+}
+
+// TestGatewayDropsConnOnFailedSend: a send that fails retires the pooled
+// connection at once, closed so its collector ends, and the next request
+// attaches afresh instead of failing on the same connection until the
+// collector notices.
+func TestGatewayDropsConnOnFailedSend(t *testing.T) {
+	b := &deadBackend{}
+	gw := New(b, Config{})
+	defer gw.Close()
+	for want := 1; want <= 2; want++ {
+		w := httptest.NewRecorder()
+		gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/docs/d", nil))
+		if w.Code != http.StatusBadGateway || len(b.conns) != want {
+			t.Fatalf("GET %d: status %d after %d attaches, want 502 after %d", want, w.Code, len(b.conns), want)
+		}
+		select {
+		case <-b.conns[want-1].closed:
+		default:
+			t.Fatalf("GET %d: the connection a send failed on is still open", want)
+		}
 	}
 }

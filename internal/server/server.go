@@ -517,6 +517,14 @@ func (s *Server) readLoop(conn transport.Conn) {
 	}()
 }
 
+// Attach opens an in-process connection into the server and returns the
+// caller's end; readLoop serves the other exactly like an accepted conn.
+func (s *Server) Attach() transport.Conn {
+	client, conn := transport.Pipe()
+	s.readLoop(conn)
+	return client
+}
+
 // untrack drops every registration of conn from s.conns (a failover
 // hand-off registers its conn twice), so a closed connection's buffers are
 // not kept until Stop.

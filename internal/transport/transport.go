@@ -153,9 +153,7 @@ func (n *MemoryNetwork) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, ErrUnknownAddr
 	}
-	a := newMemConn(opts, rng)
-	b := newMemConn(opts, rng)
-	a.peer, b.peer = b, a
+	a, b := newMemPair(opts, rng)
 	select {
 	case l.backlog <- b:
 		// The listener may have closed concurrently, after its final
@@ -250,11 +248,21 @@ type timedEnv struct {
 	at  time.Time
 }
 
-func newMemConn(opts MemoryOptions, rng *lockedRand) *memConn {
-	c := &memConn{opts: opts, rng: rng}
-	c.ready = sync.NewCond(&c.mu)
-	c.sendCond = sync.NewCond(&c.sendMu)
-	return c
+// newMemPair returns the two ends of one in-memory link.
+func newMemPair(opts MemoryOptions, rng *lockedRand) (*memConn, *memConn) {
+	a, b := &memConn{opts: opts, rng: rng}, &memConn{opts: opts, rng: rng}
+	a.peer, b.peer = b, a
+	for _, c := range []*memConn{a, b} {
+		c.ready = sync.NewCond(&c.mu)
+		c.sendCond = sync.NewCond(&c.sendMu)
+	}
+	return a, b
+}
+
+// Pipe returns the two ends of a memory link with no delay or loss.
+// Closing either end releases both ends' Recv.
+func Pipe() (Conn, Conn) {
+	return newMemPair(MemoryOptions{}, nil)
 }
 
 // Send implements Conn. Delivery respects per-link FIFO order even under
@@ -358,7 +366,12 @@ func (c *memConn) Recv() (*netproto.Envelope, error) {
 		return nil, ErrClosed
 	}
 	env := c.queue[0]
-	c.queue = c.queue[1:]
+	c.queue[0] = nil
+	if len(c.queue) == 1 { // drained: reuse the slot, so one frame at a time allocates nothing
+		c.queue = c.queue[:0]
+	} else {
+		c.queue = c.queue[1:]
+	}
 	return env, nil
 }
 

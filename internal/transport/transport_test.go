@@ -379,3 +379,51 @@ func TestLentBodySurvivesReuse(t *testing.T) {
 		t.Fatalf("an unmarked body was copied on the memory network (err %v)", err)
 	}
 }
+
+// TestPipe: Pipe's ends are a memory link without a network. Closing
+// either end releases a Recv blocked on each end with ErrClosed, and a lent
+// body is copied on Send, so the sender may overwrite it at once.
+func TestPipe(t *testing.T) {
+	for _, closer := range []int{0, 1} {
+		t.Run(fmt.Sprintf("close-end-%d", closer), func(t *testing.T) {
+			a, b := Pipe()
+			ends := []Conn{a, b}
+			errs := make(chan error, len(ends))
+			for _, end := range ends {
+				go func() {
+					_, err := end.Recv()
+					errs <- err
+				}()
+			}
+			ends[closer].Close()
+			for range ends {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, ErrClosed) {
+						t.Fatalf("Recv after close: %v, want ErrClosed", err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("a Recv was not released by Close")
+				}
+			}
+			if err := ends[1-closer].Send(&netproto.Envelope{Kind: netproto.TypeGossip}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Send on the other end after close: %v, want ErrClosed", err)
+			}
+		})
+	}
+
+	a, b := Pipe()
+	defer a.Close()
+	buf := []byte("lent")
+	if err := a.Send(&netproto.Envelope{Kind: netproto.TypeResponse, Doc: "d", Body: buf, BodyLent: true}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX")
+	got, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Body) != "lent" || got.BodyLent {
+		t.Fatalf("received %q (lent=%v), want %q as sent", got.Body, got.BodyLent, "lent")
+	}
+}

@@ -166,7 +166,8 @@ func RunClosedLoop(sp ClosedLoopSpec) (ClosedLoopResult, error) {
 			defer wg.Done()
 			defer conn.Close()
 			// Disjoint request-id spaces: workers sharing an origin node
-			// must not collide in the servers' response-routing tables.
+			// must not issue the same (origin, request id) pair, by which a
+			// node names a read it holds for hop attribution.
 			reqID := uint64(w+1) << 32
 			for !stop.Load() {
 				reqID++
