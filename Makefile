@@ -332,10 +332,10 @@ docs-check:
 # leaves and the node commands), the paper reproduction, and measurement.
 # CI appends the line to its step summary.
 LOC_LIVE = $(addprefix internal/,server cluster transport netproto cachestore \
-	diskstore gateway router core tree stats trace) \
+	diskstore gateway core tree stats trace) \
 	cmd/webwave-cluster cmd/webwave-http cmd/webwave-swarm
 LOC_PAPER = $(addprefix internal/,fold wave docwave diffusion sim hierarchy \
-	baseline lru plot repro filter forest) cmd/webfold cmd/webwave-sim cmd/experiments
+	baseline lru plot repro filter forest router) cmd/webfold cmd/webwave-sim cmd/experiments
 LOC_MEASURE = internal/workload cmd/webwave-bench cmd/benchgate cmd/benchwire benchmark
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \

@@ -53,8 +53,6 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "disk-tier root (per-node subdirs for spilled bodies + recovery journal; empty = no disk tier)")
 	diskBudget := fs.Int64("disk-budget", 0, "per-server disk-tier budget, bytes (0 = unlimited; needs -data-dir)")
 	shards := fs.Int("shards", 0, "doc-sharded event loops per server (0 = GOMAXPROCS)")
-	maxBatch := fs.Int("max-batch", 0, "events drained per loop iteration (0 = default 256)")
-	queueDepth := fs.Int("queue-depth", 0, "per-loop event queue capacity (0 = default 1024)")
 	ancestors := fs.Bool("ancestors", false, "give nodes ancestor failover lists (survive interior-node loss)")
 	heartbeat := fs.Duration("heartbeat", 0, "failure-detector period, e.g. 50ms (0 = off; >0 implies -ancestors)")
 	heartbeatMisses := fs.Int("heartbeat-misses", 0, "silent heartbeat periods before a neighbor is declared dead (0 = default 3)")
@@ -78,8 +76,6 @@ func run(args []string) error {
 		DataDir:          *dataDir,
 		DiskBudgetBytes:  *diskBudget,
 		NumShards:        *shards,
-		MaxBatch:         *maxBatch,
-		QueueDepth:       *queueDepth,
 		Ancestors:        *ancestors,
 		HeartbeatPeriod:  *heartbeat,
 		HeartbeatMisses:  *heartbeatMisses,

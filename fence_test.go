@@ -14,7 +14,7 @@ import (
 // shared leaves (core, tree, stats, trace), never the paper-reproduction or
 // measurement packages. Test files are exempt.
 func TestLiveStackImportFence(t *testing.T) {
-	live := []string{"server", "cluster", "transport", "netproto", "cachestore", "diskstore", "gateway", "router"}
+	live := []string{"server", "cluster", "transport", "netproto", "cachestore", "diskstore", "gateway"}
 	allowed := map[string]bool{}
 	for _, p := range append([]string{"core", "tree", "stats", "trace"}, live...) {
 		allowed["webwave/internal/"+p] = true

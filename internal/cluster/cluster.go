@@ -42,7 +42,6 @@ type Config struct {
 	Window          time.Duration
 
 	Tunneling bool
-	Alpha     float64 // 0 = per-node 1/(degree+1)
 
 	// CacheBudgetBytes bounds every server's cached bytes (0 = unlimited).
 	// The home server's published documents are pinned and exempt.
@@ -59,12 +58,8 @@ type Config struct {
 	CacheShards int
 
 	// NumShards is each server's doc-sharded event loop count (0 =
-	// GOMAXPROCS); MaxBatch bounds events drained per loop iteration
-	// (0 = 256); QueueDepth is each loop's inbound queue capacity
-	// (0 = 1024). See server.Config.
-	NumShards  int
-	MaxBatch   int
-	QueueDepth int
+	// GOMAXPROCS). See server.Config.
+	NumShards int
 
 	// Ancestors gives every non-root server a failover candidate list
 	// ([parent, grandparent, ..., root]): a node whose parent link dies
@@ -173,13 +168,10 @@ func New(t *tree.Tree, docs map[core.DocID][]byte, cfg Config) (*Cluster, error)
 			DiffusionPeriod:  cfg.DiffusionPeriod,
 			Window:           cfg.Window,
 			Tunneling:        cfg.Tunneling,
-			Alpha:            cfg.Alpha,
 			Network:          netw,
 			CacheBudgetBytes: cfg.CacheBudgetBytes,
 			CacheShards:      cfg.CacheShards,
 			NumShards:        cfg.NumShards,
-			MaxBatch:         cfg.MaxBatch,
-			QueueDepth:       cfg.QueueDepth,
 			DiskBudgetBytes:  cfg.DiskBudgetBytes,
 			HeartbeatPeriod:  cfg.HeartbeatPeriod,
 			HeartbeatMisses:  cfg.HeartbeatMisses,

@@ -76,8 +76,6 @@ func RunNode(args []string, stderr io.Writer) error {
 	heartbeat := fs.Duration("heartbeat", 40*time.Millisecond, "liveness-detector period (0 = off)")
 	heartbeatMisses := fs.Int("heartbeat-misses", 0, "silent periods before a neighbor is dead (0 = default 3)")
 	shards := fs.Int("shards", 1, "doc-sharded event loops (swarm nodes default to 1: the process count is the parallelism)")
-	maxBatch := fs.Int("max-batch", 0, "events per loop iteration (0 = default)")
-	queueDepth := fs.Int("queue-depth", 0, "per-loop queue capacity (0 = default)")
 	cacheBudget := fs.Int64("cache-budget", 0, "cache byte budget (0 = unlimited)")
 	dataDir := fs.String("data-dir", "", "disk-tier root for this node (enables warm re-exec recovery)")
 	diskBudget := fs.Int64("disk-budget", 0, "disk-tier byte budget (0 = unlimited)")
@@ -109,8 +107,6 @@ func RunNode(args []string, stderr io.Writer) error {
 		HeartbeatPeriod:  *heartbeat,
 		HeartbeatMisses:  *heartbeatMisses,
 		NumShards:        *shards,
-		MaxBatch:         *maxBatch,
-		QueueDepth:       *queueDepth,
 		CacheBudgetBytes: *cacheBudget,
 		DataDir:          *dataDir,
 		DiskBudgetBytes:  *diskBudget,

@@ -342,9 +342,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("X-WebWave-Served-By", strconv.Itoa(env.ServedBy))
-	w.Header().Set("X-WebWave-Hops", strconv.Itoa(env.Hops))
-	w.Header().Set("X-WebWave-Origin", strconv.Itoa(origin))
+	w.Header().Set("X-Webwave-Served-By", strconv.Itoa(env.ServedBy))
+	w.Header().Set("X-Webwave-Hops", strconv.Itoa(env.Hops))
+	w.Header().Set("X-Webwave-Origin", strconv.Itoa(origin))
 	w.Header().Set(DocVersionHeader, strconv.FormatUint(env.DocVersion, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(env.Body)))

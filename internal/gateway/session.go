@@ -18,14 +18,17 @@ import (
 	"webwave/internal/core"
 )
 
+// Header names are written in canonical MIME form (TestHeaderNamesCanonical),
+// so http.Header takes them as they are instead of canonicalizing a copy on
+// every request.
 const (
 	// SessionHeader carries a session's version floors as
 	// "doc=ver[,doc=ver...]". Sent by clients on reads, returned (merged)
 	// by the gateway on writes.
-	SessionHeader = "X-WebWave-Session"
+	SessionHeader = "X-Webwave-Session"
 	// DocVersionHeader reports the version of the copy that answered (on
 	// reads) or the version a write was assigned (on writes).
-	DocVersionHeader = "X-WebWave-Doc-Version"
+	DocVersionHeader = "X-Webwave-Doc-Version"
 )
 
 // maxWriteBody bounds a PUT body read; larger writes are refused before

@@ -3,9 +3,16 @@ package gateway
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"webwave/internal/core"
@@ -174,5 +181,42 @@ func TestGatewaySessionWriteThenRead(t *testing.T) {
 	}
 	if got := resp.Header.Get(DocVersionHeader); got != "1" {
 		t.Fatalf("session GET version %q, want 1", got)
+	}
+}
+
+// TestHeaderNamesCanonical: every X-Webwave-* name in the package's source
+// is in canonical MIME form, the form http.Header stores, so setting or
+// reading one allocates no canonical copy per request.
+func TestHeaderNamesCanonical(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			name, _ := strconv.Unquote(lit.Value)
+			if strings.HasPrefix(strings.ToLower(name), "x-webwave-") {
+				names++
+				if canon := textproto.CanonicalMIMEHeaderKey(name); name != canon {
+					t.Errorf("%s: header %q is not canonical; write %q", file, name, canon)
+				}
+			}
+			return true
+		})
+	}
+	if names < 5 {
+		t.Fatalf("found %d X-Webwave-* names, want the 5 the gateway sets or reads", names)
 	}
 }

@@ -160,11 +160,8 @@ type LiveConfig struct {
 	DiskBudgetBytes int64
 
 	// NumShards is each server's doc-sharded event loop count (0 =
-	// GOMAXPROCS); MaxBatch and QueueDepth tune the loops' batch bound and
-	// queue capacity (0 = server defaults).
-	NumShards  int
-	MaxBatch   int
-	QueueDepth int
+	// GOMAXPROCS).
+	NumShards int
 
 	// Ancestors gives every non-root server a failover candidate list so a
 	// node whose parent dies re-attaches to a surviving ancestor;
@@ -231,8 +228,6 @@ func RunLiveCluster(cfg LiveConfig) (*LiveResult, error) {
 		DataDir:          cfg.DataDir,
 		DiskBudgetBytes:  cfg.DiskBudgetBytes,
 		NumShards:        cfg.NumShards,
-		MaxBatch:         cfg.MaxBatch,
-		QueueDepth:       cfg.QueueDepth,
 		Ancestors:        cfg.Ancestors,
 		HeartbeatPeriod:  cfg.HeartbeatPeriod,
 		HeartbeatMisses:  cfg.HeartbeatMisses,

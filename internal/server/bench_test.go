@@ -142,7 +142,7 @@ func BenchmarkPublishChurn(b *testing.B) {
 			sh.now = time.Now()
 			body := []byte("body")
 			for i := 0; i < published; i++ {
-				sh.publish(core.DocID(fmt.Sprintf("resident-%04d", i)), body, false, 0)
+				sh.publish(core.DocID(fmt.Sprintf("resident-%04d", i)), body, 0)
 			}
 			// The churning set: on the disk-bound workload about a hundred
 			// documents are unpublished per gossip period.
@@ -156,7 +156,7 @@ func BenchmarkPublishChurn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				doc := churn[i%len(churn)]
 				sh.now = sh.now.Add(s.cfg.GossipPeriod / perPeriod)
-				sh.publish(doc, body, false, 0)
+				sh.publish(doc, body, 0)
 				sh.unpublish(sh.state(doc))
 			}
 		})
@@ -187,7 +187,7 @@ func BenchmarkResidentDocBytes(b *testing.B) {
 		sh.now = time.Now()
 		before := heap()
 		for j, doc := range ids {
-			sh.publish(doc, body, true, 0)
+			sh.publish(doc, body, 0)
 			sh.addTarget(doc, 1)
 			if !request(s, doc, -1, uint64(j+1)) {
 				b.Fatalf("fast path declined %s", doc)

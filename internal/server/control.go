@@ -11,7 +11,6 @@ import (
 
 	"webwave/internal/core"
 	"webwave/internal/netproto"
-	"webwave/internal/router"
 	"webwave/internal/transport"
 )
 
@@ -415,11 +414,9 @@ func (c *control) gossipTo(id int, conn transport.Conn, load float64, atOnce boo
 	c.nGossip++
 }
 
-// alpha returns the diffusion parameter: configured, or 1/(degree+1).
+// alpha returns the paper's diffusion parameter, 1/(degree+1), over the
+// neighbors this node knows now (children attach dynamically).
 func (c *control) alpha() float64 {
-	if c.s.cfg.Alpha > 0 {
-		return c.s.cfg.Alpha
-	}
 	deg := len(c.s.children.Load().conns)
 	if c.s.parentLink() != nil {
 		deg++
@@ -582,7 +579,7 @@ func (c *control) claimPassing(want float64, snaps []*shardSnap) {
 // snapshot assembles the stats scrape. Counters come from synchronous
 // shard snapshots (cmdSnap forces a fresh drain of the fast-path atomics,
 // so a scrape right after traffic observes it all); queue depths and
-// router/cache figures are read live.
+// cache figures are read live.
 func (c *control) snapshot() *netproto.Stats {
 	s := c.s
 	snaps := c.freshSnaps()
@@ -608,7 +605,6 @@ func (c *control) snapshot() *netproto.Stats {
 		st.Orphaned = 1
 	}
 	st.ShardSnapEpochs = make([]uint64, len(snaps))
-	var rs router.Stats
 	for i, sn := range snaps {
 		st.ShardSnapEpochs[i] = sn.epoch
 		st.Load += sn.load
@@ -637,22 +633,18 @@ func (c *control) snapshot() *netproto.Stats {
 		for d, t := range sn.targets {
 			st.Targets[d] = t
 		}
-		// Router state comes from the same snapshot as the duty figures —
+		// Filter state comes from the same snapshot as the duty figures —
 		// never a live read that could be newer than the targets beside it.
-		rs.Inspected += sn.filter.Inspected
-		rs.Extracted += sn.filter.Extracted
-		rs.Passed += sn.filter.Passed
+		st.FilterStats.Extracted += sn.counters.extracted
+		st.FilterStats.Passed += sn.counters.passed
 		st.CachedDocs = append(st.CachedDocs, sn.installed...)
 	}
 	sort.Slice(st.CachedDocs, func(i, j int) bool { return st.CachedDocs[i] < st.CachedDocs[j] })
-	// The publication index is the filter table's lock-free fast lane:
-	// count its serves as inspected-and-extracted packets so filter
-	// accounting still covers every request.
-	st.FilterStats = netproto.FilterStats{
-		Inspected: rs.Inspected + st.FastServed,
-		Extracted: rs.Extracted + st.FastServed,
-		Passed:    rs.Passed,
-	}
+	// The publication index is the filter's lock-free fast lane: count its
+	// serves as inspected-and-extracted packets so filter accounting still
+	// covers every request.
+	st.FilterStats.Extracted += st.FastServed
+	st.FilterStats.Inspected = st.FilterStats.Extracted + st.FilterStats.Passed
 	st.ShardQueueLens, st.CtrlQueueLen, st.QueueLen = s.queueLens()
 	if s.disk != nil {
 		st.DiskDocs = int64(s.disk.Len())

@@ -89,7 +89,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		}
 		rec.admitted, rec.jTarget = true, st.Rate
 		if inMem {
-			sh.publish(doc, body, false, ver)
+			sh.publish(doc, body, ver)
 		}
 		live[doc] = st
 		s.warmDocs++

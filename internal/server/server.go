@@ -99,12 +99,6 @@ type Config struct {
 	// bodies. Non-root servers start with empty caches.
 	Docs map[core.DocID][]byte
 
-	// Alpha is this node's diffusion parameter; the paper's default is
-	// 1/(degree+1). If zero, the server computes that default once it knows
-	// its degree (children attach dynamically, so it uses 1/(known
-	// neighbors + 2) refreshed each period).
-	Alpha float64
-
 	GossipPeriod    time.Duration // default 50ms
 	DiffusionPeriod time.Duration // default 100ms
 	Window          time.Duration // rate-estimation window, default 1s
@@ -366,8 +360,8 @@ func New(cfg Config) (*Server, error) {
 		for id, body := range cfg.Docs {
 			s.cache.Pin(id, body) // origin copies are immune to eviction
 			sh := s.shardFor(id)
-			sh.rt.Install(id, nil) // the home extracts everything it owns
-			sh.publish(id, body, true, 0)
+			sh.installFilter(sh.state(id))
+			sh.publish(id, body, 0)
 		}
 	}
 	if cfg.DataDir != "" {
@@ -624,7 +618,7 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// the mark refreshes or unpublishes it.
 		return false
 	}
-	if !e.always && e.st.credits.Add(-1) < 0 {
+	if !s.isRoot && e.st.credits.Add(-1) < 0 {
 		return false
 	}
 	e.st.bumpFlow(env.From)

@@ -9,7 +9,6 @@ import (
 	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
-	"webwave/internal/router"
 	"webwave/internal/transport"
 )
 
@@ -73,9 +72,6 @@ type pubEntry struct {
 	// version is the document version of body (0 = never republished),
 	// the label every fast-path reply carries.
 	version uint64
-	// always marks an origin (pinned) copy: admitted unconditionally. A
-	// delegated or adopted copy instead spends its record's credits.
-	always bool
 	// dead is set (possibly by another shard's Put displacing this copy)
 	// the moment the document leaves the store, so the fast path stops
 	// serving a stale body before the owning shard gets around to
@@ -101,7 +97,7 @@ type docState struct {
 	// credits is the document's one admission budget, whichever tier holds
 	// its copy: the owner tops it up at the target rate (refreshCredit);
 	// the fast path and the queued filter each spend one per serve, and a
-	// request finding it spent is forwarded.
+	// request finding it spent is forwarded. The origin spends none.
 	credits atomic.Int64
 	// flows counts fast-path arrivals per sender id (-1 = locally
 	// injected) since the last drain — the A_j^d accounting the diffusion
@@ -113,6 +109,7 @@ type docState struct {
 	target    float64    // serve duty
 	creditAt  time.Time  // credits accrue from here (zero = never earned)
 	hot       bool       // on shard.hot
+	filter    bool       // the packet filter is up: queued requests may be extracted (extract)
 	servedWin *docWindow // measured served rate, never read for admission; nil until served
 	// servedRate is servedWin's rate as the last rebuild of the snapshot's
 	// rate maps read it: the served half of the copy's rank (rank).
@@ -213,12 +210,11 @@ type shardSnap struct {
 	served  map[core.DocID]float64         // measured served rates
 	flows   map[int]map[core.DocID]float64 // per sender id; -1 = local demand
 
-	// Router state captured at the same instant as the duty figures, so a
-	// stats scrape served from this snapshot is internally consistent: a
-	// torn-down filter never appears alongside its already-deleted target's
+	// The documents whose filter is up (unsorted), captured with the duty
+	// figures so a scrape served from this snapshot is consistent: a
+	// torn-down filter never appears beside its already-deleted target's
 	// stale value, however stale the snapshot itself is.
 	installed []core.DocID
-	filter    router.Stats
 
 	counters shardCounters
 }
@@ -231,6 +227,7 @@ type shardCounters struct {
 	served, forwarded, coalesced       int64
 	delegIn, delegOut, shedIn, shedOut int64
 	evictHintsIn, fastServed           int64
+	extracted, passed                  int64 // queued requests the filter took or passed on (extract)
 	diskHits, readmitsRefused          int64
 	republishesIn, invalidationsIn     int64
 	staleDrops, leaseRefreshes         int64
@@ -247,7 +244,6 @@ type shard struct {
 	events chan event
 
 	now         time.Time // loop-owned clock, read once per event batch
-	rt          *router.Router
 	docs        map[core.DocID]*docState
 	totalServed *rateWindow
 	childFlow   map[int]map[core.DocID]*docWindow // A_j^d estimates
@@ -294,6 +290,7 @@ type shard struct {
 	waits        []*docState
 	live         []*docWindow
 	targetsMoved bool
+	filtersMoved bool // a filter went up or down since the last snapshot
 	ratesAt      time.Time
 
 	evictMu   sync.Mutex
@@ -307,7 +304,6 @@ func newShard(s *Server, idx int) *shard {
 		idx:         idx,
 		events:      make(chan event, cfg.QueueDepth),
 		now:         time.Now(),
-		rt:          router.New(),
 		docs:        make(map[core.DocID]*docState, 16),
 		childFlow:   make(map[int]map[core.DocID]*docWindow, 8),
 		childDuty:   make(map[int]map[core.DocID]float64, 8),
@@ -593,9 +589,9 @@ func (sh *shard) drain(st *docState) {
 }
 
 // markHot lists a record that spent credits for top-ups on the coming
-// ticks. Serves of an origin copy spend none.
+// ticks. The origin spends none.
 func (sh *shard) markHot(st *docState) {
-	if !st.hot && (st.pub == nil || !st.pub.always) {
+	if !st.hot && !sh.s.isRoot {
 		st.hot = true
 		sh.hot = append(sh.hot, st)
 	}
@@ -619,12 +615,12 @@ func (sh *shard) refreshHot() {
 // publishSnap stores a new snapshot in the mailbox if any figure in it
 // moved since the last one (a scrape always gets a new epoch). fast is the
 // cumulative fast-serve count captured before the preceding drain, held the
-// count of reads the shard holds (sweepHeld). Load, counters and filter
-// state are read every tick; the per-document maps are carried over unless
-// a consumer needs them fresh — a scrape, or diffusion, once per
-// DiffusionPeriod — and something in them can have moved: a target
-// changed, or a window holds (or in the maps being carried still held)
-// counts. The cache ranks copies by the served rates a rebuild reads
+// count of reads the shard holds (sweepHeld). Load and counters are read
+// every tick, the installed list after a filter moved; the per-document
+// maps are carried over unless a consumer needs them fresh — a scrape, or
+// diffusion, once per DiffusionPeriod — and something in them can have
+// moved: a target changed, or a window holds (or in the maps being carried
+// still held) counts. The cache ranks copies by the served rates a rebuild reads
 // (buildRates) and makes do with this cadence: the rate windows span a
 // whole Window, so a fresher reading of them moves little.
 func (sh *shard) publishSnap(fast int64, held int, scrape bool) {
@@ -632,7 +628,6 @@ func (sh *shard) publishSnap(fast int64, held int, scrape bool) {
 	snap := shardSnap{
 		load:     sh.totalServed.Rate(now),
 		held:     held,
-		filter:   sh.rt.Stats(),
 		counters: sh.n,
 	}
 	snap.counters.served += fast
@@ -644,12 +639,17 @@ func (sh *shard) publishSnap(fast int64, held int, scrape bool) {
 	rebuilt := wanted && (sh.targetsMoved || len(sh.live)+len(prev.served)+len(prev.flows) > 0)
 	if rebuilt {
 		sh.buildRates(&snap)
-	} else if !scrape && snap.load == prev.load && snap.held == prev.held &&
-		snap.filter == prev.filter && snap.counters == prev.counters {
+	} else if !scrape && !sh.filtersMoved && snap.load == prev.load && snap.held == prev.held &&
+		snap.counters == prev.counters {
 		return // the mailbox already says all of this
 	}
-	if snap.filter.Installs != prev.filter.Installs || snap.filter.Removals != prev.filter.Removals {
-		snap.installed = sh.rt.Installed()
+	if sh.filtersMoved {
+		sh.filtersMoved, snap.installed = false, nil
+		for d, st := range sh.docs {
+			if st.filter {
+				snap.installed = append(snap.installed, d)
+			}
+		}
 	}
 	snap.epoch = prev.epoch + 1
 	out := new(shardSnap) // allocated only here, so an unchanged tick allocates nothing
@@ -759,13 +759,13 @@ func (sh *shard) published(doc core.DocID) *pubEntry {
 // publication index, stamping the copy's version for response frames. The
 // budget is the record's and is left as it stands. Owner loop only (single
 // writer). Counts pending on the record are drained first.
-func (sh *shard) publish(doc core.DocID, body []byte, always bool, version uint64) {
+func (sh *shard) publish(doc core.DocID, body []byte, version uint64) {
 	st := sh.state(doc)
 	sh.drain(st)
 	if st.pub != nil {
 		sh.delist(st.pub)
 	}
-	e := &pubEntry{body: body, always: always, version: version, st: st, slot: len(sh.entries)}
+	e := &pubEntry{body: body, version: version, st: st, slot: len(sh.entries)}
 	st.pub = e
 	sh.entries = append(sh.entries, e)
 	sh.pub.set(doc, e)
@@ -1001,10 +1001,9 @@ func dropConn(ws []waiter, conn transport.Conn) []waiter {
 	return kept
 }
 
-// handleRequest implements the queued data path: the shard's router
-// classifies the packet; Extract serves it here, Pass forwards it toward
-// the home server. (Requests the fast path already answered never reach
-// this point.)
+// handleRequest implements the queued data path: the document's filter
+// (extract) either serves the request here or passes it toward the home
+// server. (Requests the fast path already answered never reach this point.)
 func (sh *shard) handleRequest(ev event) {
 	env := ev.env
 	st := sh.state(env.Doc)
@@ -1022,7 +1021,7 @@ func (sh *shard) handleRequest(ev event) {
 			return
 		}
 	}
-	if sh.rt.Classify(env.Doc) == router.Extract || sh.s.isRoot {
+	if sh.extract(st) {
 		sh.serveRequest(st, ev)
 		return
 	}
@@ -1086,7 +1085,7 @@ func (sh *shard) releaseWaiting(st *docState, expired bool) {
 	out := netproto.GetEnvelope()
 	for _, w := range st.waiting {
 		switch {
-		case held && versionOK(ver, w.minVer, sh.mark(st)) && (root || sh.rt.Classify(doc) == router.Extract):
+		case held && versionOK(ver, w.minVer, sh.mark(st)) && sh.extract(st):
 			sh.n.served++
 			sh.countServed(st, 1)
 			*out = netproto.Envelope{
@@ -1287,7 +1286,7 @@ func (sh *shard) storeCopy(st *docState, body []byte, ver uint64) bool {
 	evs, inMem := sh.s.cache.PutVersion(doc, body, ver, sh.rank(st))
 	sh.applyEvictions(evs)
 	if inMem {
-		sh.publish(doc, body, false, ver)
+		sh.publish(doc, body, ver)
 		return true
 	}
 	if !sh.s.diskHas(doc) {
@@ -1327,7 +1326,7 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		// for it forever. Republish from the live copy.
 		if e := st.pub; e != nil && e.dead.Load() {
 			if body, ver, ok := sh.s.cache.Peek(doc); ok {
-				sh.publish(doc, body, false, ver)
+				sh.publish(doc, body, ver)
 			}
 		}
 		return
@@ -1341,7 +1340,7 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		sh.s.nSpills.Add(1)
 		return
 	}
-	sh.rt.Remove(doc)
+	st.filter, sh.filtersMoved = false, true
 	sh.unpublish(st)
 	residual := sh.dropDuty(st)
 	sh.journalDrop(st)
@@ -1412,21 +1411,33 @@ func (sh *shard) readmitFromDisk(st *docState, body []byte, ver uint64) {
 		return
 	}
 	if body, ver, ok = sh.s.cache.Peek(st.doc); ok {
-		sh.publish(st.doc, body, false, ver)
+		sh.publish(st.doc, body, ver)
 	}
 }
 
-// installFilter wires the paper's packet filter for one held document: a
-// request is extracted if it can spend a credit of the document's budget,
-// the one the fast path spends, and passed on otherwise — so the node
-// serves its target and forwards the rest, whichever tier holds the copy.
-// The record is listed hot exactly as a drained fast serve lists it, and
-// the next tick tops the budget up.
-func (sh *shard) installFilter(st *docState) {
-	sh.rt.Install(st.doc, router.FilterFunc(func(core.DocID) bool {
+// installFilter raises the paper's packet filter for a document this node
+// holds (extract); dropEvicted lowers it once no tier holds the copy.
+func (sh *shard) installFilter(st *docState) { st.filter, sh.filtersMoved = true, true }
+
+// extract is the filter's verdict on one queued request for st's document.
+// The origin takes every request for what it owns. Any other node takes one
+// only while the filter is up and the request can spend a credit of the
+// document's budget, the one the fast path spends, and passes the rest on:
+// so the node serves its target and forwards the rest, whichever tier holds
+// the copy. The record is listed hot exactly as a drained fast serve lists
+// it, and the next tick tops the budget up.
+func (sh *shard) extract(st *docState) bool {
+	ok := sh.s.isRoot
+	if !ok && st.filter {
 		sh.markHot(st)
-		return st.credits.Add(-1) >= 0
-	}))
+		ok = st.credits.Add(-1) >= 0
+	}
+	if ok {
+		sh.n.extracted++
+	} else {
+		sh.n.passed++
+	}
+	return ok
 }
 
 // delegateOut executes one control-loop delegation decision on the owning

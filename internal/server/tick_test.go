@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,19 @@ func rebuildRates(sh *shard) (targets, served map[core.DocID]float64, flows map[
 		}
 	}
 	return targets, served, flows
+}
+
+// filtersUp lists, sorted, the documents whose record has its filter up:
+// what a snapshot's installed list must say.
+func filtersUp(sh *shard) []core.DocID {
+	var up []core.DocID
+	for d, st := range sh.docs {
+		if st.filter {
+			up = append(up, d)
+		}
+	}
+	slices.Sort(up)
+	return up
 }
 
 // checkShardLists asserts the loop-owned lists agree with what they index:
@@ -233,8 +247,8 @@ func snapshotMatchesRebuild(t *testing.T, seed int64, dataDir string) {
 			if sn.counters.served != sh.n.served+sh.nFastServed.Load() {
 				t.Fatalf("step %d: served counter %d, want %d", step, sn.counters.served, sh.n.served+sh.nFastServed.Load())
 			}
-			if want := sh.rt.Installed(); len(want)+len(sn.installed) > 0 && !reflect.DeepEqual(sn.installed, want) {
-				t.Fatalf("step %d: installed %v, router has %v", step, sn.installed, sh.rt.Installed())
+			if got, want := slices.Sorted(slices.Values(sn.installed)), filtersUp(sh); len(want)+len(got) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: installed %v, records have %v", step, got, want)
 			}
 		}
 		checkShardLists(t, sh)
@@ -351,43 +365,51 @@ func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 //     served by the queued path for a while, then republished mid-period by
 //     a write frame;
 //   - cut: a published copy whose target is halved by a shed at the start
-//     of a period.
+//     of a period;
+//   - origin: the root's own document, with no target and so no credit,
+//     unpublished and republished as in the republish run: both paths
+//     serve every request, and no record is listed hot.
 //
 // Every period after the first serves target × period ± 1, the total is
-// within one period's credit of target × T, and every request not served
-// was passed upward.
+// within one period's credit of target × T, every request not served was
+// passed upward, and the filter's extract and pass counts add up to the
+// requests that took the queued path. Then the copy is invalidated, which
+// keeps its filter up, and its eviction note, with no tier holding it,
+// lowers the filter.
 func TestOneBudgetServesTheTarget(t *testing.T) {
 	const target, demand, periods = 200, 3, 200
+	unpublishThenWrite := func(t *testing.T, sh *shard, doc core.DocID, p, i int) float64 {
+		switch {
+		case p == 50 && i == 15:
+			sh.unpublish(sh.state(doc))
+		case p == 120 && i == 15:
+			sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+				Kind: netproto.TypeRepublish, From: 0, To: 1, Doc: doc, Body: []byte("body-v1"), DocVersion: 1,
+			}})
+			if sh.published(doc) == nil {
+				t.Fatal("the republish did not publish the copy")
+			}
+		}
+		return 0
+	}
 	runs := []struct {
-		name string
-		disk bool
+		name       string
+		disk, root bool
 		// at runs before request i of period p; it returns the target in
 		// force from then on (0 = unchanged).
-		at func(sh *shard, doc core.DocID, p, i int) float64
+		at func(t *testing.T, sh *shard, doc core.DocID, p, i int) float64
 	}{
 		{name: "memory"},
 		{name: "disk", disk: true},
-		{name: "republish", at: func(sh *shard, doc core.DocID, p, i int) float64 {
-			switch {
-			case p == 50 && i == 15:
-				sh.unpublish(sh.state(doc))
-			case p == 120 && i == 15:
-				sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
-					Kind: netproto.TypeRepublish, From: 0, To: 1, Doc: doc, Body: []byte("body-v1"), DocVersion: 1,
-				}})
-				if sh.published(doc) == nil {
-					t.Fatal("the republish did not publish the copy")
-				}
-			}
-			return 0
-		}},
-		{name: "cut", at: func(sh *shard, doc core.DocID, p, i int) float64 {
+		{name: "republish", at: unpublishThenWrite},
+		{name: "cut", at: func(_ *testing.T, sh *shard, doc core.DocID, p, i int) float64 {
 			if p == 100 && i == 0 {
 				sh.handleCmd(event{cmd: cmdShed, doc: doc, rate: target / 2})
 				return target / 2
 			}
 			return 0
 		}},
+		{name: "origin", root: true, at: unpublishThenWrite},
 	}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
@@ -395,41 +417,56 @@ func TestOneBudgetServesTheTarget(t *testing.T) {
 			if run.disk {
 				cfg.DataDir, cfg.CacheBudgetBytes = t.TempDir(), 2 // the body is 4 bytes
 			}
-			s := handServer(t, cfg)
+			doc := core.DocID("doc")
+			cur := float64(target)
+			var s *Server
+			if run.root {
+				cfg.ParentID, cfg.Docs = -1, map[core.DocID][]byte{doc: []byte("body")}
+				s = benchServer(t, cfg)
+				cur = demand * target // the origin serves the whole demand
+			} else {
+				s = handServer(t, cfg)
+			}
 			t.Cleanup(s.Stop)
 			sh := s.shards[0]
-			doc := core.DocID("doc")
-			sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
-				Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: doc, Rate: target, Body: []byte("body"),
-			}})
+			if !run.root {
+				sh.handle(event{conn: nopConn{}, env: &netproto.Envelope{
+					Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: doc, Rate: target, Body: []byte("body"),
+				}})
+			}
 			if published := sh.published(doc) != nil; published == run.disk || !s.holdsCopy(doc) {
-				t.Fatalf("after the delegation: published %v, held %v", published, s.holdsCopy(doc))
+				t.Fatalf("at the start: published %v, held %v", published, s.holdsCopy(doc))
 			}
 			st := sh.state(doc)
 			period := s.cfg.GossipPeriod
 			perPeriod := int(demand * target * period.Seconds())
 			served := func() int64 { return sh.n.served + sh.nFastServed.Load() }
-			var reqID uint64
+			var reqID, queued uint64
 			var want float64
-			cur := float64(target)
 			for p := 0; p < periods; p++ {
 				before := served()
 				for i := 0; i < perPeriod; i++ {
 					if run.at != nil {
-						if tg := run.at(sh, doc, p, i); tg != 0 {
+						if tg := run.at(t, sh, doc, p, i); tg != 0 {
 							cur = tg
 						}
 					}
 					reqID++
-					credit, published := st.credits.Load() > 0, sh.published(doc) != nil
+					credit, published := run.root || st.credits.Load() > 0, sh.published(doc) != nil
 					was := served()
 					fast := request(s, doc, -1, reqID)
+					if !fast {
+						queued++
+					}
 					if got := served() - was; got > 1 || (got == 1) != credit {
 						t.Fatalf("period %d: request %d served %d times with a credit %v", p, i, got, credit)
 					}
 					if credit && published && !fast {
 						t.Fatalf("period %d: the fast path declined request %d with %d credits left", p, i, st.credits.Load())
 					}
+				}
+				if run.root && (len(sh.hot) > 0 || st.hot) {
+					t.Fatalf("period %d: the origin listed %d records hot", p, len(sh.hot))
 				}
 				want += cur * period.Seconds()
 				if got, tp := served()-before, cur*period.Seconds(); p > 0 && math.Abs(float64(got)-tp) > 1 {
@@ -447,11 +484,29 @@ func TestOneBudgetServesTheTarget(t *testing.T) {
 			if passed := sh.n.forwarded + sh.n.coalesced; int64(reqID)-c.served != passed {
 				t.Fatalf("%d requests, %d served, %d passed upward: the surplus went missing", reqID, c.served, passed)
 			}
+			if c.extracted+c.passed != int64(queued) || c.extracted != c.served-c.fastServed {
+				t.Fatalf("filter extracted %d and passed %d of %d queued requests, %d served there",
+					c.extracted, c.passed, queued, c.served-c.fastServed)
+			}
 			switch frac := float64(c.fastServed) / float64(c.served); {
 			case run.disk && (c.fastServed != 0 || c.diskHits != c.served):
 				t.Fatalf("disk-resident copy: %d fast serves and %d disk hits of %d served", c.fastServed, c.diskHits, c.served)
 			case run.name == "memory" && frac < 0.99:
 				t.Fatalf("fast serves %d of %d served (%.3f), want >= 0.99", c.fastServed, c.served, frac)
+			case run.root && c.passed+sh.n.forwarded != 0:
+				t.Fatalf("the origin passed %d requests and forwarded %d", c.passed, sh.n.forwarded)
+			case run.root:
+				return
+			}
+			sh.invalidateLocal(st)
+			sh.tick(true)
+			if !st.filter || !slices.Contains(sh.snap.Load().installed, doc) {
+				t.Fatalf("invalidated copy: filter up %v, installed %v; want it kept", st.filter, sh.snap.Load().installed)
+			}
+			sh.dropEvicted(doc)
+			sh.tick(true)
+			if st.filter || slices.Contains(sh.snap.Load().installed, doc) {
+				t.Fatalf("copy on no tier: filter up %v, installed %v; want it lowered", st.filter, sh.snap.Load().installed)
 			}
 		})
 	}
@@ -498,13 +553,13 @@ func TestFastServesReachWindowsAcrossReap(t *testing.T) {
 	tick()
 	straggler(old) // descheduled past a full gossip period
 	tick()
-	sh.publish(doc, []byte("v2"), false, 1)
+	sh.publish(doc, []byte("v2"), 1)
 	straggler(old) // and past the republish
 	tick()
 	serve(4)
 	replaced := sh.published(doc)
 	straggler(replaced)
-	sh.publish(doc, []byte("v3"), false, 2) // drains the replaced entry first
+	sh.publish(doc, []byte("v3"), 2) // drains the replaced entry first
 	serve(2)
 	tick()
 	if got := sh.state(doc).servedWin.total; got != float64(bumps) {

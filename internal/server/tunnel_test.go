@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"webwave/internal/netproto"
-	"webwave/internal/router"
 	"webwave/internal/transport"
 )
 
@@ -75,7 +74,7 @@ func TestTunnelAdoptsPassingCopy(t *testing.T) {
 	if ver, held := s.copyVersion("d"); !held || ver != 3 {
 		t.Fatalf("copy after the passing response: held %v at %d, want version 3", held, ver)
 	}
-	if sh.rt.Classify("d") != router.Extract {
+	if !st.filter {
 		t.Fatal("the adopted copy has no admission filter")
 	}
 	if st.stale || st.credits.Load() <= 0 || sh.n.leaseRefreshes != 1 {

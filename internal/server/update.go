@@ -111,8 +111,8 @@ func (sh *shard) originWrite(doc core.DocID, body []byte, ver uint64) {
 	if !sh.s.cache.PinVersion(doc, body, ver) {
 		return
 	}
-	sh.rt.Install(doc, nil) // the home extracts everything it owns
-	sh.publish(doc, body, true, ver)
+	sh.installFilter(sh.state(doc))
+	sh.publish(doc, body, ver)
 }
 
 // invalidateLocal drops the stale body from both tiers while keeping the

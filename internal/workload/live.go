@@ -37,10 +37,8 @@ type LiveOptions struct {
 	// so through the wire codec).
 	Transport string
 	// NumShards is each server's doc-sharded event loop count (0 =
-	// GOMAXPROCS); MaxBatch and QueueDepth tune the loops (0 = defaults).
-	NumShards  int
-	MaxBatch   int
-	QueueDepth int
+	// GOMAXPROCS).
+	NumShards int
 }
 
 func (o LiveOptions) withDefaults() LiveOptions {
@@ -185,8 +183,6 @@ func RunLive(sp Spec, seed int64, opt LiveOptions) (*Report, error) {
 		CacheBudgetBytes: sp.CacheBudgetBytes,
 		CacheShards:      sp.CacheShards,
 		NumShards:        opt.NumShards,
-		MaxBatch:         opt.MaxBatch,
-		QueueDepth:       opt.QueueDepth,
 	}
 	switch opt.Transport {
 	case "", "mem":
