@@ -128,9 +128,21 @@ func TestInvalidateLeaseRefreshesThroughTheTree(t *testing.T) {
 	if _, err := c.Invalidate("d", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	// Storm the leaf once the invalidation has reached it: reads that beat
+	// it there are served from the old copy, and a delegation arriving
+	// before the next storm brings the fresh copy with no lease at all.
+	deadline := time.Now().Add(8 * time.Second)
+	for landed := false; !landed; {
+		sts, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if landed = sts[1] != nil && sts[1].InvalidationsIn >= 1; !landed && time.Now().After(deadline) {
+			t.Fatal("the invalidation never reached the leaf")
+		}
+	}
 	// Storm the leaf: all of these either hit the refreshed copy or coalesce
 	// behind the single lease fetch.
-	deadline := time.Now().Add(8 * time.Second)
 	refreshed := false
 	for !refreshed && time.Now().Before(deadline) {
 		for i := 0; i < 40; i++ {

@@ -28,7 +28,8 @@ type control struct {
 	parentLoad  float64
 	parentKnown bool
 
-	nGossip int64
+	nGossip                     int64
+	gossipAt, diffuseAt, beatAt int64 // the periodic jobs' next due times, ns since epoch (due)
 
 	// sent is the load figure last gossiped to each neighbor and when
 	// (gossipTo). moved (a neighbor gossiped) and stepEpochs (each shard's
@@ -91,16 +92,8 @@ func newControl(s *Server) *control {
 func (c *control) loop() {
 	s := c.s
 	defer s.wg.Done()
-	gossip := time.NewTicker(s.cfg.GossipPeriod)
-	defer gossip.Stop()
-	diffuse := time.NewTicker(s.cfg.DiffusionPeriod)
-	defer diffuse.Stop()
-	var heartbeat <-chan time.Time // nil (never fires) when the detector is off
-	if s.cfg.HeartbeatPeriod > 0 {
-		hb := time.NewTicker(s.cfg.HeartbeatPeriod)
-		defer hb.Stop()
-		heartbeat = hb.C
-	}
+	timer := time.NewTimer(0) // the node's one timer: its first wake runs every job
+	defer timer.Stop()
 	for {
 		select {
 		case <-s.stopped:
@@ -108,18 +101,51 @@ func (c *control) loop() {
 		case ev := <-s.events:
 			c.now = time.Now()
 			c.handleBatch(ev)
-		case <-gossip.C:
+		case <-timer.C:
 			c.now = time.Now()
-			c.doGossip()
-		case <-diffuse.C:
-			c.now = time.Now()
-			c.doDiffusion()
-		case <-heartbeat:
-			c.now = time.Now()
-			c.doHeartbeat()
+			timer.Reset(c.runDue())
 		}
 		c.flushDirty()
 	}
+}
+
+var epoch = time.Now() // the period edges' base: monotonic, and shared by a process's nodes
+
+// runDue runs the jobs due at c.now and returns the wait until the next. A
+// gossip wake first wakes, never blocking, each shard busy or with fast
+// serves past its idle mark.
+func (c *control) runDue() time.Duration {
+	cfg := &c.s.cfg
+	if c.due(&c.gossipAt, cfg.GossipPeriod) {
+		for _, sh := range c.s.shards {
+			if m := sh.idleMark.Load(); m == busy || sh.nFastServed.Load() > m {
+				c.s.tryPost(sh.events, event{cmd: cmdSnap})
+			}
+		}
+		c.doGossip()
+	}
+	if c.due(&c.diffuseAt, cfg.DiffusionPeriod) {
+		c.doDiffusion()
+	}
+	if c.due(&c.beatAt, cfg.HeartbeatPeriod) {
+		c.doHeartbeat()
+	}
+	return time.Duration(min(c.gossipAt, c.diffuseAt, c.beatAt)) - c.now.Sub(epoch)
+}
+
+// due reports whether the job due at *at is, and if so moves *at to the next
+// multiple of its period p (0 is off) since epoch. A due time more than a
+// period off is stale, left by a clock set back, and falls due at once.
+func (c *control) due(at *int64, p time.Duration) bool {
+	now := int64(c.now.Sub(epoch))
+	switch {
+	case p <= 0:
+		*at = math.MaxInt64
+	case now >= *at || *at-now > int64(p):
+		*at = (now/int64(p) + 1) * int64(p)
+		return true
+	}
+	return false
 }
 
 // handleBatch drains the control queue (bounded by MaxBatch) under one
@@ -150,8 +176,8 @@ drain:
 			c.handleConnClosed(ev.conn)
 			continue
 		}
-		if ev.cmd != cmdNone {
-			c.handleCmd(ev)
+		if ev.cmd != cmdNone { // cmdParentUp, the one command the control loop takes
+			c.installParent(ev.child, ev.conn)
 			continue
 		}
 		if ev.env.Kind == netproto.TypeGossip && len(gossipSeen) > 0 {
@@ -207,14 +233,6 @@ func (c *control) handle(ev event) {
 
 	case netproto.TypeShutdown:
 		go s.Stop()
-	}
-}
-
-// handleCmd applies a command posted to the control queue (currently only
-// the failover goroutine's "new parent link is live" hand-off).
-func (c *control) handleCmd(ev event) {
-	if ev.cmd == cmdParentUp {
-		c.installParent(ev.child, ev.conn)
 	}
 }
 
@@ -483,11 +501,7 @@ func (c *control) delegateDown(child int, want float64, snaps []*shardSnap) {
 			if !c.s.holdsCopy(doc) {
 				continue
 			}
-			srv := sn.served[doc]
-			cap := flow
-			if srv < cap {
-				cap = srv // can only hand off duty we are actually carrying
-			}
+			cap := min(flow, sn.served[doc]) // can only hand off duty we are actually carrying
 			if cap > 0 {
 				cands = append(cands, dutyCand{doc: doc, cap: cap})
 			}
@@ -503,10 +517,7 @@ func (c *control) delegateDown(child int, want float64, snaps []*shardSnap) {
 		if moved >= want {
 			break
 		}
-		amt := want - moved
-		if amt > cd.cap {
-			amt = cd.cap
-		}
+		amt := min(want-moved, cd.cap)
 		if c.s.tryPost(c.s.shardFor(cd.doc).events, event{cmd: cmdDelegate, child: child, doc: cd.doc, rate: amt}) {
 			moved += amt
 		}
@@ -527,10 +538,7 @@ func (c *control) shedUp(want float64, snaps []*shardSnap) {
 			if srv <= 0 {
 				continue
 			}
-			amt := want - shed
-			if amt > srv {
-				amt = srv
-			}
+			amt := min(want-shed, srv)
 			if c.s.tryPost(c.s.shardFor(doc).events, event{cmd: cmdShed, doc: doc, rate: amt}) {
 				shed += amt
 			}
@@ -565,10 +573,7 @@ func (c *control) claimPassing(want float64, snaps []*shardSnap) {
 			if spare <= 0 {
 				continue
 			}
-			amt := want - claimed
-			if amt > spare {
-				amt = spare
-			}
+			amt := min(want-claimed, spare)
 			if c.s.tryPost(c.s.shardFor(doc).events, event{cmd: cmdClaim, doc: doc, rate: amt}) {
 				claimed += amt
 			}

@@ -99,7 +99,7 @@ type Config struct {
 	// bodies. Non-root servers start with empty caches.
 	Docs map[core.DocID][]byte
 
-	GossipPeriod    time.Duration // default 50ms
+	GossipPeriod    time.Duration // default 50ms; a shard that owes work ticks once a period
 	DiffusionPeriod time.Duration // default 100ms
 	Window          time.Duration // rate-estimation window, default 1s
 
@@ -215,11 +215,9 @@ type cmdKind uint8
 
 const (
 	cmdNone cmdKind = iota
-	// cmdSnap asks the shard to run its maintenance tick (drain fast-path
-	// counters, refresh credits, republish the mailbox) and reply with the
-	// fresh snapshot — the stats scrape path, so a scrape observes fresh
-	// counters. Periodic ticks are shard-owned (each loop has its own
-	// timer); only the synchronous scrape needs a command.
+	// cmdSnap with a reply is a stats scrape: the shard ticks and replies
+	// with the fresh snapshot. Without one it is the control loop's wake
+	// for a shard that owes a tick (shard.step).
 	cmdSnap
 	// cmdDelegate applies one diffusion decision: move `rate` duty for
 	// `doc` down to `child`, shipping the body.

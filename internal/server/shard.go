@@ -293,6 +293,9 @@ type shard struct {
 	filtersMoved bool // a filter went up or down since the last snapshot
 	ratesAt      time.Time
 
+	tickSlot int64        // the gossip period step last ticked in
+	idleMark atomic.Int64 // busy, or fastDrained (noteIdle); off nFastServed's cache line
+
 	evictMu   sync.Mutex
 	evictedIn []core.DocID // posted by other shards' Puts, drained by this loop
 }
@@ -312,6 +315,7 @@ func newShard(s *Server, idx int) *shard {
 		laneSender:  laneSender{s: s, lane: idx},
 	}
 	sh.snap.Store(&shardSnap{}) // never nil: readers need no check before the first tick
+	sh.idleMark.Store(busy)
 	sh.flightRetry = max(2*cfg.GossipPeriod, 20*time.Millisecond)
 	return sh
 }
@@ -328,27 +332,28 @@ func (sh *shard) state(doc core.DocID) *docState {
 
 func (sh *shard) loop() {
 	defer sh.s.wg.Done()
-	// Each shard owns its maintenance timer: ticks must keep firing on the
-	// busiest shard (select chooses uniformly among ready cases, so a
-	// flooded event queue cannot starve the ticker), where a control-posted
-	// tick command would be exactly what a saturated queue drops.
-	tick := time.NewTicker(sh.s.cfg.GossipPeriod)
-	defer tick.Stop()
 	for {
 		select {
 		case <-sh.s.stopped:
 			return
 		case ev := <-sh.events:
 			sh.now = time.Now()
-			sh.drainEvicted()
-			sh.handleBatch(ev)
-		case <-tick.C:
-			sh.now = time.Now()
-			sh.drainEvicted()
-			sh.tick(false)
+			sh.step(ev)
 		}
-		sh.flushDirty()
 	}
+}
+
+// step is one pass of the loop at sh.now: a batch, then the tick if this
+// gossip period since epoch has had none, so a flooded queue still ticks.
+func (sh *shard) step(ev event) {
+	sh.drainEvicted()
+	sh.handleBatch(ev)
+	sh.idleMark.Store(busy) // the batch may have left work: only a tick says not
+	if slot := int64(sh.now.Sub(epoch) / sh.s.cfg.GossipPeriod); slot != sh.tickSlot {
+		sh.tickSlot = slot
+		sh.tick(false)
+	}
+	sh.flushDirty()
 }
 
 // handleBatch drains the shard queue (bounded by MaxBatch) and processes it
@@ -382,8 +387,8 @@ drain:
 func (sh *shard) handleCmd(ev event) {
 	switch ev.cmd {
 	case cmdSnap:
-		sh.tick(true)
 		if ev.reply != nil {
+			sh.tick(true)
 			ev.reply <- sh.snap.Load()
 		}
 	case cmdDelegate:
@@ -533,12 +538,12 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 	}
 }
 
-// tick is the shard's periodic self-maintenance, driven by its own timer
-// every gossip period (and by cmdSnap for scrapes): fold fast-path activity
-// into the rate windows, top up admission credits, sweep the held reads,
-// publish what moved to the snapshot mailbox. Each step reads only what
-// changed since the last tick, and a shard with nothing pending and every
-// window empty does no per-entry work and allocates nothing.
+// tick is the shard's periodic self-maintenance, run by step once per
+// gossip period (and by cmdSnap for scrapes): fold fast-path activity into
+// the rate windows, top up admission credits, sweep the held reads, publish
+// what moved to the snapshot mailbox, and say if the next tick is owed. Each
+// step reads only what changed since the last tick, and an idle shard's
+// tick does no per-entry work and allocates nothing.
 func (sh *shard) tick(scrape bool) {
 	// Read the cumulative fast-serve counter before the drain: every serve
 	// it covers bumped its record's counter first (program order, seq-cst
@@ -570,6 +575,22 @@ func (sh *shard) tick(scrape bool) {
 	held := sh.sweepHeld()
 	sh.journalTick()
 	sh.publishSnap(fast, held, scrape)
+	sh.noteIdle()
+}
+
+const busy = -1 // the idleMark of a shard that owes a tick
+
+// noteIdle marks the shard idle if its next tick would find nothing to do;
+// postEvicted marks it busy under the same lock.
+func (sh *shard) noteIdle() {
+	mark := int64(busy)
+	sh.evictMu.Lock()
+	if len(sh.hot)+len(sh.waits)+len(sh.live)+len(sh.evictedIn) == 0 && !sh.targetsMoved &&
+		sh.snap.Load().load == 0 && (sh.s.journal == nil || sh.s.journal.Lag() == 0) {
+		mark = sh.fastDrained
+	}
+	sh.idleMark.Store(mark)
+	sh.evictMu.Unlock()
 }
 
 // drain folds one record's pending fast-path counts into the windows.
@@ -602,10 +623,8 @@ func (sh *shard) markHot(st *docState) {
 func (sh *shard) refreshHot() {
 	kept := sh.hot[:0]
 	for _, st := range sh.hot {
-		if !sh.refreshCredit(st) {
+		if st.hot = !sh.refreshCredit(st); st.hot {
 			kept = append(kept, st)
-		} else {
-			st.hot = false
 		}
 	}
 	clear(sh.hot[len(kept):])
@@ -720,10 +739,6 @@ func (sh *shard) rank(st *docState) float64 { return st.target + st.servedRate }
 // drainEvicted applies eviction cleanups posted by other shards' Puts.
 func (sh *shard) drainEvicted() {
 	sh.evictMu.Lock()
-	if len(sh.evictedIn) == 0 {
-		sh.evictMu.Unlock()
-		return
-	}
 	notes := sh.evictedIn
 	sh.evictedIn = nil
 	sh.evictMu.Unlock()
@@ -733,10 +748,11 @@ func (sh *shard) drainEvicted() {
 }
 
 // postEvicted queues an eviction cleanup for this (non-owning caller's)
-// shard; the owner drains it at its next batch or tick.
+// shard, which drains it at its next step: marked busy, it is woken for one.
 func (sh *shard) postEvicted(doc core.DocID) {
 	sh.evictMu.Lock()
 	sh.evictedIn = append(sh.evictedIn, doc)
+	sh.idleMark.Store(busy)
 	sh.evictMu.Unlock()
 }
 

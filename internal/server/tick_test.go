@@ -155,6 +155,27 @@ func checkShardLists(t *testing.T, sh *shard) {
 	}
 }
 
+// checkIdle asserts that a shard its last tick found idle owes nothing a
+// later tick would do: no window holds counts, no budget is below full, no
+// read is held, the published load and rate maps are empty and the journal
+// is synced.
+func checkIdle(t *testing.T, step int, sh *shard) {
+	t.Helper()
+	if sh.idleMark.Load() == busy {
+		return
+	}
+	_, served, flows := rebuildRates(sh)
+	sn := sh.snap.Load()
+	lag := int64(0)
+	if sh.s.journal != nil {
+		lag = sh.s.journal.Lag()
+	}
+	if len(served)+len(flows)+len(sh.hot)+len(sh.waits)+len(sn.served)+len(sn.flows) > 0 || sn.load != 0 || lag != 0 {
+		t.Fatalf("step %d: idle with %d served and %d flow rates (%d and %d published), %d hot, %d holding reads, load %v, journal lag %d",
+			step, len(served), len(flows), len(sn.served), len(sn.flows), len(sh.hot), len(sh.waits), sn.load, lag)
+	}
+}
+
 // TestSnapshotMatchesRebuild: after any sequence of fast serves, queued
 // serves, duty movements, evictions, republishes and a child's death, the
 // snapshot a scrape gets equals a from-scratch rebuild of the same figures.
@@ -219,13 +240,16 @@ func snapshotMatchesRebuild(t *testing.T, seed int64, dataDir string) {
 		case op < 90:
 			sh.now = sh.now.Add(time.Duration(rng.Intn(30)) * time.Millisecond)
 			sh.tick(false)
+			checkIdle(t, step, sh)
 		case op < 92: // long enough for every window to empty
 			sh.now = sh.now.Add(time.Duration(rng.Intn(1500)) * time.Millisecond)
 			sh.tick(false)
+			checkIdle(t, step, sh)
 		default:
 			sh.now = sh.now.Add(time.Duration(rng.Intn(30)) * time.Millisecond)
 			before := sh.snap.Load().epoch
 			sh.tick(true)
+			checkIdle(t, step, sh)
 			sn := sh.snap.Load()
 			if sn.epoch <= before {
 				t.Fatalf("step %d: a scrape left the epoch at %d", step, sn.epoch)
@@ -280,9 +304,9 @@ func gatedShard(tb testing.TB, cfg Config, n int, target float64) (*Server, []co
 	return s, docs
 }
 
-// TestIdleTickDoesNothing: once its windows have emptied, a shard's tick
-// allocates nothing, touches no entry and publishes nothing, however many
-// documents it holds.
+// TestIdleTickDoesNothing: once its windows have emptied, a shard reports
+// idle, and its tick allocates nothing, touches no entry and publishes
+// nothing, however many documents it holds.
 func TestIdleTickDoesNothing(t *testing.T) {
 	s, docs := gatedShard(t, Config{}, 64, 100)
 	sh := s.shards[0]
@@ -296,6 +320,9 @@ func TestIdleTickDoesNothing(t *testing.T) {
 	}
 	if len(sh.hot) != 0 || len(sh.live) != 0 {
 		t.Fatalf("after three idle windows %d entries are hot and %d windows live", len(sh.hot), len(sh.live))
+	}
+	if sh.idleMark.Load() == busy {
+		t.Fatal("after three idle windows the shard still reports a tick owed")
 	}
 	const sentinel = 12345
 	var zero time.Time
@@ -340,7 +367,7 @@ func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
 		for s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
 			admitted++
 		}
-		sh.handleCmd(event{cmd: cmdSnap}) // no time passes between scrapes
+		sh.handleCmd(event{cmd: cmdSnap, reply: make(chan *shardSnap, 1)}) // no time passes between scrapes
 	}
 	if admitted == 0 || admitted > onePeriod {
 		t.Fatalf("20 back-to-back scrapes admitted %d fast serves, want 1..%d (one period of credits)", admitted, onePeriod)
