@@ -9,9 +9,6 @@ BENCH_SCALING_JSON ?= BENCH_scaling.json
 BENCH_CHAOS_JSON ?= BENCH_chaos.json
 BENCH_RESTART_JSON ?= BENCH_restart.json
 BENCH_BIGRAM_JSON ?= BENCH_bigram.json
-BENCH_UPDATE_JSON ?= BENCH_update.json
-BENCH_STORM_JSON ?= BENCH_storm.json
-BENCH_SESSION_JSON ?= BENCH_session.json
 BENCH_SWARM_JSON ?= BENCH_swarm.json
 BENCH_SWARM_SMOKE_JSON ?= BENCH_swarm_smoke.json
 # The CI-sized swarm: 2 racks x 8 processes, 5-deep tree, rack 0 SIGKILLed
@@ -41,9 +38,7 @@ COVER_FLOOR ?= 77.0
 	cover cover-check cover-summary bench-smoke bench-micro \
 	bench-cache bench-cache-baseline bench-scaling bench-scaling-baseline \
 	bench-chaos bench-chaos-baseline \
-	bench-restart bench-restart-baseline bench-bigram bench-bigram-baseline \
-	bench-update bench-update-baseline bench-storm bench-storm-baseline \
-	bench-session bench-session-baseline fuzz-smoke \
+	bench-restart bench-restart-baseline bench-bigram bench-bigram-baseline fuzz-smoke \
 	swarm-bins bench-swarm bench-swarm-baseline bench-swarm-smoke \
 	bench-swarm-smoke-baseline benchmark benchmark-test docs-check loc profile clean
 
@@ -217,53 +212,6 @@ bench-bigram-baseline:
 	$(GO) run ./cmd/webwave-bench -scenario bigger-than-ram -seed 1 \
 		-json bench/BENCH_bigram_baseline.json
 
-# bench-update runs the update-heavy scenario (one Poisson schedule twice:
-# read-only control, then a 90/10 read/write mix) and gates p99 response
-# staleness (must stay within one diffusion period) and the hit-rate cost of
-# mutability against the committed baseline. Wall-clock: NOT deterministic;
-# the gate applies thresholds, and the baseline pins the workload.
-bench-update:
-	$(GO) run ./cmd/webwave-bench -scenario update-heavy -seed 1 -json $(BENCH_UPDATE_JSON)
-	$(GO) run ./cmd/benchgate -update-report $(BENCH_UPDATE_JSON) \
-		-update-baseline bench/BENCH_update_baseline.json
-
-# bench-update-baseline regenerates the committed update-heavy baseline
-# after an intentional behavior change; commit the result.
-bench-update-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario update-heavy -seed 1 \
-		-json bench/BENCH_update_baseline.json
-
-# bench-storm runs the invalidation-storm scenario (repeatedly invalidate a
-# hot document diffusion has spread, then storm the leaves) and gates the lease
-# collapse: per-write origin fetches bounded by the subtree count, not the
-# client count. Wall-clock: NOT deterministic.
-bench-storm:
-	$(GO) run ./cmd/webwave-bench -scenario invalidation-storm -seed 1 -json $(BENCH_STORM_JSON)
-	$(GO) run ./cmd/benchgate -storm-report $(BENCH_STORM_JSON) \
-		-storm-baseline bench/BENCH_storm_baseline.json
-
-# bench-storm-baseline regenerates the committed invalidation-storm baseline
-# after an intentional behavior change; commit the result.
-bench-storm-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario invalidation-storm -seed 1 \
-		-json bench/BENCH_storm_baseline.json
-
-# bench-session runs the read-my-writes session scenario (one seeded
-# write-then-read-elsewhere schedule twice: session token on the wire, then
-# stripped) and gates the two-sided shape: zero violations with tokens,
-# strictly positive without them, server-side gate actually exercised.
-# Wall-clock: NOT deterministic; the baseline pins the workload.
-bench-session:
-	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 -json $(BENCH_SESSION_JSON)
-	$(GO) run ./cmd/benchgate -session-report $(BENCH_SESSION_JSON) \
-		-session-baseline bench/BENCH_session_baseline.json
-
-# bench-session-baseline regenerates the committed session baseline after an
-# intentional behavior change; commit the result.
-bench-session-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 \
-		-json bench/BENCH_session_baseline.json
-
 # fuzz-smoke runs three fuzzers for a bounded slice of CI time: the
 # wire-codec round trip (every frame kind, re-encode byte equality, agreement
 # with the JSON oracle), the journal replay (arbitrary bytes never refuse a
@@ -352,7 +300,6 @@ profile:
 clean:
 	rm -f $(BENCH_JSON) $(BENCH_WIRE_JSON) $(BENCH_CACHE_JSON) \
 		$(BENCH_SCALING_JSON) $(BENCH_CHAOS_JSON) $(BENCH_RESTART_JSON) \
-		$(BENCH_BIGRAM_JSON) $(BENCH_UPDATE_JSON) $(BENCH_STORM_JSON) \
-		$(BENCH_SESSION_JSON) $(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
+		$(BENCH_BIGRAM_JSON) $(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
 		bench-micro.out cpu.pprof mem.pprof coverage.out
 	rm -rf bin

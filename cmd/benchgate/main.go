@@ -1,7 +1,7 @@
 // Command benchgate compares freshly produced webwave-bench reports
-// against committed baselines and fails (exit 1) on regressions. Two gates
-// are implemented; CI runs both so a regression breaks the build instead
-// of the tail latency of some future long-haul run:
+// against committed baselines and fails (exit 1) on regressions. Each gate
+// below is one report/baseline flag pair; CI runs them so a regression
+// breaks the build instead of the tail latency of some future long-haul run:
 //
 //   - Cache (-report/-baseline): a system's hit rate dropping more than the
 //     allowed fraction below the baseline, a budgeted system exceeding its
@@ -37,34 +37,6 @@
 //     otherwise the tier silently did nothing and the pass degenerates to a
 //     second cold run), and revive every victim in both passes.
 //
-//   - Update-heavy (-update-report/-update-baseline): the mutability floor.
-//     The committed baseline pins the workload (spec mismatch fails); the
-//     report's write-mix pass must then answer everything, actually write
-//     (writes >= 1, every post-write response staleness-sampled, at least
-//     one republish applied somewhere), keep the p99 response staleness at
-//     or under -max-p99-staleness (default 0 = one diffusion period, read
-//     from the report — a write must diffuse within a propagation tick),
-//     and cost at most -max-hitrate-cost of the read-only control's hit
-//     rate. Thresholds rather than byte comparison because the run is
-//     wall-clock.
-//
-//   - Invalidation-storm (-storm-report/-storm-baseline): the lease floor.
-//     The committed baseline pins the workload; the storm must then answer
-//     every burst read, exercise the leases (lease refreshes >= 1, at least
-//     one invalidation applied), and collapse the per-write origin load: origin
-//     fetches per write at most -max-origin-factor times the subtree count
-//     (O(subtrees), not O(clients)) and upstream forwards per write at most
-//     -max-forward-fraction of the client count (no thundering herd).
-//
-//   - Session (-session-report/-session-baseline): the read-my-writes
-//     floor. The committed baseline pins the workload; the token arm must
-//     then answer every read with ZERO violations (the guarantee holds end
-//     to end) while the token-less arm of the identical schedule shows
-//     strictly positive violations — a zero there means the schedule went
-//     soft and stopped provoking the races the tokens exist to close, so
-//     the gate fails rather than vacuously passing. The token arm must also
-//     have exercised the server-side gate (session refreshes >= 1).
-//
 //   - Bigger-than-ram (-bigram-report/-bigram-baseline): the disk-tier
 //     floor. The committed baseline pins the workload (a corpus that fits in
 //     memory would gate nothing); two-tier's hit rate must stay within
@@ -90,9 +62,6 @@
 //	benchgate -chaos-report BENCH_chaos.json -chaos-baseline bench/BENCH_chaos_baseline.json [-min-availability 0.95] [-min-jain-ratio 0.90]
 //	benchgate -restart-report BENCH_restart.json -restart-baseline bench/BENCH_restart_baseline.json [-min-warm-availability 0.981] [-max-warm-reabsorb 0.06]
 //	benchgate -bigram-report BENCH_bigram.json -bigram-baseline bench/BENCH_bigram_baseline.json [-max-twotier-regress 0.10] [-min-drop-ratio 2.0]
-//	benchgate -update-report BENCH_update.json -update-baseline bench/BENCH_update_baseline.json [-max-p99-staleness 0] [-max-hitrate-cost 0.10]
-//	benchgate -storm-report BENCH_storm.json -storm-baseline bench/BENCH_storm_baseline.json [-max-origin-factor 4.0] [-max-forward-fraction 0.5]
-//	benchgate -session-report BENCH_session.json -session-baseline bench/BENCH_session_baseline.json
 package main
 
 import (
@@ -132,19 +101,9 @@ func run(args []string) error {
 	maxTwoTierRegress := fs.Float64("max-twotier-regress", 0.10, "bigram: max allowed fractional two-tier hit-rate drop vs the in-ram ceiling")
 	minDropRatio := fs.Float64("min-drop-ratio", 2.0, "bigram: memory-only hit drop must be at least this multiple of two-tier's")
 	minMemOnlyDrop := fs.Float64("min-memonly-drop", 0.10, "bigram: minimum memory-only hit drop (proves the corpus really exceeds memory)")
-	updatePath := fs.String("update-report", "", "update-heavy report JSON produced by this run")
-	updateBasePath := fs.String("update-baseline", "", "committed update-heavy baseline JSON (pins the workload)")
-	maxP99Staleness := fs.Float64("max-p99-staleness", 0, "update: p99 staleness ceiling in seconds (0 = one diffusion period from the report)")
-	maxHitRateCost := fs.Float64("max-hitrate-cost", 0.10, "update: max fractional hit-rate drop of the write mix vs the read-only control")
 	swarmPath := fs.String("swarm-report", "", "swarm report JSON produced by this run")
 	swarmBasePath := fs.String("swarm-baseline", "", "committed swarm baseline JSON (pins the workload)")
 	minSwarmAvail := fs.Float64("min-swarm-availability", 0.95, "swarm: minimum served/offered under the whole-rack kill")
-	stormPath := fs.String("storm-report", "", "invalidation-storm report JSON produced by this run")
-	stormBasePath := fs.String("storm-baseline", "", "committed invalidation-storm baseline JSON (pins the workload)")
-	maxOriginFactor := fs.Float64("max-origin-factor", 4.0, "storm: per-write origin fetches ceiling as a multiple of the subtree count")
-	maxForwardFraction := fs.Float64("max-forward-fraction", 0.5, "storm: per-write upstream forwards ceiling as a fraction of the client count")
-	sessionPath := fs.String("session-report", "", "session report JSON produced by this run")
-	sessionBasePath := fs.String("session-baseline", "", "committed session baseline JSON (pins the workload)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -194,15 +153,6 @@ func run(args []string) error {
 		}
 		ranAny = true
 	}
-	if rep, base, err := loadPair("update-", *updatePath, *updateBasePath, workload.UpdateSchema,
-		func(r *workload.UpdateReport) string { return r.Schema }); err != nil {
-		return err
-	} else if rep != nil {
-		if err := gateUpdate(rep, base, *maxP99Staleness, *maxHitRateCost, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
 	if rep, base, err := loadPair("swarm-", *swarmPath, *swarmBasePath, workload.SwarmSchema,
 		func(r *workload.SwarmReport) string { return r.Schema }); err != nil {
 		return err
@@ -212,26 +162,8 @@ func run(args []string) error {
 		}
 		ranAny = true
 	}
-	if rep, base, err := loadPair("storm-", *stormPath, *stormBasePath, workload.StormSchema,
-		func(r *workload.StormReport) string { return r.Schema }); err != nil {
-		return err
-	} else if rep != nil {
-		if err := gateStorm(rep, base, *maxOriginFactor, *maxForwardFraction, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if rep, base, err := loadPair("session-", *sessionPath, *sessionBasePath, workload.SessionSchema,
-		func(r *workload.SessionReport) string { return r.Schema }); err != nil {
-		return err
-	} else if rep != nil {
-		if err := gateSession(rep, base, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
 	if !ranAny {
-		return fmt.Errorf("nothing to gate: pass -report/-baseline, -scaling-report/-scaling-baseline, -chaos-report/-chaos-baseline, -restart-report/-restart-baseline, -bigram-report/-bigram-baseline, -update-report/-update-baseline, -storm-report/-storm-baseline, -session-report/-session-baseline and/or -swarm-report/-swarm-baseline")
+		return fmt.Errorf("nothing to gate: pass -report/-baseline, -scaling-report/-scaling-baseline, -chaos-report/-chaos-baseline, -restart-report/-restart-baseline, -bigram-report/-bigram-baseline and/or -swarm-report/-swarm-baseline")
 	}
 	return nil
 }
@@ -271,136 +203,6 @@ func loadReport[T any](path, want string, schema func(*T) string) (*T, error) {
 		return nil, fmt.Errorf("%s: schema %q, want %q", path, got, want)
 	}
 	return rep, nil
-}
-
-// gateUpdate applies the mutability thresholds; every violation is reported
-// before the error returns so CI logs show the full picture.
-func gateUpdate(rep, base *workload.UpdateReport, maxP99, maxCost float64, out *os.File) error {
-	// The baseline pins the workload: a report from a smaller tree, a gentler
-	// rate or a thinner write mix is not the gated scenario.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	// The default staleness ceiling is the propagation unit itself: a write
-	// must be visible tree-wide within about one diffusion period.
-	if maxP99 <= 0 {
-		maxP99 = rep.DiffusionPeriodS
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.ReadOnly.Unanswered == 0 && rep.Update.Unanswered == 0,
-		"unanswered reads: read-only %d, update %d (every request must be served)",
-		rep.ReadOnly.Unanswered, rep.Update.Unanswered)
-	check(rep.Update.Writes >= 1,
-		"writes %d (the mix must actually write)", rep.Update.Writes)
-	check(rep.Update.Staleness.Samples >= rep.Update.Writes,
-		"staleness samples %d over %d writes (post-write responses must be sampled)",
-		rep.Update.Staleness.Samples, rep.Update.Writes)
-	check(rep.Update.RepublishesIn >= 1,
-		"republishes applied %d (writes must diffuse to at least one node)",
-		rep.Update.RepublishesIn)
-	check(rep.Update.Staleness.P99 <= maxP99,
-		"p99 staleness %.4fs (ceiling %.4fs, one diffusion period %.4fs)",
-		rep.Update.Staleness.P99, maxP99, rep.DiffusionPeriodS)
-	check(rep.HitRateCost <= maxCost,
-		"hit-rate cost %.4f of the read-only control (ceiling %.2f; %.4f -> %.4f)",
-		rep.HitRateCost, maxCost, rep.ReadOnly.HitRate, rep.Update.HitRate)
-	if bad > 0 {
-		return fmt.Errorf("%d update-heavy gate violation(s)", bad)
-	}
-	return nil
-}
-
-// gateStorm applies the lease-collapse thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateStorm(rep, base *workload.StormReport, maxOriginFactor, maxForwardFraction float64, out *os.File) error {
-	// The baseline pins the workload: fewer clients per burst, fewer writes
-	// or a longer settle would ease the storm the gate exists to measure.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.Unanswered == 0,
-		"unanswered burst reads %d (every storm read must be served)", rep.Unanswered)
-	check(rep.Writes >= 1 && rep.InvalidationsIn >= 1,
-		"%d writes, %d invalidations applied (the storm must actually invalidate)",
-		rep.Writes, rep.InvalidationsIn)
-	check(rep.LeaseRefreshes >= 1,
-		"lease refreshes %d (the leases must be exercised)", rep.LeaseRefreshes)
-	// The headline: per-write origin load is O(subtrees), not O(clients).
-	// Zero is legitimate — proactive duty diffusion can repair the tree
-	// before the burst lands — so only the ceiling is gated.
-	originCeiling := maxOriginFactor * float64(rep.Spec.Subtrees)
-	check(rep.PerWriteOriginFetches <= originCeiling,
-		"%.1f origin fetches/write over %d subtrees (ceiling %.1f; %d clients would herd)",
-		rep.PerWriteOriginFetches, rep.Spec.Subtrees, originCeiling, rep.Spec.Clients)
-	forwardCeiling := maxForwardFraction * float64(rep.Spec.Clients)
-	check(rep.PerWriteForwards <= forwardCeiling,
-		"%.1f upstream forwards/write vs %d clients (ceiling %.1f)",
-		rep.PerWriteForwards, rep.Spec.Clients, forwardCeiling)
-	if bad > 0 {
-		return fmt.Errorf("%d invalidation-storm gate violation(s)", bad)
-	}
-	return nil
-}
-
-// gateSession applies the read-my-writes thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateSession(rep, base *workload.SessionReport, out *os.File) error {
-	// The baseline pins the workload: fewer rounds, fewer reads per write or
-	// a smaller catalog would soften the races the gate exists to measure.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.WithTokens.Unanswered == 0 && rep.WithoutTokens.Unanswered == 0,
-		"unanswered reads: with tokens %d, without %d (every session read must be served)",
-		rep.WithTokens.Unanswered, rep.WithoutTokens.Unanswered)
-	check(rep.WithTokens.Writes >= 1 && rep.WithoutTokens.Writes >= 1,
-		"writes: with tokens %d, without %d (the schedule must actually write)",
-		rep.WithTokens.Writes, rep.WithoutTokens.Writes)
-	// The headline pair: the token arm must hold the guarantee absolutely,
-	// and the bare arm of the identical schedule must demonstrate the races
-	// the tokens close — otherwise the zero above proves nothing.
-	check(rep.WithTokens.Violations == 0,
-		"read-my-writes violations with tokens %d (the guarantee admits no exceptions)",
-		rep.WithTokens.Violations)
-	check(rep.WithoutTokens.Violations > 0,
-		"read-my-writes violations without tokens %d over %d rounds (the schedule must provoke the race)",
-		rep.WithoutTokens.Violations, rep.WithoutTokens.ViolationWindows)
-	check(rep.WithTokens.SessionRefreshes >= 1,
-		"session refreshes %d (the server-side gate must be exercised, not bypassed)",
-		rep.WithTokens.SessionRefreshes)
-	if bad > 0 {
-		return fmt.Errorf("%d session gate violation(s)", bad)
-	}
-	return nil
 }
 
 // gateRestart applies the warm-restart thresholds; every violation is

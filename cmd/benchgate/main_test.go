@@ -9,7 +9,7 @@ import (
 	"webwave/internal/workload"
 )
 
-func writeReport(t *testing.T, dir, name string, rep *workload.Report) string {
+func writeJSON(t *testing.T, dir, name string, rep any) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	blob, err := json.Marshal(rep)
@@ -40,9 +40,9 @@ func report(hitHeat, hitLRU float64, overBudget bool) *workload.Report {
 
 func TestGatePasses(t *testing.T) {
 	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", report(0.30, 0.28, false))
+	base := writeJSON(t, dir, "base.json", report(0.30, 0.28, false))
 	// Slightly lower but within the 10% band.
-	rep := writeReport(t, dir, "rep.json", report(0.28, 0.26, false))
+	rep := writeJSON(t, dir, "rep.json", report(0.28, 0.26, false))
 	if err := run([]string{"-report", rep, "-baseline", base}); err != nil {
 		t.Fatalf("gate failed on an in-band report: %v", err)
 	}
@@ -50,8 +50,8 @@ func TestGatePasses(t *testing.T) {
 
 func TestGateFailsOnRegression(t *testing.T) {
 	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", report(0.30, 0.28, false))
-	rep := writeReport(t, dir, "rep.json", report(0.20, 0.28, false)) // heat fell 33%
+	base := writeJSON(t, dir, "base.json", report(0.30, 0.28, false))
+	rep := writeJSON(t, dir, "rep.json", report(0.20, 0.28, false)) // heat fell 33%
 	if err := run([]string{"-report", rep, "-baseline", base}); err == nil {
 		t.Fatalf("gate accepted a >10%% hit-rate regression")
 	}
@@ -59,8 +59,8 @@ func TestGateFailsOnRegression(t *testing.T) {
 
 func TestGateFailsOnBudgetViolation(t *testing.T) {
 	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", report(0.30, 0.28, false))
-	rep := writeReport(t, dir, "rep.json", report(0.30, 0.28, true))
+	base := writeJSON(t, dir, "base.json", report(0.30, 0.28, false))
+	rep := writeJSON(t, dir, "rep.json", report(0.30, 0.28, true))
 	if err := run([]string{"-report", rep, "-baseline", base}); err == nil {
 		t.Fatalf("gate accepted an over-budget run")
 	}
@@ -68,10 +68,10 @@ func TestGateFailsOnBudgetViolation(t *testing.T) {
 
 func TestGateFailsOnMissingSystem(t *testing.T) {
 	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", report(0.30, 0.28, false))
+	base := writeJSON(t, dir, "base.json", report(0.30, 0.28, false))
 	rep := report(0.30, 0.28, false)
 	rep.Systems = rep.Systems[:1] // drop webwave-lru
-	repPath := writeReport(t, dir, "rep.json", rep)
+	repPath := writeJSON(t, dir, "rep.json", rep)
 	if err := run([]string{"-report", repPath, "-baseline", base}); err == nil {
 		t.Fatalf("gate accepted a report missing a baseline system")
 	}
@@ -81,8 +81,8 @@ func TestGateRejectsMismatchedRuns(t *testing.T) {
 	dir := t.TempDir()
 	base := report(0.30, 0.28, false)
 	base.Seed = 2
-	basePath := writeReport(t, dir, "base.json", base)
-	rep := writeReport(t, dir, "rep.json", report(0.30, 0.28, false))
+	basePath := writeJSON(t, dir, "base.json", base)
+	rep := writeJSON(t, dir, "rep.json", report(0.30, 0.28, false))
 	if err := run([]string{"-report", rep, "-baseline", basePath}); err == nil {
 		t.Fatalf("gate compared reports from different runs")
 	}
@@ -108,26 +108,13 @@ func scalingReport(effs map[int]float64, perCore map[int]float64) *workload.Scal
 	return rep
 }
 
-func writeScaling(t *testing.T, dir, name string, rep *workload.ScalingReport) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	return path
-}
-
 func TestScalingGatePasses(t *testing.T) {
 	dir := t.TempDir()
-	base := writeScaling(t, dir, "base.json",
+	base := writeJSON(t, dir, "base.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8, 4: 0.6}, map[int]float64{1: 50e3, 2: 40e3, 4: 30e3}))
 	// Within the 15% band at every common core count (raw req/s far lower —
 	// different hardware — must only warn).
-	rep := writeScaling(t, dir, "rep.json",
+	rep := writeJSON(t, dir, "rep.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.72, 4: 0.55}, map[int]float64{1: 20e3, 2: 15e3, 4: 11e3}))
 	if err := run([]string{"-scaling-report", rep, "-scaling-baseline", base}); err != nil {
 		t.Fatalf("gate failed on an in-band report: %v", err)
@@ -136,9 +123,9 @@ func TestScalingGatePasses(t *testing.T) {
 
 func TestScalingGateFailsOnEfficiencyDrop(t *testing.T) {
 	dir := t.TempDir()
-	base := writeScaling(t, dir, "base.json",
+	base := writeJSON(t, dir, "base.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8, 4: 0.6}, nil))
-	rep := writeScaling(t, dir, "rep.json",
+	rep := writeJSON(t, dir, "rep.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8, 4: 0.4}, nil)) // 4-proc eff fell 33%
 	if err := run([]string{"-scaling-report", rep, "-scaling-baseline", base}); err == nil {
 		t.Fatalf("gate accepted a >15%% efficiency regression")
@@ -149,11 +136,11 @@ func TestScalingGateSubsetSweep(t *testing.T) {
 	// CI sweeps 1,4 against a committed 1,2,4 baseline: only common core
 	// counts are compared, and that must be enough to gate.
 	dir := t.TempDir()
-	base := writeScaling(t, dir, "base.json",
+	base := writeJSON(t, dir, "base.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8, 4: 0.6}, nil))
 	rep := scalingReport(map[int]float64{1: 1, 4: 0.58}, nil)
 	rep.Spec.Procs = []int{1, 4}
-	repPath := writeScaling(t, dir, "rep.json", rep)
+	repPath := writeJSON(t, dir, "rep.json", rep)
 	if err := run([]string{"-scaling-report", repPath, "-scaling-baseline", base}); err != nil {
 		t.Fatalf("gate failed on a passing subset sweep: %v", err)
 	}
@@ -161,11 +148,11 @@ func TestScalingGateSubsetSweep(t *testing.T) {
 
 func TestScalingGateRejectsMismatchedBase(t *testing.T) {
 	dir := t.TempDir()
-	base := writeScaling(t, dir, "base.json",
+	base := writeJSON(t, dir, "base.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8}, nil))
 	rep := scalingReport(map[int]float64{1: 1, 2: 0.8}, nil)
 	rep.Spec.Procs = []int{2, 4} // efficiency normalized to 2 procs, not 1
-	repPath := writeScaling(t, dir, "rep.json", rep)
+	repPath := writeJSON(t, dir, "rep.json", rep)
 	if err := run([]string{"-scaling-report", repPath, "-scaling-baseline", base}); err == nil {
 		t.Fatalf("gate compared sweeps with different normalization bases")
 	}
@@ -173,11 +160,11 @@ func TestScalingGateRejectsMismatchedBase(t *testing.T) {
 
 func TestScalingGateNoCommonProcs(t *testing.T) {
 	dir := t.TempDir()
-	base := writeScaling(t, dir, "base.json",
+	base := writeJSON(t, dir, "base.json",
 		scalingReport(map[int]float64{1: 1, 2: 0.8}, nil))
 	rep := scalingReport(map[int]float64{1: 1}, nil)
 	rep.Spec.Procs = []int{1}
-	repPath := writeScaling(t, dir, "rep.json", rep)
+	repPath := writeJSON(t, dir, "rep.json", rep)
 	if err := run([]string{"-scaling-report", repPath, "-scaling-baseline", base}); err == nil {
 		t.Fatalf("gate passed with nothing beyond the base to compare")
 	}
@@ -187,9 +174,9 @@ func TestScalingGateRejectsDifferentWorkload(t *testing.T) {
 	dir := t.TempDir()
 	base := scalingReport(map[int]float64{1: 1, 2: 0.8}, nil)
 	base.Spec.Clients = 64
-	basePath := writeScaling(t, dir, "base.json", base)
+	basePath := writeJSON(t, dir, "base.json", base)
 	rep := scalingReport(map[int]float64{1: 1, 2: 0.8}, nil) // Clients 0
-	repPath := writeScaling(t, dir, "rep.json", rep)
+	repPath := writeJSON(t, dir, "rep.json", rep)
 	if err := run([]string{"-scaling-report", repPath, "-scaling-baseline", basePath}); err == nil {
 		t.Fatalf("gate compared scaling curves from different workloads")
 	}
@@ -218,23 +205,10 @@ func chaosReport(avail, jainRatio float64, reconnects int64, orphaned int) *work
 	}
 }
 
-func writeChaos(t *testing.T, dir, name string, rep *workload.ChaosReport) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	return path
-}
-
 func TestChaosGatePasses(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
-	rep := writeChaos(t, dir, "rep.json", chaosReport(0.96, 0.95, 1, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	rep := writeJSON(t, dir, "rep.json", chaosReport(0.96, 0.95, 1, 0))
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err != nil {
 		t.Fatalf("gate failed on a healthy chaos run: %v", err)
 	}
@@ -242,8 +216,8 @@ func TestChaosGatePasses(t *testing.T) {
 
 func TestChaosGateFailsOnLowAvailability(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
-	rep := writeChaos(t, dir, "rep.json", chaosReport(0.90, 1.0, 2, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	rep := writeJSON(t, dir, "rep.json", chaosReport(0.90, 1.0, 2, 0))
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err == nil {
 		t.Fatal("gate accepted availability below the floor")
 	}
@@ -251,8 +225,8 @@ func TestChaosGateFailsOnLowAvailability(t *testing.T) {
 
 func TestChaosGateFailsOnJainCollapse(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
-	rep := writeChaos(t, dir, "rep.json", chaosReport(0.99, 0.7, 2, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	rep := writeJSON(t, dir, "rep.json", chaosReport(0.99, 0.7, 2, 0))
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err == nil {
 		t.Fatal("gate accepted a post-repair fairness collapse")
 	}
@@ -260,9 +234,9 @@ func TestChaosGateFailsOnJainCollapse(t *testing.T) {
 
 func TestChaosGateFailsWithoutRepair(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
 	// No failover observed and an orphan left behind.
-	rep := writeChaos(t, dir, "rep.json", chaosReport(0.99, 1.0, 0, 1))
+	rep := writeJSON(t, dir, "rep.json", chaosReport(0.99, 1.0, 0, 1))
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err == nil {
 		t.Fatal("gate accepted a run whose tree never repaired")
 	}
@@ -270,10 +244,10 @@ func TestChaosGateFailsWithoutRepair(t *testing.T) {
 
 func TestChaosGateRejectsDifferentWorkload(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
 	shrunk := chaosReport(0.99, 1.0, 2, 0)
 	shrunk.Spec.KillFraction = 0.01 // gentler kills than the gated scenario
-	rep := writeChaos(t, dir, "rep.json", shrunk)
+	rep := writeJSON(t, dir, "rep.json", shrunk)
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err == nil {
 		t.Fatal("gate compared different workloads")
 	}
@@ -281,10 +255,10 @@ func TestChaosGateRejectsDifferentWorkload(t *testing.T) {
 
 func TestChaosGateFailsOnFailedRevives(t *testing.T) {
 	dir := t.TempDir()
-	base := writeChaos(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
+	base := writeJSON(t, dir, "base.json", chaosReport(0.99, 1.0, 2, 0))
 	broken := chaosReport(0.99, 1.0, 2, 0)
 	broken.FailedRevives = 1
-	rep := writeChaos(t, dir, "rep.json", broken)
+	rep := writeJSON(t, dir, "rep.json", broken)
 	if err := run([]string{"-chaos-report", rep, "-chaos-baseline", base}); err == nil {
 		t.Fatal("gate accepted a run with a swallowed revive failure")
 	}
@@ -316,23 +290,10 @@ func restartReport(warmAvail, coldReabsorb, warmReabsorb float64, warmDocs int64
 	}
 }
 
-func writeRestart(t *testing.T, dir, name string, rep *workload.RestartReport) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	return path
-}
-
 func TestRestartGatePasses(t *testing.T) {
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
-	rep := writeRestart(t, dir, "rep.json", restartReport(0.990, 0.07, 0.03, 5))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
+	rep := writeJSON(t, dir, "rep.json", restartReport(0.990, 0.07, 0.03, 5))
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err != nil {
 		t.Fatalf("gate failed on a healthy restart run: %v", err)
 	}
@@ -341,8 +302,8 @@ func TestRestartGatePasses(t *testing.T) {
 func TestRestartGateFailsOnColdWarmPass(t *testing.T) {
 	// Warm availability below the floor: the tier bought nothing.
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
-	rep := writeRestart(t, dir, "rep.json", restartReport(0.90, 0.08, 0.04, 6))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
+	rep := writeJSON(t, dir, "rep.json", restartReport(0.90, 0.08, 0.04, 6))
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err == nil {
 		t.Fatal("gate accepted warm availability below the floor")
 	}
@@ -351,8 +312,8 @@ func TestRestartGateFailsOnColdWarmPass(t *testing.T) {
 func TestRestartGateFailsWithoutWarmDocs(t *testing.T) {
 	// warm_docs 0: the warm pass degenerated to a second cold run.
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
-	rep := writeRestart(t, dir, "rep.json", restartReport(0.995, 0.08, 0.04, 0))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
+	rep := writeJSON(t, dir, "rep.json", restartReport(0.995, 0.08, 0.04, 0))
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err == nil {
 		t.Fatal("gate accepted a warm pass that recovered nothing")
 	}
@@ -363,14 +324,14 @@ func TestRestartGateReabsorbRelativeArm(t *testing.T) {
 	// failure-detection window (3 x 40ms default heartbeat) of cold: that's
 	// detector quantization or a loaded CI box, so this must pass.
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.30, 0.40, 6))
-	rep := writeRestart(t, dir, "rep.json", restartReport(0.995, 0.30, 0.40, 6))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.30, 0.40, 6))
+	rep := writeJSON(t, dir, "rep.json", restartReport(0.995, 0.30, 0.40, 6))
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err != nil {
 		t.Fatalf("gate failed a warm pass within the detection window of cold: %v", err)
 	}
 	// But warm beyond BOTH the ceiling and cold + the window fails.
-	slow := writeRestart(t, dir, "slow.json", restartReport(0.995, 0.30, 0.50, 6))
-	baseSlow := writeRestart(t, dir, "baseslow.json", restartReport(0.995, 0.30, 0.50, 6))
+	slow := writeJSON(t, dir, "slow.json", restartReport(0.995, 0.30, 0.50, 6))
+	baseSlow := writeJSON(t, dir, "baseslow.json", restartReport(0.995, 0.30, 0.50, 6))
 	if err := run([]string{"-restart-report", slow, "-restart-baseline", baseSlow}); err == nil {
 		t.Fatal("gate accepted warm reabsorb beyond cold plus a detection window and over the ceiling")
 	}
@@ -378,10 +339,10 @@ func TestRestartGateReabsorbRelativeArm(t *testing.T) {
 
 func TestRestartGateFailsOnFailedRevives(t *testing.T) {
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
 	broken := restartReport(0.995, 0.08, 0.04, 6)
 	broken.Warm.FailedRevives = 1
-	rep := writeRestart(t, dir, "rep.json", broken)
+	rep := writeJSON(t, dir, "rep.json", broken)
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err == nil {
 		t.Fatal("gate accepted a pass with a failed revive")
 	}
@@ -389,10 +350,10 @@ func TestRestartGateFailsOnFailedRevives(t *testing.T) {
 
 func TestRestartGateRejectsDifferentWorkload(t *testing.T) {
 	dir := t.TempDir()
-	base := writeRestart(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
+	base := writeJSON(t, dir, "base.json", restartReport(0.995, 0.08, 0.04, 6))
 	eased := restartReport(0.995, 0.08, 0.04, 6)
 	eased.Spec.CacheBudgetBytes = 1 << 30 // nothing evicts, nothing to recover
-	rep := writeRestart(t, dir, "rep.json", eased)
+	rep := writeJSON(t, dir, "rep.json", eased)
 	if err := run([]string{"-restart-report", rep, "-restart-baseline", base}); err == nil {
 		t.Fatal("gate compared different workloads")
 	}
@@ -417,23 +378,10 @@ func bigramReport(inram, memonly, twotier float64, diskHits int64) *workload.Big
 	}
 }
 
-func writeBigram(t *testing.T, dir, name string, rep *workload.BigramReport) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	return path
-}
-
 func TestBigramGatePasses(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBigram(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
-	rep := writeBigram(t, dir, "rep.json", bigramReport(0.80, 0.35, 0.78, 6000))
+	base := writeJSON(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
+	rep := writeJSON(t, dir, "rep.json", bigramReport(0.80, 0.35, 0.78, 6000))
 	if err := run([]string{"-bigram-report", rep, "-bigram-baseline", base}); err != nil {
 		t.Fatalf("gate failed on a healthy bigger-than-ram run: %v", err)
 	}
@@ -442,8 +390,8 @@ func TestBigramGatePasses(t *testing.T) {
 func TestBigramGateFailsOnTwoTierCollapse(t *testing.T) {
 	// Two-tier more than 10% below the in-ram ceiling: the tier leaks.
 	dir := t.TempDir()
-	base := writeBigram(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
-	rep := writeBigram(t, dir, "rep.json", bigramReport(0.82, 0.31, 0.60, 8000))
+	base := writeJSON(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
+	rep := writeJSON(t, dir, "rep.json", bigramReport(0.82, 0.31, 0.60, 8000))
 	if err := run([]string{"-bigram-report", rep, "-bigram-baseline", base}); err == nil {
 		t.Fatal("gate accepted a collapsed two-tier hit rate")
 	}
@@ -453,8 +401,8 @@ func TestBigramGateFailsWithoutThrash(t *testing.T) {
 	// Mem-only barely dropping means the workload is not actually bigger
 	// than ram — the scenario gates nothing and must fail loudly.
 	dir := t.TempDir()
-	base := writeBigram(t, dir, "base.json", bigramReport(0.82, 0.80, 0.81, 8000))
-	rep := writeBigram(t, dir, "rep.json", bigramReport(0.82, 0.80, 0.81, 8000))
+	base := writeJSON(t, dir, "base.json", bigramReport(0.82, 0.80, 0.81, 8000))
+	rep := writeJSON(t, dir, "rep.json", bigramReport(0.82, 0.80, 0.81, 8000))
 	if err := run([]string{"-bigram-report", rep, "-bigram-baseline", base}); err == nil {
 		t.Fatal("gate accepted a workload where memory-only never thrashed")
 	}
@@ -462,8 +410,8 @@ func TestBigramGateFailsWithoutThrash(t *testing.T) {
 
 func TestBigramGateFailsWithoutDiskHits(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBigram(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
-	rep := writeBigram(t, dir, "rep.json", bigramReport(0.82, 0.31, 0.81, 0))
+	base := writeJSON(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
+	rep := writeJSON(t, dir, "rep.json", bigramReport(0.82, 0.31, 0.81, 0))
 	if err := run([]string{"-bigram-report", rep, "-bigram-baseline", base}); err == nil {
 		t.Fatal("gate accepted a two-tier pass that never served from disk")
 	}
@@ -471,10 +419,10 @@ func TestBigramGateFailsWithoutDiskHits(t *testing.T) {
 
 func TestBigramGateRejectsDifferentWorkload(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBigram(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
+	base := writeJSON(t, dir, "base.json", bigramReport(0.82, 0.31, 0.81, 8000))
 	eased := bigramReport(0.82, 0.31, 0.81, 8000)
 	eased.Spec.CacheBudgetBytes = 1 << 30 // the corpus fits in memory
-	rep := writeBigram(t, dir, "rep.json", eased)
+	rep := writeJSON(t, dir, "rep.json", eased)
 	if err := run([]string{"-bigram-report", rep, "-bigram-baseline", base}); err == nil {
 		t.Fatal("gate compared different workloads")
 	}

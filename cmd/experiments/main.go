@@ -31,7 +31,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	only := fs.String("run", "", "run a single experiment: fig2 fig4 fig6 gamma spectral fig7 gle baselines hierarchy forest churn erratic policies capacity stability live update")
+	only := fs.String("run", "", "run a single experiment: fig2 fig4 fig6 gamma spectral fig7 gle baselines hierarchy forest churn erratic policies capacity stability live")
 	quick := fs.Bool("quick", false, "smaller parameters")
 	doPlot := fs.Bool("plot", false, "render ASCII charts for curve artifacts")
 	csvDir := fs.String("csv", "", "directory to write curve series as CSV")
@@ -246,17 +246,6 @@ func run(args []string) error {
 			cfg.TotalRate = 2000
 		}
 		r, err := repro.RunLiveCluster(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	}
-	if want("update") {
-		n, duration := 31, 10.0
-		if *quick {
-			n, duration = 9, 2.5
-		}
-		r, err := repro.RunUpdateExtension(n, 0.10, duration, 1)
 		if err != nil {
 			return err
 		}

@@ -18,20 +18,6 @@
 //	webwave-bench -scenario core-scaling -procs 1,2,4,8 -json BENCH_scaling.json
 //	webwave-bench -scenario core-scaling -procs 1,4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	webwave-bench -scenario chaos -kill-fraction 0.1 -json BENCH_chaos.json
-//	webwave-bench -scenario update-heavy -write-fraction 0.1 -json BENCH_update.json
-//	webwave-bench -scenario invalidation-storm -writes 8 -json BENCH_storm.json
-//	webwave-bench -scenario session -rounds 40 -json BENCH_session.json
-//
-// update-heavy and invalidation-storm are the mutable-document scenarios:
-// update-heavy replays one Poisson schedule twice against a live cluster
-// (read-only control, then a seeded write mix) and reports staleness
-// percentiles plus the hit-rate cost of mutability; invalidation-storm
-// spreads one hot document, then repeatedly invalidates it and storms the
-// leaves, measuring how far the subtree leases collapse per-write origin
-// fetches below one-per-client. session replays a seeded
-// write-then-read-elsewhere schedule twice — session token riding the wire,
-// then stripped — and reports read-my-writes violations per arm: the gated
-// shape is zero with tokens and strictly positive without.
 //
 // Two scenarios are special, wall-clock (NOT deterministic) measurements
 // of the live serving stack: core-scaling sweeps GOMAXPROCS (the servers'
@@ -83,14 +69,6 @@ func run(args []string) error {
 	repeat := fs.Int("repeat", 1, "core-scaling: full-sweep repetitions, keeping the lowest efficiency per core count (baselines use 3)")
 	killFraction := fs.Float64("kill-fraction", 0, "chaos: fraction of interior nodes killed mid-run (0 = default 0.10)")
 	heartbeatMS := fs.Int("heartbeat-ms", 0, "chaos: failure-detector period, milliseconds (0 = default 40)")
-	writeFraction := fs.Float64("write-fraction", 0, "update-heavy: fraction of the schedule that becomes republish writes (0 = default 0.10)")
-	writes := fs.Int("writes", 0, "invalidation-storm: write rounds (0 = default 8)")
-	subtrees := fs.Int("subtrees", 0, "invalidation-storm/session: interior subtrees under the origin (0 = default 3)")
-	leavesPer := fs.Int("leaves-per", 0, "invalidation-storm/session: leaves per subtree (0 = default 4)")
-	sessionDocs := fs.Int("docs", 0, "session: catalog size (0 = default 4)")
-	rounds := fs.Int("rounds", 0, "session: write-then-read rounds per pass (0 = default 40)")
-	readsPerWrite := fs.Int("reads-per-write", 0, "session: reads injected per round (0 = default 6)")
-	settleMS := fs.Int("settle-ms", 0, "invalidation-storm: write-to-burst settle, milliseconds (0 = default 25)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	if err := fs.Parse(args); err != nil {
@@ -142,12 +120,6 @@ func run(args []string) error {
 			"restart")
 		fmt.Printf("%-14s corpus ~10x memory budget, three passes (in-ram / mem-only / two-tier): hit-rate retention + disk hits\n",
 			"bigger-than-ram")
-		fmt.Printf("%-14s live cluster, one schedule twice (read-only vs write mix): staleness percentiles + hit-rate cost of mutability\n",
-			"update-heavy")
-		fmt.Printf("%-18s live star, repeated invalidate + leaf read storm: per-write origin fetches vs clients (lease collapse)\n",
-			"invalidation-storm")
-		fmt.Printf("%-14s live star, seeded write-then-read-elsewhere schedule twice (token on/off): read-my-writes violations\n",
-			"session")
 		return nil
 	}
 
@@ -183,29 +155,6 @@ func run(args []string) error {
 			BodyBytes: *docBytes, Duration: *duration,
 			CacheBudgetBytes: *cacheBudget,
 			DiskBudgetBytes:  *diskBudget,
-		}, *jsonPath)
-	}
-	if *scenario == "update-heavy" {
-		return runUpdate(workload.UpdateSpec{
-			Seed: *seed, Nodes: *n, TotalRate: *rate, Duration: *duration,
-			WriteFraction: *writeFraction,
-		}, *jsonPath)
-	}
-	if *scenario == "invalidation-storm" {
-		cl := 0
-		if fsFlagSet(fs, "clients") {
-			cl = *clients
-		}
-		return runStorm(workload.StormSpec{
-			Seed: *seed, Subtrees: *subtrees, LeavesPer: *leavesPer,
-			Clients: cl, Writes: *writes, SettleMS: *settleMS,
-		}, *jsonPath)
-	}
-
-	if *scenario == "session" {
-		return runSession(workload.SessionSpec{
-			Seed: *seed, Subtrees: *subtrees, LeavesPer: *leavesPer,
-			Docs: *sessionDocs, Rounds: *rounds, ReadsPerWrite: *readsPerWrite,
 		}, *jsonPath)
 	}
 
@@ -266,19 +215,6 @@ func run(args []string) error {
 		fmt.Printf("report: %s\n", *jsonPath)
 	}
 	return nil
-}
-
-// fsFlagSet reports whether the named flag was set explicitly — the storm
-// scenario's clients default (120) differs from the live-mode default (16),
-// so only an explicit -clients overrides it.
-func fsFlagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func printSummary(rep *workload.Report) {

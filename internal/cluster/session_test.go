@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"webwave/internal/core"
+	"webwave/internal/netproto"
 	"webwave/internal/tree"
 )
 
@@ -108,5 +110,111 @@ func TestSessionReadMyWrites(t *testing.T) {
 	}
 	if refreshes == 0 {
 		t.Fatal("no session refreshes recorded: the token never gated a stale copy")
+	}
+}
+
+// sessionArm is one replay of TestSessionTwoArms's schedule.
+type sessionArm struct {
+	reads, writes, responses, unanswered int64
+	violations                           int64
+	violationRounds                      int64 // rounds with at least one violation
+	sessionRefreshes                     int64
+}
+
+// sessionSchedule is a seeded write-then-read schedule on a star.
+type sessionSchedule struct {
+	seed                        int64
+	subtrees, leavesPer         int
+	docs, rounds, readsPerWrite int
+}
+
+// play warms a fresh star cluster and plays the schedule on it: each round
+// one session republishes a document at the origin and reads it back at
+// once through the leaves of one subtree, whose copies still hold the
+// version before. With tokens the session's floor rides each read; without,
+// the reads are bare and only the detector sees them.
+func (sp sessionSchedule) play(t *testing.T, tokens bool) sessionArm {
+	t.Helper()
+	tr, leaves := star(sp.subtrees, sp.leavesPer)
+	catalog := make([]core.DocID, sp.docs)
+	bodies := make(map[core.DocID][]byte, sp.docs)
+	for i := range catalog {
+		catalog[i] = core.DocID(fmt.Sprintf("doc-%d", i))
+		bodies[catalog[i]] = []byte("session document body: " + string(catalog[i]))
+	}
+	c, err := New(tr, bodies, writeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	spreadBelowRoot(t, c, leaves, catalog, 2)
+	warmResponses := c.Responses()
+
+	var a sessionArm
+	rng := rand.New(rand.NewSource(sp.seed))
+	tok := NewSessionToken()
+	for r := 1; r <= sp.rounds; r++ {
+		doc := catalog[rng.Intn(sp.docs)]
+		sub := rng.Intn(sp.subtrees)
+		if _, err := c.RepublishSession(doc, fmt.Appendf(nil, "session body %s round %d", doc, r), tok); err != nil {
+			t.Fatal(err)
+		}
+		a.writes++
+		before := c.RMWViolations()
+		for i := 0; i < sp.readsPerWrite; i++ {
+			if err := c.InjectSession(leaves[sub*sp.leavesPer+i%sp.leavesPer], doc, tok, tokens); err != nil {
+				t.Fatal(err)
+			}
+			a.reads++
+		}
+		a.unanswered += c.Drain(5 * time.Second)
+		if c.RMWViolations() > before {
+			a.violationRounds++
+		}
+	}
+	a.responses = c.Responses() - warmResponses
+	a.violations = c.RMWViolations()
+	a.sessionRefreshes = statSum(statsOf(t, c), func(st *netproto.Stats) int64 { return st.SessionRefreshes })
+	return a
+}
+
+// TestSessionTwoArms plays one seeded write-then-read schedule twice on a
+// warm star of 3 subtrees of 4 leaves holding 4 documents: 40 rounds of one
+// write and 6 reads of it elsewhere. Both arms answer every read. With the
+// session token on the wire no read comes back older than the session's
+// write, and the servers are seen to bypass stale copies for it. Stripped
+// of the token, the same schedule shows violations, in between 1 and 40
+// rounds, and no server bypasses anything; without them the token arm's
+// zero would prove nothing.
+func TestSessionTwoArms(t *testing.T) {
+	sp := sessionSchedule{seed: 1, subtrees: 3, leavesPer: 4, docs: 4, rounds: 40, readsPerWrite: 6}
+	rounds, reads := int64(sp.rounds), int64(sp.rounds*sp.readsPerWrite)
+	withTokens, bare := sp.play(t, true), sp.play(t, false)
+	t.Logf("with tokens: %d violations, %d session refreshes; without: %d violations over %d of %d rounds",
+		withTokens.violations, withTokens.sessionRefreshes, bare.violations, bare.violationRounds, rounds)
+
+	for name, a := range map[string]sessionArm{"with tokens": withTokens, "without tokens": bare} {
+		if a.writes < 1 || a.reads != reads || a.responses != a.reads {
+			t.Errorf("%s: %d writes, %d reads, %d responses; want %d reads, each answered",
+				name, a.writes, a.reads, a.responses, reads)
+		}
+		if a.unanswered != 0 {
+			t.Errorf("%s: %d session reads unanswered", name, a.unanswered)
+		}
+	}
+	if withTokens.violations != 0 {
+		t.Errorf("with tokens: %d read-my-writes violations, want 0", withTokens.violations)
+	}
+	if withTokens.sessionRefreshes < 1 {
+		t.Error("with tokens: no session refresh, so no server ever gated a stale copy")
+	}
+	if bare.violations == 0 {
+		t.Error("without tokens: no violations, so the schedule provoked no race")
+	}
+	if bare.violationRounds < 1 || bare.violationRounds > rounds {
+		t.Errorf("without tokens: violations in %d rounds, want 1..%d", bare.violationRounds, rounds)
+	}
+	if bare.sessionRefreshes != 0 {
+		t.Errorf("without tokens: %d session refreshes on a wire that carries no floor", bare.sessionRefreshes)
 	}
 }

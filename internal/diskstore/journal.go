@@ -71,7 +71,7 @@ type Journal struct {
 	replayed  int64 // valid bytes found at open
 	unsynced  int64
 	appended  int64
-	lastSync  time.Time
+	lastSync  time.Time // on MaybeSync's clock; zero after an open, a Sync or a Compact
 	syncEvery time.Duration
 	buf       []byte // reused frame-encoding scratch
 }
@@ -100,7 +100,7 @@ func OpenJournal(path string) (*Journal, map[core.DocID]DocState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("diskstore: journal seek: %w", err)
 	}
-	j := &Journal{f: f, path: path, replayed: valid, lastSync: time.Now(), syncEvery: defaultSyncEvery}
+	j := &Journal{f: f, path: path, replayed: valid, syncEvery: defaultSyncEvery}
 	return j, state, nil
 }
 
@@ -204,17 +204,23 @@ func (j *Journal) syncLocked() error {
 		return err
 	}
 	j.unsynced = 0
-	j.lastSync = time.Now()
+	j.lastSync = time.Time{}
 	return nil
 }
 
 // MaybeSync syncs when records are pending and the sync interval has
-// elapsed — the periodic-tick entry point, cheap to call often.
+// elapsed — the periodic-tick entry point, cheap to call often. The
+// interval is measured on the caller's clock alone: it runs from the last
+// sync MaybeSync made, or from its first call after an open, a Sync or a
+// Compact.
 func (j *Journal) MaybeSync(now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.unsynced > 0 && now.Sub(j.lastSync) >= j.syncEvery {
-		_ = j.syncLocked()
+	if j.lastSync.IsZero() {
+		j.lastSync = now
+	}
+	if j.unsynced > 0 && now.Sub(j.lastSync) >= j.syncEvery && j.syncLocked() == nil {
+		j.lastSync = now
 	}
 }
 
@@ -284,7 +290,7 @@ func (j *Journal) Compact(state map[core.DocID]DocState) error {
 	j.f = f
 	j.unsynced = 0
 	j.appended = int64(len(state))
-	j.lastSync = time.Now()
+	j.lastSync = time.Time{}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"webwave/internal/core"
 )
@@ -188,6 +189,52 @@ func TestJournalLagAndSync(t *testing.T) {
 	}
 	if j.Lag() != 0 {
 		t.Fatalf("Lag=%d after Sync, want 0", j.Lag())
+	}
+}
+
+// TestMaybeSyncPacesOnTheCallersClock: MaybeSync measures its interval on
+// the clock it is given, here ten years ahead of the wall clock. The
+// interval runs from the first call after an open or a Sync, and from each
+// sync MaybeSync makes: a record pending 99 ms into it stays unsynced, and
+// one pending at 100 ms is synced.
+func TestMaybeSyncPacesOnTheCallersClock(t *testing.T) {
+	j, _, err := OpenJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	t0 := time.Now().AddDate(10, 0, 0)
+	steps := []struct {
+		appendFirst, syncFirst bool
+		atMS                   int
+		lag                    int64
+	}{
+		{appendFirst: true, atMS: 0, lag: 1},
+		{atMS: 99, lag: 1},
+		{atMS: 100, lag: 0},
+		{appendFirst: true, atMS: 150, lag: 1},
+		{atMS: 199, lag: 1},
+		{atMS: 200, lag: 0},
+		{appendFirst: true, syncFirst: true, atMS: 250, lag: 0},
+		{appendFirst: true, atMS: 300, lag: 1},
+		{atMS: 349, lag: 1},
+		{atMS: 350, lag: 0},
+	}
+	for _, st := range steps {
+		if st.appendFirst {
+			if err := j.Append(OpAdmit, "a", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.syncFirst {
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.MaybeSync(t0.Add(time.Duration(st.atMS) * time.Millisecond))
+		if got := j.Lag(); got != st.lag {
+			t.Fatalf("after MaybeSync at +%d ms the lag is %d, want %d", st.atMS, got, st.lag)
+		}
 	}
 }
 

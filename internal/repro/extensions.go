@@ -14,7 +14,6 @@ import (
 	"webwave/internal/trace"
 	"webwave/internal/tree"
 	"webwave/internal/wave"
-	"webwave/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -295,49 +294,5 @@ func (r *LiveResult) Render() string {
 	fmt.Fprintf(&b, "  max-load ratio vs TLB: %.3f; cache copies in system: %d\n", r.LoadRatio, r.DocsCachedTotal)
 	fmt.Fprintf(&b, "  response latency: p50=%.2gms p95=%.2gms p99=%.2gms\n",
 		r.Latency.P50*1000, r.Latency.P95*1000, r.Latency.P99*1000)
-	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// X10: mutable documents. The paper treats published documents as
-// immutable; this extension measures what versioned republish/invalidate
-// diffusion costs the caching tree — the staleness of served responses and
-// the hit rate surrendered to the write mix — on a live cluster.
-
-// UpdateExtResult captures the X10 run.
-type UpdateExtResult struct {
-	Report *workload.UpdateReport
-}
-
-// RunUpdateExtension replays one Poisson schedule twice on a live cluster —
-// read-only, then with writeFraction of the entries turned into republish
-// writes — and reports the staleness digest and hit-rate cost.
-func RunUpdateExtension(n int, writeFraction, duration float64, seed int64) (*UpdateExtResult, error) {
-	rep, err := workload.RunUpdate(workload.UpdateSpec{
-		Seed: seed, Nodes: n, WriteFraction: writeFraction, Duration: duration,
-	}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("update extension: %w", err)
-	}
-	return &UpdateExtResult{Report: rep}, nil
-}
-
-// Render returns the mutable-document rows.
-func (r *UpdateExtResult) Render() string {
-	rep := r.Report
-	var b strings.Builder
-	b.WriteString("X10 — mutable documents (versioned republish/invalidate on a live cluster)\n")
-	fmt.Fprintf(&b, "  spec: n=%d docs=%d %.0f req/s × %.1fs, write fraction %.2f\n",
-		rep.Spec.Nodes, rep.Spec.NumDocs, rep.Spec.TotalRate, rep.Spec.Duration, rep.Spec.WriteFraction)
-	fmt.Fprintf(&b, "  read-only control: hit rate %.4f, jain %.3f\n",
-		rep.ReadOnly.HitRate, rep.ReadOnly.Jain)
-	fmt.Fprintf(&b, "  write mix: %d writes, hit rate %.4f (cost %.4f), jain %.3f\n",
-		rep.Update.Writes, rep.Update.HitRate, rep.HitRateCost, rep.Update.Jain)
-	st := rep.Update.Staleness
-	fmt.Fprintf(&b, "  staleness: %d/%d responses stale, p50=%.4fs p99=%.4fs max=%.4fs (diffusion period %.3fs)\n",
-		st.Stale, st.Samples, st.P50, st.P99, st.Max, rep.DiffusionPeriodS)
-	fmt.Fprintf(&b, "  write path: %d republishes in, %d invalidations in, %d stale drops, %d lease refreshes\n",
-		rep.Update.RepublishesIn, rep.Update.InvalidationsIn,
-		rep.Update.StaleDrops, rep.Update.LeaseRefreshes)
 	return b.String()
 }

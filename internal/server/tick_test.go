@@ -355,22 +355,30 @@ func TestIdleTickDoesNothing(t *testing.T) {
 // TestScrapeBurstAdmitsOnePeriodOfCredits: every stats scrape runs a shard
 // tick, and a tick tops the budget up only for the time actually elapsed
 // since credits were last earned. Twenty back-to-back scrapes therefore
-// admit one period's worth of fast serves in total, not one each.
+// admit one period's worth of fast serves in total, not one each; twenty
+// scrapes a period apart refill the budget each time, so they admit at
+// least nineteen periods' worth.
 func TestScrapeBurstAdmitsOnePeriodOfCredits(t *testing.T) {
-	const target = 1000
+	const target, scrapes = 1000, 20
 	s, docs := gatedShard(t, Config{GossipPeriod: 50 * time.Millisecond}, 1, target)
 	sh := s.shards[0]
 	onePeriod := int(target*s.cfg.GossipPeriod.Seconds()) + 1
-	admitted := 0
 	env := &netproto.Envelope{Kind: netproto.TypeRequest, From: -1, Origin: 1, Doc: docs[0]}
-	for scrape := 0; scrape < 20; scrape++ {
-		for s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
-			admitted++
+	burst := func(gap time.Duration) (admitted int) {
+		for scrape := 0; scrape < scrapes; scrape++ {
+			for s.tryFastServe(sh, shardHash(docs[0]), env, nopConn{}) {
+				admitted++
+			}
+			sh.now = sh.now.Add(gap)
+			sh.handleCmd(event{cmd: cmdSnap, reply: make(chan *shardSnap, 1)})
 		}
-		sh.handleCmd(event{cmd: cmdSnap, reply: make(chan *shardSnap, 1)}) // no time passes between scrapes
+		return admitted
 	}
-	if admitted == 0 || admitted > onePeriod {
-		t.Fatalf("20 back-to-back scrapes admitted %d fast serves, want 1..%d (one period of credits)", admitted, onePeriod)
+	if admitted := burst(0); admitted == 0 || admitted > onePeriod {
+		t.Fatalf("%d back-to-back scrapes admitted %d fast serves, want 1..%d (one period of credits)", scrapes, admitted, onePeriod)
+	}
+	if admitted, least := burst(s.cfg.GossipPeriod), (scrapes-1)*(onePeriod-1); admitted < least {
+		t.Fatalf("%d scrapes a period apart admitted %d fast serves, want at least %d (a refill each)", scrapes, admitted, least)
 	}
 	// Time passing does re-arm it.
 	sh.now = sh.now.Add(s.cfg.Window + s.cfg.GossipPeriod)

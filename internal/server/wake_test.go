@@ -218,10 +218,9 @@ func TestWakeTicksWhatIsOwed(t *testing.T) {
 		{"journal lag keeps a shard busy until synced", true, func(t *testing.T, r *wakeRig) {
 			k := r.settle()
 			// An invalidation journals the copy's drop and leaves nothing
-			// else for a tick. The journal paces its syncs by the wall clock:
-			// a tick dated before the last sync leaves the record unsynced,
-			// and one a second after it syncs.
-			r.step(r.at(-100, 0), event{conn: nopConn{}, env: &netproto.Envelope{
+			// else for a tick. It lands in the settled period, which has had
+			// its tick, so the record waits for the next wake's.
+			r.step(r.at(k, 0.5), event{conn: nopConn{}, env: &netproto.Envelope{
 				Kind: netproto.TypeInvalidate, From: 0, To: 1, Doc: r.doc, DocVersion: 1,
 			}})
 			if r.s.journal.Lag() == 0 {
