@@ -5,9 +5,7 @@ package main
 // artifact CI's benchgate thresholds against the committed baseline.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"webwave/internal/workload"
 )
@@ -29,21 +27,5 @@ func runChaos(sp workload.ChaosSpec, jsonPath string) error {
 	fmt.Printf("  reconnects %d, reclaimed duty %.1f req/s, absorbed duty %.1f req/s, heartbeat misses %d, orphaned at end %d\n",
 		rep.Reconnects, rep.ReclaimedDuty, rep.AbsorbedDuty, rep.HeartbeatMisses, rep.FinalOrphaned)
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", jsonPath)
-	}
-	return nil
+	return writeReport(jsonPath, rep)
 }

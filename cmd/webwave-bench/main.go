@@ -32,6 +32,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -200,20 +201,29 @@ func run(args []string) error {
 
 	printSummary(rep)
 
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", *jsonPath)
+	return writeReport(*jsonPath, rep)
+}
+
+// writeReport writes rep to path as indented JSON and names the file; an
+// empty path writes nothing.
+func writeReport(path string, rep any) error {
+	if path == "" {
+		return nil
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("report: %s\n", path)
 	return nil
 }
 

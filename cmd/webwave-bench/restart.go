@@ -6,9 +6,7 @@ package main
 // thresholds against the committed baseline.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"webwave/internal/workload"
 )
@@ -31,23 +29,7 @@ func runRestart(sp workload.RestartSpec, jsonPath string) error {
 	fmt.Printf("  warm docs recovered %d, disk hits %d, failed revives warm %d cold %d\n",
 		rep.Warm.WarmDocs, rep.Warm.DiskHits, rep.Warm.FailedRevives, rep.Cold.FailedRevives)
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", jsonPath)
-	}
-	return nil
+	return writeReport(jsonPath, rep)
 }
 
 func runBigram(sp workload.BigramSpec, jsonPath string) error {
@@ -64,21 +46,5 @@ func runBigram(sp workload.BigramSpec, jsonPath string) error {
 	fmt.Printf("  hit-rate drop vs in-ram: mem-only %.4f, two-tier %.4f; two-tier disk hits %d\n",
 		rep.MemOnlyHitDrop, rep.TwoTierHitDrop, rep.TwoTier.DiskHits)
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", jsonPath)
-	}
-	return nil
+	return writeReport(jsonPath, rep)
 }

@@ -5,9 +5,7 @@ package main
 // JSON artifact CI's benchgate compares against the committed baseline.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -51,21 +49,5 @@ func runCoreScaling(sp workload.ScalingSpec, jsonPath string) error {
 			r.Procs, r.Shards, r.Efficiency, r.PerCoreRPS)
 	}
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", jsonPath)
-	}
-	return nil
+	return writeReport(jsonPath, rep)
 }

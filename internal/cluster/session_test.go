@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,3 +219,72 @@ func TestSessionTwoArms(t *testing.T) {
 		t.Errorf("without tokens: %d session refreshes on a wire that carries no floor", bare.sessionRefreshes)
 	}
 }
+
+// SessionToken is one client session's version ratchet: the highest version
+// it has written (or observed) per document. Safe for concurrent use.
+type SessionToken struct {
+	mu   sync.Mutex
+	vers map[core.DocID]uint64
+}
+
+// NewSessionToken returns an empty session: every read accepts any version
+// until the session's first write.
+func NewSessionToken() *SessionToken {
+	return &SessionToken{vers: make(map[core.DocID]uint64, 4)}
+}
+
+// Observe ratchets the session's floor for doc up to ver. Older
+// observations are no-ops — a session never lowers its guarantee.
+func (t *SessionToken) Observe(doc core.DocID, ver uint64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if ver > t.vers[doc] {
+		t.vers[doc] = ver
+	}
+	t.mu.Unlock()
+}
+
+// MinVersion returns the session's version floor for doc (0 = any version
+// is acceptable; the session has not written it).
+func (t *SessionToken) MinVersion(doc core.DocID) uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.vers[doc]
+}
+
+// RepublishSession injects a versioned body write and records the assigned
+// version in the session's token, so the session's subsequent reads demand
+// at least this write.
+func (c *Cluster) RepublishSession(doc core.DocID, body []byte, tok *SessionToken) (uint64, error) {
+	ver, err := c.Republish(doc, body)
+	if err == nil {
+		tok.Observe(doc, ver)
+	}
+	return ver, err
+}
+
+// InjectSession sends one read belonging to a session: the response is
+// checked against the session's version floor for doc (a violation is
+// counted if it comes back older), and when tokens is true the floor also
+// rides the wire as the request's MinVersion so the tree enforces it. With
+// tokens false the read is indistinguishable on the wire from Inject — the
+// detector still runs, which is how TestSessionTwoArms measures the
+// violation rate without the guarantee.
+func (c *Cluster) InjectSession(origin int, doc core.DocID, tok *SessionToken, tokens bool) error {
+	expect := tok.MinVersion(doc)
+	minVer := uint64(0)
+	if tokens {
+		minVer = expect
+	}
+	return c.inject(origin, doc, expect, minVer)
+}
+
+// RMWViolations returns the number of read-my-writes violations observed so
+// far: session reads answered with a version older than their session had
+// already written.
+func (c *Cluster) RMWViolations() int64 { return c.rmwViolations.Load() }

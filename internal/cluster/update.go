@@ -1,13 +1,11 @@
 package cluster
 
 // Mutable-document injection and staleness accounting. Writes enter the
-// tree at the root — the document's origin — as republish (versioned body
-// push) or invalidate (version-only) frames and diffuse down; the cluster
+// tree at the root — the document's origin — and diffuse down; the cluster
 // assigns each document a monotonically increasing version and remembers
 // when every version was written, so each response's served version maps
 // to a staleness age: how long ago the served copy was superseded (zero
-// when the response carried the latest version). The staleness percentiles
-// the update scenarios gate on come straight from these samples.
+// when the response carried the latest version).
 
 import (
 	"fmt"
@@ -15,7 +13,6 @@ import (
 
 	"webwave/internal/core"
 	"webwave/internal/netproto"
-	"webwave/internal/stats"
 )
 
 // Republish injects a versioned body write for doc at its origin (the
@@ -24,15 +21,6 @@ import (
 // lease-refresh on demand. Returns the version assigned to the write.
 func (c *Cluster) Republish(doc core.DocID, body []byte) (uint64, error) {
 	return c.write(netproto.TypeRepublish, doc, body)
-}
-
-// Invalidate injects a version-only write: every copy below the origin
-// drops its body (keeping its duty and filter) and refreshes through the
-// subtree lease on the next demand. The body still installs at the origin
-// — the root must always serve the latest version — but never travels in
-// the invalidate frames. Returns the version assigned to the write.
-func (c *Cluster) Invalidate(doc core.DocID, body []byte) (uint64, error) {
-	return c.write(netproto.TypeInvalidate, doc, body)
 }
 
 func (c *Cluster) write(kind netproto.Type, doc core.DocID, body []byte) (uint64, error) {
@@ -57,14 +45,6 @@ func (c *Cluster) write(kind netproto.Type, doc core.DocID, body []byte) (uint64
 	return ver, nil
 }
 
-// LatestVersion returns the version the cluster last assigned to doc (0 =
-// never written).
-func (c *Cluster) LatestVersion(doc core.DocID) uint64 {
-	c.verMu.Lock()
-	defer c.verMu.Unlock()
-	return c.docVers[doc]
-}
-
 // noteServedVersion records one response's staleness sample. Only
 // documents that have been written at least once produce samples —
 // read-only documents have no version history to be stale against.
@@ -82,28 +62,4 @@ func (c *Cluster) noteServedVersion(env *netproto.Envelope, now time.Time) {
 		c.staleness = append(c.staleness, age)
 	}
 	c.verMu.Unlock()
-}
-
-// StalenessSummary returns descriptive statistics over the staleness ages
-// (seconds) of every response for a written document: 0 for a response
-// that carried the latest version, else the time since the served version
-// was superseded.
-func (c *Cluster) StalenessSummary() stats.Summary {
-	c.verMu.Lock()
-	samples := append([]float64(nil), c.staleness...)
-	c.verMu.Unlock()
-	return stats.Summarize(samples)
-}
-
-// StaleServed returns how many responses carried a superseded version, and
-// the total number of staleness-sampled responses.
-func (c *Cluster) StaleServed() (stale, total int64) {
-	c.verMu.Lock()
-	defer c.verMu.Unlock()
-	for _, age := range c.staleness {
-		if age > 0 {
-			stale++
-		}
-	}
-	return stale, int64(len(c.staleness))
 }

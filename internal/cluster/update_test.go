@@ -472,3 +472,44 @@ func TestInvalidationStorm(t *testing.T) {
 			forwardsPerWrite, ceiling, clients)
 	}
 }
+
+// Invalidate injects a version-only write: every copy below the origin
+// drops its body (keeping its duty and filter) and refreshes through the
+// subtree lease on the next demand. The body still installs at the origin
+// — the root must always serve the latest version — but never travels in
+// the invalidate frames. Returns the version assigned to the write.
+func (c *Cluster) Invalidate(doc core.DocID, body []byte) (uint64, error) {
+	return c.write(netproto.TypeInvalidate, doc, body)
+}
+
+// LatestVersion returns the version the cluster last assigned to doc (0 =
+// never written).
+func (c *Cluster) LatestVersion(doc core.DocID) uint64 {
+	c.verMu.Lock()
+	defer c.verMu.Unlock()
+	return c.docVers[doc]
+}
+
+// StalenessSummary returns descriptive statistics over the staleness ages
+// (seconds) of every response for a written document: 0 for a response
+// that carried the latest version, else the time since the served version
+// was superseded.
+func (c *Cluster) StalenessSummary() stats.Summary {
+	c.verMu.Lock()
+	samples := append([]float64(nil), c.staleness...)
+	c.verMu.Unlock()
+	return stats.Summarize(samples)
+}
+
+// StaleServed returns how many responses carried a superseded version, and
+// the total number of staleness-sampled responses.
+func (c *Cluster) StaleServed() (stale, total int64) {
+	c.verMu.Lock()
+	defer c.verMu.Unlock()
+	for _, age := range c.staleness {
+		if age > 0 {
+			stale++
+		}
+	}
+	return stale, int64(len(c.staleness))
+}

@@ -2,7 +2,8 @@
 // service: GET /docs/<name> injects a request packet at a tree node and
 // returns the document body that comes back, with headers reporting which
 // cache server answered and how far the request traveled. It runs in the
-// process of the nodes it fronts and enters them with no socket between.
+// process of the nodes it fronts: a hit at the entry node is answered on
+// the request's goroutine, and a miss enters through an in-process pipe.
 //
 // This is the adoption path for the library — a browser-facing edge that
 // publishes a WebWave tree as an ordinary web service — and it doubles as
@@ -135,6 +136,12 @@ type Gateway struct {
 	done  bool
 }
 
+// localServer is a node's attached conn (server.Attach) answering a hit on
+// the caller's goroutine; it returns nil for a request that needs the pipe.
+type localServer interface {
+	ServeLocal(req *netproto.Envelope) *netproto.Envelope
+}
+
 // originConn is one pooled connection into the tree, shared by every
 // request entering at the same node, with response correlation by request
 // id.
@@ -237,7 +244,8 @@ func (oc *originConn) collect() {
 	}
 }
 
-// fetch injects one request at origin and waits for the response. minVer
+// fetch asks origin for doc: a hit there is answered on this goroutine, and
+// anything else is injected through the pipe and waited for. minVer
 // is the session's version floor for doc (0 = any): it rides the request,
 // so nodes holding an older copy bypass it instead of serving it.
 func (g *Gateway) fetch(origin int, doc core.DocID, minVer uint64, timeout time.Duration) (*netproto.Envelope, error) {
@@ -246,20 +254,27 @@ func (g *Gateway) fetch(origin int, doc core.DocID, minVer uint64, timeout time.
 		return nil, err
 	}
 	id := reqIDBase + g.seq.Add(1)
-	ch := make(chan *netproto.Envelope, 1)
-	oc.mu.Lock()
-	if oc.dead {
-		oc.mu.Unlock()
-		return nil, errClosed
-	}
-	oc.pending[id] = ch
-	oc.mu.Unlock()
-
 	req := netproto.GetEnvelope()
 	*req = netproto.Envelope{
 		Kind: netproto.TypeRequest, From: -1, To: origin,
 		Origin: origin, ReqID: id, Doc: doc, MinVersion: minVer,
 	}
+	if ls, ok := oc.conn.(localServer); ok {
+		if env := ls.ServeLocal(req); env != nil {
+			netproto.PutEnvelope(req)
+			return env, nil
+		}
+	}
+	ch := make(chan *netproto.Envelope, 1)
+	oc.mu.Lock()
+	if oc.dead {
+		oc.mu.Unlock()
+		netproto.PutEnvelope(req)
+		return nil, errClosed
+	}
+	oc.pending[id] = ch
+	oc.mu.Unlock()
+
 	err = oc.conn.Send(req) // Send copies req
 	netproto.PutEnvelope(req)
 	if err != nil {

@@ -510,11 +510,30 @@ func (s *Server) readLoop(conn transport.Conn) {
 }
 
 // Attach opens an in-process connection into the server and returns the
-// caller's end; readLoop serves the other exactly like an accepted conn.
+// caller's end; readLoop serves the other exactly like an accepted conn,
+// and the caller's end can answer a hit itself (ServeLocal).
 func (s *Server) Attach() transport.Conn {
 	client, conn := transport.Pipe()
 	s.readLoop(conn)
-	return client
+	return &attachedConn{Conn: client, s: s}
+}
+
+type attachedConn struct {
+	transport.Conn
+	s *Server
+}
+
+// ServeLocal runs fastServe for req on the caller's goroutine. It returns
+// nil when fastServe declines or the server has stopped: a killed node
+// never answers from the memory it still holds.
+func (c *attachedConn) ServeLocal(req *netproto.Envelope) *netproto.Envelope {
+	select {
+	case <-c.s.stopped:
+		return nil
+	default:
+	}
+	h := shardHash(req.Doc)
+	return c.s.fastServe(c.s.shards[h%uint32(len(c.s.shards))], h, req)
 }
 
 // untrack drops every registration of conn from s.conns (a failover
@@ -589,24 +608,39 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 	}
 }
 
-// tryFastServe is the lock-free read fast path: one atomic load of the
-// owning shard's copy-on-write publication index (h is shardHash(env.Doc),
-// which picks the bucket), and a hit is answered on the connection
-// goroutine — no event-loop hop, no lock. It declines (the request then
-// takes the shard queue) on an index miss, a dead entry (an eviction race;
-// the queued path re-checks the store and forwards), or a spent admission
+// tryFastServe sends a fastServe hit from the read loop. On a BatchConn the
+// reply is buffered: the read loop's next Recv flushes it unless another
+// request is already waiting, so a pipelined batch's replies share one
+// write while they fit in the connection's write buffer together (4 KiB on
+// TCP; a larger reply leaves at once, see transport.BatchConn).
+func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
+	resp := s.fastServe(sh, h, env)
+	if resp == nil {
+		return false
+	}
+	if bc, ok := conn.(transport.BatchConn); ok {
+		_ = bc.SendBuffered(resp) // soft state: a failed send is equivalent to loss
+	} else {
+		_ = conn.Send(resp)
+	}
+	netproto.PutEnvelope(resp)
+	return true
+}
+
+// fastServe is the lock-free read fast path: one atomic load of the owning
+// shard's copy-on-write publication index (h is shardHash(env.Doc), which
+// picks the bucket), and a hit returns a pooled response for the caller to
+// send — no event-loop hop, no lock. It returns nil (the request then takes
+// the shard queue) on an index miss, a dead entry (an eviction race; the
+// queued path re-checks the store and forwards), or a spent admission
 // budget (the queued filter spends the same budget, so it forwards). Serve
 // and flow counts accumulate on the document record's atomics, which the
 // owning shard drains into its rate windows each tick, so diffusion sees
-// fast-path demand exactly like queued demand. On a BatchConn the reply is
-// buffered: the read loop's next Recv flushes it unless another request is
-// already waiting, so a pipelined batch's replies share one write while
-// they fit in the connection's write buffer together (4 KiB on TCP; a
-// larger reply leaves at once, see transport.BatchConn).
-func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn transport.Conn) bool {
+// fast-path demand exactly like queued demand.
+func (s *Server) fastServe(sh *shard, h uint32, env *netproto.Envelope) *netproto.Envelope {
 	e := sh.pub.get(h, env.Doc)
 	if e == nil || e.dead.Load() {
-		return false
+		return nil
 	}
 	if !versionOK(e.version, env.MinVersion, 0) {
 		// The session has seen a newer version than this copy: decline
@@ -614,10 +648,10 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// for the write (sessionGate) instead of serving it stale. A
 		// published copy is never below the write mark: a write that moves
 		// the mark refreshes or unpublishes it.
-		return false
+		return nil
 	}
 	if !s.isRoot && e.st.credits.Add(-1) < 0 {
-		return false
+		return nil
 	}
 	e.st.bumpFlow(env.From)
 	e.st.served.Add(1)
@@ -632,13 +666,7 @@ func (s *Server) tryFastServe(sh *shard, h uint32, env *netproto.Envelope, conn 
 		// global counter would be the one shared cacheline every core's
 		// fast path contends on. Loop-emitted frames keep their stamps.
 	}
-	if bc, ok := conn.(transport.BatchConn); ok {
-		_ = bc.SendBuffered(resp) // soft state: a failed send is equivalent to loss
-	} else {
-		_ = conn.Send(resp)
-	}
-	netproto.PutEnvelope(resp)
-	return true
+	return resp
 }
 
 // stampAndSend stamps the wire sequence and transmits immediately

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"webwave/internal/baseline"
 	"webwave/internal/stats"
@@ -204,14 +202,6 @@ func analyticBaselines(t *tree.Tree, tr *Trace, sp Spec) ([]BaselineResult, erro
 		}
 	}
 	return out, nil
-}
-
-// WriteJSON writes the report as indented JSON. Identical runs produce
-// identical bytes.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // System returns the named system result, nil when absent.

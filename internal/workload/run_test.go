@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -22,11 +23,11 @@ func smallSpec(t *testing.T, name string) Spec {
 
 func reportBytes(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := rep.WriteJSON(&b); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("json.Marshal: %v", err)
 	}
-	return b.Bytes()
+	return b
 }
 
 func TestRunFastDeterministic(t *testing.T) {
